@@ -10,7 +10,6 @@ use crate::tenant::Tenancy;
 use crate::types::{Ladder, Resolution};
 use gso_util::{Bitrate, ClientId, StreamKind};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifies one media source of a publisher (camera or screen share).
@@ -220,8 +219,12 @@ impl Problem {
             }
         }
         subscriptions.sort_by_key(|s| (s.subscriber, s.source, s.tag));
-        // sentinel: allow(hot-alloc, reason = "construction-time validation; one tree per problem build, not per DP cell")
-        let mut seen = BTreeSet::new();
+        let client = |id: ClientId| {
+            clients.binary_search_by_key(&id, |c| c.id).ok().and_then(|i| clients.get(i))
+        };
+        // Subscriptions are sorted by key, so a duplicate directly follows
+        // the entry it repeats.
+        let mut previous = None;
         for s in &subscriptions {
             if !s.qoe_boost.is_finite() || s.qoe_boost <= 0.0 {
                 return Err(ProblemError::InvalidBoost);
@@ -229,18 +232,16 @@ impl Problem {
             if s.subscriber == s.source.client {
                 return Err(ProblemError::SelfSubscription(s.subscriber));
             }
-            let publisher = clients
-                .iter()
-                .find(|c| c.id == s.source.client)
-                .ok_or(ProblemError::UnknownClient(s.source.client))?;
-            if !clients.iter().any(|c| c.id == s.subscriber) {
+            let publisher =
+                client(s.source.client).ok_or(ProblemError::UnknownClient(s.source.client))?;
+            if client(s.subscriber).is_none() {
                 return Err(ProblemError::UnknownClient(s.subscriber));
             }
             if publisher.source(s.source).is_none() {
                 return Err(ProblemError::UnknownSource(s.source));
             }
-            // sentinel: allow(hot-alloc, reason = "construction-time validation; one tree per problem build, not per DP cell")
-            if !seen.insert((s.subscriber, s.source, s.tag)) {
+            let key = (s.subscriber, s.source, s.tag);
+            if previous.replace(key) == Some(key) {
                 return Err(ProblemError::DuplicateSubscription(s.subscriber, s.source, s.tag));
             }
         }
@@ -284,7 +285,6 @@ impl Problem {
     /// Subscriptions held by a given subscriber (the classes of its Step-1
     /// knapsack), in deterministic order.
     pub fn subscriptions_of(&self, subscriber: ClientId) -> Vec<&Subscription> {
-        // sentinel: allow(hot-alloc, reason = "owned-snapshot convenience API; hot callers use subscriptions_of_slice")
         self.subscriptions_of_slice(subscriber).iter().collect()
     }
 
@@ -401,7 +401,40 @@ mod tests {
 
         let sub = Subscription::new(ClientId(1), SourceId::video(ClientId(2)), Resolution::R720);
         let err = Problem::new(vec![client(1), client(2)], vec![sub, sub]).unwrap_err();
-        assert!(matches!(err, ProblemError::DuplicateSubscription(..)));
+        assert_eq!(
+            err,
+            ProblemError::DuplicateSubscription(ClientId(1), SourceId::video(ClientId(2)), 0)
+        );
+
+        // A duplicate separated by other entries in input order still sits
+        // next to its twin once sorted.
+        let other = Subscription::new(ClientId(2), SourceId::video(ClientId(1)), Resolution::R720);
+        let tagged = sub.with_tag(3);
+        let err =
+            Problem::new(vec![client(1), client(2)], vec![tagged, other, sub, tagged]).unwrap_err();
+        assert_eq!(
+            err,
+            ProblemError::DuplicateSubscription(ClientId(1), SourceId::video(ClientId(2)), 3)
+        );
+    }
+
+    #[test]
+    fn first_fault_in_sorted_order_wins() {
+        // Client 3 repeats a subscription; client 1 (given last, but first
+        // once sorted) references an unknown publisher. The sorted order,
+        // not the input order, decides which error is reported.
+        let dup = Subscription::new(ClientId(3), SourceId::video(ClientId(2)), Resolution::R720);
+        let unknown =
+            Subscription::new(ClientId(1), SourceId::video(ClientId(9)), Resolution::R720);
+        let clients = || vec![client(3), client(2), client(1)];
+        let err = Problem::new(clients(), vec![dup, dup, unknown]).unwrap_err();
+        assert_eq!(err, ProblemError::UnknownClient(ClientId(9)));
+
+        // Within one subscription the per-entry checks run before the
+        // duplicate check: a repeated key carrying a bad boost reports the
+        // boost.
+        let err = Problem::new(clients(), vec![dup, dup.with_boost(f64::NAN)]).unwrap_err();
+        assert_eq!(err, ProblemError::InvalidBoost);
     }
 
     #[test]

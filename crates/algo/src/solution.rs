@@ -102,14 +102,10 @@ impl Solution {
         for (src, policies) in &self.publish {
             let ladder =
                 &problem.source(*src).ok_or(ConstraintViolation::UnknownSource(*src))?.ladder;
-            // sentinel: allow(hot-alloc, reason = "validation scratch, bounded by policies per source; validate runs off the steady-state switch path")
-            let mut seen = Vec::new();
-            for p in policies {
-                if seen.contains(&p.resolution) {
+            for (i, p) in policies.iter().enumerate() {
+                if policies.iter().take(i).any(|q| q.resolution == p.resolution) {
                     return Err(ConstraintViolation::DuplicateResolution(*src, p.resolution));
                 }
-                // sentinel: allow(hot-alloc, reason = "validation scratch, bounded by policies per source; validate runs off the steady-state switch path")
-                seen.push(p.resolution);
                 let spec = ladder.spec_for_bitrate(p.bitrate);
                 match spec {
                     Some(s) if s.resolution == p.resolution => {}
@@ -143,19 +139,15 @@ impl Solution {
         // actual subscription, respects its resolution cap, and a
         // (subscriber, source, tag) receives at most one stream.
         for (sub, streams) in &self.received {
-            // sentinel: allow(hot-alloc, reason = "validation scratch, bounded by policies per source; validate runs off the steady-state switch path")
-            let mut seen = Vec::new();
-            for r in streams {
-                if seen.contains(&(r.source, r.tag)) {
+            for (i, r) in streams.iter().enumerate() {
+                if streams.iter().take(i).any(|q| q.source == r.source && q.tag == r.tag) {
                     return Err(ConstraintViolation::MultipleStreamsPerSubscription(
                         *sub, r.source, r.tag,
                     ));
                 }
-                // sentinel: allow(hot-alloc, reason = "validation scratch, bounded by policies per source; validate runs off the steady-state switch path")
-                seen.push((r.source, r.tag));
                 let subscription = problem
-                    .subscriptions_of(*sub)
-                    .into_iter()
+                    .subscriptions_of_slice(*sub)
+                    .iter()
                     .find(|s| s.source == r.source && s.tag == r.tag)
                     .ok_or(ConstraintViolation::NoSuchSubscription(*sub, r.source, r.tag))?;
                 if r.resolution > subscription.max_resolution {
@@ -440,6 +432,37 @@ mod tests {
         .unwrap();
         let err = valid_solution().validate(&problem).unwrap_err();
         assert!(matches!(err, ConstraintViolation::ResolutionCapExceeded(..)));
+    }
+
+    #[test]
+    fn detects_duplicate_resolution() {
+        let mut s = valid_solution();
+        let policies = s.publish.get_mut(&SourceId::video(ClientId(1))).unwrap();
+        policies.push(policies[0].clone());
+        let err = s.validate(&two_client_problem()).unwrap_err();
+        assert_eq!(
+            err,
+            ConstraintViolation::DuplicateResolution(
+                SourceId::video(ClientId(1)),
+                Resolution::R720
+            )
+        );
+    }
+
+    #[test]
+    fn detects_multiple_streams_per_subscription() {
+        let mut s = valid_solution();
+        let streams = s.received.get_mut(&ClientId(2)).unwrap();
+        streams.push(streams[0]);
+        let err = s.validate(&two_client_problem()).unwrap_err();
+        assert_eq!(
+            err,
+            ConstraintViolation::MultipleStreamsPerSubscription(
+                ClientId(2),
+                SourceId::video(ClientId(1)),
+                0
+            )
+        );
     }
 
     #[test]

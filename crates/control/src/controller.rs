@@ -439,8 +439,10 @@ impl GsoController {
     ) -> Option<ControlOutput> {
         let RoundContext { problem, must_fall_back } = ctx;
         let mut solve_rows = 0;
-        let (solution, fallback) = if must_fall_back {
-            (fallback_solution(&problem), true)
+        // `sticky`: the round keeps the previous solution, which
+        // `last_solution` already holds.
+        let (solution, fallback, sticky) = if must_fall_back {
+            (fallback_solution(&problem), true, false)
         } else {
             let SolveOutcome { solution: fresh, trace, rows_delta } =
                 solved.expect("invariant: non-fallback rounds carry their solve outcome");
@@ -479,7 +481,7 @@ impl GsoController {
                 self.degraded = true;
                 // Re-run promptly instead of waiting out the full cadence.
                 self.scheduler.trigger_event();
-                (fallback_solution(&problem), true)
+                (fallback_solution(&problem), true, false)
             } else {
                 self.degraded = false;
                 // Solution stickiness: a still-valid previous configuration
@@ -489,9 +491,10 @@ impl GsoController {
                     .as_ref()
                     .filter(|prev| prev.validate(&problem).is_ok())
                     .filter(|prev| fresh.total_qoe < prev.total_qoe * (1.0 + self.cfg.stickiness))
-                    // sentinel: allow(hot-alloc, reason = "stickiness keeps the previous solution by value; copy-on-keep reuse is tracked by the zero-alloc roadmap item")
+                    // sentinel: allow(hot-alloc, reason = "the round's output owns its solution; a sticky round's only copy")
                     .cloned();
-                (keep_previous.unwrap_or(fresh), false)
+                let sticky = keep_previous.is_some();
+                (keep_previous.unwrap_or(fresh), false, sticky)
             }
         };
         if fallback != self.fallback_mode {
@@ -538,12 +541,17 @@ impl GsoController {
                 gso_audit::report(&findings)
             );
         }
-        let churn = match self.last_solution.as_ref() {
-            Some(prev) => diff(prev, &solution),
-            None => diff(&Solution::default(), &solution),
+        let churn = if sticky {
+            // Nothing changes on the wire, and `last_solution` already
+            // holds this solution.
+            SolutionDiff::default()
+        } else {
+            let churn =
+                diff(self.last_solution.as_ref().unwrap_or(&Solution::default()), &solution);
+            // sentinel: allow(hot-alloc, reason = "retained last-solution snapshot feeding the next round's churn diff; a changed round's only copy")
+            self.last_solution = Some(solution.clone());
+            churn
         };
-        // sentinel: allow(hot-alloc, reason = "retained last-solution snapshot feeding the next round's churn diff")
-        self.last_solution = Some(solution.clone());
         // Round metrics. "Solve latency" is deterministic by design: the
         // sim has no wall clock, so it is measured in the solver's
         // dominant work unit (DP class-rows recomputed this round) plus
@@ -841,6 +849,51 @@ mod tests {
         assert!(
             c.engine_stats().backtracks >= 1,
             "a pure capacity change must hit the incremental backtrack path"
+        );
+    }
+
+    /// A round whose fresh solve gains less than the stickiness margin keeps
+    /// the previous solution: it commits no churn and leaves every
+    /// digest-covered field and churn counter where it was.
+    #[test]
+    fn sticky_round_commits_previous_solution_without_churn() {
+        let telemetry = Telemetry::new("test");
+        let mut c = two_party();
+        c.set_telemetry(telemetry.clone());
+        // 1.1 Mbps × 0.85 − 50 Kbps leaves room for 360P at 800 Kbps.
+        c.on_downlink_report(SimTime::ZERO, ClientId(2), k(1_100));
+        let (out, _) = c.tick(SimTime::from_millis(10));
+        assert_eq!(out.expect("first tick runs").rules[0].bitrate, k(800));
+        let previous = c.last_solution().cloned().expect("first round committed");
+
+        // 1.3 Mbps now fits 720P at 1 Mbps, worth 750 against 700: less than
+        // the 10% stickiness margin.
+        c.on_downlink_report(SimTime::from_millis(1_500), ClientId(2), k(1_300));
+        let now = SimTime::from_millis(1_600);
+        let (TickPrep::Round(ctx), _) = c.tick_prepare(now) else {
+            panic!("the downlink change triggers a round");
+        };
+        let (fresh, trace) = c.engine.solve_traced(ctx.problem());
+        assert_ne!(fresh, previous, "the fresh solve differs from the kept one");
+        let outcome = SolveOutcome { solution: fresh, trace: Some(trace), rows_delta: 0 };
+        let digest = c.state_digest();
+        let churn_before = (
+            telemetry.counter(keys::CTRL_CHURN_LAYERS, ""),
+            telemetry.counter(keys::CTRL_CHURN_SWITCHES, ""),
+        );
+
+        let out = c.tick_commit(now, ctx, Some(outcome)).expect("the round commits");
+        assert!(!out.fallback);
+        assert_eq!(out.solution, previous, "stickiness keeps the previous solution");
+        assert!(out.churn.is_empty());
+        assert_eq!(c.last_solution(), Some(&previous));
+        assert_eq!(c.state_digest(), digest);
+        assert_eq!(
+            (
+                telemetry.counter(keys::CTRL_CHURN_LAYERS, ""),
+                telemetry.counter(keys::CTRL_CHURN_SWITCHES, ""),
+            ),
+            churn_before
         );
     }
 

@@ -12,7 +12,7 @@ use crate::problem::SourceId;
 use crate::solution::{PublishPolicy, ReceivedStream, Solution};
 use crate::solver::{IterationTrace, ReductionTrace, Request, SolveTrace};
 use crate::types::{Ladder, Resolution, StreamSpec};
-use gso_detguard::{StableHasher, StateDigest};
+use gso_util::digest::{StableHasher, StateDigest};
 
 impl StateDigest for Resolution {
     fn digest(&self, h: &mut StableHasher) {

@@ -46,8 +46,9 @@
 //! * [`batch`] — persistent work-stealing scheduler interleaving many
 //!   conferences' engine solves per control tick.
 //! * [`brute`] — exact exponential-time baseline (Fig. 6a/6b comparison).
-//! * [`solution`] — solution representation and full constraint validation.
-//! * [`digest`] — stable [`gso_detguard::StateDigest`] fingerprints for
+//! * [`solution`] — solution representation and the one §4.1 constraint
+//!   checker (`Solution::validate` / `Solution::violations`).
+//! * [`digest`] — stable [`gso_util::digest::StateDigest`] fingerprints for
 //!   solutions, traces, and engine statistics.
 //! * [`diff`] — minimal reconfiguration between consecutive solutions.
 //! * [`qoe`] — QoE utility curves with small-stream protection (§4.4).

@@ -11,6 +11,7 @@ use gso_util::{Bitrate, ClientId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// One stream a publisher source is instructed to send: the pair
 /// `(M_i^R, s_i^R)` of §4.1.2 — a resolution/bitrate plus its audience.
@@ -91,170 +92,331 @@ impl Solution {
         self.received.get(&subscriber)?.iter().copied().find(|r| r.source == source && r.tag == tag)
     }
 
-    /// Validate the solution against every constraint family of §4.1.
+    /// Check the solution against every constraint family of §4.1 and
+    /// return the first violation, in the order [`Self::violations`] lists
+    /// them.
     ///
-    /// This is used by tests and by property-based checks: any solution the
-    /// solver emits must pass.
+    /// Every controller round runs this on the previous solution to decide
+    /// whether it may stay in place (stickiness), so it allocates nothing and
+    /// stops at the first finding. Any solution the solver emits must pass.
     pub fn validate(&self, problem: &Problem) -> Result<(), ConstraintViolation> {
+        let mut first = None;
+        let _ = self.walk_violations(problem, |v| {
+            first = Some(v);
+            ControlFlow::Break(())
+        });
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Every §4.1 constraint violation of this solution, in a fixed order:
+    /// the publish side (codec capability and audiences) source by source,
+    /// then every client's uplink, then every client's downlink, then the
+    /// receive side (subscriptions) subscriber by subscriber, and last the
+    /// audience-to-receiver consistency of every published stream.
+    ///
+    /// A check that depends on a failed lookup is skipped, not aborted: an
+    /// unknown source's policies are not checked further, and a received
+    /// stream with no subscription (or no published policy) skips the checks
+    /// that need it, while the walk goes on.
+    pub fn violations(&self, problem: &Problem) -> Vec<ConstraintViolation> {
+        let mut out = Vec::new();
+        let _ = self.walk_violations(problem, |v| {
+            out.push(v);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The one §4.1 walker behind [`Self::validate`] and
+    /// [`Self::violations`]: hands each violation to `emit`, which decides
+    /// whether the walk goes on.
+    fn walk_violations(
+        &self,
+        problem: &Problem,
+        mut emit: impl FnMut(ConstraintViolation) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        use ConstraintViolation as V;
+
         // Codec capability: at most one stream per resolution per source,
         // and every published bitrate must exist in the source's ladder at
-        // that resolution.
-        for (src, policies) in &self.publish {
-            let ladder =
-                &problem.source(*src).ok_or(ConstraintViolation::UnknownSource(*src))?.ladder;
+        // that resolution. An audience-less stream wastes uplink.
+        for (&source, policies) in &self.publish {
+            let Some(publisher) = problem.source(source) else {
+                emit(V::UnknownSource { source })?;
+                continue;
+            };
             for (i, p) in policies.iter().enumerate() {
                 if policies.iter().take(i).any(|q| q.resolution == p.resolution) {
-                    return Err(ConstraintViolation::DuplicateResolution(*src, p.resolution));
+                    emit(V::DuplicateResolution { source, resolution: p.resolution })?;
                 }
-                let spec = ladder.spec_for_bitrate(p.bitrate);
-                match spec {
+                match publisher.ladder.spec_for_bitrate(p.bitrate) {
                     Some(s) if s.resolution == p.resolution => {}
-                    _ => {
-                        return Err(ConstraintViolation::BitrateNotInLadder(*src, p.bitrate));
-                    }
+                    _ => emit(V::BitrateNotInLadder { source, bitrate: p.bitrate })?,
                 }
                 if p.audience.is_empty() {
-                    return Err(ConstraintViolation::StreamWithoutAudience(*src, p.bitrate));
+                    emit(V::StreamWithoutAudience { source, bitrate: p.bitrate })?;
                 }
             }
         }
 
         // Uplink: Σ published ≤ B_u per client.
         for c in problem.clients() {
-            let rate = self.publish_rate(c.id);
-            if rate > c.uplink {
-                return Err(ConstraintViolation::UplinkExceeded(c.id, rate, c.uplink));
+            let actual = self.publish_rate(c.id);
+            if actual > c.uplink {
+                emit(V::UplinkExceeded { client: c.id, actual, budgeted: c.uplink })?;
             }
         }
 
         // Downlink: Σ received ≤ B_d per client.
         for c in problem.clients() {
-            let rate = self.receive_rate(c.id);
-            if rate > c.downlink {
-                return Err(ConstraintViolation::DownlinkExceeded(c.id, rate, c.downlink));
+            let actual = self.receive_rate(c.id);
+            if actual > c.downlink {
+                emit(V::DownlinkExceeded { client: c.id, actual, budgeted: c.downlink })?;
             }
         }
 
         // Subscription constraints: every received stream corresponds to an
         // actual subscription, respects its resolution cap, and a
         // (subscriber, source, tag) receives at most one stream.
-        for (sub, streams) in &self.received {
+        for (&subscriber, streams) in &self.received {
             for (i, r) in streams.iter().enumerate() {
-                if streams.iter().take(i).any(|q| q.source == r.source && q.tag == r.tag) {
-                    return Err(ConstraintViolation::MultipleStreamsPerSubscription(
-                        *sub, r.source, r.tag,
-                    ));
+                let (source, tag) = (r.source, r.tag);
+                if streams.iter().take(i).any(|q| q.source == source && q.tag == tag) {
+                    emit(V::MultipleStreamsPerSubscription { subscriber, source, tag })?;
                 }
-                let subscription = problem
-                    .subscriptions_of_slice(*sub)
+                let Some(subscription) = problem
+                    .subscriptions_of_slice(subscriber)
                     .iter()
-                    .find(|s| s.source == r.source && s.tag == r.tag)
-                    .ok_or(ConstraintViolation::NoSuchSubscription(*sub, r.source, r.tag))?;
+                    .find(|s| s.source == source && s.tag == tag)
+                else {
+                    emit(V::NoSuchSubscription { subscriber, source, tag })?;
+                    continue;
+                };
                 if r.resolution > subscription.max_resolution {
-                    return Err(ConstraintViolation::ResolutionCapExceeded(
-                        *sub,
-                        r.source,
-                        r.resolution,
-                        subscription.max_resolution,
-                    ));
+                    emit(V::ResolutionCapExceeded {
+                        subscriber,
+                        source,
+                        actual: r.resolution,
+                        budgeted: subscription.max_resolution,
+                    })?;
                 }
                 // The received stream must be one the source publishes, at a
                 // matching resolution/bitrate, with this subscriber listed.
-                let policy = self
-                    .policies(r.source)
+                let Some(policy) = self
+                    .policies(source)
                     .iter()
                     .find(|p| p.resolution == r.resolution && p.bitrate == r.bitrate)
-                    .ok_or(ConstraintViolation::ReceivedUnpublishedStream(*sub, r.source))?;
-                if !policy.audience.contains(&(*sub, r.tag)) {
-                    return Err(ConstraintViolation::NotInAudience(*sub, r.source, r.tag));
+                else {
+                    emit(V::ReceivedUnpublishedStream { subscriber, source, bitrate: r.bitrate })?;
+                    continue;
+                };
+                if !policy.audience.contains(&(subscriber, tag)) {
+                    emit(V::NotInAudience { subscriber, source, tag })?;
                 }
             }
         }
 
         // Consistency the other way: every audience member of every published
         // stream must have a matching received entry.
-        for (src, policies) in &self.publish {
+        for (&source, policies) in &self.publish {
             for p in policies {
-                for &(sub, tag) in &p.audience {
-                    let got = self.received_from(sub, *src, tag);
-                    match got {
+                for &(subscriber, tag) in &p.audience {
+                    match self.received_from(subscriber, source, tag) {
                         Some(r) if r.bitrate == p.bitrate && r.resolution == p.resolution => {}
-                        _ => return Err(ConstraintViolation::AudienceMissingReceiver(*src, sub)),
+                        _ => emit(V::AudienceMissingReceiver { source, subscriber, tag })?,
                     }
                 }
             }
         }
 
-        Ok(())
+        ControlFlow::Continue(())
     }
 }
 
-/// A violated constraint, found by [`Solution::validate`].
+/// A violated §4.1 constraint, with the identities and the
+/// budgeted-versus-actual values needed to act on it. Found by
+/// [`Solution::validate`] (the first) and [`Solution::violations`] (all).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConstraintViolation {
     /// A published source does not exist in the problem.
-    UnknownSource(SourceId),
-    /// A source publishes two streams at one resolution (codec constraint).
-    DuplicateResolution(SourceId, Resolution),
-    /// A published bitrate is not in the source's feasible set.
-    BitrateNotInLadder(SourceId, Bitrate),
-    /// A stream is published with an empty audience — wasted uplink, which
-    /// GSO exists to eliminate (Fig. 3a/3d).
-    StreamWithoutAudience(SourceId, Bitrate),
-    /// Uplink bandwidth constraint violated: (client, used, limit).
-    UplinkExceeded(ClientId, Bitrate, Bitrate),
-    /// Downlink bandwidth constraint violated: (client, used, limit).
-    DownlinkExceeded(ClientId, Bitrate, Bitrate),
+    UnknownSource {
+        /// The source the solution publishes for.
+        source: SourceId,
+    },
+    /// Codec constraint: a source publishes two streams at one resolution.
+    DuplicateResolution {
+        /// The offending source.
+        source: SourceId,
+        /// The resolution published twice.
+        resolution: Resolution,
+    },
+    /// A published bitrate is not in the source's feasible stream set.
+    BitrateNotInLadder {
+        /// The offending source.
+        source: SourceId,
+        /// The bitrate with no ladder entry.
+        bitrate: Bitrate,
+    },
+    /// A stream is published with an empty audience — the wasted uplink GSO
+    /// exists to eliminate (Fig. 3a/3d).
+    StreamWithoutAudience {
+        /// The offending source.
+        source: SourceId,
+        /// The audience-less stream's bitrate.
+        bitrate: Bitrate,
+    },
+    /// Uplink budget exceeded (Eq. 14).
+    UplinkExceeded {
+        /// The publishing client.
+        client: ClientId,
+        /// Sum of the client's published bitrates.
+        actual: Bitrate,
+        /// The client's uplink budget `B_u`.
+        budgeted: Bitrate,
+    },
+    /// Downlink budget exceeded (Eq. 1–4).
+    DownlinkExceeded {
+        /// The receiving client.
+        client: ClientId,
+        /// Sum of the client's received bitrates.
+        actual: Bitrate,
+        /// The client's downlink budget `B_d`.
+        budgeted: Bitrate,
+    },
     /// More than one stream delivered for one (subscriber, source, tag).
-    MultipleStreamsPerSubscription(ClientId, SourceId, u8),
+    MultipleStreamsPerSubscription {
+        /// The receiving client.
+        subscriber: ClientId,
+        /// The stream's source.
+        source: SourceId,
+        /// The over-served subscription's tag.
+        tag: u8,
+    },
     /// A received stream has no matching subscription.
-    NoSuchSubscription(ClientId, SourceId, u8),
-    /// Delivered resolution exceeds the subscription's cap.
-    ResolutionCapExceeded(ClientId, SourceId, Resolution, Resolution),
+    NoSuchSubscription {
+        /// The receiving client.
+        subscriber: ClientId,
+        /// The stream's source.
+        source: SourceId,
+        /// The claimed virtual-publisher tag.
+        tag: u8,
+    },
+    /// Delivered resolution exceeds the subscription's cap `R_ii'`.
+    ResolutionCapExceeded {
+        /// The receiving client.
+        subscriber: ClientId,
+        /// The stream's source.
+        source: SourceId,
+        /// What was delivered.
+        actual: Resolution,
+        /// The subscription's maximum.
+        budgeted: Resolution,
+    },
     /// A subscriber "receives" a stream its source does not publish.
-    ReceivedUnpublishedStream(ClientId, SourceId),
+    ReceivedUnpublishedStream {
+        /// The receiving client.
+        subscriber: ClientId,
+        /// The source that does not publish the stream.
+        source: SourceId,
+        /// The phantom stream's bitrate.
+        bitrate: Bitrate,
+    },
     /// A subscriber receives a stream whose policy does not list it.
-    NotInAudience(ClientId, SourceId, u8),
+    NotInAudience {
+        /// The receiving client.
+        subscriber: ClientId,
+        /// The stream's source.
+        source: SourceId,
+        /// The subscription's tag.
+        tag: u8,
+    },
     /// A policy's audience member has no corresponding received entry.
-    AudienceMissingReceiver(SourceId, ClientId),
+    AudienceMissingReceiver {
+        /// The publishing source.
+        source: SourceId,
+        /// The audience member with no receive entry.
+        subscriber: ClientId,
+        /// The audience entry's tag.
+        tag: u8,
+    },
+}
+
+impl ConstraintViolation {
+    /// The paper equation (or section) this violation breaks.
+    pub fn equation(&self) -> &'static str {
+        use ConstraintViolation as V;
+        match self {
+            V::UplinkExceeded { .. } => "Eq. 14",
+            V::DownlinkExceeded { .. } => "Eq. 1–4",
+            V::DuplicateResolution { .. } | V::BitrateNotInLadder { .. } => "Eq. 10–11 (codec)",
+            V::StreamWithoutAudience { .. } => "§2.3 / Fig. 3a",
+            V::UnknownSource { .. }
+            | V::NoSuchSubscription { .. }
+            | V::MultipleStreamsPerSubscription { .. }
+            | V::NotInAudience { .. }
+            | V::AudienceMissingReceiver { .. }
+            | V::ReceivedUnpublishedStream { .. } => "Eq. 2–3 (subscription)",
+            V::ResolutionCapExceeded { .. } => "Eq. 5 (R_ii' cap)",
+        }
+    }
+
+    /// Short machine-friendly name of the violation kind.
+    pub fn kind_name(&self) -> &'static str {
+        use ConstraintViolation as V;
+        match self {
+            V::UnknownSource { .. } => "unknown-source",
+            V::DuplicateResolution { .. } => "duplicate-resolution",
+            V::BitrateNotInLadder { .. } => "bitrate-not-in-ladder",
+            V::StreamWithoutAudience { .. } => "stream-without-audience",
+            V::UplinkExceeded { .. } => "uplink-exceeded",
+            V::DownlinkExceeded { .. } => "downlink-exceeded",
+            V::NoSuchSubscription { .. } => "no-such-subscription",
+            V::MultipleStreamsPerSubscription { .. } => "multiple-streams-per-subscription",
+            V::ResolutionCapExceeded { .. } => "resolution-cap-exceeded",
+            V::ReceivedUnpublishedStream { .. } => "received-unpublished-stream",
+            V::NotInAudience { .. } => "not-in-audience",
+            V::AudienceMissingReceiver { .. } => "audience-missing-receiver",
+        }
+    }
 }
 
 impl fmt::Display for ConstraintViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ConstraintViolation as V;
         match self {
-            ConstraintViolation::UnknownSource(s) => write!(f, "unknown source {s}"),
-            ConstraintViolation::DuplicateResolution(s, r) => {
-                write!(f, "{s} publishes two streams at {r}")
+            V::UnknownSource { source } => write!(f, "solution publishes unknown {source}"),
+            V::DuplicateResolution { source, resolution } => {
+                write!(f, "{source} publishes two streams at {resolution}")
             }
-            ConstraintViolation::BitrateNotInLadder(s, b) => {
-                write!(f, "{s} publishes {b} which is not in its ladder")
+            V::BitrateNotInLadder { source, bitrate } => {
+                write!(f, "{source} publishes {bitrate}, not a ladder entry")
             }
-            ConstraintViolation::StreamWithoutAudience(s, b) => {
-                write!(f, "{s} publishes {b} with no audience")
+            V::StreamWithoutAudience { source, bitrate } => {
+                write!(f, "{source} publishes {bitrate} with no audience")
             }
-            ConstraintViolation::UplinkExceeded(c, used, lim) => {
-                write!(f, "{c} uplink exceeded: {used} > {lim}")
+            V::UplinkExceeded { client, actual, budgeted } => {
+                write!(f, "{client} publishes {actual}, uplink budget {budgeted}")
             }
-            ConstraintViolation::DownlinkExceeded(c, used, lim) => {
-                write!(f, "{c} downlink exceeded: {used} > {lim}")
+            V::DownlinkExceeded { client, actual, budgeted } => {
+                write!(f, "{client} receives {actual}, downlink budget {budgeted}")
             }
-            ConstraintViolation::MultipleStreamsPerSubscription(c, s, t) => {
-                write!(f, "{c} receives multiple streams from {s} tag {t}")
+            V::MultipleStreamsPerSubscription { subscriber, source, tag } => {
+                write!(f, "{subscriber} receives multiple streams from {source} tag {tag}")
             }
-            ConstraintViolation::NoSuchSubscription(c, s, t) => {
-                write!(f, "{c} receives from {s} tag {t} without a subscription")
+            V::NoSuchSubscription { subscriber, source, tag } => {
+                write!(f, "{subscriber} receives from {source} tag {tag} without a subscription")
             }
-            ConstraintViolation::ResolutionCapExceeded(c, s, got, cap) => {
-                write!(f, "{c} receives {got} from {s}, above cap {cap}")
+            V::ResolutionCapExceeded { subscriber, source, actual, budgeted } => {
+                write!(f, "{subscriber} receives {actual} from {source}, above cap {budgeted}")
             }
-            ConstraintViolation::ReceivedUnpublishedStream(c, s) => {
-                write!(f, "{c} receives a stream {s} does not publish")
+            V::ReceivedUnpublishedStream { subscriber, source, bitrate } => {
+                write!(f, "{subscriber} receives {bitrate} which {source} does not publish")
             }
-            ConstraintViolation::NotInAudience(c, s, t) => {
-                write!(f, "{c} (tag {t}) not in audience of {s}")
+            V::NotInAudience { subscriber, source, tag } => {
+                write!(f, "{subscriber} (tag {tag}) not in the audience of {source}")
             }
-            ConstraintViolation::AudienceMissingReceiver(s, c) => {
-                write!(f, "{s} lists {c} in an audience but {c} has no received entry")
+            V::AudienceMissingReceiver { source, subscriber, tag } => {
+                write!(f, "{source} lists {subscriber} (tag {tag}) but no stream is received")
             }
         }
     }
@@ -284,193 +446,224 @@ mod tests {
     use super::*;
     use crate::problem::{ClientSpec, Subscription};
     use crate::types::{Ladder, StreamSpec};
+    use ConstraintViolation as V;
 
-    fn ladder() -> Ladder {
-        Ladder::new(vec![
-            StreamSpec::new(Resolution::R180, Bitrate::from_kbps(100), 100.0),
-            StreamSpec::new(Resolution::R720, Bitrate::from_kbps(1500), 1200.0),
-        ])
-        .unwrap()
+    /// The publisher and its watcher.
+    const P: ClientId = ClientId(1);
+    const W: ClientId = ClientId(2);
+    const R720: Resolution = Resolution::R720;
+
+    fn kbps(k: u64) -> Bitrate {
+        Bitrate::from_kbps(k)
+    }
+
+    fn client(id: ClientId, uplink_kbps: u64, downlink_kbps: u64) -> ClientSpec {
+        let ladder = Ladder::new(vec![
+            StreamSpec::new(Resolution::R180, kbps(100), 100.0),
+            StreamSpec::new(R720, kbps(1500), 1200.0),
+        ]);
+        ClientSpec::new(id, kbps(uplink_kbps), kbps(downlink_kbps), ladder.unwrap())
+    }
+
+    fn src() -> SourceId {
+        SourceId::video(P)
+    }
+
+    /// P publishes, W subscribes to it capped at `cap`.
+    fn problem(uplink_kbps: u64, downlink_kbps: u64, cap: Resolution) -> Problem {
+        let clients = vec![client(P, uplink_kbps, 5_000), client(W, 5_000, downlink_kbps)];
+        Problem::new(clients, vec![Subscription::new(W, src(), cap)]).unwrap()
     }
 
     fn two_client_problem() -> Problem {
-        Problem::new(
-            vec![
-                ClientSpec::new(
-                    ClientId(1),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-                ClientSpec::new(
-                    ClientId(2),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-            ],
-            vec![Subscription::new(ClientId(2), SourceId::video(ClientId(1)), Resolution::R720)],
-        )
-        .unwrap()
+        problem(5_000, 5_000, R720)
+    }
+
+    fn stream(tag: u8) -> ReceivedStream {
+        ReceivedStream { source: src(), tag, resolution: R720, bitrate: kbps(1500), qoe: 1200.0 }
+    }
+
+    fn policy(bitrate: Bitrate, audience: Vec<(ClientId, u8)>) -> PublishPolicy {
+        PublishPolicy { resolution: R720, bitrate, audience }
     }
 
     fn valid_solution() -> Solution {
-        let src = SourceId::video(ClientId(1));
-        let mut publish = BTreeMap::new();
-        publish.insert(
-            src,
-            vec![PublishPolicy {
-                resolution: Resolution::R720,
-                bitrate: Bitrate::from_kbps(1500),
-                audience: vec![(ClientId(2), 0)],
-            }],
-        );
-        let mut received = BTreeMap::new();
-        received.insert(
-            ClientId(2),
-            vec![ReceivedStream {
-                source: src,
-                tag: 0,
-                resolution: Resolution::R720,
-                bitrate: Bitrate::from_kbps(1500),
-                qoe: 1200.0,
-            }],
-        );
-        Solution { publish, received, total_qoe: 1200.0, iterations: 1 }
+        Solution {
+            publish: BTreeMap::from([(src(), vec![policy(kbps(1500), vec![(W, 0)])])]),
+            received: BTreeMap::from([(W, vec![stream(0)])]),
+            total_qoe: 1200.0,
+            iterations: 1,
+        }
+    }
+
+    /// `expected` is the only violation, and `validate` returns it.
+    fn assert_only(s: &Solution, problem: &Problem, expected: &ConstraintViolation) {
+        assert_eq!(s.violations(problem), vec![expected.clone()]);
+        assert_eq!(s.validate(problem).as_ref(), Err(expected));
     }
 
     #[test]
     fn valid_solution_passes() {
         valid_solution().validate(&two_client_problem()).unwrap();
+        assert!(valid_solution().violations(&two_client_problem()).is_empty());
     }
 
     #[test]
     fn detects_uplink_violation() {
-        let problem = Problem::new(
-            vec![
-                ClientSpec::new(
-                    ClientId(1),
-                    Bitrate::from_kbps(500),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-                ClientSpec::new(
-                    ClientId(2),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-            ],
-            vec![Subscription::new(ClientId(2), SourceId::video(ClientId(1)), Resolution::R720)],
-        )
-        .unwrap();
-        let err = valid_solution().validate(&problem).unwrap_err();
-        assert!(matches!(err, ConstraintViolation::UplinkExceeded(..)));
+        let v = V::UplinkExceeded { client: P, actual: kbps(1500), budgeted: kbps(500) };
+        assert_only(&valid_solution(), &problem(500, 5_000, R720), &v);
+        assert_eq!(v.equation(), "Eq. 14");
     }
 
     #[test]
     fn detects_downlink_violation() {
-        let problem = Problem::new(
-            vec![
-                ClientSpec::new(
-                    ClientId(1),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-                ClientSpec::new(
-                    ClientId(2),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_kbps(200),
-                    ladder(),
-                ),
-            ],
-            vec![Subscription::new(ClientId(2), SourceId::video(ClientId(1)), Resolution::R720)],
-        )
-        .unwrap();
-        let err = valid_solution().validate(&problem).unwrap_err();
-        assert!(matches!(err, ConstraintViolation::DownlinkExceeded(..)));
+        let v = V::DownlinkExceeded { client: W, actual: kbps(1500), budgeted: kbps(200) };
+        assert_only(&valid_solution(), &problem(5_000, 200, R720), &v);
     }
 
     #[test]
     fn detects_unpublished_bitrate() {
         let mut s = valid_solution();
-        s.publish.get_mut(&SourceId::video(ClientId(1))).unwrap()[0].bitrate =
-            Bitrate::from_kbps(777);
+        s.publish.get_mut(&src()).unwrap()[0].bitrate = kbps(777);
         let err = s.validate(&two_client_problem()).unwrap_err();
-        assert!(matches!(err, ConstraintViolation::BitrateNotInLadder(..)));
+        assert_eq!(err, V::BitrateNotInLadder { source: src(), bitrate: kbps(777) });
     }
 
     #[test]
     fn detects_empty_audience() {
         let mut s = valid_solution();
-        s.publish.get_mut(&SourceId::video(ClientId(1))).unwrap()[0].audience.clear();
+        s.publish.get_mut(&src()).unwrap()[0].audience.clear();
         s.received.clear();
-        let err = s.validate(&two_client_problem()).unwrap_err();
-        assert!(matches!(err, ConstraintViolation::StreamWithoutAudience(..)));
+        let v = V::StreamWithoutAudience { source: src(), bitrate: kbps(1500) };
+        assert_only(&s, &two_client_problem(), &v);
     }
 
     #[test]
     fn detects_resolution_cap_violation() {
-        let problem = Problem::new(
-            vec![
-                ClientSpec::new(
-                    ClientId(1),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-                ClientSpec::new(
-                    ClientId(2),
-                    Bitrate::from_mbps(5),
-                    Bitrate::from_mbps(5),
-                    ladder(),
-                ),
-            ],
-            vec![Subscription::new(ClientId(2), SourceId::video(ClientId(1)), Resolution::R180)],
-        )
-        .unwrap();
-        let err = valid_solution().validate(&problem).unwrap_err();
-        assert!(matches!(err, ConstraintViolation::ResolutionCapExceeded(..)));
+        let v = V::ResolutionCapExceeded {
+            subscriber: W,
+            source: src(),
+            actual: R720,
+            budgeted: Resolution::R180,
+        };
+        assert_only(&valid_solution(), &problem(5_000, 5_000, Resolution::R180), &v);
     }
 
     #[test]
     fn detects_duplicate_resolution() {
         let mut s = valid_solution();
-        let policies = s.publish.get_mut(&SourceId::video(ClientId(1))).unwrap();
+        let policies = s.publish.get_mut(&src()).unwrap();
         policies.push(policies[0].clone());
         let err = s.validate(&two_client_problem()).unwrap_err();
-        assert_eq!(
-            err,
-            ConstraintViolation::DuplicateResolution(
-                SourceId::video(ClientId(1)),
-                Resolution::R720
-            )
-        );
+        assert_eq!(err, V::DuplicateResolution { source: src(), resolution: R720 });
     }
 
     #[test]
     fn detects_multiple_streams_per_subscription() {
         let mut s = valid_solution();
-        let streams = s.received.get_mut(&ClientId(2)).unwrap();
-        streams.push(streams[0]);
+        s.received.insert(W, vec![stream(0), stream(0)]);
         let err = s.validate(&two_client_problem()).unwrap_err();
-        assert_eq!(
-            err,
-            ConstraintViolation::MultipleStreamsPerSubscription(
-                ClientId(2),
-                SourceId::video(ClientId(1)),
-                0
-            )
+        assert_eq!(err, V::MultipleStreamsPerSubscription { subscriber: W, source: src(), tag: 0 });
+    }
+
+    #[test]
+    fn detects_unknown_source() {
+        // Client 3 is not in the problem; the rest of its stream's checks are
+        // skipped (its empty audience would otherwise be reported too).
+        let mut s = valid_solution();
+        let ghost = SourceId::video(ClientId(3));
+        s.publish.insert(ghost, vec![policy(kbps(1500), Vec::new())]);
+        let v = V::UnknownSource { source: ghost };
+        assert_only(&s, &two_client_problem(), &v);
+        assert_eq!(v.kind_name(), "unknown-source");
+    }
+
+    #[test]
+    fn detects_stream_without_subscription() {
+        // Tag 1 is served consistently on both sides, but W only subscribed
+        // under tag 0.
+        let mut s = valid_solution();
+        s.publish.insert(src(), vec![policy(kbps(1500), vec![(W, 1)])]);
+        s.received.insert(W, vec![stream(1)]);
+        let v = V::NoSuchSubscription { subscriber: W, source: src(), tag: 1 };
+        assert_only(&s, &two_client_problem(), &v);
+        assert_eq!(v.equation(), "Eq. 2–3 (subscription)");
+    }
+
+    #[test]
+    fn detects_received_unpublished_stream() {
+        let mut s = valid_solution();
+        s.publish.clear();
+        let v = V::ReceivedUnpublishedStream { subscriber: W, source: src(), bitrate: kbps(1500) };
+        assert_only(&s, &two_client_problem(), &v);
+    }
+
+    #[test]
+    fn detects_receiver_missing_from_audience() {
+        // W and client 3 both receive the stream, but its audience only
+        // lists client 3.
+        let c = ClientId(3);
+        let problem = Problem::new(
+            vec![client(P, 5_000, 5_000), client(W, 5_000, 5_000), client(c, 5_000, 5_000)],
+            vec![Subscription::new(W, src(), R720), Subscription::new(c, src(), R720)],
+        )
+        .unwrap();
+        let mut s = valid_solution();
+        s.publish.insert(src(), vec![policy(kbps(1500), vec![(c, 0)])]);
+        s.received.insert(c, vec![stream(0)]);
+        assert_only(&s, &problem, &V::NotInAudience { subscriber: W, source: src(), tag: 0 });
+    }
+
+    #[test]
+    fn detects_audience_missing_receiver() {
+        let mut s = valid_solution();
+        s.received.clear();
+        let v = V::AudienceMissingReceiver { source: src(), subscriber: W, tag: 0 };
+        assert_only(&s, &two_client_problem(), &v);
+        assert_eq!(v.kind_name(), "audience-missing-receiver");
+    }
+
+    #[test]
+    fn several_faults_are_listed_in_walk_order() {
+        let problem = problem(2_000, 4_000, R720);
+        let mut s = valid_solution();
+        // Publish side: a second 720P stream off the ladder with no audience,
+        // an audience member (P itself) that receives nothing, and a source
+        // the problem does not know.
+        s.publish.insert(
+            src(),
+            vec![policy(kbps(1500), vec![(W, 0), (P, 0)]), policy(kbps(777), Vec::new())],
         );
+        let ghost = SourceId::video(ClientId(3));
+        s.publish.insert(ghost, Vec::new());
+        // Receive side: the tag-0 stream twice, plus one under an
+        // unsubscribed tag.
+        s.received.insert(W, vec![stream(0), stream(0), stream(1)]);
+
+        let all = s.violations(&problem);
+        assert_eq!(
+            all,
+            vec![
+                V::DuplicateResolution { source: src(), resolution: R720 },
+                V::BitrateNotInLadder { source: src(), bitrate: kbps(777) },
+                V::StreamWithoutAudience { source: src(), bitrate: kbps(777) },
+                V::UnknownSource { source: ghost },
+                V::UplinkExceeded { client: P, actual: kbps(2277), budgeted: kbps(2_000) },
+                V::DownlinkExceeded { client: W, actual: kbps(4500), budgeted: kbps(4_000) },
+                V::MultipleStreamsPerSubscription { subscriber: W, source: src(), tag: 0 },
+                V::NoSuchSubscription { subscriber: W, source: src(), tag: 1 },
+                V::AudienceMissingReceiver { source: src(), subscriber: P, tag: 0 },
+            ]
+        );
+        assert_eq!(s.validate(&problem), Err(all[0].clone()));
     }
 
     #[test]
     fn rate_accessors() {
         let s = valid_solution();
-        assert_eq!(s.publish_rate(ClientId(1)), Bitrate::from_kbps(1500));
-        assert_eq!(s.receive_rate(ClientId(2)), Bitrate::from_kbps(1500));
-        assert_eq!(s.receive_rate(ClientId(1)), Bitrate::ZERO);
-        assert!(s.received_from(ClientId(2), SourceId::video(ClientId(1)), 0).is_some());
+        assert_eq!(s.publish_rate(P), kbps(1500));
+        assert_eq!(s.receive_rate(W), kbps(1500));
+        assert_eq!(s.receive_rate(P), Bitrate::ZERO);
+        assert!(s.received_from(W, src(), 0).is_some());
     }
 }

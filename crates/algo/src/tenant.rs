@@ -10,7 +10,7 @@
 //! ordered, and digestable so every admission/shedding decision derived
 //! from it is deterministic and replayable.
 
-use gso_detguard::{StableHasher, StateDigest};
+use gso_util::digest::{StableHasher, StateDigest};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

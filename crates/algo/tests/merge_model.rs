@@ -15,7 +15,7 @@ use gso_algo::{
     ladders, solver, BatchConfig, BatchJob, BatchScheduler, ClientSpec, Problem, Resolution,
     SolveEngine, SolverConfig, SourceId, Subscription,
 };
-use gso_detguard::StateDigest;
+use gso_util::digest::StateDigest;
 use gso_util::{Bitrate, ClientId};
 use std::collections::VecDeque;
 use std::sync::mpsc::channel;

@@ -27,8 +27,8 @@
 use gso_algo::solver::{self, SolverConfig};
 use gso_algo::{BatchConfig, BatchJob, BatchScheduler, Problem, SolveEngine};
 use gso_audit::{report, scenarios, SolutionAuditor};
-use gso_detguard::{first_divergence, DigestEntry, DigestTrace, StateDigest};
 use gso_telemetry::{keys, Telemetry};
+use gso_util::digest::{first_divergence, DigestEntry, DigestTrace, StateDigest};
 use std::process::ExitCode;
 use std::sync::Arc;
 

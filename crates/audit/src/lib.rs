@@ -1,24 +1,22 @@
 //! Static auditing of orchestration artifacts.
 //!
-//! [`Solution::validate`](gso_algo::Solution::validate) answers "is this
-//! solution feasible?" with the *first* constraint violation it finds. This
-//! crate answers the stronger question a CI gate and the debug-build
-//! trust-boundary hooks need: "show me *every* way this `(Problem,
-//! Solution)` pair is wrong, with enough structure to point at the paper
-//! equation that was violated".
+//! The §4.1 constraint families themselves — per-client uplink (Eq. 14) and
+//! downlink (Eq. 1–4) budgets, the codec rule of at most one stream per
+//! resolution per source, and the subscription rules (existence, ≤ 1 stream
+//! per `(subscriber, source, tag)`, resolution caps, publish/receive
+//! consistency) — have one checker, in `gso-algo`:
+//! [`Solution::violations`](gso_algo::Solution::violations) lists every
+//! [`ConstraintViolation`], and [`Solution::validate`](gso_algo::Solution::validate)
+//! returns the first. This crate wraps those findings next to the invariants
+//! a CI gate and the debug-build trust-boundary hooks need on top, with
+//! enough structure to point at the paper equation that was violated:
 //!
-//! Three layers of checks, each a superset of the previous:
-//!
-//! * [`SolutionAuditor::audit_constraints`] — the §4.1 constraint families:
-//!   per-client uplink (Eq. 14) and downlink (Eq. 1–4) budgets, the codec
-//!   rule of at most one stream per resolution per source, and the
-//!   subscription rules (existence, ≤ 1 stream per `(subscriber, source,
-//!   tag)`, resolution caps, publish/receive consistency).
-//! * [`SolutionAuditor::audit`] — adds solver-internal invariants that are
-//!   still checkable from `(Problem, Solution)` alone: QoE accounting
-//!   (`total_qoe` = Σ received, per-stream QoE = ladder QoE × boost +
-//!   presence), the convergence bound `iterations ≤ 1 + Σ |resolutions|`,
-//!   and the quality floor `total_qoe ≥` the all-lowest-rung baseline.
+//! * [`SolutionAuditor::audit`] — the constraint violations plus the
+//!   solver-internal invariants still checkable from `(Problem, Solution)`
+//!   alone: QoE accounting (`total_qoe` = Σ received, per-stream QoE =
+//!   ladder QoE × boost + presence), the convergence bound `iterations ≤ 1 +
+//!   Σ |resolutions|`, and the quality floor `total_qoe ≥` the
+//!   all-lowest-rung baseline.
 //! * [`SolutionAuditor::audit_traced`] — given the [`SolveTrace`] from
 //!   [`gso_algo::solver::solve_traced`], additionally verifies the
 //!   invariants that need solver-internal evidence: the Merge step picked
@@ -37,116 +35,18 @@
 pub mod scenarios;
 
 use gso_algo::solver::SolveTrace;
-use gso_algo::{Problem, Resolution, Solution, SourceId};
+use gso_algo::{ConstraintViolation, Problem, Resolution, Solution, SourceId};
 use gso_util::{Bitrate, ClientId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Everything the auditor can find wrong, with the identities and the
 /// budgeted-versus-actual values needed to act on the finding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViolationKind {
-    /// A published source does not exist in the problem.
-    UnknownSource {
-        /// The source the solution publishes for.
-        source: SourceId,
-    },
-    /// Codec constraint: a source publishes two streams at one resolution.
-    DuplicateResolution {
-        /// The offending source.
-        source: SourceId,
-        /// The resolution published twice.
-        resolution: Resolution,
-    },
-    /// A published bitrate is not in the source's feasible stream set.
-    BitrateNotInLadder {
-        /// The offending source.
-        source: SourceId,
-        /// The bitrate with no ladder entry.
-        bitrate: Bitrate,
-    },
-    /// A stream is published with an empty audience — the wasted uplink GSO
-    /// exists to eliminate (Fig. 3a/3d).
-    StreamWithoutAudience {
-        /// The offending source.
-        source: SourceId,
-        /// The audience-less stream's bitrate.
-        bitrate: Bitrate,
-    },
-    /// Uplink budget exceeded (Eq. 14).
-    UplinkExceeded {
-        /// The publishing client.
-        client: ClientId,
-        /// Sum of the client's published bitrates.
-        actual: Bitrate,
-        /// The client's uplink budget `B_u`.
-        budgeted: Bitrate,
-    },
-    /// Downlink budget exceeded (Eq. 1–4).
-    DownlinkExceeded {
-        /// The receiving client.
-        client: ClientId,
-        /// Sum of the client's received bitrates.
-        actual: Bitrate,
-        /// The client's downlink budget `B_d`.
-        budgeted: Bitrate,
-    },
-    /// A received stream has no matching subscription.
-    NoSuchSubscription {
-        /// The receiving client.
-        subscriber: ClientId,
-        /// The stream's source.
-        source: SourceId,
-        /// The claimed virtual-publisher tag.
-        tag: u8,
-    },
-    /// More than one stream delivered for one (subscriber, source, tag).
-    MultipleStreamsPerSubscription {
-        /// The receiving client.
-        subscriber: ClientId,
-        /// The stream's source.
-        source: SourceId,
-        /// The over-served subscription's tag.
-        tag: u8,
-    },
-    /// Delivered resolution exceeds the subscription's cap `R_ii'`.
-    ResolutionCapExceeded {
-        /// The receiving client.
-        subscriber: ClientId,
-        /// The stream's source.
-        source: SourceId,
-        /// What was delivered.
-        actual: Resolution,
-        /// The subscription's maximum.
-        budgeted: Resolution,
-    },
-    /// A subscriber "receives" a stream its source does not publish.
-    ReceivedUnpublishedStream {
-        /// The receiving client.
-        subscriber: ClientId,
-        /// The source that does not publish the stream.
-        source: SourceId,
-        /// The phantom stream's bitrate.
-        bitrate: Bitrate,
-    },
-    /// A subscriber receives a stream whose policy does not list it.
-    NotInAudience {
-        /// The receiving client.
-        subscriber: ClientId,
-        /// The stream's source.
-        source: SourceId,
-        /// The subscription's tag.
-        tag: u8,
-    },
-    /// A policy's audience member has no corresponding received entry.
-    AudienceMissingReceiver {
-        /// The publishing source.
-        source: SourceId,
-        /// The audience member with no receive entry.
-        subscriber: ClientId,
-        /// The audience entry's tag.
-        tag: u8,
-    },
+    /// A §4.1 constraint family is violated; found by
+    /// [`Solution::violations`].
+    Constraint(ConstraintViolation),
     /// Declared QoE does not match the QoE recomputed from the problem's
     /// ladders, boosts and presence bonuses.
     QoeMismatch {
@@ -256,18 +156,8 @@ impl Violation {
     /// The paper equation (or section) this finding violates.
     pub fn equation(&self) -> &'static str {
         use ViolationKind as K;
-        match self.kind {
-            K::UplinkExceeded { .. } => "Eq. 14",
-            K::DownlinkExceeded { .. } => "Eq. 1–4",
-            K::DuplicateResolution { .. } | K::BitrateNotInLadder { .. } => "Eq. 10–11 (codec)",
-            K::StreamWithoutAudience { .. } => "§2.3 / Fig. 3a",
-            K::UnknownSource { .. }
-            | K::NoSuchSubscription { .. }
-            | K::MultipleStreamsPerSubscription { .. }
-            | K::NotInAudience { .. }
-            | K::AudienceMissingReceiver { .. }
-            | K::ReceivedUnpublishedStream { .. } => "Eq. 2–3 (subscription)",
-            K::ResolutionCapExceeded { .. } => "Eq. 5 (R_ii' cap)",
+        match &self.kind {
+            K::Constraint(c) => c.equation(),
             K::QoeMismatch { .. } | K::QoeBelowBaseline { .. } => "Eq. 1 (objective)",
             K::IterationBoundExceeded { .. } | K::IterationCountMismatch { .. } => {
                 "§4.1 convergence bound"
@@ -283,19 +173,8 @@ impl Violation {
     /// Short machine-friendly name of the violation kind.
     pub fn kind_name(&self) -> &'static str {
         use ViolationKind as K;
-        match self.kind {
-            K::UnknownSource { .. } => "unknown-source",
-            K::DuplicateResolution { .. } => "duplicate-resolution",
-            K::BitrateNotInLadder { .. } => "bitrate-not-in-ladder",
-            K::StreamWithoutAudience { .. } => "stream-without-audience",
-            K::UplinkExceeded { .. } => "uplink-exceeded",
-            K::DownlinkExceeded { .. } => "downlink-exceeded",
-            K::NoSuchSubscription { .. } => "no-such-subscription",
-            K::MultipleStreamsPerSubscription { .. } => "multiple-streams-per-subscription",
-            K::ResolutionCapExceeded { .. } => "resolution-cap-exceeded",
-            K::ReceivedUnpublishedStream { .. } => "received-unpublished-stream",
-            K::NotInAudience { .. } => "not-in-audience",
-            K::AudienceMissingReceiver { .. } => "audience-missing-receiver",
+        match &self.kind {
+            K::Constraint(c) => c.kind_name(),
             K::QoeMismatch { .. } => "qoe-mismatch",
             K::IterationBoundExceeded { .. } => "iteration-bound-exceeded",
             K::QoeBelowBaseline { .. } => "qoe-below-baseline",
@@ -315,40 +194,7 @@ impl fmt::Display for Violation {
         use ViolationKind as K;
         write!(f, "[{} | {}] ", self.kind_name(), self.equation())?;
         match &self.kind {
-            K::UnknownSource { source } => write!(f, "solution publishes unknown {source}"),
-            K::DuplicateResolution { source, resolution } => {
-                write!(f, "{source} publishes two streams at {resolution}")
-            }
-            K::BitrateNotInLadder { source, bitrate } => {
-                write!(f, "{source} publishes {bitrate}, not a ladder entry")
-            }
-            K::StreamWithoutAudience { source, bitrate } => {
-                write!(f, "{source} publishes {bitrate} with no audience")
-            }
-            K::UplinkExceeded { client, actual, budgeted } => {
-                write!(f, "{client} publishes {actual}, uplink budget {budgeted}")
-            }
-            K::DownlinkExceeded { client, actual, budgeted } => {
-                write!(f, "{client} receives {actual}, downlink budget {budgeted}")
-            }
-            K::NoSuchSubscription { subscriber, source, tag } => {
-                write!(f, "{subscriber} receives from {source} tag {tag} without a subscription")
-            }
-            K::MultipleStreamsPerSubscription { subscriber, source, tag } => {
-                write!(f, "{subscriber} receives multiple streams from {source} tag {tag}")
-            }
-            K::ResolutionCapExceeded { subscriber, source, actual, budgeted } => {
-                write!(f, "{subscriber} receives {actual} from {source}, above cap {budgeted}")
-            }
-            K::ReceivedUnpublishedStream { subscriber, source, bitrate } => {
-                write!(f, "{subscriber} receives {bitrate} which {source} does not publish")
-            }
-            K::NotInAudience { subscriber, source, tag } => {
-                write!(f, "{subscriber} (tag {tag}) not in the audience of {source}")
-            }
-            K::AudienceMissingReceiver { source, subscriber, tag } => {
-                write!(f, "{source} lists {subscriber} (tag {tag}) but no stream is received")
-            }
+            K::Constraint(c) => write!(f, "{c}"),
             K::QoeMismatch { declared, computed } => {
                 write!(f, "declared QoE {declared:.3} but problem data implies {computed:.3}")
             }
@@ -396,11 +242,11 @@ impl fmt::Display for Violation {
 }
 
 /// Join findings into a line-per-violation report (for panics and CLI).
-pub fn report(violations: &[Violation]) -> String {
+pub fn report<V: fmt::Display>(violations: &[V]) -> String {
     violations.iter().map(|v| format!("  - {v}\n")).collect()
 }
 
-/// The constraint-invariant checker.
+/// The solution auditor: the §4.1 constraint findings plus solver invariants.
 ///
 /// Stateless apart from tolerances; construct once and reuse.
 #[derive(Debug, Clone)]
@@ -421,23 +267,14 @@ impl SolutionAuditor {
         Self::default()
     }
 
-    /// Check the §4.1 constraint families only, collecting every violation.
-    ///
-    /// This is the right level for solutions whose QoE bookkeeping may be
-    /// stale (e.g. a sticky previous solution revalidated against a changed
-    /// problem) but whose stream assignment must still be feasible.
-    pub fn audit_constraints(&self, problem: &Problem, solution: &Solution) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.check_publish_side(problem, solution, &mut out);
-        self.check_budgets(problem, solution, &mut out);
-        self.check_receive_side(problem, solution, &mut out);
-        out
-    }
-
-    /// Full static audit: constraint families plus the solver-internal
-    /// invariants checkable from `(Problem, Solution)` alone.
+    /// Full static audit: every [`Solution::violations`] finding plus the
+    /// solver-internal invariants checkable from `(Problem, Solution)` alone.
     pub fn audit(&self, problem: &Problem, solution: &Solution) -> Vec<Violation> {
-        let mut out = self.audit_constraints(problem, solution);
+        let mut out: Vec<Violation> = solution
+            .violations(problem)
+            .into_iter()
+            .map(|c| Violation::new(ViolationKind::Constraint(c)))
+            .collect();
         self.check_qoe_accounting(problem, solution, &mut out);
         self.check_iteration_bound(problem, solution, &mut out);
         self.check_qoe_floor(problem, solution, &mut out);
@@ -455,125 +292,6 @@ impl SolutionAuditor {
         let mut out = self.audit(problem, solution);
         self.check_trace(solution, trace, &mut out);
         out
-    }
-
-    // ---- constraint families ---------------------------------------------
-
-    fn check_publish_side(&self, problem: &Problem, solution: &Solution, out: &mut Vec<Violation>) {
-        for (src, policies) in &solution.publish {
-            let Some(ladder) = problem.source(*src).map(|s| &s.ladder) else {
-                out.push(Violation::new(ViolationKind::UnknownSource { source: *src }));
-                continue;
-            };
-            let mut seen = BTreeSet::new();
-            for p in policies {
-                if !seen.insert(p.resolution) {
-                    out.push(Violation::new(ViolationKind::DuplicateResolution {
-                        source: *src,
-                        resolution: p.resolution,
-                    }));
-                }
-                match ladder.spec_for_bitrate(p.bitrate) {
-                    Some(s) if s.resolution == p.resolution => {}
-                    _ => out.push(Violation::new(ViolationKind::BitrateNotInLadder {
-                        source: *src,
-                        bitrate: p.bitrate,
-                    })),
-                }
-                if p.audience.is_empty() {
-                    out.push(Violation::new(ViolationKind::StreamWithoutAudience {
-                        source: *src,
-                        bitrate: p.bitrate,
-                    }));
-                }
-                for &(sub, tag) in &p.audience {
-                    let got = solution.received_from(sub, *src, tag);
-                    match got {
-                        Some(r) if r.bitrate == p.bitrate && r.resolution == p.resolution => {}
-                        _ => out.push(Violation::new(ViolationKind::AudienceMissingReceiver {
-                            source: *src,
-                            subscriber: sub,
-                            tag,
-                        })),
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_budgets(&self, problem: &Problem, solution: &Solution, out: &mut Vec<Violation>) {
-        for c in problem.clients() {
-            let up = solution.publish_rate(c.id);
-            if up > c.uplink {
-                out.push(Violation::new(ViolationKind::UplinkExceeded {
-                    client: c.id,
-                    actual: up,
-                    budgeted: c.uplink,
-                }));
-            }
-            let down = solution.receive_rate(c.id);
-            if down > c.downlink {
-                out.push(Violation::new(ViolationKind::DownlinkExceeded {
-                    client: c.id,
-                    actual: down,
-                    budgeted: c.downlink,
-                }));
-            }
-        }
-    }
-
-    fn check_receive_side(&self, problem: &Problem, solution: &Solution, out: &mut Vec<Violation>) {
-        for (&sub, streams) in &solution.received {
-            let mut seen = BTreeSet::new();
-            for r in streams {
-                if !seen.insert((r.source, r.tag)) {
-                    out.push(Violation::new(ViolationKind::MultipleStreamsPerSubscription {
-                        subscriber: sub,
-                        source: r.source,
-                        tag: r.tag,
-                    }));
-                }
-                let Some(subscription) = problem
-                    .subscriptions_of(sub)
-                    .into_iter()
-                    .find(|s| s.source == r.source && s.tag == r.tag)
-                else {
-                    out.push(Violation::new(ViolationKind::NoSuchSubscription {
-                        subscriber: sub,
-                        source: r.source,
-                        tag: r.tag,
-                    }));
-                    continue;
-                };
-                if r.resolution > subscription.max_resolution {
-                    out.push(Violation::new(ViolationKind::ResolutionCapExceeded {
-                        subscriber: sub,
-                        source: r.source,
-                        actual: r.resolution,
-                        budgeted: subscription.max_resolution,
-                    }));
-                }
-                let Some(policy) = solution
-                    .policies(r.source)
-                    .iter()
-                    .find(|p| p.resolution == r.resolution && p.bitrate == r.bitrate)
-                else {
-                    out.push(Violation::new(ViolationKind::ReceivedUnpublishedStream {
-                        subscriber: sub,
-                        source: r.source,
-                        bitrate: r.bitrate,
-                    }));
-                    continue;
-                };
-                if !policy.audience.contains(&(sub, r.tag)) {
-                    out.push(Violation::new(ViolationKind::NotInAudience {
-                        subscriber: sub,
-                        source: r.source,
-                        tag: r.tag,
-                    }));
-                }
-            }
-        }
     }
 
     // ---- solver-internal invariants (solution-only) ----------------------
@@ -746,11 +464,13 @@ pub fn check_forwarding(
     let mut by_key: BTreeMap<(ClientId, SourceId, u8), Bitrate> = BTreeMap::new();
     for &(sub, src, tag, bitrate) in rules {
         if by_key.insert((sub, src, tag), bitrate).is_some() {
-            out.push(Violation::new(ViolationKind::MultipleStreamsPerSubscription {
-                subscriber: sub,
-                source: src,
-                tag,
-            }));
+            out.push(Violation::new(ViolationKind::Constraint(
+                ConstraintViolation::MultipleStreamsPerSubscription {
+                    subscriber: sub,
+                    source: src,
+                    tag,
+                },
+            )));
         }
     }
     for (&(sub, src, tag), &bitrate) in &by_key {

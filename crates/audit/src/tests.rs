@@ -102,7 +102,13 @@ fn corrupt_uplink_yields_uplink_exceeded() {
     let violations = SolutionAuditor::new().audit(&problem, &solution);
     assert_eq!(violations.len(), 1, "unexpected findings:\n{}", report(&violations));
     assert!(
-        matches!(violations[0].kind, ViolationKind::UplinkExceeded { client: ClientId(1), .. }),
+        matches!(
+            violations[0].kind,
+            ViolationKind::Constraint(ConstraintViolation::UplinkExceeded {
+                client: ClientId(1),
+                ..
+            })
+        ),
         "got {:?}",
         violations[0]
     );
@@ -120,7 +126,13 @@ fn corrupt_downlink_yields_downlink_exceeded() {
     let violations = SolutionAuditor::new().audit(&problem, &solution);
     assert_eq!(violations.len(), 1, "unexpected findings:\n{}", report(&violations));
     assert!(
-        matches!(violations[0].kind, ViolationKind::DownlinkExceeded { client: ClientId(2), .. }),
+        matches!(
+            violations[0].kind,
+            ViolationKind::Constraint(ConstraintViolation::DownlinkExceeded {
+                client: ClientId(2),
+                ..
+            })
+        ),
         "got {:?}",
         violations[0]
     );
@@ -172,7 +184,10 @@ fn corrupt_codec_yields_duplicate_resolution() {
     assert!(
         matches!(
             violations[0].kind,
-            ViolationKind::DuplicateResolution { resolution: Resolution::R360, .. }
+            ViolationKind::Constraint(ConstraintViolation::DuplicateResolution {
+                resolution: Resolution::R360,
+                ..
+            })
         ),
         "got {:?}",
         violations[0]
@@ -192,12 +207,12 @@ fn corrupt_subscription_cap_yields_resolution_cap_exceeded() {
     assert!(
         matches!(
             violations[0].kind,
-            ViolationKind::ResolutionCapExceeded {
+            ViolationKind::Constraint(ConstraintViolation::ResolutionCapExceeded {
                 subscriber: ClientId(2),
                 actual: Resolution::R720,
                 budgeted: Resolution::R360,
                 ..
-            }
+            })
         ),
         "got {:?}",
         violations[0]

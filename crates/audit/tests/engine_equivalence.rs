@@ -26,7 +26,7 @@ use gso_algo::{
     Resolution, SolveEngine, SolverConfig, SourceId, Subscription,
 };
 use gso_audit::{report, SolutionAuditor};
-use gso_detguard::StateDigest;
+use gso_util::digest::StateDigest;
 use gso_util::{Bitrate, ClientId};
 use proptest::prelude::*;
 use std::sync::Arc;

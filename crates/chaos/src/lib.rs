@@ -13,7 +13,7 @@
 //!   (`recovery.time_ms`),
 //! * an auditor-clean final configuration (constraint families of
 //!   Eq. 1–13; uplink budgets excluded for the §7 fallback), and
-//! * digest-identical double runs ([`gso_detguard::first_divergence`]).
+//! * digest-identical double runs ([`gso_util::digest::first_divergence`]).
 //!
 //! The [`overload`] module extends the harness from single-conference
 //! faults to fleet-level overload: 2× offered capacity against the

@@ -22,15 +22,17 @@
 //! half of it — so "2× offered capacity" holds by construction on any
 //! machine, with no magic constants to drift as the solver evolves.
 
-use gso_algo::{ladders, BatchConfig, PriorityClass, Resolution, SourceId, Tenancy, TenantId};
-use gso_audit::{SolutionAuditor, ViolationKind};
+use gso_algo::{
+    ladders, BatchConfig, ConstraintViolation, PriorityClass, Resolution, SourceId, Tenancy,
+    TenantId,
+};
 use gso_control::{
     AdmissionConfig, AdmissionController, AdmissionDecision, CodecCapability, ControllerConfig,
     ControllerFleet, FleetTick, GsoController, ShedPolicy, SubscribeIntent,
 };
-use gso_detguard::{first_divergence, DigestEntry, DigestTrace};
 use gso_rtp::GsoTmmbn;
 use gso_telemetry::{keys, Telemetry};
+use gso_util::digest::{first_divergence, DigestEntry, DigestTrace};
 use gso_util::{Bitrate, ClientId, DetRng, SimTime, Ssrc};
 
 /// A deterministic multi-tenant overload schedule.
@@ -298,7 +300,6 @@ pub fn run_overload(plan: &OverloadPlan, workers: usize, budget_rows: u64) -> Ov
     let mut high_qoe = 0.0;
     let mut low_finals = Vec::new();
     let mut violations = 0usize;
-    let auditor = SolutionAuditor::new();
     for (i, &(tenancy, _)) in plan.conferences.iter().enumerate() {
         let last = finals[i].expect("every conference produced at least one round");
         match tenancy.priority {
@@ -310,10 +311,10 @@ pub fn run_overload(plan: &OverloadPlan, workers: usize, budget_rows: u64) -> Ov
         if let (Ok(problem), Some(solution)) =
             (controller.picture.to_problem(), controller.last_solution())
         {
-            violations += auditor
-                .audit_constraints(&problem, solution)
+            violations += solution
+                .violations(&problem)
                 .iter()
-                .filter(|v| !matches!(v.kind, ViolationKind::UplinkExceeded { .. }))
+                .filter(|v| !matches!(v, ConstraintViolation::UplinkExceeded { .. }))
                 .count();
         }
     }

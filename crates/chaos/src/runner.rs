@@ -11,13 +11,13 @@
 //! double runs.
 
 use crate::plan::{FaultEvent, FaultKind, FaultPlan, LinkFault, LinkSide};
-use gso_audit::{SolutionAuditor, Violation, ViolationKind};
-use gso_detguard::{first_divergence, DigestEntry, DigestTrace};
+use gso_algo::ConstraintViolation;
 use gso_net::{LinkConfig, NodeId, Schedule};
 use gso_sim::access::AccessNode;
 use gso_sim::conference::ConferenceNode;
 use gso_sim::{ClientNode, Scenario, ScenarioResult, WiredConference};
 use gso_telemetry::{keys, HistogramSnapshot};
+use gso_util::digest::{first_divergence, DigestEntry, DigestTrace};
 use gso_util::{ClientId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -56,9 +56,9 @@ pub struct ChaosOutcome {
     pub result: ScenarioResult,
     /// Per-tick state digests for the double-run comparison.
     pub trace: DigestTrace,
-    /// Auditor findings against the final picture + last solution
-    /// (uplink-budget findings excluded: the §7 fallback ignores them).
-    pub violations: Vec<Violation>,
+    /// §4.1 constraint violations of the last solution against the final
+    /// picture (uplink budgets excluded: the §7 fallback ignores them).
+    pub violations: Vec<ConstraintViolation>,
     /// Objective value of the controller's final solution (Σ received QoE).
     pub solution_qoe: f64,
     /// Recovery-time histogram for controller restarts, if any.
@@ -364,20 +364,18 @@ fn window_verdict(
     (within == h.total, mean)
 }
 
-/// Audit the controller's final picture against its last solution. Uplink
+/// Check the controller's last solution against its final picture. Uplink
 /// budget findings are excluded: the §7 single-stream fallback (which may
 /// be the last output if a plan ends inside a degraded window) keeps
 /// publishers sending their smallest stream even when a stale uplink
 /// estimate says otherwise.
-fn audit_final(wired: &WiredConference) -> Vec<Violation> {
+fn audit_final(wired: &WiredConference) -> Vec<ConstraintViolation> {
     let Some(cn) = live_cn(wired) else { return Vec::new() };
     let Ok(problem) = cn.controller.picture.to_problem() else { return Vec::new() };
     let Some(solution) = cn.controller.last_solution() else { return Vec::new() };
-    SolutionAuditor::new()
-        .audit_constraints(&problem, solution)
-        .into_iter()
-        .filter(|v| !matches!(v.kind, ViolationKind::UplinkExceeded { .. }))
-        .collect()
+    let mut violations = solution.violations(&problem);
+    violations.retain(|v| !matches!(v, ConstraintViolation::UplinkExceeded { .. }));
+    violations
 }
 
 /// Clone the scenario-declared config of every client access link so

@@ -15,9 +15,9 @@ use crate::lease::{FailureDetector, LeaseConfig};
 use crate::replica::{ApplyOutcome, SnapshotPublisher, StandbyReplica};
 use gso_algo::BatchConfig;
 use gso_control::{ControllerConfig, ControllerFleet, FleetTick, GsoController};
-use gso_detguard::{StableHasher, StateDigest};
 use gso_rtp::epoch_newer;
 use gso_telemetry::{keys, Telemetry};
+use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{SimTime, Ssrc};
 
 /// Identifies one shard (one partition of conferences).

@@ -8,9 +8,9 @@
 //! stream is derived from `(seed, label)` so every run replays
 //! bit-identically.
 
-use gso_detguard::{StableHasher, StateDigest};
 use gso_rtp::epoch_newer;
 use gso_telemetry::{keys, Telemetry};
+use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{DetRng, SimDuration, SimTime};
 
 /// Failure-detector policy.

@@ -12,8 +12,8 @@
 //! this replica.
 
 use gso_control::ClientSnapshot;
-use gso_detguard::{StableHasher, StateDigest};
 use gso_telemetry::{keys, Telemetry};
+use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::ClientId;
 use std::collections::BTreeMap;
 

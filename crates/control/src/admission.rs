@@ -18,7 +18,7 @@
 //! replayable across runs and hosts.
 
 use gso_algo::{PriorityClass, Tenancy, TenantId};
-use gso_detguard::{StableHasher, StateDigest};
+use gso_util::digest::{StableHasher, StateDigest};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Admission policy knobs.

@@ -524,8 +524,7 @@ impl GsoController {
         #[cfg(debug_assertions)]
         {
             if !fallback {
-                let findings =
-                    gso_audit::SolutionAuditor::new().audit_constraints(&problem, &solution);
+                let findings = solution.violations(&problem);
                 debug_assert!(
                     findings.is_empty(),
                     "controller tick emitted an infeasible configuration:\n{}",
@@ -585,7 +584,7 @@ impl GsoController {
     /// same event sequence must digest identically at every tick; the
     /// divergence recorder in `gso-sim` samples this per orchestration tick.
     pub fn state_digest(&self) -> u64 {
-        use gso_detguard::{StableHasher, StateDigest};
+        use gso_util::digest::{StableHasher, StateDigest};
         let mut h = StableHasher::new();
         self.picture.digest(&mut h);
         self.fallback_mode.digest(&mut h);

@@ -489,7 +489,7 @@ impl ControllerFleet {
     /// across runs and worker counts for the same event sequence.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
-        use gso_detguard::{StableHasher, StateDigest};
+        use gso_util::digest::{StableHasher, StateDigest};
         let mut h = StableHasher::new();
         h.write_u64(self.controllers.len() as u64);
         for c in &self.controllers {

@@ -11,7 +11,7 @@
 use gso_algo::{
     ClientSpec, Ladder, Problem, ProblemError, PublisherSource, Resolution, SourceId, Subscription,
 };
-use gso_detguard::{StableHasher, StateDigest};
+use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{Bitrate, ClientId, SimTime, StreamKind};
 use std::collections::BTreeMap;
 

@@ -14,8 +14,10 @@
 //! (possibly stale) uplink estimate says otherwise — so `UplinkExceeded`
 //! findings are the only ones tolerated here.
 
-use gso_algo::{ClientSpec, Ladder, Problem, Resolution, StreamSpec, Subscription};
-use gso_audit::{report, SolutionAuditor, ViolationKind};
+use gso_algo::{
+    ClientSpec, ConstraintViolation, Ladder, Problem, Resolution, StreamSpec, Subscription,
+};
+use gso_audit::report;
 use gso_control::failure::fallback_solution;
 use gso_util::{Bitrate, ClientId};
 use proptest::prelude::*;
@@ -98,11 +100,8 @@ proptest! {
     #[test]
     fn fallback_solution_is_always_auditor_clean(problem in arb_problem()) {
         let solution = fallback_solution(&problem);
-        let findings: Vec<_> = SolutionAuditor::new()
-            .audit_constraints(&problem, &solution)
-            .into_iter()
-            .filter(|v| !matches!(v.kind, ViolationKind::UplinkExceeded { .. }))
-            .collect();
+        let mut findings = solution.violations(&problem);
+        findings.retain(|v| !matches!(v, ConstraintViolation::UplinkExceeded { .. }));
         prop_assert!(
             findings.is_empty(),
             "fallback configuration violates constraints:\n{}",

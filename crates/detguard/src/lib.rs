@@ -2,29 +2,15 @@
 //!
 //! The centralized controller's whole value proposition — replayable
 //! re-solves, bit-identical incremental solving, byte-stable telemetry
-//! exports — rests on determinism, and this crate makes that property
-//! enforceable instead of assumed:
+//! exports — rests on determinism. [`lint`] is a source-level
+//! nondeterminism lint (the `detguard` binary) that walks the hot-path
+//! crates and flags hazards: hash-ordered collections, wall-clock reads,
+//! ambient randomness, float accumulation over unordered containers, and
+//! unordered cross-thread merges. Every exemption needs an inline
+//! `// detguard: allow(rule, reason = "…")` pragma carrying a justification.
 //!
-//! * [`lint`] — a source-level nondeterminism lint (the `detguard` binary)
-//!   that walks the hot-path crates and flags hazards: hash-ordered
-//!   collections, wall-clock reads, ambient randomness, float accumulation
-//!   over unordered containers, and unordered cross-thread merges. Every
-//!   exemption needs an inline `// detguard: allow(rule, reason = "…")`
-//!   pragma carrying a justification.
-//! * [`digest`] — a [`StateDigest`](digest::StateDigest) trait with a
-//!   portable, seed-free 64-bit [`StableHasher`](digest::StableHasher), so
-//!   every layer (solver solutions and traces, controller state, simulator
-//!   event queue, telemetry export) can be fingerprinted per tick.
-//! * [`compare`] — digest-sequence comparison that bisects two runs to the
-//!   first divergent tick and reports both states.
-//!
-//! The lint is the static prong; the digests are the runtime prong that
-//! catches what a source scan cannot (e.g. a data race that survives review,
-//! or an allocator-order dependence). CI runs both.
+//! The lint is the static prong. The runtime prong — per-tick state digests
+//! and double-run divergence bisection — lives in `gso_util::digest`, so
+//! the runtime crates never link this analyzer. CI runs both.
 
-pub mod compare;
-pub mod digest;
 pub mod lint;
-
-pub use compare::{first_divergence, DigestEntry, DigestTrace, Divergence};
-pub use digest::{StableHasher, StateDigest};

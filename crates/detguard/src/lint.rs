@@ -28,10 +28,14 @@ use std::path::{Path, PathBuf};
 /// Crates whose `src/` trees are scanned. These are the hot paths whose
 /// behaviour must replay bit-identically, plus the observer crates whose
 /// *judgements* must themselves be deterministic (`audit` verdicts,
-/// `bench` baselines, and `lockwatch` findings feed CI gates); `util` owns
-/// the approved shims and `telemetry`/`detguard` stay exempt as the
-/// instrumentation boundary.
+/// `bench` baselines, and `lockwatch` findings feed CI gates). `util` holds
+/// the state digests and the seeded RNG, `telemetry` the byte-stable
+/// export and `rtp` the wire codecs, so all three are scanned too; only
+/// `detguard` itself stays exempt.
 pub const HOT_PATH_CRATES: &[&str] = &[
+    "util",
+    "telemetry",
+    "rtp",
     "algo",
     "audit",
     "bench",
@@ -294,7 +298,7 @@ fn parse_pragmas(comments: &[(usize, String)]) -> Vec<Pragma> {
             continue;
         };
         // Require an identifier boundary so prose mentioning paths like
-        // `gso_detguard::DigestTrace` is not mistaken for a pragma.
+        // `gso_detguard::lint::scan_workspace` is not mistaken for a pragma.
         if pos > 0
             && text[..pos].chars().next_back().is_some_and(|c| c == '_' || c.is_alphanumeric())
         {

@@ -155,8 +155,8 @@ pub struct LinkStats {
     pub peak_queued_bytes: u64,
 }
 
-impl gso_detguard::StateDigest for LinkStats {
-    fn digest(&self, h: &mut gso_detguard::StableHasher) {
+impl gso_util::digest::StateDigest for LinkStats {
+    fn digest(&self, h: &mut gso_util::digest::StableHasher) {
         h.write_u64(self.enqueued);
         h.write_u64(self.dropped_queue);
         h.write_u64(self.dropped_loss);

@@ -21,8 +21,8 @@ impl fmt::Display for NodeId {
     }
 }
 
-impl gso_detguard::StateDigest for NodeId {
-    fn digest(&self, h: &mut gso_detguard::StableHasher) {
+impl gso_util::digest::StateDigest for NodeId {
+    fn digest(&self, h: &mut gso_util::digest::StableHasher) {
         h.write_u64(u64::from(self.0));
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::link::{Link, LinkConfig, LinkStats, Transmit};
 use crate::node::{Actions, Node, NodeId, Packet};
-use gso_detguard::{StableHasher, StateDigest};
+use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{DetRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};

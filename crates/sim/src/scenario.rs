@@ -98,7 +98,7 @@ impl Scenario {
     }
 
     /// Wire and run the scenario while recording a per-tick
-    /// [`gso_detguard::DigestTrace`] over the network simulator, the GSO
+    /// [`gso_util::digest::DigestTrace`] over the network simulator, the GSO
     /// controller, and the telemetry registry.
     ///
     /// The simulator is stepped in controller-tick-sized intervals; this
@@ -111,12 +111,11 @@ impl Scenario {
     /// packet is unroutable, so it perturbs nothing the media plane sees —
     /// only the simulator's `undeliverable` counter — which makes it a
     /// minimal seeded divergence for exercising the double-run comparator.
-    #[cfg(feature = "digest")]
     pub fn run_digest(
         &self,
         fault_at: Option<SimTime>,
-    ) -> (ScenarioResult, gso_detguard::DigestTrace) {
-        use gso_detguard::{DigestEntry, DigestTrace};
+    ) -> (ScenarioResult, gso_util::digest::DigestTrace) {
+        use gso_util::digest::{DigestEntry, DigestTrace};
 
         let mut wired = self.build();
         let end = SimTime::ZERO + self.duration;

@@ -415,7 +415,7 @@ impl Telemetry {
     /// — this is what the per-tick divergence recorder hashes.
     #[must_use]
     pub fn export_digest(&self) -> u64 {
-        use gso_detguard::{StableHasher, StateDigest};
+        use gso_util::digest::{StableHasher, StateDigest};
         let mut h = StableHasher::new();
         let Some(inner) = &self.inner else { return h.finish() };
         let reg = inner.borrow();

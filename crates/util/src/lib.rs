@@ -14,8 +14,15 @@
 //!   time-series recorders) used by the metric pipeline.
 //! * [`ewma`] — exponentially-weighted moving averages used by filters in
 //!   the bandwidth estimator and QoE trackers.
+//! * [`digest`] — the [`StateDigest`](digest::StateDigest) trait with a
+//!   portable, seed-free 64-bit [`StableHasher`](digest::StableHasher), so
+//!   every layer (solver solutions and traces, controller state, simulator
+//!   event queue, telemetry export) can be fingerprinted per tick, and
+//!   [`first_divergence`](digest::first_divergence), which bisects two
+//!   recorded runs to the first tick where they disagree.
 
 pub mod bitrate;
+pub mod digest;
 pub mod ewma;
 pub mod ids;
 pub mod rng;

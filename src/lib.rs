@@ -6,8 +6,9 @@
 //!
 //! * [`algo`] — the Knapsack–Merge–Reduction control algorithm (the paper's
 //!   core contribution), exact brute-force baseline, ladders and QoE model.
-//! * [`audit`] — static constraint-invariant auditor for solutions, wired
-//!   into debug builds at the solver, controller and SFU trust boundaries.
+//! * [`audit`] — static invariant auditor for solutions, wired into debug
+//!   builds at the solver and controller trust boundaries (the SFU's
+//!   selector checks are its own `debug_assert!`s).
 //! * [`rtp`] — RTP/RTCP wire formats including the paper's SEMB and
 //!   orchestration TMMBR/TMMBN (GTMB/GTBN) messages.
 //! * [`net`] — deterministic discrete-event packet network simulator.
@@ -20,7 +21,8 @@
 //!   drivers.
 //! * [`telemetry`] — deterministic per-conference metrics/event registry
 //!   with stable JSON export.
-//! * [`util`] — simulated time, bitrates, deterministic RNG, statistics.
+//! * [`util`] — simulated time, bitrates, deterministic RNG, statistics,
+//!   and the stable state digests behind the double-run determinism gates.
 //!
 //! See `examples/quickstart.rs` for a three-line tour, and the
 //! `crates/bench` targets for the regeneration of every table and figure in

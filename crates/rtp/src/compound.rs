@@ -122,6 +122,10 @@ impl RtcpPacket {
             body.put_u8(0);
         }
         let words = body.len() / 4; // header adds one word; length = words
+        debug_assert!(
+            words <= usize::from(u16::MAX),
+            "RTCP body of {words} words overflows length"
+        );
         let mut out = BytesMut::with_capacity(4 + body.len());
         out.put_u8(0b1000_0000 | (count_or_fmt & 0x1f));
         out.put_u8(packet_type);
@@ -330,6 +334,22 @@ mod tests {
         let wire = sample_sr().serialize();
         let words = u16::from_be_bytes([wire[2], wire[3]]) as usize;
         assert_eq!(wire.len(), 4 + words * 4);
+    }
+
+    #[test]
+    fn largest_transport_feedback_roundtrips() {
+        let max = TransportFeedback::MAX_ARRIVALS;
+        let p = RtcpPacket::TransportFeedback(TransportFeedback {
+            sender_ssrc: Ssrc(1),
+            feedback_seq: 1,
+            base_seq: 65_000,
+            arrivals: (0..max as u64).map(|i| (i % 3 != 1).then_some(i)).collect(),
+        });
+        let wire = p.serialize();
+        assert_eq!(u16::from_be_bytes([wire[2], wire[3]]), u16::MAX);
+        let (back, rest) = RtcpPacket::parse(wire).unwrap();
+        assert!(rest.is_empty());
+        assert_eq!(back, p);
     }
 
     #[test]

@@ -244,6 +244,11 @@ pub struct TransportFeedback {
 impl TransportFeedback {
     const LOST: u64 = u64::MAX;
 
+    /// Most arrivals one message can carry: the RTCP length field counts
+    /// body words in 16 bits, and the body is 12 bytes plus 8 per arrival,
+    /// so (65,535 · 4 − 12) / 8.
+    pub const MAX_ARRIVALS: usize = 32_766;
+
     pub(crate) fn write_body(&self, b: &mut BytesMut) {
         b.put_u32(self.sender_ssrc.0);
         b.put_u32(self.feedback_seq);

@@ -194,26 +194,33 @@ impl AccessNode {
         sim.schedule_timer(node, SimTime::ZERO, SLOW_TICK);
     }
 
+    /// Forward one received datagram (`wire`, parsed as `pkt`) to a local
+    /// subscriber, unchanged.
     fn forward_to(
         &mut self,
         now: SimTime,
         subscriber: ClientId,
         pkt: &RtpPacket,
+        wire: &bytes::Bytes,
         out: &mut Actions,
     ) {
         let Some(path) = self.down.get_mut(&subscriber) else { return };
-        path.history.record(pkt.ssrc, pkt.sequence, now, pkt.wire_len() + 28, false);
-        path.bytes_window += pkt.wire_len() as u64;
-        self.telemetry.add(keys::SFU_FORWARDED_BYTES, subscriber, pkt.wire_len() as u64);
-        out.send(path.endpoint, Packet::new(pkt.serialize()));
+        path.history.record(pkt.ssrc, pkt.sequence, now, wire.len() + 28, false);
+        path.bytes_window += wire.len() as u64;
+        self.telemetry.add(keys::SFU_FORWARDED_BYTES, subscriber, wire.len() as u64);
+        out.send(path.endpoint, Packet::new(wire.clone()));
     }
 
+    /// Route one received RTP datagram. `pkt` is `wire` parsed; since the
+    /// parser accepts only the plain fixed header, `wire` is exactly what
+    /// re-serializing `pkt` would give, so it is relayed as is.
     fn handle_rtp(
         &mut self,
         now: SimTime,
         from: ClientId,
         from_local: bool,
         pkt: RtpPacket,
+        wire: bytes::Bytes,
         out: &mut Actions,
     ) {
         if from_local {
@@ -243,7 +250,7 @@ impl AccessNode {
                     .map(|(&sub, _)| sub)
                     .collect();
                 for sub in targets {
-                    self.forward_to(now, sub, &pkt, out);
+                    self.forward_to(now, sub, &pkt, &wire, out);
                 }
                 if from_local {
                     let peers: std::collections::BTreeSet<NodeId> = self
@@ -255,7 +262,7 @@ impl AccessNode {
                         .filter_map(|(&sub, _)| self.remote_clients.get(&sub).copied())
                         .collect();
                     for peer in peers {
-                        out.send(peer, Packet::new(pkt.serialize()));
+                        out.send(peer, Packet::new(wire.clone()));
                     }
                 }
             }
@@ -293,7 +300,7 @@ impl AccessNode {
                     }
                 }
                 for sub in targets {
-                    self.forward_to(now, sub, &pkt, out);
+                    self.forward_to(now, sub, &pkt, &wire, out);
                 }
                 // Relay locally-published streams to peer nodes whose
                 // subscribers need them — once per peer link, however many
@@ -301,7 +308,7 @@ impl AccessNode {
                 if from_local {
                     for target in self.relay.targets(pkt.ssrc) {
                         if let gso_sfu::RelayTarget::Peer(peer) = target {
-                            out.send(NodeId(peer), Packet::new(pkt.serialize()));
+                            out.send(NodeId(peer), Packet::new(wire.clone()));
                         }
                     }
                 }
@@ -673,8 +680,8 @@ impl Node for AccessNode {
             Some(client) => {
                 if data.len() >= 2 && (200..=206).contains(&data[1]) {
                     self.handle_rtcp(now, client, data, out);
-                } else if let Ok(pkt) = RtpPacket::parse(data) {
-                    self.handle_rtp(now, client, true, pkt, out);
+                } else if let Ok(pkt) = RtpPacket::parse(data.clone()) {
+                    self.handle_rtp(now, client, true, pkt, data, out);
                 }
             }
             None if self.is_peer(from) => {
@@ -699,9 +706,9 @@ impl Node for AccessNode {
                             }
                         }
                     }
-                } else if let Ok(pkt) = RtpPacket::parse(data) {
+                } else if let Ok(pkt) = RtpPacket::parse(data.clone()) {
                     if let Some((publisher, _, _)) = decode_ssrc(pkt.ssrc) {
-                        self.handle_rtp(now, publisher, false, pkt, out);
+                        self.handle_rtp(now, publisher, false, pkt, data, out);
                     }
                 }
             }
@@ -849,16 +856,14 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "no splice mid-GoP");
-        // Keyframe: forwarded to client 2's endpoint.
+        // Keyframe: forwarded to client 2's endpoint as the very datagram
+        // that arrived (shared, not re-serialized).
+        let wire = video_packet(1, true).serialize();
         let mut out = Actions::default();
-        an.on_packet(
-            SimTime::from_millis(2),
-            e1,
-            Packet::new(video_packet(1, true).serialize()),
-            &mut out,
-        );
+        an.on_packet(SimTime::from_millis(2), e1, Packet::new(wire.clone()), &mut out);
         let dests: Vec<NodeId> = out.sends().iter().map(|(d, _)| *d).collect();
         assert_eq!(dests, vec![e2]);
+        assert_eq!(out.sends()[0].1.data.as_ptr(), wire.as_ptr());
     }
 
     #[test]
@@ -1039,16 +1044,13 @@ mod tests {
         // Client 2 (remote) subscribes to local client 1.
         let mut out = Actions::default();
         an.on_packet(SimTime::ZERO, cn, Packet::new(rules_for(2, 1).serialize()), &mut out);
-        // A keyframed packet from client 1 is relayed to the peer.
+        // A keyframed packet from client 1 is relayed to the peer unchanged.
+        let wire = video_packet(1, true).serialize();
         let mut out = Actions::default();
-        an.on_packet(
-            SimTime::from_millis(1),
-            NodeId(10),
-            Packet::new(video_packet(1, true).serialize()),
-            &mut out,
-        );
+        an.on_packet(SimTime::from_millis(1), NodeId(10), Packet::new(wire.clone()), &mut out);
         let dests: Vec<NodeId> = out.sends().iter().map(|(d, _)| *d).collect();
         assert_eq!(dests, vec![peer]);
+        assert_eq!(out.sends()[0].1.data.as_ptr(), wire.as_ptr());
     }
 
     #[test]

@@ -329,6 +329,10 @@ impl ClientNode {
         if !probe {
             self.bytes_sent_window += pkt.wire_len() as u64;
             let buf = self.rtx.entry(pkt.ssrc).or_default();
+            debug_assert!(
+                buf.back().is_none_or(|b| b.sequence.wrapping_add(1) == pkt.sequence),
+                "retransmission buffer must hold consecutive sequences"
+            );
             buf.push_back(pkt.clone());
             if buf.len() > 512 {
                 buf.pop_front();
@@ -469,6 +473,9 @@ impl ClientNode {
                     // one of our streams — budgeted and deduplicated.
                     let mut resend = Vec::new();
                     if let Some(buf) = self.rtx.get(&nack.media_ssrc) {
+                        // The buffered sequences are consecutive, so a
+                        // sequence's slot is its distance from the oldest.
+                        let oldest = buf.front().map_or(0, |p| p.sequence);
                         for seq in &nack.lost {
                             let key = (nack.media_ssrc, *seq);
                             let recently = self.recent_rtx.get(&key).is_some_and(|&t| {
@@ -477,7 +484,7 @@ impl ClientNode {
                             if recently {
                                 continue;
                             }
-                            if let Some(pkt) = buf.iter().find(|p| p.sequence == *seq) {
+                            if let Some(pkt) = buf.get(usize::from(seq.wrapping_sub(oldest))) {
                                 if self.rtx_budget < pkt.wire_len() as f64 {
                                     break; // budget exhausted; NACK retries cover it
                                 }
@@ -1106,33 +1113,51 @@ mod tests {
         let mut c = client(PolicyMode::NonGso);
         let mut boot = Actions::default();
         c.on_timer(SimTime::ZERO, 0, &mut boot);
-        // Produce one frame's packets.
-        let mut out = Actions::default();
-        c.on_timer(SimTime::from_millis(66), 1, &mut out);
-        let first_media = out
-            .sends()
-            .iter()
-            .filter_map(|(_, p)| gso_rtp::RtpPacket::parse(p.data.clone()).ok())
-            .next()
-            .expect("media sent");
-        // NACK that sequence.
+        // Send frames until one stream has overflowed its 512-packet buffer.
+        let mut sent: Vec<gso_rtp::RtpPacket> = Vec::new();
+        let mut t = 0;
+        while sent.len() <= 520 {
+            t += 66;
+            let mut out = Actions::default();
+            c.on_timer(SimTime::from_millis(t), 1, &mut out);
+            let media = out
+                .sends()
+                .iter()
+                .filter_map(|(_, p)| gso_rtp::RtpPacket::parse(p.data.clone()).ok())
+                .filter(|p| p.payload_type != 127);
+            for pkt in media {
+                if sent.first().is_none_or(|first| first.ssrc == pkt.ssrc) {
+                    sent.push(pkt);
+                }
+            }
+        }
+        let ssrc = sent[0].ssrc;
+        let newest = sent[sent.len() - 1].sequence;
+        let oldest = sent[sent.len() - 512].sequence;
+        let evicted = sent[sent.len() - 513].sequence;
+        // NACK the oldest and newest buffered sequences and an evicted one.
         let nack = RtcpPacket::Nack(gso_rtp::Nack {
             sender_ssrc: Ssrc(1),
-            media_ssrc: first_media.ssrc,
-            lost: vec![first_media.sequence],
+            media_ssrc: ssrc,
+            lost: vec![evicted, oldest, newest],
         });
         let mut out = Actions::default();
         c.on_packet(
-            SimTime::from_millis(200),
+            SimTime::from_millis(t + 100),
             NodeId(0),
             Packet::new(RtcpPacket::serialize_compound(&[nack])),
             &mut out,
         );
-        let retransmitted = out.sends().iter().any(|(_, p)| {
-            gso_rtp::RtpPacket::parse(p.data.clone()).is_ok_and(|pkt| {
-                pkt.sequence == first_media.sequence && pkt.ssrc == first_media.ssrc
-            })
-        });
-        assert!(retransmitted);
+        let mut retransmitted: Vec<u16> = out
+            .sends()
+            .iter()
+            .filter_map(|(_, p)| gso_rtp::RtpPacket::parse(p.data.clone()).ok())
+            .filter(|pkt| pkt.ssrc == ssrc)
+            .map(|pkt| pkt.sequence)
+            .collect();
+        retransmitted.sort_unstable();
+        let mut want = vec![oldest, newest];
+        want.sort_unstable();
+        assert_eq!(retransmitted, want);
     }
 }

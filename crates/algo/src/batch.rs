@@ -39,7 +39,7 @@ use crate::problem::Problem;
 use crate::solution::Solution;
 use crate::solver::{SolveTrace, SolverConfig};
 use std::collections::VecDeque;
-// detguard: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its engine and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
+// lint: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its engine and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -88,7 +88,7 @@ struct Task {
 /// channel wake was a context-switch ping-pong that dwarfed the warm solves
 /// themselves.
 struct Sink {
-    // detguard: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
+    // lint: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
     state: Mutex<SinkState>,
     done: Condvar,
 }
@@ -106,9 +106,9 @@ struct SignalState {
 
 struct Shared {
     /// One deque per worker; owners pop the front, thieves the back.
-    // detguard: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
+    // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
     queues: Vec<Mutex<VecDeque<Task>>>,
-    // detguard: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no solve state")
+    // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no solve state")
     signal: Mutex<SignalState>,
     cv: Condvar,
 }
@@ -222,9 +222,9 @@ impl BatchScheduler {
             cfg.workers
         };
         let shared = Arc::new(Shared {
-            // detguard: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
+            // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            // detguard: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no solve state")
+            // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no solve state")
             signal: Mutex::new(SignalState { epoch: 0, shutdown: false }),
             cv: Condvar::new(),
         });
@@ -256,7 +256,7 @@ impl BatchScheduler {
         let mut slots: Vec<Option<BatchResult>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let sink = Arc::new(Sink {
-            // detguard: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
+            // lint: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
             state: Mutex::new(SinkState { slots, remaining: n }),
             done: Condvar::new(),
         });

@@ -77,7 +77,7 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
     let mut out = SolutionDiff::default();
 
     // Publisher layers: per (source, resolution) → bitrate (0 = absent).
-    // sentinel: allow(hot-alloc, reason = "one scratch buffer per diff, reused across every changed source")
+    // lint: allow(hot-alloc, reason = "one scratch buffer per diff, reused across every changed source")
     let mut resolutions: Vec<Resolution> = Vec::new();
     merge_join(&old.publish, &new.publish, |source, old_ps, new_ps| {
         let layer = |p: &PublishPolicy| (p.resolution, p.bitrate);
@@ -85,7 +85,7 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
             return;
         }
         resolutions.clear();
-        // sentinel: allow(hot-alloc, reason = "scratch buffer reused across changed sources; grows to the widest ladder once")
+        // lint: allow(hot-alloc, reason = "scratch buffer reused across changed sources; grows to the widest ladder once")
         resolutions.extend(old_ps.iter().chain(new_ps).map(|p| p.resolution));
         resolutions.sort_unstable();
         resolutions.dedup();
@@ -98,14 +98,14 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
             };
             let (from, to) = (rate(old_ps), rate(new_ps));
             if from != to {
-                // sentinel: allow(hot-alloc, reason = "the diff's output: one entry per changed layer")
+                // lint: allow(hot-alloc, reason = "the diff's output: one entry per changed layer")
                 out.layer_changes.push(LayerChange { source, resolution, from, to });
             }
         }
     });
 
     // Subscriber streams: per (subscriber, source, tag).
-    // sentinel: allow(hot-alloc, reason = "one scratch buffer per diff, reused across every changed subscriber")
+    // lint: allow(hot-alloc, reason = "one scratch buffer per diff, reused across every changed subscriber")
     let mut streams: Vec<(SourceId, u8)> = Vec::new();
     merge_join(&old.received, &new.received, |subscriber, old_rs, new_rs| {
         let stream = |r: &ReceivedStream| (r.source, r.tag, r.resolution, r.bitrate);
@@ -113,7 +113,7 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
             return;
         }
         streams.clear();
-        // sentinel: allow(hot-alloc, reason = "scratch buffer reused across changed subscribers; grows to the widest subscription list once")
+        // lint: allow(hot-alloc, reason = "scratch buffer reused across changed subscribers; grows to the widest subscription list once")
         streams.extend(old_rs.iter().chain(new_rs).map(|r| (r.source, r.tag)));
         streams.sort_unstable();
         streams.dedup();
@@ -126,7 +126,7 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
             };
             let (from, to) = (delivered(old_rs), delivered(new_rs));
             if from != to {
-                // sentinel: allow(hot-alloc, reason = "the diff's output: one entry per switched stream")
+                // lint: allow(hot-alloc, reason = "the diff's output: one entry per switched stream")
                 out.switch_changes.push(SwitchChange { subscriber, source, tag, from, to });
             }
         }

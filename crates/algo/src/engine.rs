@@ -98,7 +98,7 @@ struct ClientEntry {
 /// Debug-build invariant check on an assembled solution. Both asserts
 /// compile to nothing in release builds, so the validation cone is not part
 /// of the hot path.
-// sentinel: cold_path(reason = "debug_assertions-only invariant check; release builds compile both asserts out")
+// lint: cold_path(reason = "debug_assertions-only invariant check; release builds compile both asserts out")
 fn debug_validate(problem: &Problem, solution: &Solution, max_iters: usize) {
     debug_assert!(
         solution.validate(problem).is_ok(),
@@ -124,7 +124,7 @@ fn retire_entry(pool: &mut McPool, spare: &mut Vec<ClientEntry>, mut entry: Clie
     entry.last = None;
     entry.subs_key.clear();
     entry.tmpl_rev_key = 0;
-    // sentinel: allow(hot-alloc, reason = "membership-change path only; spare list is bounded by peak roster size")
+    // lint: allow(hot-alloc, reason = "membership-change path only; spare list is bounded by peak roster size")
     spare.push(entry);
 }
 
@@ -252,14 +252,14 @@ impl SolveEngine {
 
     /// Solve the orchestration problem. Output is bit-identical to
     /// [`solver::solve`] on the same problem and configuration.
-    // sentinel: hot_path(warm-resolve)
+    // lint: hot_path(warm-resolve)
     pub fn solve(&mut self, problem: &Problem) -> Solution {
         self.solve_impl(problem, None)
     }
 
     /// Like [`solve`](Self::solve), additionally returning the
     /// [`SolveTrace`]; both are bit-identical to [`solver::solve_traced`].
-    // sentinel: hot_path(warm-resolve-traced)
+    // lint: hot_path(warm-resolve-traced)
     pub fn solve_traced(&mut self, problem: &Problem) -> (Solution, SolveTrace) {
         let mut trace = SolveTrace::default();
         let solution = self.solve_impl(problem, Some(&mut trace));
@@ -269,7 +269,7 @@ impl SolveEngine {
     fn solve_impl(&mut self, problem: &Problem, mut trace: Option<&mut SolveTrace>) -> Solution {
         self.reconcile(problem);
         self.stats.solves += 1;
-        // sentinel: allow(hot-alloc, reason = "empty-map constructor does not allocate; entries appear only on ladder reduction")
+        // lint: allow(hot-alloc, reason = "empty-map constructor does not allocate; entries appear only on ladder reduction")
         let mut overlay = Overlay { base: problem, reduced: BTreeMap::new() };
         let max_iters: usize = 1 + convergence_bound(problem);
 
@@ -293,17 +293,17 @@ impl SolveEngine {
                     .iter()
                     .zip(&self.buckets)
                     .filter(|(_, b)| !b.is_empty())
-                    // sentinel: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
                     .map(|(s, b)| (*s, b.clone()))
-                    // sentinel: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
                     .collect(),
                 merged: policies
                     .iter()
-                    // sentinel: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
                     .map(|(src, ps)| (*src, ps.iter().map(|p| (p.resolution, p.bitrate)).collect()))
-                    // sentinel: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
                     .collect(),
-                // sentinel: allow(hot-alloc, reason = "empty-vec constructor does not allocate")
+                // lint: allow(hot-alloc, reason = "empty-vec constructor does not allocate")
                 repaired: Vec::new(),
                 reduction: None,
             });
@@ -324,7 +324,7 @@ impl SolveEngine {
                 let shrunk = reduced_ladder(&overlay, source, res);
                 if let Some(t) = iter_trace.take() {
                     if let Some(trace) = trace.as_mut() {
-                        // sentinel: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                        // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
                         trace.iterations.push(IterationTrace {
                             reduction: Some(ReductionTrace {
                                 source,
@@ -335,14 +335,14 @@ impl SolveEngine {
                         });
                     }
                 }
-                // sentinel: allow(hot-alloc, reason = "ladder reduction is the iteration-bounded slow branch, not the steady-state re-solve")
+                // lint: allow(hot-alloc, reason = "ladder reduction is the iteration-bounded slow branch, not the steady-state re-solve")
                 overlay.reduced.insert(source, shrunk);
                 continue;
             }
 
             if let Some(t) = iter_trace.take() {
                 if let Some(trace) = trace.as_mut() {
-                    // sentinel: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
                     trace.iterations.push(t);
                 }
             }
@@ -352,7 +352,7 @@ impl SolveEngine {
             return solution;
         }
 
-        // sentinel: allow(hot-panic, reason = "convergence proof: every iteration without a solution strictly shrinks one ladder, so max_iters bounds the loop")
+        // lint: allow(hot-panic, reason = "convergence proof: every iteration without a solution strictly shrinks one ladder, so max_iters bounds the loop")
         unreachable!("the reduction step strictly shrinks a ladder each iteration");
     }
 
@@ -368,7 +368,7 @@ impl SolveEngine {
             return;
         }
         let old = std::mem::take(&mut self.caches);
-        // sentinel: allow(hot-alloc, reason = "membership-change path only; the steady-state roster short-circuits above")
+        // lint: allow(hot-alloc, reason = "membership-change path only; the steady-state roster short-circuits above")
         self.caches.reserve(clients.len());
         let mut old_iter = old.into_iter().peekable();
         for client in clients {
@@ -378,12 +378,12 @@ impl SolveEngine {
             }
             if old_iter.peek().is_some_and(|(id, _)| *id == client.id) {
                 let entry = old_iter.next().expect("invariant: just peeked");
-                // sentinel: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
+                // lint: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
                 self.caches.push(entry);
             } else {
                 let mut entry = self.spare.pop().unwrap_or_default();
                 entry.mc = self.pool.acquire();
-                // sentinel: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
+                // lint: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
                 self.caches.push((client.id, entry));
             }
         }
@@ -408,7 +408,7 @@ impl SolveEngine {
         self.src_ids.clear();
         for client in problem.clients() {
             for s in &client.sources {
-                // sentinel: allow(hot-alloc, reason = "per-iteration scratch retained across solves; steady-state pushes reuse capacity")
+                // lint: allow(hot-alloc, reason = "per-iteration scratch retained across solves; steady-state pushes reuse capacity")
                 self.src_ids.push(s.id);
             }
         }
@@ -425,11 +425,11 @@ impl SolveEngine {
             let lo = self.tmpl.len() as u32;
             if let Some(ladder) = overlay.ladder_of(*src) {
                 for spec in ladder.specs() {
-                    // sentinel: allow(hot-alloc, reason = "per-iteration scratch retained across solves; steady-state pushes reuse capacity")
+                    // lint: allow(hot-alloc, reason = "per-iteration scratch retained across solves; steady-state pushes reuse capacity")
                     self.tmpl.push((*spec, mckp::quantize_weight(spec.bitrate, unit)));
                 }
             }
-            // sentinel: allow(hot-alloc, reason = "per-iteration scratch retained across solves; steady-state pushes reuse capacity")
+            // lint: allow(hot-alloc, reason = "per-iteration scratch retained across solves; steady-state pushes reuse capacity")
             self.tmpl_ranges.push((lo, self.tmpl.len() as u32));
         }
         // Any content change (reduction overlay, roster edit, reverting to
@@ -443,7 +443,7 @@ impl SolveEngine {
             self.tmpl_rev += 1;
         }
         while self.buckets.len() < self.src_ids.len() {
-            // sentinel: allow(hot-alloc, reason = "bucket list grows to the source count once; buckets themselves are recycled every iteration")
+            // lint: allow(hot-alloc, reason = "bucket list grows to the source count once; buckets themselves are recycled every iteration")
             self.buckets.push(Vec::new());
         }
         for bucket in &mut self.buckets {
@@ -498,9 +498,9 @@ impl SolveEngine {
                             .expect("invariant: template ranges index into the template slab");
                         for &(spec, weight) in tmpl {
                             if spec.resolution <= sub.max_resolution {
-                                // sentinel: allow(hot-alloc, reason = "per-client scratch retained across solves; steady-state pushes reuse capacity")
+                                // lint: allow(hot-alloc, reason = "per-client scratch retained across solves; steady-state pushes reuse capacity")
                                 entry.specs.push(spec);
-                                // sentinel: allow(hot-alloc, reason = "per-client scratch retained across solves; steady-state pushes reuse capacity")
+                                // lint: allow(hot-alloc, reason = "per-client scratch retained across solves; steady-state pushes reuse capacity")
                                 entry.items.push(McItem {
                                     weight,
                                     value: spec.qoe * sub.qoe_boost + sub.presence_bonus,
@@ -508,7 +508,7 @@ impl SolveEngine {
                             }
                         }
                     }
-                    // sentinel: allow(hot-alloc, reason = "per-client scratch retained across solves; steady-state pushes reuse capacity")
+                    // lint: allow(hot-alloc, reason = "per-client scratch retained across solves; steady-state pushes reuse capacity")
                     entry.ranges.push((lo, entry.items.len()));
                 }
                 let out = entry.mc.solve_flat(
@@ -540,7 +540,7 @@ impl SolveEngine {
                 }
 
                 entry.subs_key.clear();
-                // sentinel: allow(hot-alloc, reason = "per-client fingerprint retained across solves; steady-state refreshes reuse capacity")
+                // lint: allow(hot-alloc, reason = "per-client fingerprint retained across solves; steady-state refreshes reuse capacity")
                 entry.subs_key.extend_from_slice(subs);
                 entry.downlink_key = client.downlink;
                 entry.tmpl_rev_key = self.tmpl_rev;
@@ -563,7 +563,7 @@ impl SolveEngine {
                         .expect("invariant: subscriptions name sources with templates");
                     let bucket =
                         self.buckets.get_mut(si).expect("invariant: buckets mirror src_ids");
-                    // sentinel: allow(hot-alloc, reason = "per-source request buckets are recycled across iterations; steady-state pushes reuse capacity")
+                    // lint: allow(hot-alloc, reason = "per-source request buckets are recycled across iterations; steady-state pushes reuse capacity")
                     bucket.push(Request { subscriber: *id, tag: sub.tag, spec });
                 }
             }

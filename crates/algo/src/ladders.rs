@@ -124,7 +124,7 @@ fn band(res: Resolution) -> (u64, u64) {
     }
 }
 
-// sentinel: allow(unit-hygiene, reason = "ladder-builder helper; the raw kbps literal becomes a Bitrate on the next line")
+// lint: allow(unit-hygiene, reason = "ladder-builder helper; the raw kbps literal becomes a Bitrate on the next line")
 fn spec(res: Resolution, kbps: u64) -> StreamSpec {
     let b = Bitrate::from_kbps(kbps);
     StreamSpec::new(res, b, default_utility(b))

@@ -183,7 +183,7 @@ impl McState {
     /// selection is read back via [`Self::choices`] / [`Self::value`]; the
     /// result is bit-identical to a fresh [`solve_units`] call on the same
     /// input, whatever state the memo was in.
-    // sentinel: hot_path(mckp-dp-rows)
+    // lint: hot_path(mckp-dp-rows)
     pub fn solve_flat(
         &mut self,
         items: &[McItem],
@@ -278,7 +278,7 @@ impl McState {
         // longer class list are abandoned in place, not truncated, so a
         // class count oscillation never re-pays the memset.
         if self.rows.len() < (k + 1) * stride {
-            // sentinel: allow(hot-alloc, reason = "memo growth is amortized: steady-state re-solves reuse the buffers without reallocating")
+            // lint: allow(hot-alloc, reason = "memo growth is amortized: steady-state re-solves reuse the buffers without reallocating")
             self.rows.resize((k + 1) * stride, 0.0);
         }
         // Trim the memo to the clean prefix; dirty classes are re-appended
@@ -312,9 +312,9 @@ impl McState {
                 relax_row(dst, src, item.value);
             }
             let klo = self.key_items.len() as u32;
-            // sentinel: allow(hot-alloc, reason = "memo refresh into one flat slab; steady-state re-solves reuse its capacity")
+            // lint: allow(hot-alloc, reason = "memo refresh into one flat slab; steady-state re-solves reuse its capacity")
             self.key_items.extend_from_slice(class);
-            // sentinel: allow(hot-alloc, reason = "memo refresh into one flat slab; steady-state re-solves reuse its capacity")
+            // lint: allow(hot-alloc, reason = "memo refresh into one flat slab; steady-state re-solves reuse its capacity")
             self.key_ranges.push((klo, self.key_items.len() as u32));
         }
         self.backtrack(items, ranges, w_max);
@@ -345,7 +345,7 @@ impl McState {
             .get(k * stride + w_max)
             .expect("invariant: rows hold k+1 rows of width stride > w_max");
         self.choices.clear();
-        // sentinel: allow(hot-alloc, reason = "selection buffer is reused across solves; grows only when the class count grows")
+        // lint: allow(hot-alloc, reason = "selection buffer is reused across solves; grows only when the class count grows")
         self.choices.resize(k, None);
         let mut w = w_max;
         for (c, (slot, &(lo, hi))) in self.choices.iter_mut().zip(ranges.iter()).enumerate().rev() {
@@ -445,7 +445,7 @@ impl McPool {
     /// for the next [`acquire`](Self::acquire).
     pub fn retire(&mut self, mut state: McState) {
         state.clear();
-        // sentinel: allow(hot-alloc, reason = "pool growth is bounded by peak concurrent clients; steady-state churn pops and pushes within capacity")
+        // lint: allow(hot-alloc, reason = "pool growth is bounded by peak concurrent clients; steady-state churn pops and pushes within capacity")
         self.states.push_back(state);
     }
 
@@ -504,7 +504,7 @@ pub fn solve_bitrates(
         .iter()
         .flatten()
         .map(|&(b, v)| McItem { weight: b.as_bps().div_ceil(u), value: v })
-        // sentinel: allow(hot-alloc, reason = "one-shot convenience entry; incremental callers quantize into reused flat buffers")
+        // lint: allow(hot-alloc, reason = "one-shot convenience entry; incremental callers quantize into reused flat buffers")
         .collect();
     let mut lo = 0;
     let ranges: Vec<(usize, usize)> = classes
@@ -514,12 +514,12 @@ pub fn solve_bitrates(
             lo += c.len();
             r
         })
-        // sentinel: allow(hot-alloc, reason = "one-shot convenience entry; incremental callers quantize into reused flat buffers")
+        // lint: allow(hot-alloc, reason = "one-shot convenience entry; incremental callers quantize into reused flat buffers")
         .collect();
     let units = capacity.as_bps().checked_div(u).expect("invariant: unit checked non-zero above");
     let mut state = McState::default();
     state.solve_flat(&items, &ranges, units);
-    // sentinel: allow(hot-alloc, reason = "one-shot convenience entry returns an owned selection by API contract")
+    // lint: allow(hot-alloc, reason = "one-shot convenience entry returns an owned selection by API contract")
     McSolution { choices: state.choices().to_vec(), value: state.value() }
 }
 

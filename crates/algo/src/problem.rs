@@ -316,13 +316,13 @@ impl Problem {
 
     /// Subscriptions targeting a given source (`M_i` plus requested caps).
     pub fn subscribers_of(&self, source: SourceId) -> Vec<&Subscription> {
-        // sentinel: allow(hot-alloc, reason = "owned-snapshot convenience API over an unsorted-by-source axis")
+        // lint: allow(hot-alloc, reason = "owned-snapshot convenience API over an unsorted-by-source axis")
         self.subscriptions.iter().filter(|s| s.source == source).collect()
     }
 
     /// All publisher sources in the problem, in client order.
     pub fn sources(&self) -> Vec<&PublisherSource> {
-        // sentinel: allow(hot-alloc, reason = "owned-snapshot convenience API; bounded by publisher count, not DP size")
+        // lint: allow(hot-alloc, reason = "owned-snapshot convenience API; bounded by publisher count, not DP size")
         self.clients.iter().flat_map(|c| c.sources.iter()).collect()
     }
 

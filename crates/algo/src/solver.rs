@@ -272,23 +272,23 @@ pub(crate) fn merge_step<'a, I>(requests_by_source: I) -> BTreeMap<SourceId, Vec
 where
     I: IntoIterator<Item = (SourceId, &'a [Request])>,
 {
-    // sentinel: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
+    // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
     let mut policies: BTreeMap<SourceId, Vec<PublishPolicy>> = BTreeMap::new();
     for (source, reqs) in requests_by_source {
-        // sentinel: allow(hot-alloc, reason = "per-solve merge output; one group per distinct requested resolution (≤4)")
+        // lint: allow(hot-alloc, reason = "per-solve merge output; one group per distinct requested resolution (≤4)")
         let mut groups: Vec<PublishPolicy> = Vec::new();
         for r in reqs {
             match groups.iter_mut().find(|g| g.resolution == r.spec.resolution) {
                 Some(g) => {
                     g.bitrate = g.bitrate.min(r.spec.bitrate); // Meg(): s_i^R = min (Eq. 12)
-                                                               // sentinel: allow(hot-alloc, reason = "per-solve merge output; the audiences move into the Solution the caller retains")
+                                                               // lint: allow(hot-alloc, reason = "per-solve merge output; the audiences move into the Solution the caller retains")
                     g.audience.push((r.subscriber, r.tag));
                 }
-                // sentinel: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
+                // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
                 None => groups.push(PublishPolicy {
                     resolution: r.spec.resolution,
                     bitrate: r.spec.bitrate,
-                    // sentinel: allow(hot-alloc, reason = "per-solve merge output; the audiences move into the Solution the caller retains")
+                    // lint: allow(hot-alloc, reason = "per-solve merge output; the audiences move into the Solution the caller retains")
                     audience: vec![(r.subscriber, r.tag)],
                 }),
             }
@@ -296,7 +296,7 @@ where
         // One group per resolution, so keys are unique and the unstable sort
         // is deterministic; audiences keep their request order.
         groups.sort_unstable_by_key(|g| g.resolution);
-        // sentinel: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
+        // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
         policies.insert(source, groups);
     }
     policies
@@ -340,7 +340,7 @@ pub(crate) fn uplink_step<L: LadderView>(
             .sum();
         if min_total <= client.uplink {
             repair_uplink(ladders, policies, client.id, client.uplink, unit);
-            // sentinel: allow(hot-alloc, reason = "repair audit trail; pushes only on the rare overflow-repair branch")
+            // lint: allow(hot-alloc, reason = "repair audit trail; pushes only on the rare overflow-repair branch")
             repaired.push(client.id);
         } else {
             // Not fixable: drop the highest resolution this client
@@ -389,11 +389,11 @@ fn repair_uplink<L: LadderView>(
         .iter()
         .filter(|(src, _)| src.client == client)
         .flat_map(|(src, ps)| (0..ps.len()).map(move |i| (*src, i)))
-        // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
+        // lint: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
         .collect();
 
     // Candidate specs per policy, ascending bitrate (deterministic DP ties).
-    // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
+    // lint: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
     let mut candidates: Vec<Vec<StreamSpec>> = Vec::with_capacity(handles.len());
     for &(src, i) in &handles {
         let p = policies
@@ -406,11 +406,11 @@ fn repair_uplink<L: LadderView>(
                 l.at_resolution(p.resolution)
                     .into_iter()
                     .filter(|spec| spec.bitrate <= p.bitrate)
-                    // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; bounded by ladder size")
+                    // lint: allow(hot-alloc, reason = "overflow-repair branch only; bounded by ladder size")
                     .collect()
             })
             .unwrap_or_default();
-        // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
+        // lint: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
         candidates.push(specs);
     }
 
@@ -436,16 +436,16 @@ fn repair_uplink<L: LadderView>(
                 .and_then(|ps| ps.get(i))
                 .expect("invariant: repair handles were collected from this map");
             let audience_weight: f64 = p.audience.len() as f64;
-            // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; empty-vec constructor does not allocate")
+            // lint: allow(hot-alloc, reason = "overflow-repair branch only; empty-vec constructor does not allocate")
             let Some(min) = cands.first() else { return Vec::new() };
             cands
                 .iter()
                 .skip(1)
                 .map(|s| (s.bitrate - min.bitrate, (s.qoe - min.qoe) * audience_weight))
-                // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; bounded by ladder size")
+                // lint: allow(hot-alloc, reason = "overflow-repair branch only; bounded by ladder size")
                 .collect()
         })
-        // sentinel: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
+        // lint: allow(hot-alloc, reason = "overflow-repair branch only; bounded by one client's policy count")
         .collect();
     let picked = mckp::solve_bitrates(&classes, upgrade_budget, unit);
     for ((&(src, i), choice), cands) in handles.iter().zip(&picked.choices).zip(&candidates) {
@@ -475,7 +475,7 @@ pub(crate) fn assemble<L: LadderView>(
     policies: BTreeMap<SourceId, Vec<PublishPolicy>>,
     iterations: usize,
 ) -> Solution {
-    // sentinel: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
+    // lint: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
     let mut received: BTreeMap<ClientId, Vec<ReceivedStream>> = BTreeMap::new();
     let mut total_qoe = 0.0;
     for (source, ps) in &policies {
@@ -492,7 +492,7 @@ pub(crate) fn assemble<L: LadderView>(
                     .map_or((1.0, 0.0), |s| (s.qoe_boost, s.presence_bonus));
                 let qoe = spec.qoe * boost + presence;
                 total_qoe += qoe;
-                // sentinel: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
+                // lint: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
                 received.entry(sub).or_default().push(ReceivedStream {
                     source: *source,
                     tag,

@@ -161,7 +161,7 @@ impl Ladder {
 
     /// Distinct resolutions present, ascending.
     pub fn resolutions(&self) -> Vec<Resolution> {
-        // sentinel: allow(hot-alloc, reason = "owned-snapshot ladder API; warm-path callers hoist the result out of the per-round loop")
+        // lint: allow(hot-alloc, reason = "owned-snapshot ladder API; warm-path callers hoist the result out of the per-round loop")
         let mut rs: Vec<Resolution> = self.specs.iter().map(|s| s.resolution).collect();
         rs.sort();
         rs.dedup();
@@ -181,7 +181,7 @@ impl Ladder {
     /// Specs at exactly the given resolution (`S_i^R` in the paper),
     /// ascending by bitrate.
     pub fn at_resolution(&self, r: Resolution) -> Vec<StreamSpec> {
-        // sentinel: allow(hot-alloc, reason = "owned-snapshot ladder API; warm-path callers hoist the result out of the per-round loop")
+        // lint: allow(hot-alloc, reason = "owned-snapshot ladder API; warm-path callers hoist the result out of the per-round loop")
         self.specs.iter().copied().filter(|s| s.resolution == r).collect()
     }
 
@@ -207,7 +207,7 @@ impl Ladder {
     /// A copy of this ladder with every spec at resolution `r` removed
     /// (`S_i^update = S_i \ S_i^R̃`, Eq. 19 — the Reduction step).
     pub fn without_resolution(&self, r: Resolution) -> Ladder {
-        // sentinel: allow(hot-alloc, reason = "owned-snapshot ladder API; warm-path callers hoist the result out of the per-round loop")
+        // lint: allow(hot-alloc, reason = "owned-snapshot ladder API; warm-path callers hoist the result out of the per-round loop")
         Ladder { specs: self.specs.iter().copied().filter(|s| s.resolution != r).collect() }
     }
 }

@@ -52,7 +52,7 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 // increment with no effect on layout or aliasing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // lockwatch: allow(atomics-policy, reason = "monotonic stat counter; the reader only wants an approximate total, no ordering with other memory")
+        // lint: allow(atomics-policy, reason = "monotonic stat counter; the reader only wants an approximate total, no ordering with other memory")
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
@@ -62,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // lockwatch: allow(atomics-policy, reason = "monotonic stat counter; the reader only wants an approximate total, no ordering with other memory")
+        // lint: allow(atomics-policy, reason = "monotonic stat counter; the reader only wants an approximate total, no ordering with other memory")
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -73,7 +73,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Allocations since process start.
 fn allocs_now() -> u64 {
-    // lockwatch: allow(atomics-policy, reason = "single-threaded harness reads its own counter; deltas need no cross-thread ordering")
+    // lint: allow(atomics-policy, reason = "single-threaded harness reads its own counter; deltas need no cross-thread ordering")
     ALLOCS.load(Ordering::Relaxed)
 }
 

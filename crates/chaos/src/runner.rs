@@ -188,7 +188,7 @@ pub struct Baseline {
     /// Converged orchestration objective (Σ received QoE).
     pub qoe: f64,
     /// Mean tail-window received rate over clients (bps).
-    // sentinel: allow(unit-hygiene, reason = "measured mean throughput, inherently fractional; the Bitrate newtype is for configured stream rates")
+    // lint: allow(unit-hygiene, reason = "measured mean throughput, inherently fractional; the Bitrate newtype is for configured stream rates")
     pub media_bps: f64,
 }
 
@@ -211,7 +211,7 @@ pub struct PlanVerdict {
     /// QoE within [`ChaosBounds::qoe_tolerance`] of the baseline.
     pub qoe_ok: bool,
     /// Tail-window received rate of the faulted run (bps).
-    // sentinel: allow(unit-hygiene, reason = "measured mean throughput, inherently fractional; the Bitrate newtype is for configured stream rates")
+    // lint: allow(unit-hygiene, reason = "measured mean throughput, inherently fractional; the Bitrate newtype is for configured stream rates")
     pub media_bps: f64,
     /// Tail throughput at or above [`ChaosBounds::media_floor`] × baseline.
     pub media_ok: bool,

@@ -65,7 +65,7 @@ impl EpochLedger {
     /// allocation-free and panic-free. (The one-shot controller *rebuild*
     /// in `promote` allocates by design and is deliberately not a
     /// sentinel cone.)
-    // sentinel: hot_path(shard-takeover)
+    // lint: hot_path(shard-takeover)
     pub fn record_write(&mut self, shard: ShardId, epoch: u32) -> bool {
         match self.live {
             None => {

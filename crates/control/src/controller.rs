@@ -341,7 +341,7 @@ impl GsoController {
     /// [`ControllerFleet`](crate::ControllerFleet) instead.
     ///
     /// Returns `(orchestration_output, retransmissions)`.
-    // sentinel: hot_path(controller-tick)
+    // lint: hot_path(controller-tick)
     pub fn tick(&mut self, now: SimTime) -> (Option<ControlOutput>, Vec<(ClientId, GsoTmmbr)>) {
         let (prep, retransmissions) = self.tick_prepare(now);
         let out = match prep {
@@ -381,10 +381,10 @@ impl GsoController {
             self.telemetry.event(
                 now,
                 keys::EV_FALLBACK,
-                // sentinel: allow(hot-alloc, reason = "fallback event label; formats only when deliveries failed, off the steady path")
+                // lint: allow(hot-alloc, reason = "fallback event label; formats only when deliveries failed, off the steady path")
                 format!("{} undeliverable client(s)", failed.len()),
             );
-            // sentinel: allow(hot-alloc, reason = "fallback bookkeeping runs only when deliveries failed, off the steady path")
+            // lint: allow(hot-alloc, reason = "fallback bookkeeping runs only when deliveries failed, off the steady path")
             self.failed_clients.extend(failed);
             self.scheduler.trigger_event();
         }
@@ -491,7 +491,7 @@ impl GsoController {
                     .as_ref()
                     .filter(|prev| prev.validate(&problem).is_ok())
                     .filter(|prev| fresh.total_qoe < prev.total_qoe * (1.0 + self.cfg.stickiness))
-                    // sentinel: allow(hot-alloc, reason = "the round's output owns its solution; a sticky round's only copy")
+                    // lint: allow(hot-alloc, reason = "the round's output owns its solution; a sticky round's only copy")
                     .cloned();
                 let sticky = keep_previous.is_some();
                 (keep_previous.unwrap_or(fresh), false, sticky)
@@ -511,9 +511,9 @@ impl GsoController {
         let ladder_layers: BTreeMap<SourceId, Vec<u16>> = problem
             .sources()
             .iter()
-            // sentinel: allow(hot-alloc, reason = "per-round ladder-layer map handed to the executor; reuse is tracked by the zero-alloc roadmap item")
+            // lint: allow(hot-alloc, reason = "per-round ladder-layer map handed to the executor; reuse is tracked by the zero-alloc roadmap item")
             .map(|s| (s.id, s.ladder.resolutions().iter().map(|r| r.0).collect::<Vec<u16>>()))
-            // sentinel: allow(hot-alloc, reason = "per-round ladder-layer map handed to the executor; reuse is tracked by the zero-alloc roadmap item")
+            // lint: allow(hot-alloc, reason = "per-round ladder-layer map handed to the executor; reuse is tracked by the zero-alloc roadmap item")
             .collect();
         let (configs, rules) = self.executor.execute(now, &solution, &ladder_layers);
         // Trust boundary: the tick's outward-bound decision. A sticky
@@ -547,7 +547,7 @@ impl GsoController {
         } else {
             let churn =
                 diff(self.last_solution.as_ref().unwrap_or(&Solution::default()), &solution);
-            // sentinel: allow(hot-alloc, reason = "retained last-solution snapshot feeding the next round's churn diff; a changed round's only copy")
+            // lint: allow(hot-alloc, reason = "retained last-solution snapshot feeding the next round's churn diff; a changed round's only copy")
             self.last_solution = Some(solution.clone());
             churn
         };

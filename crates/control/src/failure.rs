@@ -19,15 +19,15 @@ use std::collections::BTreeMap;
 /// The minimal safe configuration: one (smallest) stream per source,
 /// delivered to every subscriber whose cap admits it.
 pub fn fallback_solution(problem: &Problem) -> Solution {
-    // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+    // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
     let mut publish: BTreeMap<SourceId, Vec<PublishPolicy>> = BTreeMap::new();
-    // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+    // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
     let mut received: BTreeMap<_, Vec<ReceivedStream>> = BTreeMap::new();
     let mut total_qoe = 0.0;
 
     for source in problem.sources() {
         let Some(spec) = source.ladder.specs().first().copied() else { continue };
-        // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+        // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
         let mut audience = Vec::new();
         for sub in problem.subscribers_of(source.id) {
             if spec.resolution > sub.max_resolution {
@@ -42,11 +42,11 @@ pub fn fallback_solution(problem: &Problem) -> Solution {
             if used + spec.bitrate.as_bps() > budget {
                 continue;
             }
-            // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+            // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
             audience.push((sub.subscriber, sub.tag));
             let qoe = spec.qoe * sub.qoe_boost + sub.presence_bonus;
             total_qoe += qoe;
-            // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+            // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
             received.entry(sub.subscriber).or_default().push(ReceivedStream {
                 source: source.id,
                 tag: sub.tag,
@@ -56,10 +56,10 @@ pub fn fallback_solution(problem: &Problem) -> Solution {
             });
         }
         if !audience.is_empty() {
-            // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+            // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
             publish.insert(
                 source.id,
-                // sentinel: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
+                // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
                 vec![PublishPolicy {
                     resolution: spec.resolution,
                     bitrate: spec.bitrate,

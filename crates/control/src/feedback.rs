@@ -152,11 +152,11 @@ impl FeedbackExecutor {
         ladder_layers: &BTreeMap<SourceId, Vec<u16>>,
     ) -> (Vec<(ClientId, GsoTmmbr)>, Vec<ForwardingRule>) {
         // Forwarding rules straight from the solution's receive map.
-        // sentinel: allow(hot-alloc, reason = "per-round forwarding-rule fan-out; buffer reuse is tracked by the zero-alloc roadmap item")
+        // lint: allow(hot-alloc, reason = "per-round forwarding-rule fan-out; buffer reuse is tracked by the zero-alloc roadmap item")
         let mut rules = Vec::new();
         for (&subscriber, streams) in &solution.received {
             for r in streams {
-                // sentinel: allow(hot-alloc, reason = "per-round forwarding-rule fan-out; buffer reuse is tracked by the zero-alloc roadmap item")
+                // lint: allow(hot-alloc, reason = "per-round forwarding-rule fan-out; buffer reuse is tracked by the zero-alloc roadmap item")
                 rules.push(ForwardingRule {
                     subscriber,
                     source: r.source,
@@ -168,7 +168,7 @@ impl FeedbackExecutor {
         }
 
         // Per-client layer configuration vectors.
-        // sentinel: allow(hot-alloc, reason = "per-client TMMBR entry vectors rebuilt per round; reuse is tracked by the zero-alloc roadmap item")
+        // lint: allow(hot-alloc, reason = "per-client TMMBR entry vectors rebuilt per round; reuse is tracked by the zero-alloc roadmap item")
         let mut per_client: BTreeMap<ClientId, Vec<TmmbrEntry>> = BTreeMap::new();
         for (&source, lines_list) in ladder_layers {
             let policies = solution.policies(source);
@@ -177,7 +177,7 @@ impl FeedbackExecutor {
                     .iter()
                     .find(|p| p.resolution.0 == lines)
                     .map_or(Bitrate::ZERO, |p| p.bitrate);
-                // sentinel: allow(hot-alloc, reason = "per-client TMMBR entry vectors rebuilt per round; reuse is tracked by the zero-alloc roadmap item")
+                // lint: allow(hot-alloc, reason = "per-client TMMBR entry vectors rebuilt per round; reuse is tracked by the zero-alloc roadmap item")
                 per_client.entry(source.client).or_default().push(TmmbrEntry {
                     ssrc: ssrc_for(source.client, source.kind, lines),
                     bitrate,
@@ -186,7 +186,7 @@ impl FeedbackExecutor {
             }
         }
 
-        // sentinel: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
+        // lint: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
         let mut messages = Vec::new();
         for (client, entries) in per_client {
             if self.applied.get(&client) == Some(&entries)
@@ -214,14 +214,14 @@ impl FeedbackExecutor {
                 entries,
             };
             self.next_seq += 1;
-            // sentinel: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
+            // lint: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
             self.outstanding.insert(
                 client,
-                // sentinel: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
+                // lint: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
                 Outstanding { message: message.clone(), sent_at: now, transmissions: 1 },
             );
             self.telemetry.incr(keys::GTMB_SENT, client);
-            // sentinel: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
+            // lint: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
             messages.push((client, message));
         }
         (messages, rules)
@@ -279,7 +279,7 @@ impl FeedbackExecutor {
         if self.cfg.jitter_frac <= 0.0 {
             return base;
         }
-        // sentinel: allow(hot-alloc, reason = "RTO jitter label seeding the deterministic RNG; formats only when jitter is enabled")
+        // lint: allow(hot-alloc, reason = "RTO jitter label seeding the deterministic RNG; formats only when jitter is enabled")
         let label = format!("gtmb-rto-{}-{}-{}-{}", client, message.epoch, message.request_seq, tx);
         let mut rng = DetRng::derive(self.cfg.seed, &label);
         base + base.mul_f64(self.cfg.jitter_frac * rng.f64())
@@ -287,17 +287,17 @@ impl FeedbackExecutor {
 
     /// Retransmission poll; returns messages to resend now.
     pub fn poll(&mut self, now: SimTime) -> Vec<(ClientId, GsoTmmbr)> {
-        // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+        // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
         let mut resend = Vec::new();
-        // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+        // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
         let mut exhausted = Vec::new();
-        // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+        // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
         let mut due: Vec<ClientId> = Vec::new();
         for (&client, out) in &self.outstanding {
             if now.saturating_since(out.sent_at)
                 >= self.rto(client, &out.message, out.transmissions)
             {
-                // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+                // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
                 due.push(client);
             }
         }
@@ -307,12 +307,12 @@ impl FeedbackExecutor {
                 .get_mut(&client)
                 .expect("invariant: due clients come from the outstanding map");
             if out.transmissions >= self.cfg.max_transmissions {
-                // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+                // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
                 exhausted.push(client);
             } else {
                 out.transmissions += 1;
                 out.sent_at = now;
-                // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+                // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
                 resend.push((client, out.message.clone()));
             }
         }
@@ -321,7 +321,7 @@ impl FeedbackExecutor {
         }
         for client in exhausted {
             self.outstanding.remove(&client);
-            // sentinel: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
+            // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
             self.failed.push(client);
             self.telemetry.incr(keys::GTMB_FAILED, client);
             self.telemetry.event(now, keys::EV_GTMB_FAILED, client);

@@ -383,7 +383,7 @@ impl ControllerFleet {
     /// solve work. Only solving ticks advance the streaks, so the cadence
     /// of idle 100 ms ticks between 1–3 s orchestration rounds does not
     /// dilute the hysteresis.
-    // sentinel: hot_path(fleet-shed)
+    // lint: hot_path(fleet-shed)
     fn evaluate_shedding(&mut self, any_round: bool, total_rows: u64) {
         let budget = self.shed_policy.row_budget_per_tick;
         if budget == 0 || !any_round {

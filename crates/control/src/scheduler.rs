@@ -64,7 +64,7 @@ impl ControlScheduler {
         };
         if due {
             if let Some(last) = self.last_run {
-                // sentinel: allow(hot-alloc, reason = "call-interval series backing the Fig. 12 CDF; grows one entry per orchestration round")
+                // lint: allow(hot-alloc, reason = "call-interval series backing the Fig. 12 CDF; grows one entry per orchestration round")
                 self.intervals.push(now.saturating_since(last));
             }
             self.last_run = Some(now);

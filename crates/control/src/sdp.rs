@@ -158,7 +158,7 @@ impl SdpOffer {
                     };
                     let res: u16 =
                         res.parse().map_err(|_| SdpError::Malformed(line.to_string()))?;
-                    // sentinel: allow(unit-hygiene, reason = "SDP wire-format parse; the raw kbps becomes a Bitrate when the spec is built below")
+                    // lint: allow(unit-hygiene, reason = "SDP wire-format parse; the raw kbps becomes a Bitrate when the spec is built below")
                     let kbps: u64 =
                         kbps.parse().map_err(|_| SdpError::Malformed(line.to_string()))?;
                     let qoe: f64 =

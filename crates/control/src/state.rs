@@ -273,17 +273,17 @@ impl GlobalPicture {
                         .iter()
                         .map(|(kind, ladder)| PublisherSource {
                             id: SourceId { client: id, kind: *kind },
-                            // sentinel: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+                            // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
                             ladder: ladder.clone(),
                         })
-                        // sentinel: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+                        // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
                         .collect(),
                 }
             })
-            // sentinel: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+            // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
             .collect();
 
-        // sentinel: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+        // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
         let mut subscriptions = Vec::new();
         for (&id, c) in &self.clients {
             for intent in &c.intents {
@@ -303,7 +303,7 @@ impl GlobalPicture {
                 } else {
                     1.0
                 };
-                // sentinel: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+                // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
                 subscriptions.push(
                     Subscription::new(id, intent.source, intent.max_resolution)
                         .with_boost(boost)

@@ -75,7 +75,7 @@ impl LayerSwitcher {
 
     /// [`LayerSwitcher::should_forward`] with the current time, so a switch
     /// landing on this packet records its request→landing latency.
-    // sentinel: hot_path(sfu-packet-switch)
+    // lint: hot_path(sfu-packet-switch)
     pub fn should_forward_at(&mut self, ssrc: Ssrc, keyframe_start: bool, now: SimTime) -> bool {
         let previous = self.current;
         if self.pending == Some(ssrc) && keyframe_start {

@@ -18,7 +18,7 @@ use gso_algo::{
 };
 
 use gso_util::{Bitrate, ClientId};
-// detguard: allow(wall-clock, reason = "Fig. 6 measures host solve latency; wall-clock timing is the experiment's output, not simulation state")
+// lint: allow(wall-clock, reason = "Fig. 6 measures host solve latency; wall-clock timing is the experiment's output, not simulation state")
 use std::time::Instant;
 
 /// One row of the Fig. 6a/6b output.
@@ -82,7 +82,7 @@ pub fn symmetric_meeting(n: usize, ladder: gso_algo::Ladder) -> Problem {
 }
 
 fn time_of<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // detguard: allow(wall-clock, reason = "host-time stopwatch for the Fig. 6 solve-latency benchmark; never feeds back into simulated behaviour")
+    // lint: allow(wall-clock, reason = "host-time stopwatch for the Fig. 6 solve-latency benchmark; never feeds back into simulated behaviour")
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())

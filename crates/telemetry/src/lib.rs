@@ -115,7 +115,7 @@ impl Registry {
             self.events.pop_front();
             self.events_dropped += 1;
         }
-        // sentinel: allow(hot-alloc, reason = "bounded event ring; push_back pairs with the pop_front cap below")
+        // lint: allow(hot-alloc, reason = "bounded event ring; push_back pairs with the pop_front cap below")
         self.events.push_back(Event { at, seq, kind, detail });
     }
 
@@ -180,7 +180,7 @@ impl Telemetry {
     pub fn add(&self, name: &'static str, label: impl Display, delta: u64) {
         let Some(inner) = &self.inner else { return };
         let mut reg = inner.borrow_mut();
-        // sentinel: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
+        // lint: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
         let slot = reg.metrics.entry((name, label.to_string())).or_insert(MetricValue::Counter(0));
         if let MetricValue::Counter(v) = slot {
             *v += delta;
@@ -203,7 +203,7 @@ impl Telemetry {
             return;
         }
         let mut reg = inner.borrow_mut();
-        // sentinel: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
+        // lint: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
         reg.metrics.insert((name, label.to_string()), MetricValue::Gauge(value));
     }
 
@@ -221,9 +221,9 @@ impl Telemetry {
     ) {
         let Some(inner) = &self.inner else { return };
         let mut reg = inner.borrow_mut();
-        // sentinel: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
+        // lint: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
         let slot = reg.metrics.entry((name, label.to_string())).or_insert_with(|| {
-            // sentinel: allow(hot-alloc, reason = "a histogram lazily allocates its buckets once per (name, label) pair")
+            // lint: allow(hot-alloc, reason = "a histogram lazily allocates its buckets once per (name, label) pair")
             MetricValue::Histogram { bounds, counts: vec![0; bounds.len() + 1], total: 0, sum: 0 }
         });
         if let MetricValue::Histogram { bounds, counts, total, sum } = slot {
@@ -243,7 +243,7 @@ impl Telemetry {
     /// recorded at the same sim-time keep a deterministic total order.
     pub fn event(&self, at: SimTime, kind: &'static str, detail: impl Display) {
         let Some(inner) = &self.inner else { return };
-        // sentinel: allow(hot-alloc, reason = "event detail materialization; label interning is tracked by the telemetry roadmap item")
+        // lint: allow(hot-alloc, reason = "event detail materialization; label interning is tracked by the telemetry roadmap item")
         inner.borrow_mut().push_event(at, kind, detail.to_string());
     }
 

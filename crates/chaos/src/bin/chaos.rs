@@ -10,10 +10,12 @@
 //! chaos [--smoke] [--seed N]
 //! ```
 //!
-//! `--smoke` runs the reduced CI subset (controller outage + deadline
-//! overrun on the standard conference, shard crash + split brain on the
-//! standby-paired one); the default replays the full five-plan matrix plus
-//! all four failover plans.
+//! `--smoke` runs the reduced CI subset: controller outage + deadline
+//! overrun on the standard conference, plus the failover subset
+//! (`FaultPlan::failover_smoke`: shard crash + split brain) on the
+//! standby-paired one — the only end-to-end gate on standby takeover and
+//! zombie fencing. The default replays the full five-plan matrix plus all
+//! four failover plans. Both end with the fleet-overload check.
 
 use gso_chaos::{check_overload, check_plan, failover_scenario, run_plan};
 use gso_chaos::{standard_clients, standard_scenario};

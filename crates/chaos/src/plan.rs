@@ -347,7 +347,7 @@ impl FaultPlan {
 
     /// The failover subset for CI smoke runs: the clean takeover path and
     /// the split-brain fencing path (the two §7 bounds unique to the
-    /// sharded controller layer).
+    /// standby failover layer).
     pub fn failover_smoke(seed: u64) -> Vec<FaultPlan> {
         vec![FaultPlan::shard_crash(seed), FaultPlan::split_brain(seed)]
     }
@@ -365,7 +365,9 @@ impl FaultPlan {
     }
 
     /// The reduced matrix for CI smoke runs: one control-plane outage and
-    /// one watchdog degradation (the two recovery paths with bounds).
+    /// one watchdog degradation (the two recovery paths with bounds). The
+    /// smoke run adds [`FaultPlan::failover_smoke`] on the standby-paired
+    /// conference.
     pub fn smoke_matrix(seed: u64) -> Vec<FaultPlan> {
         vec![FaultPlan::controller_outage(seed), FaultPlan::deadline_overrun(seed)]
     }

@@ -1,29 +1,30 @@
-//! gso-cluster: sharded controller failover for GSO-Simulcast.
+//! gso-cluster: controller failover primitives for GSO-Simulcast.
 //!
-//! The paper's conference node is a single logical controller; at fleet
-//! scale it becomes a set of **shards**, each owning a partition of
-//! conferences, and a controller crash must not take its partition down
-//! for longer than the §7 recovery budget. This crate supplies the three
-//! mechanisms that make that true, all on the deterministic sim clock:
+//! The paper's conference node is a single logical controller, and a
+//! controller crash must not take its conference down for longer than the
+//! §7 recovery budget: a **standby** takes over. The simulation's
+//! `ConferenceNode` (active and standby roles) and `AccessNode` (the
+//! fence) in `gso-sim` run the three mechanisms this crate supplies, all on
+//! the deterministic sim clock:
 //!
 //! * [`lease`] — heartbeat/lease failure detection with seeded jitter
-//!   ([`FailureDetector`]): a standby declares its shard dead only after a
+//!   ([`FailureDetector`]): a standby declares its active dead only after a
 //!   full lease of silence, so transient heartbeat loss never flaps into a
 //!   promotion.
 //! * [`replica`] — bounded, digest-covered delta replication of controller
 //!   state ([`SnapshotPublisher`] / [`StandbyReplica`]): the standby holds
 //!   everything a promoted controller needs to re-register every client
 //!   without a resync round trip, and detects gaps instead of drifting.
-//! * [`cluster`] — the sharded [`ControllerCluster`] and the
-//!   [`EpochLedger`] write fence: promotions bump the epoch in RFC 1982
-//!   serial order, and a partition's ledger accepts a write only from the
-//!   live `(shard, epoch)` — a zombie shard on the wrong side of a network
-//!   partition is fenced, never merged (split-brain safety).
+//! * [`ledger`] — the [`EpochLedger`] write fence every access node runs:
+//!   promotions bump the epoch in RFC 1982 serial order, and the ledger
+//!   accepts a write only from the live `(writer, epoch)` — a zombie
+//!   controller on the wrong side of a network partition is fenced, never
+//!   merged (split-brain safety).
 
-pub mod cluster;
 pub mod lease;
+pub mod ledger;
 pub mod replica;
 
-pub use cluster::{ClusterConfig, ControllerCluster, EpochLedger, ShardId};
 pub use lease::{FailureDetector, LeaseConfig};
+pub use ledger::EpochLedger;
 pub use replica::{ApplyOutcome, SnapshotDelta, SnapshotPublisher, StandbyReplica};

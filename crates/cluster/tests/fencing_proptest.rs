@@ -8,7 +8,7 @@
 //! the same epoch, liveness must only ever transfer forward in RFC 1982
 //! serial order, and a fenced predecessor must stay fenced forever.
 
-use gso_cluster::{EpochLedger, FailureDetector, LeaseConfig, ShardId};
+use gso_cluster::{EpochLedger, FailureDetector, LeaseConfig};
 use gso_util::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -19,8 +19,10 @@ fn serial_ge(a: u32, b: u32) -> bool {
     a == b || ((a.wrapping_sub(b) as i32) > 0)
 }
 
-const ACTIVE: ShardId = ShardId(0);
-const STANDBY: ShardId = ShardId(1);
+/// The ledger is generic over the writer id; the two shards are labels.
+type Shard = &'static str;
+const ACTIVE: Shard = "active";
+const STANDBY: Shard = "standby";
 
 /// One scripted step: advance the clock by `dt_ms`, then perform `op`.
 ///
@@ -49,8 +51,8 @@ fn run_case(steps: &[(u8, u64)], seed: u64) -> Result<(), String> {
     let mut promotions = 0u32;
     // Every accepted write, in order: the history the invariants quantify
     // over ("ever", not just "currently").
-    let mut accepted: Vec<(ShardId, u32)> = Vec::new();
-    let mut owners: BTreeMap<u32, ShardId> = BTreeMap::new();
+    let mut accepted: Vec<(Shard, u32)> = Vec::new();
+    let mut owners: BTreeMap<u32, Shard> = BTreeMap::new();
 
     // The active establishes itself before the chaos starts, exactly as a
     // booted conference does.

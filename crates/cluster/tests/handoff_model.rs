@@ -13,7 +13,7 @@
 
 use gso_algo::{Ladder, Resolution, SourceId, StreamSpec};
 use gso_cluster::StandbyReplica;
-use gso_cluster::{ApplyOutcome, EpochLedger, ShardId, SnapshotDelta, SnapshotPublisher};
+use gso_cluster::{ApplyOutcome, EpochLedger, SnapshotDelta, SnapshotPublisher};
 use gso_control::{ClientSnapshot, SubscribeIntent};
 use gso_util::{Bitrate, ClientId, StreamKind};
 use std::sync::mpsc::channel;
@@ -144,9 +144,9 @@ fn model_handoff_handshake_recovers_from_losses() {
 /// ever owned by both shards.
 #[test]
 fn model_fencing_race_never_accepts_zombie_after_takeover() {
-    const ZOMBIE: ShardId = ShardId(0);
-    const PROMOTED: ShardId = ShardId(1);
-    let ledger = Arc::new(Mutex::new((EpochLedger::new(), Vec::<(ShardId, u32)>::new())));
+    const ZOMBIE: &str = "zombie";
+    const PROMOTED: &str = "promoted";
+    let ledger = Arc::new(Mutex::new((EpochLedger::new(), Vec::<(&str, u32)>::new())));
 
     std::thread::scope(|s| {
         for (shard, epoch, writes) in [(ZOMBIE, 0u32, 40u32), (PROMOTED, 1, 40)] {

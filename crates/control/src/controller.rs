@@ -9,7 +9,7 @@ use crate::failure::fallback_solution;
 use crate::feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
 use crate::hysteresis::{BandwidthHysteresis, HysteresisConfig};
 use crate::scheduler::{ControlScheduler, SchedulerConfig};
-use crate::state::{CodecCapability, GlobalPicture, SubscribeIntent};
+use crate::state::{ClientSnapshot, CodecCapability, GlobalPicture, SubscribeIntent};
 use gso_algo::{
     diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig, SourceId, Tenancy,
 };
@@ -262,6 +262,25 @@ impl GsoController {
         let effective = self.hysteresis.filter((client, Direction::Downlink), now, measured);
         self.picture.report_downlink(client, now, effective);
         self.maybe_trigger(prev, effective);
+    }
+
+    /// Re-register clients from snapshots: the inverse of
+    /// [`GlobalPicture::snapshot`]. Each client joins with its ladders,
+    /// resubscribes, and replays its last non-zero link estimates at `now`
+    /// (zero means "never reported", which the picture defaults). Used by
+    /// a promoted standby (from its replica) and by a restarted controller
+    /// (from accessing-node resyncs).
+    pub fn restore(&mut self, now: SimTime, snapshots: impl IntoIterator<Item = ClientSnapshot>) {
+        for snap in snapshots {
+            self.on_join(snap.client, CodecCapability { ladders: snap.ladders });
+            self.on_subscriptions(snap.client, snap.intents);
+            if !snap.uplink.is_zero() {
+                self.on_uplink_report(now, snap.client, snap.uplink);
+            }
+            if !snap.downlink.is_zero() {
+                self.on_downlink_report(now, snap.client, snap.downlink);
+            }
+        }
     }
 
     fn maybe_trigger(&mut self, prev: Option<Bitrate>, new: Bitrate) {
@@ -956,5 +975,50 @@ mod tests {
             assert!(d >= gso_util::SimDuration::from_secs(1));
             assert!(d <= gso_util::SimDuration::from_millis(3_100));
         }
+    }
+
+    /// `restore` is the inverse of `GlobalPicture::snapshot`: a fresh
+    /// controller rebuilt from a picture's snapshots reproduces the same
+    /// snapshots and the same state digest — ladders (one and two kinds),
+    /// intents (tagged, multi-source, none), and reported as well as
+    /// never-reported (zero) uplinks and downlinks.
+    #[test]
+    fn restore_from_snapshot_round_trips() {
+        let now = SimTime::from_millis(2_500);
+        let intent =
+            |source, tag| SubscribeIntent { source, max_resolution: Resolution::R720, tag };
+        let mut original = GsoController::new(ControllerConfig::paper_defaults(), Ssrc(0xc0de));
+        let mut screen_caps = caps();
+        screen_caps.ladders.push((StreamKind::Screen, ladders::coarse3()));
+        original.on_join(ClientId(1), screen_caps);
+        original.on_join(ClientId(2), caps());
+        original.on_join(
+            ClientId(3),
+            CodecCapability { ladders: vec![(StreamKind::Video, ladders::coarse3())] },
+        );
+        original.on_join(ClientId(4), caps());
+        original.on_subscriptions(
+            ClientId(2),
+            vec![intent(SourceId::video(ClientId(1)), 0), intent(SourceId::screen(ClientId(1)), 0)],
+        );
+        original.on_subscriptions(ClientId(3), vec![intent(SourceId::video(ClientId(1)), 1)]);
+        original.on_uplink_report(now, ClientId(1), k(5_000));
+        original.on_downlink_report(now, ClientId(2), k(2_000));
+        original.on_uplink_report(now, ClientId(3), k(900));
+        // A downgrade leaves the gated (effective) estimate in the picture.
+        original.on_downlink_report(now, ClientId(3), k(3_000));
+        original.on_downlink_report(now, ClientId(3), k(1_200));
+
+        let snapshot = original.picture.snapshot();
+        assert_eq!(snapshot.len(), 4);
+        assert!(snapshot[0].uplink > Bitrate::ZERO && snapshot[0].downlink.is_zero());
+        assert!(snapshot[1].uplink.is_zero() && snapshot[1].downlink > Bitrate::ZERO);
+        assert_eq!(snapshot[2].downlink, k(1_200));
+        assert!(snapshot[3].uplink.is_zero() && snapshot[3].intents.is_empty());
+
+        let mut restored = GsoController::new(ControllerConfig::paper_defaults(), Ssrc(0xc0de));
+        restored.restore(now, snapshot.clone());
+        assert_eq!(restored.picture.snapshot(), snapshot);
+        assert_eq!(restored.state_digest(), original.state_digest());
     }
 }

@@ -11,6 +11,7 @@ use crate::node::{Actions, Node, NodeId, Packet};
 use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{DetRng, SimTime};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 
 enum EventKind {
@@ -18,8 +19,32 @@ enum EventKind {
     Timer { node: NodeId, token: u64 },
 }
 
-struct Event {
+/// A queued event, ordered on `(at, seq)` only: `seq` is unique, so the
+/// payload never takes part in a comparison.
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
     kind: EventKind,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
 }
 
 /// The event-driven network simulator.
@@ -27,12 +52,10 @@ pub struct Simulator {
     now: SimTime,
     seed: u64,
     next_seq: u64,
-    queue: BinaryHeap<Reverse<(SimTime, u64)>>,
-    // Both maps are BTreeMaps on principle (detguard rule `hash-collection`):
-    // `events` is only ever keyed-removed, but a hash map here would invite
-    // order-sensitive iteration later; `links` *is* iterated for exports.
-    events: BTreeMap<u64, Event>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
     nodes: Vec<Option<Box<dyn Node>>>,
+    /// A `BTreeMap` on principle (lint rule `hash-collection`): it is
+    /// iterated for exports and digests.
     links: BTreeMap<(NodeId, NodeId), Link>,
     /// Packets whose destination had no link/node; counted, not fatal.
     pub undeliverable: u64,
@@ -47,7 +70,6 @@ impl Simulator {
             seed,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            events: BTreeMap::new(),
             nodes: Vec::new(),
             links: BTreeMap::new(),
             undeliverable: 0,
@@ -142,13 +164,13 @@ impl Simulator {
     /// exactly `deadline` are processed. Returns the number of events run.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(&Reverse((at, seq))) = self.queue.peek() {
-            if at > deadline {
+        loop {
+            let Some(next) = self.queue.peek_mut() else { break };
+            if next.0.at > deadline {
                 break;
             }
-            self.queue.pop();
-            let Some(event) = self.events.remove(&seq) else { continue };
-            self.now = at;
+            let Reverse(event) = PeekMut::pop(next);
+            self.now = event.at;
             processed += 1;
             match event.kind {
                 EventKind::Deliver { from, to, packet } => {
@@ -167,8 +189,7 @@ impl Simulator {
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Reverse((at, seq)));
-        self.events.insert(seq, Event { kind });
+        self.queue.push(Reverse(Scheduled { at, seq, kind }));
     }
 
     fn dispatch_packet(&mut self, from: NodeId, to: NodeId, packet: Packet) {
@@ -214,7 +235,8 @@ impl Simulator {
         h.write_u64(self.next_seq);
         h.write_u64(self.undeliverable);
         // BinaryHeap iteration order is unspecified; sort the snapshot.
-        let mut pending: Vec<(SimTime, u64)> = self.queue.iter().map(|&Reverse(p)| p).collect();
+        let mut pending: Vec<(SimTime, u64)> =
+            self.queue.iter().map(|Reverse(e)| (e.at, e.seq)).collect();
         pending.sort_unstable();
         pending.digest(&mut h);
         h.write_len(self.links.len());

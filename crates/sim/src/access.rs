@@ -9,15 +9,17 @@
 
 use crate::client::PolicyMode;
 use crate::ctrl::{ClientSnapshot, CtrlMessage};
+use crate::SHARD_LABEL;
 use gso_algo::{Ladder, SourceId};
 use gso_bwe::TwccGenerator;
 use gso_bwe::{
     BweConfig, ProbeConfig, ProbeController, SembConfig, SembScheduler, SendHistory, SenderBwe,
 };
+use gso_cluster::EpochLedger;
 use gso_control::SubscribeIntent;
 use gso_media::FragmentHeader;
 use gso_net::{Actions, Node, NodeId, Packet};
-use gso_rtp::{decode_ssrc, epoch_newer, ssrc_for, RtcpPacket, RtpPacket};
+use gso_rtp::{decode_ssrc, ssrc_for, RtcpPacket, RtpPacket};
 use gso_sfu::{
     LargestFitSelector, LayerSwitcher, OfferedLayer, PassthroughSelector, StreamSelector,
     TwoLevelSelector,
@@ -67,15 +69,15 @@ struct LayerRate {
 /// The accessing node.
 pub struct AccessNode {
     mode: PolicyMode,
-    conference: Option<NodeId>,
-    /// Epoch of the controller this node follows. Epoch-stamped CN → AN
-    /// traffic (rules, config pushes, resyncs) is accepted only from the
-    /// followed controller at this epoch — or from *any* node at a newer
-    /// epoch, which re-homes the node to it (standby promotion). Stale
-    /// traffic is fenced and answered with [`CtrlMessage::Fence`], so a
-    /// zombie controller on the wrong side of a partition can never
-    /// rewrite forwarding state (split-brain safety, §7).
-    ctrl_epoch: u32,
+    /// The conference controller this node follows, and at which epoch.
+    /// Epoch-stamped CN → AN traffic (rules, config pushes, resyncs) is
+    /// accepted only from the followed controller at its epoch — or from
+    /// *any* node at a newer epoch, which re-homes the node to it (standby
+    /// promotion). Stale traffic is fenced and answered with
+    /// [`CtrlMessage::Fence`], so a zombie controller on the wrong side of
+    /// a partition can never rewrite forwarding state (split-brain safety,
+    /// §7).
+    ledger: EpochLedger<NodeId>,
     /// Attached clients and their network endpoints.
     clients: BTreeMap<ClientId, NodeId>,
     endpoint_to_client: BTreeMap<NodeId, ClientId>,
@@ -109,12 +111,16 @@ pub struct AccessNode {
 }
 
 impl AccessNode {
-    /// Build an accessing node. `conference` is required in GSO mode.
+    /// Build an accessing node. `conference` is required in GSO mode; the
+    /// node follows it at epoch 0 until a newer epoch re-homes it.
     pub fn new(mode: PolicyMode, conference: Option<NodeId>) -> Self {
+        let mut ledger = EpochLedger::new();
+        if let Some(cn) = conference {
+            ledger.record_write(cn, 0);
+        }
         AccessNode {
             mode,
-            conference,
-            ctrl_epoch: 0,
+            ledger,
             clients: BTreeMap::new(),
             endpoint_to_client: BTreeMap::new(),
             remote_clients: BTreeMap::new(),
@@ -156,6 +162,11 @@ impl AccessNode {
     /// relayed through that peer.
     pub fn attach_remote(&mut self, client: ClientId, peer: NodeId) {
         self.remote_clients.insert(client, peer);
+    }
+
+    /// The conference node this node currently follows.
+    fn conference(&self) -> Option<NodeId> {
+        self.ledger.live().map(|(cn, _)| cn)
     }
 
     fn is_peer(&self, node: NodeId) -> bool {
@@ -351,7 +362,7 @@ impl AccessNode {
                 }
                 RtcpPacket::Semb(semb) => {
                     self.last_uplink.insert(from, semb.bitrate);
-                    if let (PolicyMode::Gso, Some(cn)) = (self.mode, self.conference) {
+                    if let (PolicyMode::Gso, Some(cn)) = (self.mode, self.conference()) {
                         out.send(
                             cn,
                             Packet::new(
@@ -362,7 +373,7 @@ impl AccessNode {
                     }
                 }
                 RtcpPacket::GsoTmmbn(ack) => {
-                    if let Some(cn) = self.conference {
+                    if let Some(cn) = self.conference() {
                         out.send(
                             cn,
                             Packet::new(
@@ -388,26 +399,20 @@ impl AccessNode {
         }
     }
 
-    /// Epoch gate for CN → AN control traffic. Returns `true` when the
-    /// message must be dropped: the sender's epoch is older than the one we
-    /// follow (or equal but from a node we do not follow), i.e. a fenced
-    /// zombie. A strictly newer epoch re-homes this node to the sender —
-    /// that is how a promoted standby captures the access layer. Fenced
-    /// senders are told the live epoch so they can step down.
+    /// Epoch gate for CN → AN control traffic, decided by the
+    /// [`EpochLedger`]. Returns `true` when the message must be dropped:
+    /// the sender's epoch is older than the one we follow (or equal but
+    /// from a node we do not follow), i.e. a fenced zombie. A strictly
+    /// newer epoch re-homes this node to the sender — that is how a
+    /// promoted standby captures the access layer. Fenced senders are told
+    /// the live epoch so they can step down.
     fn fenced(&mut self, from: NodeId, epoch: u32, out: &mut Actions) -> bool {
-        if epoch == self.ctrl_epoch && self.conference.is_none_or(|cn| cn == from) {
-            // Current epoch from the controller we follow (or the first
-            // controller we hear from at all).
-            self.conference = Some(from);
+        if self.ledger.record_write(from, epoch) {
             return false;
         }
-        if epoch_newer(epoch, self.ctrl_epoch) {
-            self.ctrl_epoch = epoch;
-            self.conference = Some(from);
-            return false;
-        }
-        self.telemetry.incr(keys::CLUSTER_FENCED, "s0");
-        out.send(from, Packet::new(CtrlMessage::Fence { epoch: self.ctrl_epoch }.serialize()));
+        self.telemetry.incr(keys::CLUSTER_FENCED, SHARD_LABEL);
+        let live_epoch = self.ledger.live().map_or(0, |(_, e)| e);
+        out.send(from, Packet::new(CtrlMessage::Fence { epoch: live_epoch }.serialize()));
         true
     }
 
@@ -418,7 +423,7 @@ impl AccessNode {
             // audio fan-out and controller resync, then relayed.
             CtrlMessage::Join { client, ref ladders } => {
                 self.client_ladders.insert(client, ladders.clone());
-                if let Some(cn) = self.conference {
+                if let Some(cn) = self.conference() {
                     out.send(cn, Packet::new(msg.serialize()));
                 }
             }
@@ -426,14 +431,14 @@ impl AccessNode {
                 if let Ok(offer) = gso_control::SdpOffer::parse(sdp) {
                     self.client_ladders.insert(client, offer.ladders);
                 }
-                if let Some(cn) = self.conference {
+                if let Some(cn) = self.conference() {
                     out.send(cn, Packet::new(msg.serialize()));
                 }
             }
             CtrlMessage::Leave { client } => {
                 self.client_ladders.remove(&client);
                 self.last_uplink.remove(&client);
-                if let Some(cn) = self.conference {
+                if let Some(cn) = self.conference() {
                     out.send(cn, Packet::new(msg.serialize()));
                 }
             }
@@ -444,7 +449,7 @@ impl AccessNode {
             }
             CtrlMessage::Subscribe { client, ref intents } => {
                 self.subs.insert(client, intents.clone());
-                if let Some(cn) = self.conference {
+                if let Some(cn) = self.conference() {
                     out.send(cn, Packet::new(msg.serialize()));
                 }
             }
@@ -768,7 +773,7 @@ impl Node for AccessNode {
                             // During a blackout the scheduler still advances
                             // (reports resume on cadence), but nothing is
                             // sent.
-                            if let (false, Some(cn)) = (self.report_blackout, self.conference) {
+                            if let (false, Some(cn)) = (self.report_blackout, self.conference()) {
                                 out.send(
                                     cn,
                                     Packet::new(
@@ -1068,8 +1073,7 @@ mod tests {
         };
         let mut out = Actions::default();
         an.on_packet(SimTime::ZERO, standby, Packet::new(newer.serialize()), &mut out);
-        assert_eq!(an.ctrl_epoch, 1);
-        assert_eq!(an.conference, Some(standby));
+        assert_eq!(an.ledger.live(), Some((standby, 1)));
         assert!(!an.switchers.is_empty(), "newer-epoch rules applied");
 
         // The zombie controller's epoch-0 rules are dropped and answered
@@ -1083,9 +1087,24 @@ mod tests {
             &mut out,
         );
         assert!(an.switchers.is_empty(), "stale-epoch rules must not be applied");
-        assert_eq!(an.conference, Some(standby), "zombie must not capture the node");
+        assert_eq!(an.ledger.live(), Some((standby, 1)), "zombie must not capture the node");
         assert_eq!(out.sends().len(), 1);
         assert_eq!(out.sends()[0].0, cn);
+        assert_eq!(
+            CtrlMessage::parse(out.sends()[0].1.data.clone()),
+            Some(CtrlMessage::Fence { epoch: 1 })
+        );
+
+        // An equal-epoch write from a node the access node does not follow
+        // is just as stale: dropped, and answered with a Fence.
+        let rival = NodeId(2);
+        let mut out = Actions::default();
+        an.on_packet(SimTime::from_millis(1), rival, Packet::new(newer.serialize()), &mut out);
+        assert!(an.switchers.is_empty(), "equal-epoch rules from a rival must not be applied");
+        assert_eq!(an.ledger.live(), Some((standby, 1)), "rival must not capture the node");
+        assert_eq!(an.ledger.fenced(), 2);
+        assert_eq!(out.sends().len(), 1);
+        assert_eq!(out.sends()[0].0, rival);
         assert_eq!(
             CtrlMessage::parse(out.sends()[0].1.data.clone()),
             Some(CtrlMessage::Fence { epoch: 1 })

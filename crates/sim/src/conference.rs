@@ -18,6 +18,7 @@
 //! under a symmetric network partition.
 
 use crate::ctrl::CtrlMessage;
+use crate::SHARD_LABEL;
 use gso_cluster::{ApplyOutcome, FailureDetector, LeaseConfig, SnapshotPublisher, StandbyReplica};
 use gso_control::{CodecCapability, ControllerConfig, GsoController};
 use gso_net::{Actions, Node, NodeId, Packet};
@@ -80,9 +81,6 @@ struct StandbyRole {
     /// addressing `SnapshotNack` replies.
     active: Option<NodeId>,
 }
-
-/// Telemetry label for the (single) conference shard in the simulation.
-const SHARD_LABEL: &str = "s0";
 
 /// Replication change-entry budget per delta (see `gso-cluster`).
 const MAX_DELTA_CHANGES: usize = 64;
@@ -187,10 +185,7 @@ impl ConferenceNode {
         // the client side, so the generation counter rolls over cleanly
         // instead of panicking (debug) or freezing (release) at u32::MAX.
         self.epoch = self.epoch.wrapping_add(1);
-        let mut controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
-        controller.set_telemetry(self.telemetry.clone());
-        controller.set_epoch(self.epoch);
-        self.controller = controller;
+        self.controller = self.fresh_controller();
         self.client_an.clear();
         self.restarted_at = Some(now);
         // The rebuilt controller shares no diff base with the standby's
@@ -208,6 +203,15 @@ impl ConferenceNode {
         }
     }
 
+    /// An empty controller under the current epoch: what a restart or a
+    /// promotion rebuilds from.
+    fn fresh_controller(&self) -> GsoController {
+        let mut controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
+        controller.set_telemetry(self.telemetry.clone());
+        controller.set_epoch(self.epoch);
+        controller
+    }
+
     fn broadcast_targets(&self) -> Vec<NodeId> {
         if self.access_nodes.is_empty() {
             self.default_an.into_iter().collect()
@@ -223,20 +227,8 @@ impl ConferenceNode {
     fn promote(&mut self, now: SimTime, out: &mut Actions) {
         let Some(role) = self.standby_role.take() else { return };
         self.epoch = role.detector.last_epoch().wrapping_add(1);
-        let mut controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
-        controller.set_telemetry(self.telemetry.clone());
-        controller.set_epoch(self.epoch);
-        self.controller = controller;
-        for snap in role.replica.snapshots() {
-            self.controller.on_join(snap.client, CodecCapability { ladders: snap.ladders });
-            self.controller.on_subscriptions(snap.client, snap.intents);
-            if !snap.uplink.is_zero() {
-                self.controller.on_uplink_report(now, snap.client, snap.uplink);
-            }
-            if !snap.downlink.is_zero() {
-                self.controller.on_downlink_report(now, snap.client, snap.downlink);
-            }
-        }
+        self.controller = self.fresh_controller();
+        self.controller.restore(now, role.replica.snapshots());
         self.promoted_at = Some(now);
         self.publisher = SnapshotPublisher::new(MAX_DELTA_CHANGES);
         self.hb_seq = 0;
@@ -310,17 +302,10 @@ impl Node for ConferenceNode {
                 // Re-registration of everything an accessing node knows
                 // about its clients: capabilities, subscriptions and the
                 // last bandwidth estimates.
-                for snap in clients {
+                for snap in &clients {
                     self.client_an.insert(snap.client, from);
-                    self.controller.on_join(snap.client, CodecCapability { ladders: snap.ladders });
-                    self.controller.on_subscriptions(snap.client, snap.intents);
-                    if !snap.uplink.is_zero() {
-                        self.controller.on_uplink_report(now, snap.client, snap.uplink);
-                    }
-                    if !snap.downlink.is_zero() {
-                        self.controller.on_downlink_report(now, snap.client, snap.downlink);
-                    }
                 }
+                self.controller.restore(now, clients);
             }
             CtrlMessage::Join { client, ladders } => {
                 self.client_an.insert(client, from);

@@ -87,7 +87,7 @@ pub const ADMISSION_QUEUED: &str = "admission.queued";
 pub const ADMISSION_REJECTED: &str = "admission.rejected";
 
 // ---------------------------------------------------------------------
-// Controller cluster (gso-cluster / sim failover). Label: shard ("s<id>")
+// Controller failover (gso-cluster primitives run by gso-sim). Label: shard ("s<id>")
 // unless noted.
 // ---------------------------------------------------------------------
 

@@ -55,9 +55,7 @@
 //! so the reconstructed pick is bit-identical to what a stored table would
 //! say, at `O(Σ |items|)` total cost and half the memory traffic. The DP
 //! inner loop is a branch-light elementwise `max` over two contiguous `f64`
-//! slices ([`relax_row`]); the `simd` cargo feature swaps in a manually
-//! 4-lane-unrolled variant of the same elementwise update (bit-identical —
-//! the update carries no cross-lane dependency).
+//! slices ([`relax_row`]).
 //!
 //! [`McPool`] recycles retired states' slabs across clients, ticks and
 //! conferences: capacity is kept on [`McState::clear`], so a state acquired
@@ -381,35 +379,9 @@ impl McState {
 /// for every lane. Strict `>` keeps the documented tie-breaking (an equal
 /// candidate never replaces the incumbent), and the unconditional select
 /// store keeps the loop branch-free so it autovectorizes.
-#[cfg(not(feature = "simd"))]
 #[inline]
 fn relax_row(dst: &mut [f64], src: &[f64], value: f64) {
     for (d, s) in dst.iter_mut().zip(src.iter()) {
-        let cand = s + value;
-        *d = if cand > *d { cand } else { *d };
-    }
-}
-
-/// 4-lane manually unrolled variant of [`relax_row`], selected by the `simd`
-/// cargo feature. The update is purely elementwise — lane `j` never reads
-/// another lane — so any unroll width produces bit-identical tables to the
-/// scalar loop; the unroll only hands the backend wider independent chains.
-#[cfg(feature = "simd")]
-#[inline]
-fn relax_row(dst: &mut [f64], src: &[f64], value: f64) {
-    let mut d4 = dst.chunks_exact_mut(4);
-    let mut s4 = src.chunks_exact(4);
-    for (d, s) in d4.by_ref().zip(s4.by_ref()) {
-        let ([d0, d1, d2, d3], [s0, s1, s2, s3]) = (d, s) else {
-            continue;
-        };
-        let (c0, c1, c2, c3) = (s0 + value, s1 + value, s2 + value, s3 + value);
-        *d0 = if c0 > *d0 { c0 } else { *d0 };
-        *d1 = if c1 > *d1 { c1 } else { *d1 };
-        *d2 = if c2 > *d2 { c2 } else { *d2 };
-        *d3 = if c3 > *d3 { c3 } else { *d3 };
-    }
-    for (d, s) in d4.into_remainder().iter_mut().zip(s4.remainder().iter()) {
         let cand = s + value;
         *d = if cand > *d { cand } else { *d };
     }

@@ -75,9 +75,8 @@ fn main() -> ExitCode {
     }
 
     // Failover plans run against the standby-paired conference and are
-    // judged against its own no-fault baseline (the replication stream and
-    // heartbeats change the wire mix, so the standard baseline is not the
-    // right reference).
+    // judged against its own no-fault baseline (the heartbeats change the
+    // wire mix, so the standard baseline is not the right reference).
     let failover = failover_scenario(seed);
     let failover_plans = if smoke {
         FaultPlan::failover_smoke(seed)

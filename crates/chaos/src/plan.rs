@@ -70,7 +70,7 @@ pub enum FaultKind {
     /// [`gso_sim::Scenario`] built with `standby: true`.
     ShardCrash,
     /// Block (`true`) or heal (`false`) the active → standby link carrying
-    /// heartbeats and replication deltas. Sub-lease blocks must *not*
+    /// heartbeats. Sub-lease blocks must *not*
     /// promote; a block outlasting the lease must promote exactly once.
     HeartbeatLink(bool),
     /// Partition (`true`) or heal (`false`) the active shard from every
@@ -232,8 +232,7 @@ impl FaultPlan {
     /// Shard crash: the active conference shard dies for good inside the
     /// fault window. The standby's lease expires within ~1 s, it promotes
     /// itself under a bumped epoch, rebuilds the controller from the
-    /// replicated snapshots plus the accessing nodes' resync replies, and
-    /// the conference re-converges. No zombie exists, so zero fenced
+    /// accessing nodes' resync replies, and the conference re-converges. No zombie exists, so zero fenced
     /// writes are expected.
     pub fn shard_crash(seed: u64) -> Self {
         let mut rng = DetRng::derive(seed, "chaos-shard-crash");
@@ -250,8 +249,8 @@ impl FaultPlan {
     /// takeover's resyncs, GTMB pushes and acks run against disordered,
     /// delayed control traffic. The load is deliberately loss-free: a loss
     /// window would crater the client's uplink estimate right as the
-    /// promoted controller seeds its picture from the replica, and the
-    /// resulting low allocation can trap BWE below a ladder-budget cliff —
+    /// promoted controller seeds its picture from the resync replies, and
+    /// the resulting low allocation can trap BWE below a ladder-budget cliff —
     /// a steady-state property of rate allocation, not of failover. The
     /// link heals before the tail window; QoE must re-converge.
     pub fn promotion_under_load(seed: u64, client: ClientId) -> Self {

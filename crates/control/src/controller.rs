@@ -268,8 +268,8 @@ impl GsoController {
     /// [`GlobalPicture::snapshot`]. Each client joins with its ladders,
     /// resubscribes, and replays its last non-zero link estimates at `now`
     /// (zero means "never reported", which the picture defaults). Used by
-    /// a promoted standby (from its replica) and by a restarted controller
-    /// (from accessing-node resyncs).
+    /// a restarted or promoted controller on each accessing node's resync
+    /// reply.
     pub fn restore(&mut self, now: SimTime, snapshots: impl IntoIterator<Item = ClientSnapshot>) {
         for snap in snapshots {
             self.on_join(snap.client, CodecCapability { ladders: snap.ladders });

@@ -36,8 +36,7 @@ pub struct CodecCapability {
 /// One client's controller-relevant state: everything a restarted or
 /// promoted controller needs to re-register the client without a round
 /// trip to the endpoint itself. Accessing nodes cache these for §7 resync
-/// (`ResyncState`), and an active shard streams them as deltas to its
-/// standby for failover (gso-cluster).
+/// (`ResyncState`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientSnapshot {
     /// The client.
@@ -227,11 +226,11 @@ impl GlobalPicture {
         self.clients.get(&id).and_then(|c| c.downlink)
     }
 
-    /// The picture as one [`ClientSnapshot`] per client, in client order —
-    /// the unit of shard → standby delta replication. Unreported
-    /// bandwidths snapshot as zero (the standby falls back to
-    /// [`Self::default_bandwidth`] on rebuild, exactly like a restarted
-    /// controller absorbing `ResyncState`).
+    /// The picture as one [`ClientSnapshot`] per client, in client order:
+    /// what [`crate::GsoController::restore`] must reproduce. Unreported
+    /// bandwidths snapshot as zero, which a restore reads as "never
+    /// reported" (the picture then defaults them, as for `ResyncState`).
+    #[cfg(test)]
     pub fn snapshot(&self) -> Vec<ClientSnapshot> {
         self.clients
             .iter()

@@ -185,8 +185,8 @@ impl AccessNode {
     }
 
     /// Snapshot of every locally-attached client's cached state, for
-    /// controller resync after a restart.
-    fn snapshot(&self) -> Vec<ClientSnapshot> {
+    /// controller resync after a restart or a standby promotion.
+    pub(crate) fn snapshot(&self) -> Vec<ClientSnapshot> {
         self.clients
             .keys()
             .map(|&client| ClientSnapshot {

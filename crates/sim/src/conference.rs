@@ -8,18 +8,18 @@
 //! forwarding rules to every accessing node.
 //!
 //! A conference node can also boot as a **standby shard**
-//! ([`ConferenceNode::new_standby`]): it mirrors the active's state from
-//! replication deltas, watches its heartbeats through a lease-based
-//! [`FailureDetector`], and on lease expiry promotes itself under a bumped
-//! epoch — rebuilding the controller from the replica and re-homing every
-//! accessing node with an epoch-stamped resync. Epoch fencing at the
-//! accessing nodes (plus the [`CtrlMessage::Fence`] reply that makes a
-//! zombie step down) guarantees at most one writer per conference even
-//! under a symmetric network partition.
+//! ([`ConferenceNode::new_standby`]): it watches the active's heartbeats
+//! through a lease-based [`FailureDetector`], and on lease expiry promotes
+//! itself under a bumped epoch — rebuilding the controller exactly like a
+//! restart, from an epoch-stamped resync that also re-homes every
+//! accessing node. Epoch fencing at the accessing nodes (plus the
+//! [`CtrlMessage::Fence`] reply that makes a zombie step down) guarantees
+//! at most one writer per conference even under a symmetric network
+//! partition.
 
 use crate::ctrl::CtrlMessage;
 use crate::SHARD_LABEL;
-use gso_cluster::{ApplyOutcome, FailureDetector, LeaseConfig, SnapshotPublisher, StandbyReplica};
+use gso_cluster::{FailureDetector, LeaseConfig};
 use gso_control::{CodecCapability, ControllerConfig, GsoController};
 use gso_net::{Actions, Node, NodeId, Packet};
 use gso_rtp::{epoch_newer, RtcpPacket};
@@ -56,34 +56,20 @@ pub struct ConferenceNode {
     /// Set at restart; cleared when the rebuilt controller first produces a
     /// non-fallback solution (that interval is the recovery time).
     restarted_at: Option<SimTime>,
-    /// Standby shard to stream heartbeats and replication deltas to (the
-    /// active side of the failover pair; set by the scenario builder).
+    /// Standby shard to heartbeat (the active side of the failover pair;
+    /// set by the scenario builder).
     standby: Option<NodeId>,
-    /// Diffs controller state into bounded deltas for the standby.
-    publisher: SnapshotPublisher,
     /// Heartbeat sequence within the current epoch.
     hb_seq: u64,
-    /// `Some` while this node is a passive standby; dropped at promotion.
-    standby_role: Option<StandbyRole>,
+    /// `Some` while this node is a passive standby: the lease detector
+    /// watching the active's heartbeats. Dropped at promotion.
+    detector: Option<FailureDetector>,
     /// Set at promotion; cleared when the promoted controller first
     /// produces a non-fallback solution (that interval is the takeover
     /// time, recorded on `cluster.takeover_ms`).
     promoted_at: Option<SimTime>,
     telemetry: Telemetry,
 }
-
-/// The passive half of a failover pair: a lease detector watching the
-/// active's heartbeats plus a replica mirroring its controller state.
-struct StandbyRole {
-    detector: FailureDetector,
-    replica: StandbyReplica,
-    /// Where the last heartbeat/delta came from (the active shard), for
-    /// addressing `SnapshotNack` replies.
-    active: Option<NodeId>,
-}
-
-/// Replication change-entry budget per delta (see `gso-cluster`).
-const MAX_DELTA_CHANGES: usize = 64;
 
 impl ConferenceNode {
     /// Build a conference node that will broadcast rules to `access_nodes`.
@@ -99,9 +85,8 @@ impl ConferenceNode {
             restarted_at: None,
             telemetry: Telemetry::disabled(),
             standby: None,
-            publisher: SnapshotPublisher::new(MAX_DELTA_CHANGES),
             hb_seq: 0,
-            standby_role: None,
+            detector: None,
             promoted_at: None,
         }
     }
@@ -117,28 +102,26 @@ impl ConferenceNode {
         let mut node = ConferenceNode::new(cfg, access_nodes);
         let mut detector = FailureDetector::new(lease, SHARD_LABEL);
         detector.arm(SimTime::ZERO);
-        node.standby_role =
-            Some(StandbyRole { detector, replica: StandbyReplica::new(SHARD_LABEL), active: None });
+        node.detector = Some(detector);
         node
     }
 
-    /// Point the active shard at its standby (heartbeat + delta target).
+    /// Point the active shard at its standby (heartbeat target).
     pub fn set_standby(&mut self, standby: NodeId) {
         self.standby = Some(standby);
     }
 
     /// Is this node still a passive standby?
     pub fn is_standby(&self) -> bool {
-        self.standby_role.is_some()
+        self.detector.is_some()
     }
 
     /// Attach a metrics registry to the embedded controller (and its
     /// feedback executor).
     pub fn set_telemetry(&mut self, telemetry: gso_telemetry::Telemetry) {
         self.telemetry = telemetry.clone();
-        if let Some(role) = &mut self.standby_role {
-            role.detector.set_telemetry(telemetry.clone());
-            role.replica.set_telemetry(telemetry.clone());
+        if let Some(detector) = &mut self.detector {
+            detector.set_telemetry(telemetry.clone());
         }
         self.controller.set_telemetry(telemetry);
     }
@@ -184,32 +167,30 @@ impl ConferenceNode {
         // Wrapping: epochs are compared with RFC 1982 serial arithmetic on
         // the client side, so the generation counter rolls over cleanly
         // instead of panicking (debug) or freezing (release) at u32::MAX.
-        self.epoch = self.epoch.wrapping_add(1);
-        self.controller = self.fresh_controller();
-        self.client_an.clear();
+        self.rebuild(self.epoch.wrapping_add(1), out);
         self.restarted_at = Some(now);
-        // The rebuilt controller shares no diff base with the standby's
-        // replica: start the replication stream over with a full snapshot.
-        self.publisher = SnapshotPublisher::new(MAX_DELTA_CHANGES);
-        self.hb_seq = 0;
         self.telemetry.event(
             now,
             keys::EV_CTRL_RESTART,
             format!("controller restarted, epoch {}", self.epoch),
         );
-        let msg = CtrlMessage::ResyncRequest { epoch: self.epoch }.serialize();
+    }
+
+    /// The one controller rebuild: an empty controller under `epoch`, then
+    /// an epoch-stamped `ResyncRequest` to every accessing node. Their
+    /// `ResyncState` replies re-register every client (ladders, intents,
+    /// last link estimates) and the client → accessing-node homing.
+    fn rebuild(&mut self, epoch: u32, out: &mut Actions) {
+        self.epoch = epoch;
+        self.controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
+        self.controller.set_telemetry(self.telemetry.clone());
+        self.controller.set_epoch(epoch);
+        self.client_an.clear();
+        self.hb_seq = 0;
+        let msg = CtrlMessage::ResyncRequest { epoch }.serialize();
         for an in self.broadcast_targets() {
             out.send(an, Packet::new(msg.clone()));
         }
-    }
-
-    /// An empty controller under the current epoch: what a restart or a
-    /// promotion rebuilds from.
-    fn fresh_controller(&self) -> GsoController {
-        let mut controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
-        controller.set_telemetry(self.telemetry.clone());
-        controller.set_epoch(self.epoch);
-        controller
     }
 
     fn broadcast_targets(&self) -> Vec<NodeId> {
@@ -221,57 +202,33 @@ impl ConferenceNode {
     }
 
     /// Promote this standby to active: bump the epoch serially past
-    /// everything the dead shard ever heartbeat, rebuild the controller
-    /// from the replica, and re-home every accessing node with an
-    /// epoch-stamped resync (they fence the zombie from then on).
+    /// everything the dead shard ever heartbeat and rebuild exactly like a
+    /// restart. The epoch-stamped resync re-homes every accessing node
+    /// (they fence the zombie from then on).
     fn promote(&mut self, now: SimTime, out: &mut Actions) {
-        let Some(role) = self.standby_role.take() else { return };
-        self.epoch = role.detector.last_epoch().wrapping_add(1);
-        self.controller = self.fresh_controller();
-        self.controller.restore(now, role.replica.snapshots());
+        let Some(detector) = self.detector.take() else { return };
+        self.rebuild(detector.last_epoch().wrapping_add(1), out);
         self.promoted_at = Some(now);
-        self.publisher = SnapshotPublisher::new(MAX_DELTA_CHANGES);
-        self.hb_seq = 0;
         self.telemetry.incr(keys::CLUSTER_PROMOTIONS, SHARD_LABEL);
         self.telemetry.event(
             now,
             keys::EV_CLUSTER_PROMOTED,
             format!("standby promoted, epoch {}", self.epoch),
         );
-        // Epoch-stamped resync: accessing nodes adopt this node as their
-        // conference controller and send back their cached client state
-        // (client → accessing-node homing rides in on the replies).
-        let msg = CtrlMessage::ResyncRequest { epoch: self.epoch }.serialize();
-        for an in self.broadcast_targets() {
-            out.send(an, Packet::new(msg.clone()));
-        }
     }
 }
 
 impl Node for ConferenceNode {
-    fn on_packet(&mut self, now: SimTime, from: NodeId, packet: Packet, _out: &mut Actions) {
+    fn on_packet(&mut self, now: SimTime, from: NodeId, packet: Packet, out: &mut Actions) {
         if self.down {
             return;
         }
-        let wire_len = packet.data.len() as u64;
         let Some(msg) = CtrlMessage::parse(packet.data) else { return };
-        // Passive standby: only the replication stream and heartbeats
-        // matter; everything else is the active shard's business.
-        if let Some(role) = &mut self.standby_role {
-            match msg {
-                CtrlMessage::ShardHeartbeat { epoch, seq } => {
-                    role.active = Some(from);
-                    role.detector.heartbeat(now, epoch, seq);
-                }
-                CtrlMessage::SnapshotDelta { delta } => {
-                    role.active = Some(from);
-                    self.telemetry.add(keys::CLUSTER_REPLICATION_BYTES, SHARD_LABEL, wire_len);
-                    if role.replica.apply(&delta) == ApplyOutcome::NeedFull {
-                        let nack = CtrlMessage::SnapshotNack { have_seq: role.replica.seq() };
-                        _out.send(from, Packet::new(nack.serialize()));
-                    }
-                }
-                _ => {}
+        // Passive standby: only heartbeats matter; everything else is the
+        // active shard's business.
+        if let Some(detector) = &mut self.detector {
+            if let CtrlMessage::ShardHeartbeat { epoch, seq } = msg {
+                detector.heartbeat(now, epoch, seq);
             }
             return;
         }
@@ -288,12 +245,6 @@ impl Node for ConferenceNode {
                     format!("fenced at epoch {}, successor at {epoch}", self.epoch),
                 );
             }
-            return;
-        }
-        if let CtrlMessage::SnapshotNack { .. } = msg {
-            // The standby lost the delta chain (loss/reorder on the
-            // replication link): start over with a full snapshot.
-            self.publisher.request_full();
             return;
         }
         self.default_an.get_or_insert(from);
@@ -321,7 +272,7 @@ impl Node for ConferenceNode {
                 let (answer, caps) = offer.negotiate();
                 self.client_an.insert(client, from);
                 self.controller.on_join(client, caps);
-                _out.send(
+                out.send(
                     from,
                     Packet::new(
                         CtrlMessage::SdpAnswer { client, sdp: answer.to_sdp() }.serialize(),
@@ -339,7 +290,7 @@ impl Node for ConferenceNode {
                 let rebroadcast = CtrlMessage::Subscribe { client, intents };
                 for &an in &self.access_nodes {
                     if an != from {
-                        _out.send(an, Packet::new(rebroadcast.serialize()));
+                        out.send(an, Packet::new(rebroadcast.serialize()));
                     }
                 }
             }
@@ -382,13 +333,11 @@ impl Node for ConferenceNode {
             out.timer_in(now, TICK_INTERVAL, TICK);
             return;
         }
-        if self.standby_role.is_some() {
+        if let Some(detector) = &mut self.detector {
             // Passive standby: poll the lease; promote on expiry. Either
             // way the tick chain continues (a promoted node solves on the
             // very next cadence slot).
-            let expired =
-                self.standby_role.as_mut().is_some_and(|role| role.detector.check_expired(now));
-            if expired {
+            if detector.check_expired(now) {
                 self.promote(now, out);
             }
             out.timer_in(now, TICK_INTERVAL, TICK);
@@ -457,18 +406,13 @@ impl Node for ConferenceNode {
             }
         }
 
-        // Failover pair maintenance: heartbeat the standby every tick and
-        // stream the controller-state diff alongside. Both ride the same
-        // backbone links as the rest of the control plane, so a partition
-        // that cuts them off is exactly what expires the lease.
+        // Failover pair maintenance: heartbeat the standby every tick. It
+        // rides the same backbone links as the rest of the control plane,
+        // so a partition that cuts it off is exactly what expires the lease.
         if let Some(sb) = self.standby {
             self.hb_seq += 1;
             let hb = CtrlMessage::ShardHeartbeat { epoch: self.epoch, seq: self.hb_seq };
             out.send(sb, Packet::new(hb.serialize()));
-            let snapshot = self.controller.picture.snapshot();
-            if let Some(delta) = self.publisher.tick(self.epoch, &snapshot) {
-                out.send(sb, Packet::new(CtrlMessage::SnapshotDelta { delta }.serialize()));
-            }
         }
         out.timer_in(now, TICK_INTERVAL, TICK);
     }
@@ -479,5 +423,108 @@ impl Node for ConferenceNode {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::access::AccessNode;
+    use crate::client::PolicyMode;
+    use crate::scenario::{ClientScenario, Scenario};
+    use crate::workloads::ladder_for_mode;
+    use gso_algo::Resolution;
+    use gso_control::SubscribeIntent;
+    use gso_util::Bitrate;
+
+    /// The promoted standby has nothing but the accessing nodes' resync
+    /// replies to rebuild from, and both regions' nodes must answer: at its
+    /// first solving tick the picture holds every client with exactly the
+    /// ladders and intents its accessing node cached plus live link
+    /// estimates, and that first round already solves without fallback.
+    #[test]
+    fn promoted_standby_has_full_picture_at_first_tick() {
+        let ladder = ladder_for_mode(PolicyMode::Gso);
+        let mut clients: Vec<ClientScenario> = (1..=4u32)
+            .map(|i| {
+                ClientScenario::clean(
+                    ClientId(i),
+                    Bitrate::from_mbps(4),
+                    Bitrate::from_mbps(4),
+                    ladder.clone(),
+                )
+            })
+            .collect();
+        clients[2].region = 1;
+        clients[3].region = 1;
+        let mut s = Scenario {
+            seed: 61,
+            mode: PolicyMode::Gso,
+            duration: SimDuration::from_secs(20),
+            clients,
+            speaker_schedule: Vec::new(),
+            standby: true,
+        };
+        s.subscribe_all_to_all(Resolution::R720);
+        let mut wired = s.build();
+        let sb = wired.standby.expect("standby requested");
+        assert_eq!(wired.ans.len(), 2);
+
+        let crash_at = SimTime::from_secs(5);
+        wired.sim.run_until(crash_at);
+        wired.sim.node_mut::<ConferenceNode>(wired.cn).expect("conference node").crash(crash_at);
+        // Both nodes tick on the same 100 ms grid from boot, so promotion
+        // lands on one of these steps.
+        let mut t = crash_at;
+        let promoted_at = loop {
+            t += TICK_INTERVAL;
+            wired.sim.run_until(t);
+            let node: &ConferenceNode = wired.sim.node(sb).expect("standby node");
+            if !node.is_standby() {
+                break t;
+            }
+            assert!(t < crash_at + SimDuration::from_secs(2), "lease never expired");
+        };
+        wired.sim.run_until(promoted_at + TICK_INTERVAL);
+
+        let node: &ConferenceNode = wired.sim.node(sb).expect("standby node");
+        assert_eq!(node.epoch(), 1);
+        let picture = &node.controller.picture;
+        assert_eq!(picture.len(), 4, "every client re-registered");
+        let problem = picture.to_problem().expect("rebuilt picture is a valid problem");
+        for &an in &wired.ans {
+            let access: &AccessNode = wired.sim.node(an).expect("access node");
+            let cached = access.snapshot();
+            assert_eq!(cached.len(), 2, "two clients per region");
+            for snap in cached {
+                let id = snap.client;
+                assert!(picture.contains(id), "{id} missing");
+                let spec = problem.client(id).expect("client in problem");
+                let ladders: Vec<_> =
+                    spec.sources.iter().map(|s| (s.id.kind, s.ladder.clone())).collect();
+                assert_eq!(ladders, snap.ladders, "{id} ladders");
+                let intents: Vec<_> = problem
+                    .subscriptions_of(id)
+                    .into_iter()
+                    .map(|s| SubscribeIntent {
+                        source: s.source,
+                        max_resolution: s.max_resolution,
+                        tag: s.tag,
+                    })
+                    .collect();
+                assert_eq!(intents, snap.intents, "{id} intents");
+                assert_eq!(intents.len(), 3, "{id} subscribes to everyone else");
+                assert!(!snap.uplink.is_zero() && !snap.downlink.is_zero(), "{id} cache");
+                assert!(picture.uplink_of(id).is_some_and(|b| !b.is_zero()), "{id} uplink");
+                assert!(picture.downlink_of(id).is_some_and(|b| !b.is_zero()), "{id} downlink");
+            }
+        }
+        assert!(node.controller.last_solution().is_some(), "first tick solved");
+        assert!(!node.controller.fallback_active(), "first round is non-fallback");
+        let takeover = wired
+            .telemetry
+            .histogram(keys::CLUSTER_TAKEOVER_MS, "takeover")
+            .expect("takeover recorded at the first full solve");
+        assert_eq!((takeover.total, takeover.sum), (1, 100));
     }
 }

@@ -123,17 +123,6 @@ pub enum CtrlMessage {
         /// Monotone heartbeat sequence within the epoch.
         seq: u64,
     },
-    /// Active shard → standby: one replication delta of controller state.
-    SnapshotDelta {
-        /// The delta (bounded, digest-covered; see `gso-cluster`).
-        delta: gso_cluster::SnapshotDelta,
-    },
-    /// Standby → active shard: a delta arrived against the wrong base
-    /// (gap / reorder / digest mismatch) — re-send a full snapshot.
-    SnapshotNack {
-        /// The sequence the standby actually holds.
-        have_seq: u64,
-    },
     /// AN → CN: "your epoch is stale; a controller at `epoch` owns this
     /// conference now". The receiving zombie shard steps down instead of
     /// fighting the fence.
@@ -162,8 +151,7 @@ fn get_kind(b: &mut impl Buf) -> Option<StreamKind> {
     }
 }
 
-/// Encode one [`ClientSnapshot`] (shared by `ResyncState` and
-/// `SnapshotDelta`).
+/// Encode one [`ClientSnapshot`] of a `ResyncState`.
 fn put_snapshot(b: &mut BytesMut, c: &ClientSnapshot) {
     b.put_u32(c.client.0);
     b.put_u8(c.ladders.len() as u8);
@@ -339,25 +327,6 @@ impl CtrlMessage {
                 b.put_u32(*epoch);
                 b.put_u64(*seq);
             }
-            CtrlMessage::SnapshotDelta { delta } => {
-                b.put_u8(16);
-                b.put_u32(delta.epoch);
-                b.put_u64(delta.base_seq);
-                b.put_u64(delta.seq);
-                b.put_u64(delta.digest);
-                b.put_u16(delta.changed.len() as u16);
-                for c in &delta.changed {
-                    put_snapshot(&mut b, c);
-                }
-                b.put_u16(delta.removed.len() as u16);
-                for id in &delta.removed {
-                    b.put_u32(id.0);
-                }
-            }
-            CtrlMessage::SnapshotNack { have_seq } => {
-                b.put_u8(17);
-                b.put_u64(*have_seq);
-            }
             CtrlMessage::Fence { epoch } => {
                 b.put_u8(18);
                 b.put_u32(*epoch);
@@ -515,39 +484,6 @@ impl CtrlMessage {
                 let seq = b.get_u64();
                 CtrlMessage::ShardHeartbeat { epoch, seq }
             }
-            16 => {
-                need(b, 30)?;
-                let epoch = b.get_u32();
-                let base_seq = b.get_u64();
-                let seq = b.get_u64();
-                let digest = b.get_u64();
-                let n = b.get_u16() as usize;
-                let mut changed = Vec::with_capacity(n.min(256));
-                for _ in 0..n {
-                    changed.push(get_snapshot(b)?);
-                }
-                need(b, 2)?;
-                let nr = b.get_u16() as usize;
-                need(b, nr.checked_mul(4)?)?;
-                let mut removed = Vec::with_capacity(nr);
-                for _ in 0..nr {
-                    removed.push(ClientId(b.get_u32()));
-                }
-                CtrlMessage::SnapshotDelta {
-                    delta: gso_cluster::SnapshotDelta {
-                        epoch,
-                        base_seq,
-                        seq,
-                        changed,
-                        removed,
-                        digest,
-                    },
-                }
-            }
-            17 => {
-                need(b, 8)?;
-                CtrlMessage::SnapshotNack { have_seq: b.get_u64() }
-            }
             18 => {
                 need(b, 4)?;
                 CtrlMessage::Fence { epoch: b.get_u32() }
@@ -633,33 +569,6 @@ mod tests {
                 ],
             },
             CtrlMessage::ShardHeartbeat { epoch: 9, seq: u64::MAX - 1 },
-            CtrlMessage::SnapshotDelta {
-                delta: gso_cluster::SnapshotDelta {
-                    epoch: 1,
-                    base_seq: 41,
-                    seq: 42,
-                    changed: vec![ClientSnapshot {
-                        client: ClientId(3),
-                        ladders: vec![(StreamKind::Video, ladders::coarse3())],
-                        intents: vec![],
-                        uplink: Bitrate::from_kbps(700),
-                        downlink: Bitrate::ZERO,
-                    }],
-                    removed: vec![ClientId(1), ClientId(9)],
-                    digest: 0xdead_beef_cafe_f00d,
-                },
-            },
-            CtrlMessage::SnapshotDelta {
-                delta: gso_cluster::SnapshotDelta {
-                    epoch: 0,
-                    base_seq: 0,
-                    seq: 1,
-                    changed: vec![],
-                    removed: vec![],
-                    digest: 7,
-                },
-            },
-            CtrlMessage::SnapshotNack { have_seq: 40 },
             CtrlMessage::Fence { epoch: 5 },
         ];
         for m in msgs {
@@ -675,6 +584,11 @@ mod tests {
         assert!(CtrlMessage::parse(Bytes::from_static(&[0x80, 0x60, 0, 0])).is_none());
         assert!(CtrlMessage::parse(Bytes::new()).is_none());
         assert!(CtrlMessage::parse(Bytes::from_static(&[0xCC, 99, 0, 0, 0, 0])).is_none());
+        // Retired tags (the old standby replication messages) stay unused.
+        for tag in [16, 17] {
+            let wire = Bytes::copy_from_slice(&[0xCC, tag, 0, 0, 0, 0, 0, 0, 0, 0]);
+            assert!(CtrlMessage::parse(wire).is_none(), "tag {tag}");
+        }
         assert!(!CtrlMessage::is_ctrl(&[0x80]));
     }
 
@@ -691,25 +605,46 @@ mod tests {
     }
 
     #[test]
-    fn truncated_snapshot_delta_rejected() {
-        let m = CtrlMessage::SnapshotDelta {
-            delta: gso_cluster::SnapshotDelta {
-                epoch: 1,
-                base_seq: 1,
-                seq: 2,
-                changed: vec![ClientSnapshot {
+    fn truncated_resync_state_rejected() {
+        let m = CtrlMessage::ResyncState {
+            clients: vec![
+                ClientSnapshot {
                     client: ClientId(3),
-                    ladders: vec![(StreamKind::Video, ladders::coarse3())],
-                    intents: vec![],
+                    ladders: vec![
+                        (StreamKind::Video, ladders::paper_table1()),
+                        (StreamKind::Screen, ladders::coarse3()),
+                    ],
+                    intents: vec![SubscribeIntent {
+                        source: SourceId::video(ClientId(4)),
+                        max_resolution: Resolution::R720,
+                        tag: 1,
+                    }],
                     uplink: Bitrate::from_kbps(700),
-                    downlink: Bitrate::ZERO,
-                }],
-                removed: vec![ClientId(1)],
-                digest: 99,
-            },
+                    downlink: Bitrate::from_kbps(1_900),
+                },
+                ClientSnapshot {
+                    client: ClientId(4),
+                    ladders: vec![(StreamKind::Video, ladders::coarse3())],
+                    intents: vec![
+                        SubscribeIntent {
+                            source: SourceId::video(ClientId(3)),
+                            max_resolution: Resolution::R360,
+                            tag: 0,
+                        },
+                        SubscribeIntent {
+                            source: SourceId::screen(ClientId(3)),
+                            max_resolution: Resolution::R1080,
+                            tag: 2,
+                        },
+                    ],
+                    uplink: Bitrate::from_kbps(2_500),
+                    downlink: Bitrate::from_kbps(3_000),
+                },
+            ],
         };
         let wire = m.serialize();
-        for cut in [wire.len() - 1, wire.len() / 2, 3] {
+        assert_eq!(CtrlMessage::parse(wire.clone()), Some(m));
+        for cut in 2..wire.len() {
             assert!(CtrlMessage::parse(wire.slice(0..cut)).is_none(), "cut at {cut}");
         }
     }

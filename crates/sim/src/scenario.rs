@@ -65,10 +65,11 @@ pub struct Scenario {
     /// Scripted active-speaker changes: at each time, the given client (or
     /// nobody) becomes the speaker, boosting its camera subscriptions (§4.4).
     pub speaker_schedule: Vec<(SimTime, Option<ClientId>)>,
-    /// Pair the conference node with a standby shard: the active streams
-    /// heartbeats and replication deltas to it, and on lease expiry the
-    /// standby promotes itself under a bumped epoch and re-homes the
-    /// accessing nodes (§7 failover). GSO mode only; inert for baselines.
+    /// Pair the conference node with a standby shard: the active
+    /// heartbeats it, and on lease expiry the standby promotes itself under
+    /// a bumped epoch, re-homes the accessing nodes and rebuilds the
+    /// controller from their resync replies (§7 failover). GSO mode only;
+    /// inert for baselines.
     pub standby: bool,
 }
 
@@ -205,9 +206,9 @@ impl Scenario {
             }
         }
 
-        // Optional standby shard: heartbeat/replication target for the
-        // active, linked to every accessing node so a promotion can re-home
-        // the access layer without new wiring.
+        // Optional standby shard: heartbeat target for the active, linked
+        // to every accessing node so a promotion can re-home (and resync
+        // from) the access layer without new wiring.
         let standby = (self.standby && self.mode == PolicyMode::Gso).then(|| {
             let sb = sim.add_node(Box::new(ConferenceNode::new_standby(
                 ControllerConfig::paper_defaults(),

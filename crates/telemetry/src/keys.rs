@@ -105,12 +105,6 @@ pub const CLUSTER_PROMOTIONS: &str = "cluster.promotions";
 /// fencing instead of being applied (label: receiving node's shard, or
 /// client for access-node fencing).
 pub const CLUSTER_FENCED: &str = "cluster.fenced";
-/// Counter — snapshot-delta payload bytes streamed shard → standby.
-pub const CLUSTER_REPLICATION_BYTES: &str = "cluster.replication.bytes";
-/// Counter — snapshot deltas the standby could not apply in sequence
-/// (gap, reorder, or digest mismatch) and answered with a full-snapshot
-/// request.
-pub const CLUSTER_REPLICATION_GAPS: &str = "cluster.replication.gaps";
 /// Counter — a fenced active shard observed a newer epoch and stepped
 /// down (stopped emitting control traffic for the partition).
 pub const CLUSTER_STEPDOWNS: &str = "cluster.stepdowns";

@@ -1,21 +1,22 @@
-//! Persistent cross-conference batch scheduler for [`SolveEngine`] work.
+//! Persistent cross-conference batch scheduler.
 //!
-//! The control plane re-solves many conferences per tick. Each warm re-solve
-//! is microseconds of work — far below the cost of spawning threads per tick
+//! The control plane ticks many conferences per tick. Each warm tick is
+//! microseconds of work — far below the cost of spawning threads per tick
 //! (the old `thread::scope` shard) — so parallelism only pays when a
-//! *persistent* pool of workers interleaves whole-conference solves.
+//! *persistent* pool of workers interleaves whole-conference jobs.
 //! [`BatchScheduler`] owns long-lived workers that park on a condvar between
-//! ticks and drain a batch of [`BatchJob`]s via work stealing when one
-//! arrives.
+//! ticks and drain a batch of jobs via work stealing when one arrives. A job
+//! is any `FnOnce() -> T + Send` ([`BatchScheduler::run_batch`]);
+//! [`BatchScheduler::solve_batch`] runs [`BatchJob`] solves through it.
 //!
 //! # Determinism
 //!
 //! Work stealing randomizes *which worker* runs a job and *when*, but not
 //! the result:
 //!
-//! * Each job owns its [`SolveEngine`] and an `Arc` of its problem — no
-//!   shared mutable state, so a solve's output depends only on the engine's
-//!   own memo, never on scheduling order.
+//! * Each job owns its state (a conference's [`SolveEngine`] and an `Arc`
+//!   of its problem, or a whole controller) — no shared mutable state, so a
+//!   job's output depends only on what it owns, never on scheduling order.
 //! * Results are keyed by submission index and returned in submission order.
 //!   Callers submit conferences in ascending id order, and each `Solution`
 //!   carries its clients in ascending order, so the merged output is always
@@ -39,7 +40,8 @@ use crate::problem::Problem;
 use crate::solution::Solution;
 use crate::solver::{SolveTrace, SolverConfig};
 use std::collections::VecDeque;
-// lint: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its engine and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
+use std::panic::{self, AssertUnwindSafe};
+// lint: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its state and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -76,26 +78,42 @@ pub struct BatchResult {
     pub trace: Option<SolveTrace>,
 }
 
-struct Task {
-    idx: usize,
-    job: BatchJob,
-    out: Arc<Sink>,
-}
+/// A queued job, already bound to its batch's sink and slot.
+type Task = Box<dyn FnOnce() + Send>;
 
-/// Completion sink for one batch: workers deposit results by submission
-/// index and the submitter sleeps until the *last* deposit. One wakeup per
-/// batch instead of one per conference — on a saturated host the per-result
-/// channel wake was a context-switch ping-pong that dwarfed the warm solves
-/// themselves.
-struct Sink {
+/// Pool locks never guard a job (jobs run unlocked, under `catch_unwind`),
+/// so only a bug in the pool itself could poison one.
+const UNPOISONED: &str = "invariant: pool locks guard no job code, so they are never poisoned";
+
+/// Completion sink for one batch: workers deposit results (or caught
+/// panics) by submission index and the submitter sleeps until the *last*
+/// deposit. One wakeup per batch instead of one per conference — on a
+/// saturated host the per-result channel wake was a context-switch
+/// ping-pong that dwarfed the warm jobs themselves.
+struct Sink<T> {
     // lint: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
-    state: Mutex<SinkState>,
+    state: Mutex<SinkState<T>>,
     done: Condvar,
 }
 
-struct SinkState {
-    slots: Vec<Option<BatchResult>>,
+struct SinkState<T> {
+    slots: Vec<Option<std::thread::Result<T>>>,
     remaining: usize,
+}
+
+impl<T> Sink<T> {
+    fn deposit(&self, idx: usize, result: std::thread::Result<T>) {
+        let mut st = self.state.lock().expect(UNPOISONED);
+        let slot = st.slots.get_mut(idx).expect("invariant: task indices enumerate the batch");
+        debug_assert!(slot.is_none(), "a task index completed twice");
+        *slot = Some(result);
+        st.remaining -= 1;
+        if st.remaining == 0 {
+            // Only the submitter waits on this condvar, and only for its
+            // own batch's sink, so a single notify suffices.
+            self.done.notify_one();
+        }
+    }
 }
 
 struct SignalState {
@@ -108,7 +126,7 @@ struct Shared {
     /// One deque per worker; owners pop the front, thieves the back.
     // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
     queues: Vec<Mutex<VecDeque<Task>>>,
-    // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no solve state")
+    // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no job state")
     signal: Mutex<SignalState>,
     cv: Condvar,
 }
@@ -125,7 +143,7 @@ impl Shared {
                 .get(qi)
                 .expect("invariant: queue index is reduced modulo queue count")
                 .lock()
-                .expect("invariant: a panicked worker aborts the process before poisoning");
+                .expect(UNPOISONED);
             let task = if off == 0 { q.pop_front() } else { q.pop_back() };
             if task.is_some() {
                 return task;
@@ -135,38 +153,13 @@ impl Shared {
     }
 }
 
-fn run_task(task: Task) {
-    let Task { idx, job, out } = task;
-    let BatchJob { mut engine, problem, traced } = job;
-    let (solution, trace) = if traced {
-        let (s, t) = engine.solve_traced(&problem);
-        (s, Some(t))
-    } else {
-        (engine.solve(&problem), None)
-    };
-    let mut st =
-        out.state.lock().expect("invariant: a panicked worker aborts the process before poisoning");
-    let slot = st.slots.get_mut(idx).expect("invariant: task indices enumerate the batch");
-    debug_assert!(slot.is_none(), "a task index completed twice");
-    *slot = Some(BatchResult { engine, solution, trace });
-    st.remaining -= 1;
-    if st.remaining == 0 {
-        // Only the submitter waits on this condvar, and only for its own
-        // batch's sink, so a single notify suffices.
-        out.done.notify_one();
-    }
-}
-
 fn worker_loop(wid: usize, shared: &Shared) {
     loop {
         // Fast path: drain without touching the signal lock.
         while let Some(task) = shared.grab(wid) {
-            run_task(task);
+            task();
         }
-        let mut sig = shared
-            .signal
-            .lock()
-            .expect("invariant: a panicked worker aborts the process before poisoning");
+        let mut sig = shared.signal.lock().expect(UNPOISONED);
         if sig.shutdown {
             return;
         }
@@ -175,15 +168,12 @@ fn worker_loop(wid: usize, shared: &Shared) {
         // we sleep strictly before its notify — no lost wakeup.
         if let Some(task) = shared.grab(wid) {
             drop(sig);
-            run_task(task);
+            task();
             continue;
         }
         let epoch = sig.epoch;
         while sig.epoch == epoch && !sig.shutdown {
-            sig = shared
-                .cv
-                .wait(sig)
-                .expect("invariant: a panicked worker aborts the process before poisoning");
+            sig = shared.cv.wait(sig).expect(UNPOISONED);
         }
         if sig.shutdown {
             return;
@@ -191,11 +181,11 @@ fn worker_loop(wid: usize, shared: &Shared) {
     }
 }
 
-/// Persistent work-stealing scheduler for cross-conference solve batches.
+/// Persistent work-stealing scheduler for cross-conference batches.
 ///
 /// Workers are spawned once and live until the scheduler is dropped; a tick
-/// submits one [`BatchJob`] per conference and receives the results in
-/// submission order. See the module docs for the determinism argument.
+/// submits one job per conference and receives the results in submission
+/// order. See the module docs for the determinism argument.
 #[derive(Debug)]
 pub struct BatchScheduler {
     shared: Arc<Shared>,
@@ -224,7 +214,7 @@ impl BatchScheduler {
         let shared = Arc::new(Shared {
             // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no solve state")
+            // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no job state")
             signal: Mutex::new(SignalState { epoch: 0, shutdown: false }),
             cv: Condvar::new(),
         });
@@ -246,14 +236,23 @@ impl BatchScheduler {
         self.workers.len()
     }
 
-    /// Solve every job, blocking until the batch completes. Results are in
+    /// Run every job, blocking until the batch completes. Results are in
     /// submission order: `out[i]` answers `jobs[i]`, whichever worker ran it.
-    pub fn solve_batch(&mut self, jobs: Vec<BatchJob>) -> Vec<BatchResult> {
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic, in submission order, of any job in the
+    /// batch once the whole batch has finished; the workers survive it.
+    pub fn run_batch<T, F>(&mut self, jobs: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
         }
-        let mut slots: Vec<Option<BatchResult>> = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let sink = Arc::new(Sink {
             // lint: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
@@ -263,42 +262,53 @@ impl BatchScheduler {
         for (idx, job) in jobs.into_iter().enumerate() {
             let qi = self.next_queue % self.workers.len();
             self.next_queue = self.next_queue.wrapping_add(1);
+            let out = Arc::clone(&sink);
+            let task: Task =
+                Box::new(move || out.deposit(idx, panic::catch_unwind(AssertUnwindSafe(job))));
             self.shared
                 .queues
                 .get(qi)
                 .expect("invariant: queue index is reduced modulo queue count")
                 .lock()
-                .expect("invariant: a panicked worker aborts the process before poisoning")
-                .push_back(Task { idx, job, out: Arc::clone(&sink) });
+                .expect(UNPOISONED)
+                .push_back(task);
         }
         {
             // Queue locks are released above before this lock is taken —
             // workers take them in the opposite order (signal, then queues),
             // which would deadlock if a submitter ever held both.
-            let mut sig = self
-                .shared
-                .signal
-                .lock()
-                .expect("invariant: a panicked worker aborts the process before poisoning");
+            let mut sig = self.shared.signal.lock().expect(UNPOISONED);
             sig.epoch = sig.epoch.wrapping_add(1);
             self.shared.cv.notify_all();
         }
-        let mut st = sink
-            .state
-            .lock()
-            .expect("invariant: a panicked worker aborts the process before poisoning");
+        let mut st = sink.state.lock().expect(UNPOISONED);
         while st.remaining > 0 {
-            st = sink
-                .done
-                .wait(st)
-                .expect("invariant: a panicked worker aborts the process before poisoning");
+            st = sink.done.wait(st).expect(UNPOISONED);
         }
         let slots = std::mem::take(&mut st.slots);
         drop(st);
         slots
             .into_iter()
-            .map(|s| s.expect("invariant: every slot received exactly one result"))
+            .map(|s| match s.expect("invariant: every slot received exactly one result") {
+                Ok(out) => out,
+                Err(payload) => panic::resume_unwind(payload),
+            })
             .collect()
+    }
+
+    /// Solve every job on the pool ([`Self::run_batch`] over
+    /// [`BatchJob`]s): `out[i]` answers `jobs[i]`.
+    pub fn solve_batch(&mut self, jobs: Vec<BatchJob>) -> Vec<BatchResult> {
+        let solve = |BatchJob { mut engine, problem, traced }: BatchJob| {
+            let (solution, trace) = if traced {
+                let (s, t) = engine.solve_traced(&problem);
+                (s, Some(t))
+            } else {
+                (engine.solve(&problem), None)
+            };
+            BatchResult { engine, solution, trace }
+        };
+        self.run_batch(jobs.into_iter().map(|job| move || solve(job)).collect())
     }
 
     /// Tear a conference's engine down into the cross-conference slab
@@ -421,6 +431,46 @@ mod tests {
             assert_eq!(s.solves, 2);
             assert!(s.full_hits > 0, "second solve must hit the warm memo");
         }
+    }
+
+    #[test]
+    fn panicking_job_fails_the_submitter_and_workers_keep_serving() {
+        let mut sched = BatchScheduler::new(&BatchConfig { workers: 2 });
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8)
+            .map(|i| -> Box<dyn FnOnce() -> usize + Send> {
+                if i == 5 {
+                    Box::new(|| panic!("job 5 fails"))
+                } else {
+                    Box::new(move || i * 10)
+                }
+            })
+            .collect();
+        // Submit from a helper thread so a lost result fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| sched.run_batch(jobs)));
+            let message = outcome.err().and_then(|p| p.downcast_ref::<&str>().copied());
+            tx.send((sched, message)).expect("the test thread is waiting");
+        });
+        let (mut sched, message) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicking job must not hang its submitter");
+        assert_eq!(message, Some("job 5 fails"), "the submitter re-raises the job's panic");
+        // Both workers survived: two jobs meeting at one barrier need both.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let out = sched.run_batch(
+            (0..2)
+                .map(|i| {
+                    let barrier = Arc::clone(&barrier);
+                    move || {
+                        barrier.wait();
+                        i + 1
+                    }
+                })
+                .collect(),
+        );
+        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]

@@ -79,8 +79,7 @@ pub struct RoundContext {
 }
 
 impl RoundContext {
-    /// The problem snapshot this round must solve (shared with the batch
-    /// scheduler's job).
+    /// The problem snapshot this round must solve.
     #[must_use]
     pub fn problem(&self) -> &Arc<Problem> {
         &self.problem
@@ -105,8 +104,7 @@ pub enum TickPrep {
 }
 
 /// The solve a round's [`RoundContext`] asked for, produced inline by
-/// [`GsoController::tick`] or by a `BatchScheduler` worker via
-/// [`ControllerFleet`](crate::ControllerFleet).
+/// [`GsoController::tick`] or by a caller driving the phases itself.
 #[derive(Debug)]
 pub struct SolveOutcome {
     /// The fresh solution.
@@ -207,6 +205,11 @@ impl GsoController {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.executor.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
+    }
+
+    /// The attached metrics registry.
+    pub(crate) fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
     /// A client joined (signaling + SDP/simulcastInfo negotiation done).
@@ -355,9 +358,9 @@ impl GsoController {
     ///
     /// Equivalent to [`tick_prepare`](Self::tick_prepare), an inline solve
     /// on this controller's own engine, then
-    /// [`tick_commit`](Self::tick_commit). Multi-conference hosts drive the
-    /// same three phases through a shared `BatchScheduler` via
-    /// [`ControllerFleet`](crate::ControllerFleet) instead.
+    /// [`tick_commit`](Self::tick_commit). Multi-conference hosts run this
+    /// whole tick as one job on a shared `BatchScheduler` via
+    /// [`ControllerFleet`](crate::ControllerFleet).
     ///
     /// Returns `(orchestration_output, retransmissions)`.
     // lint: hot_path(controller-tick)
@@ -432,16 +435,10 @@ impl GsoController {
         )
     }
 
-    /// Detach the engine so a batch worker can run this round's solve;
-    /// [`restore_engine`](Self::restore_engine) must put it back before the
-    /// commit reads its stats.
+    /// Detach the engine so a retiring conference's DP slabs can be
+    /// recycled.
     pub(crate) fn take_engine(&mut self) -> SolveEngine {
         std::mem::replace(&mut self.engine, SolveEngine::new(self.cfg.solver.clone()))
-    }
-
-    /// Reattach the engine a batch worker warmed up.
-    pub(crate) fn restore_engine(&mut self, engine: SolveEngine) {
-        self.engine = engine;
     }
 
     /// Phase 3 of a tick: apply the watchdog/stickiness policy to the

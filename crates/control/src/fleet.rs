@@ -1,22 +1,17 @@
 //! Multi-conference control host: many [`GsoController`]s sharing one
 //! persistent [`BatchScheduler`].
 //!
-//! A production node runs hundreds of conferences; solving them one after
+//! A production node runs hundreds of conferences; ticking them one after
 //! another serializes the control plane on a single core, and spawning
 //! threads inside each solve costs more than the warm solves themselves.
-//! [`ControllerFleet`] instead splits every controller's tick into its three
-//! phases and runs the middle one — the solves — as one batch on the shared
-//! scheduler's persistent workers:
-//!
-//! 1. **Prepare** every controller ([`GsoController::tick_prepare`]):
-//!    executor polling, fallback causes, schedule, problem snapshot.
-//! 2. **Solve** all due non-fallback rounds as one
-//!    [`BatchScheduler::solve_batch`] call. Each job carries its
-//!    conference's own engine, so warm memos travel with the job and no
-//!    state is shared between workers.
-//! 3. **Commit** in ascending conference order
-//!    ([`GsoController::tick_commit`]): watchdog, stickiness, execution,
-//!    telemetry — byte-identical to each controller ticking alone.
+//! [`ControllerFleet`] instead runs every conference's whole
+//! [`GsoController::tick`] — prepare, solve, commit — as one job on the
+//! shared scheduler's persistent workers ([`BatchScheduler::run_batch`]).
+//! Each job owns its controller (engine, executor and telemetry handle
+//! included), so no state is shared between workers and every output is
+//! byte-identical to the controller ticking alone. The fleet's own
+//! bookkeeping — admission ledger, tenant rollups, shedding, queued joins —
+//! runs after the batch, in ascending conference order.
 //!
 //! Teardown feeds a retiring conference's engine into the scheduler's slab
 //! reservoir ([`ControllerFleet::retire`]); new conferences adopt from it.
@@ -38,17 +33,20 @@
 //! the whole host.
 
 use crate::admission::{AdmissionController, AdmissionDecision, QueuedJoin, RejectReason};
-use crate::controller::{ControlOutput, GsoController, SolveOutcome, TickPrep};
-use gso_algo::{BatchConfig, BatchJob, BatchScheduler, PriorityClass, Tenancy};
+use crate::controller::{ControlOutput, GsoController};
+use gso_algo::{BatchConfig, BatchScheduler, PriorityClass, Tenancy};
 use gso_rtp::GsoTmmbr;
 use gso_telemetry::{keys, Telemetry};
 use gso_util::{ClientId, SimTime};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// One fleet tick's per-conference result: the orchestration output (if a
 /// round ran) and the due retransmissions.
 pub type FleetTick = (Option<ControlOutput>, Vec<(ClientId, GsoTmmbr)>);
+
+// The fleet moves each controller onto a batch worker for its tick.
+const fn assert_send<T: Send>() {}
+const _: () = assert_send::<GsoController>();
 
 /// Overload shedding policy. Disabled by default (`row_budget_per_tick`
 /// of 0): the fleet solves whatever it is given.
@@ -156,7 +154,15 @@ impl ControllerFleet {
     /// Add a conference unconditionally; returns its fleet index. Bypasses
     /// admission (and books zero rows against it) — use [`Self::admit`]
     /// when the fleet is budget-gated.
+    ///
+    /// # Panics
+    ///
+    /// If the controller records into an enabled telemetry registry that
+    /// another fleet conference (seated or queued) records into: their
+    /// concurrent ticks would race its event order and gauges. Sharing the
+    /// fleet's own registry is fine; the fleet records between batches.
     pub fn push(&mut self, controller: GsoController) -> usize {
+        self.assert_own_registry(&controller);
         self.controllers.push(controller);
         self.slots.push(Slot::new(0));
         self.controllers.len() - 1
@@ -170,12 +176,14 @@ impl ControllerFleet {
     /// inside the fleet until teardown frees budget (it then starts
     /// automatically at the end of a [`Self::tick_all`]); a rejection
     /// returns the controller to the caller. Without an installed
-    /// admission controller this is just [`Self::push`].
+    /// admission controller this is just [`Self::push`]. Panics like
+    /// [`Self::push`].
     pub fn admit(
         &mut self,
         controller: GsoController,
         estimated_rows: u64,
     ) -> Result<AdmissionDecision, Box<(RejectReason, GsoController)>> {
+        self.assert_own_registry(&controller);
         let Some(admission) = self.admission.as_mut() else {
             self.push(controller);
             return Ok(AdmissionDecision::Admitted);
@@ -198,6 +206,16 @@ impl ControllerFleet {
                 Err(Box::new((reason, controller)))
             }
         }
+    }
+
+    /// See the panic section of [`Self::push`].
+    fn assert_own_registry(&self, controller: &GsoController) {
+        let mine = controller.telemetry();
+        let others = self.controllers.iter().chain(&self.waiting);
+        assert!(
+            !others.map(GsoController::telemetry).any(|t| t.shares_registry(mine)),
+            "fleet conferences must not share a telemetry registry"
+        );
     }
 
     /// Remove a conference, recycling its engine's DP slabs into the
@@ -263,55 +281,41 @@ impl ControllerFleet {
         self.waiting.len()
     }
 
-    /// Tick every conference at `now`, interleaving all due solves on the
-    /// shared workers. `out[i]` is conference `i`'s result — identical to
-    /// calling `controllers[i].tick(now)` in isolation.
+    /// Tick every conference at `now`, each as one job on the shared
+    /// workers. `out[i]` is conference `i`'s result — identical to calling
+    /// `controllers[i].tick(now)` in isolation.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panicking conference tick; the fleet has then lost its
+    /// seated conferences and must be dropped.
     pub fn tick_all(&mut self, now: SimTime) -> Vec<FleetTick> {
-        // Phase 1: prepare every controller.
-        let preps: Vec<(TickPrep, Vec<(ClientId, GsoTmmbr)>)> =
-            self.controllers.iter_mut().map(|c| c.tick_prepare(now)).collect();
-
-        // Phase 2: one batch over all due, non-fallback rounds. Jobs are
-        // submitted in ascending conference order and solve_batch returns
-        // them in submission order.
-        let mut owners: Vec<usize> = Vec::new();
-        let mut rows_before: Vec<u64> = Vec::new();
-        let mut jobs: Vec<BatchJob> = Vec::new();
-        let mut any_round = false;
-        for (ci, (prep, _)) in preps.iter().enumerate() {
-            if let TickPrep::Round(ctx) = prep {
-                any_round = true;
-                if !ctx.must_fall_back() {
-                    let controller = self
-                        .controllers
-                        .get_mut(ci)
-                        .expect("invariant: preps index the controller list");
-                    let engine = controller.take_engine();
-                    owners.push(ci);
-                    rows_before.push(engine.stats().rows_recomputed);
-                    jobs.push(BatchJob {
-                        engine,
-                        problem: Arc::clone(ctx.problem()),
-                        // Commit audits against the trace in debug builds.
-                        traced: cfg!(debug_assertions),
-                    });
+        let jobs: Vec<_> = self
+            .controllers
+            .drain(..)
+            .map(|mut controller| {
+                move || {
+                    let rows_before = controller.engine_stats().rows_recomputed;
+                    let tick = controller.tick(now);
+                    let rows_after = controller.engine_stats().rows_recomputed;
+                    (controller, tick, rows_before, rows_after)
                 }
-            }
-        }
-        let results = self.scheduler.solve_batch(jobs);
+            })
+            .collect();
+        let results = self.scheduler.run_batch(jobs);
 
-        // Phase 3: hand engines and outcomes back, then commit in ascending
-        // conference order.
+        // Fleet bookkeeping in ascending conference order. A conference
+        // that did not solve this tick recomputed no rows, which leaves its
+        // slot unchanged.
         let mut total_rows: u64 = 0;
-        let mut solved: Vec<Option<SolveOutcome>> = Vec::with_capacity(self.controllers.len());
-        solved.resize_with(self.controllers.len(), || None);
-        for ((ci, result), before) in owners.into_iter().zip(results).zip(rows_before) {
-            let rows_delta = result.engine.stats().rows_recomputed - before;
+        let mut any_round = false;
+        let mut out: Vec<FleetTick> = Vec::with_capacity(results.len());
+        for ((controller, tick, rows_before, rows_after), slot) in
+            results.into_iter().zip(&mut self.slots)
+        {
+            let rows_delta = rows_after - rows_before;
             total_rows += rows_delta;
-            let controller =
-                self.controllers.get_mut(ci).expect("invariant: owners index the controller list");
-            controller.restore_engine(result.engine);
-            let slot = self.slots.get_mut(ci).expect("invariant: slots parallel the controllers");
+            any_round |= tick.0.is_some();
             slot.peak_rows = slot.peak_rows.max(rows_delta);
             if slot.peak_rows > slot.ledger_rows {
                 // Keep the admission ledger honest: a conference that
@@ -322,23 +326,9 @@ impl ControllerFleet {
                 }
                 slot.ledger_rows = slot.peak_rows;
             }
-            let out = solved.get_mut(ci).expect("invariant: owners index the controller list");
-            *out =
-                Some(SolveOutcome { solution: result.solution, trace: result.trace, rows_delta });
+            self.controllers.push(controller);
+            out.push(tick);
         }
-        let out: Vec<FleetTick> = self
-            .controllers
-            .iter_mut()
-            .zip(preps)
-            .zip(solved)
-            .map(|((controller, (prep, retransmissions)), solved)| {
-                let out = match prep {
-                    TickPrep::Idle => None,
-                    TickPrep::Round(ctx) => controller.tick_commit(now, ctx, solved),
-                };
-                (out, retransmissions)
-            })
-            .collect();
 
         self.rollup_tenants(&out, total_rows);
         self.evaluate_shedding(any_round, total_rows);
@@ -478,6 +468,7 @@ impl ControllerFleet {
                 .pop_front()
                 .expect("invariant: waiting list parallels the admission queue");
             debug_assert_eq!(controller.tenancy(), join.tenancy);
+            self.assert_own_registry(&controller);
             self.telemetry.incr(keys::ADMISSION_ADMITTED, join.tenancy);
             self.controllers.push(controller);
             self.slots.push(Slot::new(join.estimated_rows));
@@ -596,6 +587,78 @@ mod tests {
     }
 
     #[test]
+    fn fleet_with_per_conference_telemetry_matches_solo_ticks() {
+        let shapes: Vec<(u32, u64)> = vec![(3, 2_000), (4, 1_200), (5, 1_800), (3, 700), (4, 900)];
+        let build = |i: usize, (n, d): (u32, u64)| {
+            let mut c = conference(n, d, 100 + i as u32);
+            c.set_telemetry(Telemetry::new(format!("conf-{i}")));
+            c
+        };
+        let mut solo: Vec<GsoController> =
+            shapes.iter().enumerate().map(|(i, &shape)| build(i, shape)).collect();
+        let mut fleets: Vec<ControllerFleet> = [1, 2, 8]
+            .iter()
+            .map(|&workers| {
+                let mut fleet = ControllerFleet::new(&BatchConfig { workers });
+                for (i, &shape) in shapes.iter().enumerate() {
+                    fleet.push(build(i, shape));
+                }
+                fleet
+            })
+            .collect();
+
+        for step in 0..6u64 {
+            let now = SimTime::from_millis(10 + step * 1_100);
+            let speaker = Some(ClientId(1 + (step % 2) as u32));
+            for c in &mut solo {
+                c.on_speaker(speaker);
+            }
+            let solo_out: Vec<FleetTick> = solo.iter_mut().map(|c| c.tick(now)).collect();
+            for (i, c) in solo.iter_mut().enumerate() {
+                ack_one(c, &solo_out[i]);
+            }
+            for fleet in &mut fleets {
+                perturb(fleet, step);
+                let out = fleet.tick_all(now);
+                ack_tick(fleet, &out);
+                let workers = fleet.workers();
+                for (ci, ((solo_c, solo_t), (fleet_c, fleet_t))) in
+                    solo.iter().zip(&solo_out).zip(fleet.controllers().iter().zip(&out)).enumerate()
+                {
+                    let ctx = format!("conference {ci}, step {step}, {workers} workers");
+                    assert_eq!(
+                        solo_t.0.as_ref().map(|o| &o.configs),
+                        fleet_t.0.as_ref().map(|o| &o.configs),
+                        "{ctx}: configs"
+                    );
+                    assert_eq!(solo_t.1, fleet_t.1, "{ctx}: retransmissions");
+                    assert_eq!(solo_c.state_digest(), fleet_c.state_digest(), "{ctx}: state");
+                    assert_eq!(
+                        solo_c.telemetry().export_digest(),
+                        fleet_c.telemetry().export_digest(),
+                        "{ctx}: telemetry"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not share a telemetry registry")]
+    fn conferences_sharing_a_registry_are_refused() {
+        let shared = Telemetry::new("shared");
+        let mut fleet = ControllerFleet::new(&BatchConfig { workers: 2 });
+        // The fleet's own registry may be shared with one conference.
+        fleet.set_telemetry(shared.clone());
+        let mut a = conference(3, 2_000, 1);
+        a.set_telemetry(shared.clone());
+        fleet.push(a);
+        let mut b = conference(3, 2_000, 2);
+        b.set_telemetry(shared);
+        fleet.push(b);
+    }
+
+    #[test]
     fn fleet_respects_manual_fallback() {
         let mut fleet = ControllerFleet::new(&BatchConfig { workers: 2 });
         fleet.push(conference(3, 2_000, 1));
@@ -636,19 +699,23 @@ mod tests {
     /// acks the executor eventually declares clients undeliverable and the
     /// §7 failure path forces *everyone* into fallback, masking shedding.
     fn ack_tick(fleet: &mut ControllerFleet, ticks: &[FleetTick]) {
-        for (i, (out, retx)) in ticks.iter().enumerate() {
-            let configs = out.iter().flat_map(|o| o.configs.iter());
-            for (client, msg) in configs.chain(retx.iter()) {
-                fleet.get_mut(i).expect("present").on_ack(
-                    *client,
-                    &GsoTmmbn {
-                        sender_ssrc: Ssrc(99),
-                        epoch: msg.epoch,
-                        request_seq: msg.request_seq,
-                        entries: vec![],
-                    },
-                );
-            }
+        for (i, tick) in ticks.iter().enumerate() {
+            ack_one(fleet.get_mut(i).expect("present"), tick);
+        }
+    }
+
+    fn ack_one(controller: &mut GsoController, (out, retx): &FleetTick) {
+        let configs = out.iter().flat_map(|o| o.configs.iter());
+        for (client, msg) in configs.chain(retx.iter()) {
+            controller.on_ack(
+                *client,
+                &GsoTmmbn {
+                    sender_ssrc: Ssrc(99),
+                    epoch: msg.epoch,
+                    request_seq: msg.request_seq,
+                    entries: vec![],
+                },
+            );
         }
     }
 

@@ -16,12 +16,14 @@
 //!
 //! 1. **Determinism.** Two runs of the same scenario must serialize
 //!    byte-identical exports. All state lives in [`BTreeMap`]s keyed by
-//!    `(static name, label)`, timestamps are [`SimTime`] (never wall
+//!    static name, then label; timestamps are [`SimTime`] (never wall
 //!    clock), and the JSON writer emits keys in sorted order. There is no
 //!    floating-point accumulation anywhere on the counter/histogram path.
 //! 2. **Near-zero cost when disabled.** Every recording site holds a
 //!    [`Telemetry`] handle; the disabled handle is a `None` and each
-//!    operation is a single branch — labels are not even formatted.
+//!    operation is a single branch — labels are not even formatted. An
+//!    enabled handle formats the label into a reused buffer, so only the
+//!    first record of a (name, label) pair allocates.
 //! 3. **Static metric keys.** Metric names are `&'static str` constants in
 //!    [`keys`]; dynamic cardinality goes in the label dimension only.
 //!
@@ -32,10 +34,9 @@
 pub mod keys;
 
 use gso_util::SimTime;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Display, Write as _};
-use std::rc::Rc;
+use std::sync::{Arc, MutexGuard};
 
 /// Default capacity of the bounded event ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
@@ -84,10 +85,14 @@ pub struct HistogramSnapshot {
 
 /// The per-conference metric registry behind an enabled [`Telemetry`]
 /// handle. Not used directly — all access goes through the handle.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Registry {
     conference: String,
-    metrics: BTreeMap<(&'static str, String), MetricValue>,
+    /// Metrics by name, then label: the same iteration order as a
+    /// `(name, label)` key, but a hit can look the label up by `&str`.
+    metrics: BTreeMap<&'static str, BTreeMap<String, MetricValue>>,
+    /// Scratch buffer each record formats its label into.
+    label: String,
     events: VecDeque<Event>,
     events_dropped: u64,
     event_capacity: usize,
@@ -98,14 +103,31 @@ struct Registry {
 
 impl Registry {
     fn new(conference: String, event_capacity: usize) -> Self {
-        Registry {
-            conference,
-            metrics: BTreeMap::new(),
-            events: VecDeque::new(),
-            events_dropped: 0,
-            event_capacity,
-            next_event_seq: 0,
+        Registry { conference, event_capacity, ..Registry::default() }
+    }
+
+    /// The metric `(name, label)`, created by `init` on its first record.
+    fn metric(
+        &mut self,
+        name: &'static str,
+        label: impl Display,
+        init: impl FnOnce() -> MetricValue,
+    ) -> &mut MetricValue {
+        self.label.clear();
+        let _ = write!(self.label, "{label}");
+        let labels = self.metrics.entry(name).or_default();
+        if !labels.contains_key(self.label.as_str()) {
+            // lint: allow(hot-alloc, reason = "the first record of a (name, label) pair owns its label; every later hit looks it up through the scratch buffer")
+            labels.insert(self.label.clone(), init());
         }
+        labels.get_mut(self.label.as_str()).expect("invariant: the label was inserted above")
+    }
+
+    /// Every metric in export order: by name, then label.
+    fn in_export_order(&self) -> impl Iterator<Item = (&'static str, &str, &MetricValue)> {
+        self.metrics.iter().flat_map(|(name, labels)| {
+            labels.iter().map(move |(label, metric)| (*name, label.as_str(), metric))
+        })
     }
 
     fn push_event(&mut self, at: SimTime, kind: &'static str, detail: String) {
@@ -133,35 +155,45 @@ impl Registry {
 
 /// Cloneable handle to a conference metric registry.
 ///
-/// The simulation is single-threaded by design (see DESIGN.md), so the
-/// handle is an `Rc<RefCell<_>>`; cloning is cheap and every clone records
-/// into the same registry. [`Telemetry::disabled`] (also the [`Default`])
-/// carries no registry: every operation is one branch and no label is
-/// formatted, which keeps instrumented hot paths free for unit tests and
-/// library consumers that do not observe.
+/// Cloning is cheap and every clone records into the same registry. The
+/// handle is `Send`, so a controller can tick on a batch worker: its
+/// registry sits behind a mutex that only one thread uses at a time,
+/// because each owner (a conference, a fleet) records into its own
+/// registry and the owners take turns. [`Telemetry::disabled`] (also the
+/// [`Default`]) carries no registry: every operation is one branch and no
+/// label is formatted, which keeps instrumented hot paths free for unit
+/// tests and library consumers that do not observe.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Rc<RefCell<Registry>>>,
+    // lint: allow(unordered-merge, reason = "one owner records at a time (a fleet conference ticks on one worker, the fleet records between batches), so the lock never orders concurrent records")
+    inner: Option<Arc<std::sync::Mutex<Registry>>>,
 }
 
 impl Telemetry {
     /// An enabled registry for the named conference.
     #[must_use]
     pub fn new(conference: impl Into<String>) -> Self {
-        Telemetry {
-            inner: Some(Rc::new(RefCell::new(Registry::new(
-                conference.into(),
-                DEFAULT_EVENT_CAPACITY,
-            )))),
-        }
+        Self::with_event_capacity(conference, DEFAULT_EVENT_CAPACITY)
     }
 
     /// An enabled registry with a custom event-ring capacity.
     #[must_use]
     pub fn with_event_capacity(conference: impl Into<String>, capacity: usize) -> Self {
         Telemetry {
-            inner: Some(Rc::new(RefCell::new(Registry::new(conference.into(), capacity.max(1))))),
+            inner: Some(Arc::new(Registry::new(conference.into(), capacity.max(1)).into())),
         }
+    }
+
+    /// The registry, when enabled.
+    fn registry(&self) -> Option<MutexGuard<'_, Registry>> {
+        let inner = self.inner.as_ref()?;
+        Some(inner.lock().expect("invariant: a recording panicked while holding the registry"))
+    }
+
+    /// Do both handles record into one enabled registry?
+    #[must_use]
+    pub fn shares_registry(&self, other: &Telemetry) -> bool {
+        matches!((&self.inner, &other.inner), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// A handle that records nothing (the default at every call site).
@@ -178,11 +210,8 @@ impl Telemetry {
 
     /// Add `delta` to the counter `(name, label)`.
     pub fn add(&self, name: &'static str, label: impl Display, delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut reg = inner.borrow_mut();
-        // lint: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
-        let slot = reg.metrics.entry((name, label.to_string())).or_insert(MetricValue::Counter(0));
-        if let MetricValue::Counter(v) = slot {
+        let Some(mut reg) = self.registry() else { return };
+        if let MetricValue::Counter(v) = reg.metric(name, label, || MetricValue::Counter(0)) {
             *v += delta;
         } else {
             debug_assert!(false, "metric {name} recorded with mixed kinds");
@@ -197,14 +226,15 @@ impl Telemetry {
     /// Set the gauge `(name, label)` to `value`. Non-finite samples are
     /// dropped (they would poison the deterministic export).
     pub fn gauge(&self, name: &'static str, label: impl Display, value: f64) {
-        let Some(inner) = &self.inner else { return };
+        if self.inner.is_none() {
+            return;
+        }
         if !value.is_finite() {
             debug_assert!(false, "gauge {name} sampled with a non-finite value");
             return;
         }
-        let mut reg = inner.borrow_mut();
-        // lint: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
-        reg.metrics.insert((name, label.to_string()), MetricValue::Gauge(value));
+        let Some(mut reg) = self.registry() else { return };
+        *reg.metric(name, label, || MetricValue::Gauge(value)) = MetricValue::Gauge(value);
     }
 
     /// Record `value` into the fixed-bucket histogram `(name, label)`.
@@ -219,10 +249,8 @@ impl Telemetry {
         value: u64,
         bounds: &'static [u64],
     ) {
-        let Some(inner) = &self.inner else { return };
-        let mut reg = inner.borrow_mut();
-        // lint: allow(hot-alloc, reason = "metric-label materialization; label interning is tracked by the telemetry roadmap item")
-        let slot = reg.metrics.entry((name, label.to_string())).or_insert_with(|| {
+        let Some(mut reg) = self.registry() else { return };
+        let slot = reg.metric(name, label, || {
             // lint: allow(hot-alloc, reason = "a histogram lazily allocates its buckets once per (name, label) pair")
             MetricValue::Histogram { bounds, counts: vec![0; bounds.len() + 1], total: 0, sum: 0 }
         });
@@ -242,9 +270,9 @@ impl Telemetry {
     /// registry stamps each event with a monotone sequence id, so events
     /// recorded at the same sim-time keep a deterministic total order.
     pub fn event(&self, at: SimTime, kind: &'static str, detail: impl Display) {
-        let Some(inner) = &self.inner else { return };
-        // lint: allow(hot-alloc, reason = "event detail materialization; label interning is tracked by the telemetry roadmap item")
-        inner.borrow_mut().push_event(at, kind, detail.to_string());
+        let Some(mut reg) = self.registry() else { return };
+        // lint: allow(hot-alloc, reason = "the bounded ring owns each event's detail; events mark rare transitions (fallback, overuse, delivery failure)")
+        reg.push_event(at, kind, detail.to_string());
     }
 
     // ------------------------------------------------------------------
@@ -254,9 +282,8 @@ impl Telemetry {
     /// Value of the counter `(name, label)`; 0 when absent or disabled.
     #[must_use]
     pub fn counter(&self, name: &'static str, label: impl Display) -> u64 {
-        let Some(inner) = &self.inner else { return 0 };
-        let reg = inner.borrow();
-        match reg.metrics.get(&(name, label.to_string())) {
+        let Some(reg) = self.registry() else { return 0 };
+        match reg.metrics.get(name).and_then(|m| m.get(label.to_string().as_str())) {
             Some(MetricValue::Counter(v)) => *v,
             _ => 0,
         }
@@ -265,12 +292,12 @@ impl Telemetry {
     /// Sum of the counter `name` across all labels.
     #[must_use]
     pub fn counter_total(&self, name: &'static str) -> u64 {
-        let Some(inner) = &self.inner else { return 0 };
-        let reg = inner.borrow();
+        let Some(reg) = self.registry() else { return 0 };
         reg.metrics
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, m)| match m {
+            .get(name)
+            .into_iter()
+            .flat_map(BTreeMap::values)
+            .map(|m| match m {
                 MetricValue::Counter(v) => *v,
                 _ => 0,
             })
@@ -280,9 +307,8 @@ impl Telemetry {
     /// Last value of the gauge `(name, label)`.
     #[must_use]
     pub fn gauge_value(&self, name: &'static str, label: impl Display) -> Option<f64> {
-        let inner = self.inner.as_ref()?;
-        let reg = inner.borrow();
-        match reg.metrics.get(&(name, label.to_string())) {
+        let reg = self.registry()?;
+        match reg.metrics.get(name).and_then(|m| m.get(label.to_string().as_str())) {
             Some(MetricValue::Gauge(v)) => Some(*v),
             _ => None,
         }
@@ -291,9 +317,8 @@ impl Telemetry {
     /// Snapshot of the histogram `(name, label)`.
     #[must_use]
     pub fn histogram(&self, name: &'static str, label: impl Display) -> Option<HistogramSnapshot> {
-        let inner = self.inner.as_ref()?;
-        let reg = inner.borrow();
-        match reg.metrics.get(&(name, label.to_string())) {
+        let reg = self.registry()?;
+        match reg.metrics.get(name).and_then(|m| m.get(label.to_string().as_str())) {
             Some(MetricValue::Histogram { bounds, counts, total, sum }) => {
                 Some(HistogramSnapshot { bounds, counts: counts.clone(), total: *total, sum: *sum })
             }
@@ -305,11 +330,12 @@ impl Telemetry {
     /// labels.
     #[must_use]
     pub fn histogram_total(&self, name: &'static str) -> (u64, u64) {
-        let Some(inner) = &self.inner else { return (0, 0) };
-        let reg = inner.borrow();
-        reg.metrics.iter().filter(|((n, _), _)| *n == name).fold((0, 0), |(c, s), (_, m)| match m {
-            MetricValue::Histogram { total, sum, .. } => (c + total, s + sum),
-            _ => (c, s),
+        let Some(reg) = self.registry() else { return (0, 0) };
+        reg.metrics.get(name).into_iter().flat_map(BTreeMap::values).fold((0, 0), |(c, s), m| {
+            match m {
+                MetricValue::Histogram { total, sum, .. } => (c + total, s + sum),
+                _ => (c, s),
+            }
         })
     }
 
@@ -317,10 +343,7 @@ impl Telemetry {
     /// by the deterministic per-registry sequence id.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        match &self.inner {
-            Some(inner) => inner.borrow().ordered_events(),
-            None => Vec::new(),
-        }
+        self.registry().map_or_else(Vec::new, |reg| reg.ordered_events())
     }
 
     /// Serialize the registry as stable machine-readable JSON.
@@ -332,13 +355,12 @@ impl Telemetry {
     /// byte-identical strings. A disabled handle exports `"{}"`.
     #[must_use]
     pub fn export_json(&self) -> String {
-        let Some(inner) = &self.inner else { return "{}".to_string() };
-        let reg = inner.borrow();
+        let Some(reg) = self.registry() else { return "{}".to_string() };
         let mut out = String::new();
         out.push_str("{\n");
         let _ = write!(out, "  \"conference\": {},\n  \"metrics\": [", json_str(&reg.conference));
         let mut first = true;
-        for ((name, label), metric) in &reg.metrics {
+        for (name, label, metric) in reg.in_export_order() {
             if !first {
                 out.push(',');
             }
@@ -417,11 +439,10 @@ impl Telemetry {
     pub fn export_digest(&self) -> u64 {
         use gso_util::digest::{StableHasher, StateDigest};
         let mut h = StableHasher::new();
-        let Some(inner) = &self.inner else { return h.finish() };
-        let reg = inner.borrow();
+        let Some(reg) = self.registry() else { return h.finish() };
         h.write_str(&reg.conference);
-        h.write_len(reg.metrics.len());
-        for ((name, label), metric) in &reg.metrics {
+        h.write_len(reg.in_export_order().count());
+        for (name, label, metric) in reg.in_export_order() {
             h.write_str(name);
             h.write_str(label);
             match metric {
@@ -532,6 +553,14 @@ mod tests {
         t.incr("c", "");
         u.incr("c", "");
         assert_eq!(t.counter("c", ""), 2);
+    }
+
+    #[test]
+    fn shares_registry_only_between_clones_of_one_enabled_registry() {
+        let t = Telemetry::new("conf");
+        assert!(t.shares_registry(&t.clone()));
+        assert!(!t.shares_registry(&Telemetry::new("conf")));
+        assert!(!Telemetry::disabled().shares_registry(&Telemetry::disabled()));
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! *persistent* pool of workers interleaves whole-conference jobs.
 //! [`BatchScheduler`] owns long-lived workers that park on a condvar between
 //! ticks and drain a batch of jobs via work stealing when one arrives. A job
-//! is any `FnOnce() -> T + Send` ([`BatchScheduler::run_batch`]);
-//! [`BatchScheduler::solve_batch`] runs [`BatchJob`] solves through it.
+//! is any `FnOnce() -> T + Send` ([`BatchScheduler::run_batch`]); the pool
+//! knows nothing about what a job computes.
 //!
 //! # Determinism
 //!
 //! Work stealing randomizes *which worker* runs a job and *when*, but not
 //! the result:
 //!
-//! * Each job owns its state (a conference's [`SolveEngine`] and an `Arc`
-//!   of its problem, or a whole controller) — no shared mutable state, so a
-//!   job's output depends only on what it owns, never on scheduling order.
+//! * Each job owns its state (a whole controller, or a conference's
+//!   `SolveEngine` and an `Arc` of its problem) — no shared mutable state, so
+//!   a job's output depends only on what it owns, never on scheduling order.
 //! * Results are keyed by submission index and returned in submission order.
 //!   Callers submit conferences in ascending id order, and each `Solution`
 //!   carries its clients in ascending order, so the merged output is always
@@ -25,20 +25,7 @@
 //!
 //! The `engine_equivalence` proptests and the audit digest gate verify
 //! bit-identical solutions and traces at 1/2/8 workers.
-//!
-//! # Memory discipline
-//!
-//! Conference teardown feeds engines back through [`recycle`]
-//! (`BatchScheduler::recycle`), which strips them to their [`McPool`] slabs;
-//! [`adopt_engine`](BatchScheduler::adopt_engine) seeds new conferences from
-//! that reservoir so growth in one room reuses the DP tables of a room that
-//! just emptied.
 
-use crate::engine::SolveEngine;
-use crate::mckp::McPool;
-use crate::problem::Problem;
-use crate::solution::Solution;
-use crate::solver::{SolveTrace, SolverConfig};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 // lint: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its state and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
@@ -51,31 +38,6 @@ pub struct BatchConfig {
     /// Worker threads. `0` (the default) uses
     /// [`std::thread::available_parallelism`].
     pub workers: usize,
-}
-
-/// One conference's solve request: the conference's engine (with its warm
-/// memo), the problem snapshot, and whether to capture a [`SolveTrace`].
-#[derive(Debug)]
-pub struct BatchJob {
-    /// The conference's persistent engine; returned inside [`BatchResult`].
-    pub engine: SolveEngine,
-    /// Problem snapshot to solve (shared, immutable).
-    pub problem: Arc<Problem>,
-    /// Capture the per-iteration trace (for the auditor) alongside the
-    /// solution.
-    pub traced: bool,
-}
-
-/// A completed [`BatchJob`]: the engine comes back (memo warmed by this
-/// solve) together with its output.
-#[derive(Debug)]
-pub struct BatchResult {
-    /// The engine that ran the job, ready for the next tick.
-    pub engine: SolveEngine,
-    /// The solve output — bit-identical to running the engine inline.
-    pub solution: Solution,
-    /// The trace, when the job asked for one.
-    pub trace: Option<SolveTrace>,
 }
 
 /// A queued job, already bound to its batch's sink and slot.
@@ -190,8 +152,6 @@ fn worker_loop(wid: usize, shared: &Shared) {
 pub struct BatchScheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Retired DP slabs from recycled engines, seeding new conferences.
-    reservoir: McPool,
     /// Round-robin cursor for initial task placement.
     next_queue: usize,
 }
@@ -227,7 +187,7 @@ impl BatchScheduler {
                     .expect("invariant: worker spawn at scheduler construction")
             })
             .collect();
-        BatchScheduler { shared, workers: handles, reservoir: McPool::new(), next_queue: 0 }
+        BatchScheduler { shared, workers: handles, next_queue: 0 }
     }
 
     /// Number of worker threads.
@@ -295,42 +255,6 @@ impl BatchScheduler {
             })
             .collect()
     }
-
-    /// Solve every job on the pool ([`Self::run_batch`] over
-    /// [`BatchJob`]s): `out[i]` answers `jobs[i]`.
-    pub fn solve_batch(&mut self, jobs: Vec<BatchJob>) -> Vec<BatchResult> {
-        let solve = |BatchJob { mut engine, problem, traced }: BatchJob| {
-            let (solution, trace) = if traced {
-                let (s, t) = engine.solve_traced(&problem);
-                (s, Some(t))
-            } else {
-                (engine.solve(&problem), None)
-            };
-            BatchResult { engine, solution, trace }
-        };
-        self.run_batch(jobs.into_iter().map(|job| move || solve(job)).collect())
-    }
-
-    /// Tear a conference's engine down into the cross-conference slab
-    /// reservoir.
-    pub fn recycle(&mut self, engine: SolveEngine) {
-        self.reservoir.absorb(engine.into_pool());
-    }
-
-    /// A new engine seeded from the reservoir: joining conferences reuse the
-    /// DP slabs of conferences that tore down.
-    #[must_use]
-    pub fn adopt_engine(&mut self, cfg: SolverConfig) -> SolveEngine {
-        let mut engine = SolveEngine::new(cfg);
-        engine.absorb_pool(std::mem::take(&mut self.reservoir));
-        engine
-    }
-
-    /// Retired DP states waiting in the reservoir.
-    #[must_use]
-    pub fn idle_states(&self) -> usize {
-        self.reservoir.idle_states()
-    }
 }
 
 impl Drop for BatchScheduler {
@@ -348,88 +272,18 @@ impl Drop for BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ladders;
-    use crate::problem::{ClientSpec, SourceId, Subscription};
-    use crate::types::Resolution;
-    use gso_util::{Bitrate, ClientId};
-
-    fn mesh(n: u32, downlink_kbps: u64) -> Problem {
-        let ladder = ladders::paper_table1();
-        let clients: Vec<ClientSpec> = (1..=n)
-            .map(|i| {
-                ClientSpec::new(
-                    ClientId(i),
-                    Bitrate::from_kbps(2_000),
-                    Bitrate::from_kbps(downlink_kbps),
-                    ladder.clone(),
-                )
-            })
-            .collect();
-        let mut subs = Vec::new();
-        for i in 1..=n {
-            for j in 1..=n {
-                if i != j {
-                    subs.push(Subscription::new(
-                        ClientId(i),
-                        SourceId::video(ClientId(j)),
-                        Resolution::R720,
-                    ));
-                }
-            }
-        }
-        Problem::new(clients, subs).expect("valid mesh problem")
-    }
-
-    fn conference_batch(problems: &[Arc<Problem>], traced: bool) -> Vec<BatchJob> {
-        problems
-            .iter()
-            .map(|p| BatchJob {
-                engine: SolveEngine::new(SolverConfig::default()),
-                problem: Arc::clone(p),
-                traced,
-            })
-            .collect()
-    }
 
     #[test]
-    fn batch_matches_inline_engine_at_every_worker_count() {
-        let problems: Vec<Arc<Problem>> =
-            (0..6).map(|i| Arc::new(mesh(4 + i % 3, 900 + 333 * u64::from(i)))).collect();
-        let reference: Vec<_> = problems
-            .iter()
-            .map(|p| {
-                let mut e = SolveEngine::new(SolverConfig::default());
-                e.solve_traced(p)
-            })
-            .collect();
+    fn results_come_back_in_submission_order_at_every_worker_count() {
+        // Jobs of uneven length own their input, so a result deposited in
+        // the wrong slot, or a lost job, changes the output.
+        let inputs: Vec<Vec<u64>> = (0..24u64).map(|i| (0..(i % 5) * 2_000).collect()).collect();
+        let expect: Vec<(usize, u64)> = inputs.iter().map(|v| (v.len(), v.iter().sum())).collect();
         for workers in [1, 2, 8] {
             let mut sched = BatchScheduler::new(&BatchConfig { workers });
             assert_eq!(sched.workers(), workers);
-            let results = sched.solve_batch(conference_batch(&problems, true));
-            assert_eq!(results.len(), problems.len());
-            for (res, (sol, trace)) in results.iter().zip(&reference) {
-                assert_eq!(&res.solution, sol);
-                assert_eq!(res.trace.as_ref(), Some(trace));
-            }
-        }
-    }
-
-    #[test]
-    fn engines_stay_warm_across_batches() {
-        let problems: Vec<Arc<Problem>> = (0..4).map(|_| Arc::new(mesh(5, 1_500))).collect();
-        let mut sched = BatchScheduler::new(&BatchConfig { workers: 2 });
-        let results = sched.solve_batch(conference_batch(&problems, false));
-        // Re-submit the same engines on the same problems: all full hits.
-        let jobs: Vec<BatchJob> = results
-            .into_iter()
-            .zip(&problems)
-            .map(|(r, p)| BatchJob { engine: r.engine, problem: Arc::clone(p), traced: false })
-            .collect();
-        let results = sched.solve_batch(jobs);
-        for res in &results {
-            let s = res.engine.stats();
-            assert_eq!(s.solves, 2);
-            assert!(s.full_hits > 0, "second solve must hit the warm memo");
+            let jobs = inputs.iter().cloned().map(|v| move || (v.len(), v.iter().sum())).collect();
+            assert_eq!(sched.run_batch(jobs), expect, "{workers} workers");
         }
     }
 
@@ -476,23 +330,6 @@ mod tests {
     #[test]
     fn empty_batch_returns_immediately() {
         let mut sched = BatchScheduler::new(&BatchConfig { workers: 2 });
-        assert!(sched.solve_batch(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn recycle_feeds_adopted_engines() {
-        let problem = Arc::new(mesh(5, 1_500));
-        let mut sched = BatchScheduler::new(&BatchConfig { workers: 1 });
-        let mut results = sched.solve_batch(vec![BatchJob {
-            engine: SolveEngine::new(SolverConfig::default()),
-            problem: Arc::clone(&problem),
-            traced: false,
-        }]);
-        let engine = results.pop().expect("one result").engine;
-        sched.recycle(engine);
-        assert_eq!(sched.idle_states(), 5, "every client state lands in the reservoir");
-        let adopted = sched.adopt_engine(SolverConfig::default());
-        assert_eq!(sched.idle_states(), 0);
-        drop(adopted);
+        assert!(sched.run_batch(Vec::<fn() -> u8>::new()).is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //!   *item template* instead of once per subscriber; Step-1 requests land in
 //!   reusable per-source buckets instead of a fresh `BTreeMap` per
 //!   iteration; retired clients' DP slabs return to an [`McPool`] that seeds
-//!   joining clients (and, via the batch scheduler, other conferences).
+//!   joining clients.
 //! * **Batching** — one engine per conference, driven sequentially here or
 //!   interleaved across conferences by [`crate::batch::BatchScheduler`],
 //!   which owns persistent workers and merges results deterministically.
@@ -227,27 +227,6 @@ impl SolveEngine {
         for (_, entry) in self.caches.drain(..) {
             retire_entry(&mut self.pool, &mut self.spare, entry);
         }
-    }
-
-    /// Detach this engine's DP-slab pool, e.g. to hand it to a scheduler's
-    /// cross-conference reservoir. The engine keeps its live caches.
-    pub fn take_pool(&mut self) -> McPool {
-        std::mem::take(&mut self.pool)
-    }
-
-    /// Merge a pool of retired DP slabs into this engine's pool; joining
-    /// clients are seeded from it before touching the allocator.
-    pub fn absorb_pool(&mut self, pool: McPool) {
-        self.pool.absorb(pool);
-    }
-
-    /// Tear the engine down into its recycled slabs: every cached client
-    /// state is retired into the pool, which is returned for reuse by other
-    /// engines (cross-conference recycling on conference teardown).
-    #[must_use]
-    pub fn into_pool(mut self) -> McPool {
-        self.clear_cache();
-        self.pool
     }
 
     /// Solve the orchestration problem. Output is bit-identical to
@@ -710,21 +689,6 @@ mod tests {
         assert!(engine.pool.idle_states() > 0, "the departed client's DP state must be pooled");
         let p8 = mesh(8, &|_| 2_000);
         assert_identical(&mut engine, &p8);
-    }
-
-    #[test]
-    fn pool_roundtrip_survives_engine_teardown() {
-        let p = mesh(5, &|_| 1_800);
-        let mut engine = SolveEngine::new(SolverConfig::default());
-        engine.solve(&p);
-        let pool = engine.into_pool();
-        assert_eq!(pool.idle_states(), 5, "every cached client retires into the pool");
-
-        // A new engine seeded from the pool still matches the solver.
-        let mut engine = SolveEngine::new(SolverConfig::default());
-        engine.absorb_pool(pool);
-        assert_identical(&mut engine, &p);
-        assert_eq!(engine.pool.idle_states(), 0, "all five states were re-acquired");
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! * [`mckp`] — the Step-1 multiple-choice knapsack DP.
 //! * [`solver`] — the iterative Knapsack–Merge–Reduction algorithm.
 //! * [`engine`] — incremental re-solve driver with memoized DP state.
-//! * [`batch`] — persistent work-stealing scheduler interleaving many
-//!   conferences' engine solves per control tick.
+//! * [`batch`] — persistent work-stealing worker pool that runs one
+//!   closure per conference each control tick, results in submission order.
 //! * [`brute`] — exact exponential-time baseline (Fig. 6a/6b comparison).
 //! * [`solution`] — solution representation and the one §4.1 constraint
 //!   checker (`Solution::validate` / `Solution::violations`).
@@ -71,7 +71,7 @@ pub mod solver;
 pub mod tenant;
 pub mod types;
 
-pub use batch::{BatchConfig, BatchJob, BatchResult, BatchScheduler};
+pub use batch::{BatchConfig, BatchScheduler};
 pub use diff::{diff, LayerChange, SolutionDiff, SwitchChange};
 pub use engine::{EngineStats, SolveEngine};
 pub use mckp::McPool;

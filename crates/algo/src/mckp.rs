@@ -388,14 +388,12 @@ fn relax_row(dst: &mut [f64], src: &[f64], value: f64) {
 }
 
 /// Recycles the heap slabs behind retired [`McState`]s — checkpoint rows,
-/// the flat item memo and the selection buffer — across clients, ticks and
-/// conferences.
+/// the flat item memo and the selection buffer — across clients and ticks.
 ///
 /// [`McState::clear`] keeps buffer capacity, so a state acquired from the
 /// pool re-solves a similarly shaped knapsack without touching the
 /// allocator. The engine retires a departing client's state here and seeds
-/// joining clients from it; the batch scheduler moves whole pools between
-/// conferences the same way ([`McPool::absorb`]).
+/// joining clients from it.
 ///
 /// Recycling is FIFO: a roster retired in client order and re-acquired in
 /// client order hands every client its *own* slab back, so preserved row
@@ -424,12 +422,6 @@ impl McPool {
     /// Hand out a cleared state, reusing retired slabs when available.
     pub fn acquire(&mut self) -> McState {
         self.states.pop_front().unwrap_or_default()
-    }
-
-    /// Move every retired state of `other` into this pool (cross-conference
-    /// recycling: a torn-down conference's slabs serve new ones).
-    pub fn absorb(&mut self, mut other: McPool) {
-        self.states.append(&mut other.states);
     }
 
     /// Number of retired states currently held.
@@ -793,15 +785,11 @@ mod tests {
         assert_eq!(out.reuse, McReuse::Fresh);
         assert_matches_fresh(&st, &classes, 100);
 
-        // An exhausted pool hands out fresh states; absorb merges pools.
-        let other = McPool::new();
+        // An exhausted pool hands out fresh states.
         pool.retire(McState::new());
-        let mut merged = McPool::new();
-        merged.absorb(pool);
-        merged.absorb(other);
-        assert_eq!(merged.idle_states(), 1);
-        assert!(merged.acquire().choices().is_empty());
-        assert!(merged.acquire().choices().is_empty());
+        assert_eq!(pool.idle_states(), 1);
+        assert!(pool.acquire().choices().is_empty());
+        assert!(pool.acquire().choices().is_empty());
     }
 
     #[test]

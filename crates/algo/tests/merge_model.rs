@@ -2,18 +2,19 @@
 //! digest-equivalence checks for `BatchScheduler` at 1/2/8 workers.
 //!
 //! The `model_*` tests replicate the exact concurrency shape of
-//! `BatchScheduler::solve_batch` — persistent workers stealing owned tasks
+//! `BatchScheduler::run_batch` — persistent workers stealing owned tasks
 //! from per-worker deques and sending `(index, result)` pairs over a
 //! channel, the submitter re-ordering by index — on a small, pure
 //! computation. They run in seconds under Miri (`cargo miri test -p
 //! gso-algo --test merge_model model_`), which checks the pattern for
 //! undefined behaviour and data races; the `engine_*` tests then tie the
-//! model back to the real scheduler by asserting digest-identical solutions
-//! and traces across worker counts.
+//! model back to the real scheduler by running traced engine solves as
+//! `run_batch` jobs and asserting digest-identical solutions and traces
+//! across worker counts.
 
 use gso_algo::{
-    ladders, solver, BatchConfig, BatchJob, BatchScheduler, ClientSpec, Problem, Resolution,
-    SolveEngine, SolverConfig, SourceId, Subscription,
+    ladders, solver, BatchConfig, BatchScheduler, ClientSpec, Problem, Resolution, Solution,
+    SolveEngine, SolveTrace, SolverConfig, SourceId, Subscription,
 };
 use gso_util::digest::StateDigest;
 use gso_util::{Bitrate, ClientId};
@@ -263,6 +264,18 @@ fn mesh_problem(n: u32) -> Problem {
     Problem::new(clients, subs).unwrap()
 }
 
+/// A batch job: one traced engine solve that owns its engine and problem
+/// and hands the engine back, memo warmed, with the output.
+fn traced_solve(
+    mut engine: SolveEngine,
+    problem: Arc<Problem>,
+) -> impl FnOnce() -> (SolveEngine, Solution, SolveTrace) + Send + 'static {
+    move || {
+        let (solution, trace) = engine.solve_traced(&problem);
+        (engine, solution, trace)
+    }
+}
+
 #[test]
 fn engine_digest_identical_across_1_2_8_workers() {
     let conferences: Vec<Arc<Problem>> = (6..=9).map(|n| Arc::new(mesh_problem(n))).collect();
@@ -277,37 +290,38 @@ fn engine_digest_identical_across_1_2_8_workers() {
 
     for workers in [1usize, 2, 8] {
         let mut sched = BatchScheduler::new(&BatchConfig { workers });
-        let mut jobs: Vec<BatchJob> = conferences
-            .iter()
-            .map(|p| BatchJob {
-                engine: SolveEngine::new(cfg.clone()),
-                problem: Arc::clone(p),
-                traced: true,
-            })
-            .collect();
+        let mut engines: Vec<SolveEngine> =
+            conferences.iter().map(|_| SolveEngine::new(cfg.clone())).collect();
         // Cold batch, then warm re-batch with the returned engines: both
         // must match the sequential solver bit-for-bit.
         for pass in 0..2 {
-            let results = sched.solve_batch(jobs);
-            for (ci, (res, (sol_digest, trace_digest))) in
+            let jobs = engines
+                .into_iter()
+                .zip(&conferences)
+                .map(|(engine, p)| traced_solve(engine, Arc::clone(p)))
+                .collect();
+            let results = sched.run_batch(jobs);
+            for (ci, ((_, solution, trace), (sol_digest, trace_digest))) in
                 results.iter().zip(&reference).enumerate()
             {
                 assert_eq!(
-                    res.solution.state_digest(),
+                    solution.state_digest(),
                     *sol_digest,
                     "solution digest, workers={workers} pass={pass} conference={ci}"
                 );
                 assert_eq!(
-                    res.trace.as_ref().map(StateDigest::state_digest),
-                    Some(*trace_digest),
+                    trace.state_digest(),
+                    *trace_digest,
                     "trace digest, workers={workers} pass={pass} conference={ci}"
                 );
             }
-            jobs = results
-                .into_iter()
-                .zip(&conferences)
-                .map(|(r, p)| BatchJob { engine: r.engine, problem: Arc::clone(p), traced: true })
-                .collect();
+            engines = results.into_iter().map(|(engine, ..)| engine).collect();
+        }
+        // Every job handed its own engine back: the warm pass hit its memo.
+        for engine in &engines {
+            let stats = engine.stats();
+            assert_eq!(stats.solves, 2, "workers={workers}");
+            assert!(stats.full_hits > 0, "the warm pass must hit the memo, workers={workers}");
         }
     }
 }
@@ -318,12 +332,9 @@ fn engine_digest_stable_across_repeated_construction() {
     let cfg = SolverConfig::default();
     let digest = |workers: usize| {
         let mut sched = BatchScheduler::new(&BatchConfig { workers });
-        let mut results = sched.solve_batch(vec![BatchJob {
-            engine: SolveEngine::new(cfg.clone()),
-            problem: Arc::clone(&problem),
-            traced: false,
-        }]);
-        results.pop().expect("one result").solution.state_digest()
+        let job = traced_solve(SolveEngine::new(cfg.clone()), Arc::clone(&problem));
+        let (_, solution, _) = sched.run_batch(vec![job]).pop().expect("one result");
+        solution.state_digest()
     };
     assert_eq!(digest(2), digest(2));
     assert_eq!(digest(2), digest(8));

@@ -16,16 +16,17 @@
 //! determinism guarantee.
 //!
 //! `--digest` switches to divergence-detection mode: every scenario is
-//! solved twice — sequential solver plus batch schedulers at 1, 2, and
-//! 8 workers — and the per-scenario `StateDigest` traces of both passes are
-//! compared with `first_divergence`. Each worker count keeps one engine warm
-//! across scenarios (single-job batches), and the pass closes with all
-//! scenarios submitted as one batch; any nondeterminism (across runs, or
-//! between the sequential solver and any scheduled engine) bisects to the
-//! first divergent scenario and fails the gate.
+//! solved by the sequential solver and, as traced engine-solve jobs, on
+//! `BatchScheduler`s at 1, 2, and 8 workers; the whole pass runs twice and
+//! the per-scenario `StateDigest` traces of both passes are compared with
+//! `first_divergence`. Each worker count keeps one engine warm across
+//! scenarios (single-job batches), and the pass closes with all scenarios
+//! submitted as one batch; any nondeterminism (across runs, or between the
+//! sequential solver and any scheduled engine) bisects to the first
+//! divergent scenario and fails the gate.
 
-use gso_algo::solver::{self, SolverConfig};
-use gso_algo::{BatchConfig, BatchJob, BatchScheduler, Problem, SolveEngine};
+use gso_algo::solver::{self, SolveTrace, SolverConfig};
+use gso_algo::{BatchConfig, BatchScheduler, Problem, Solution, SolveEngine};
 use gso_audit::{report, scenarios, SolutionAuditor};
 use gso_telemetry::{keys, Telemetry};
 use gso_util::digest::{first_divergence, DigestEntry, DigestTrace, StateDigest};
@@ -33,6 +34,18 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 const DIGEST_WORKERS: [usize; 3] = [1, 2, 8];
+
+/// A batch job: one traced engine solve that owns its engine and problem
+/// and hands the engine back, memo warmed, with the output.
+fn traced_solve(
+    mut engine: SolveEngine,
+    problem: Arc<Problem>,
+) -> impl FnOnce() -> (SolveEngine, Solution, SolveTrace) + Send + 'static {
+    move || {
+        let (solution, trace) = engine.solve_traced(&problem);
+        (engine, solution, trace)
+    }
+}
 
 /// One full pass over every scenario: for each, digest the sequential
 /// solver's solution+trace and, per worker count, the batch scheduler's
@@ -60,16 +73,10 @@ fn digest_pass(cfg: &SolverConfig) -> (DigestTrace, bool) {
         ];
         for ((scheduler, engine_slot), &workers) in lanes.iter_mut().zip(&DIGEST_WORKERS) {
             let engine = engine_slot.take().expect("invariant: lane engine always restored");
-            let mut results = scheduler.solve_batch(vec![BatchJob {
-                engine,
-                problem: Arc::clone(problem),
-                traced: true,
-            }]);
-            let result = results.pop().expect("invariant: one job in, one result out");
-            *engine_slot = Some(result.engine);
-            let es_digest = result.solution.state_digest();
-            let et_digest =
-                result.trace.expect("invariant: traced jobs return a trace").state_digest();
+            let mut results = scheduler.run_batch(vec![traced_solve(engine, Arc::clone(problem))]);
+            let (engine, es, et) = results.pop().expect("invariant: one job in, one result out");
+            *engine_slot = Some(engine);
+            let (es_digest, et_digest) = (es.state_digest(), et.state_digest());
             if es_digest != solution_digest || et_digest != trace_digest {
                 engines_match = false;
                 eprintln!(
@@ -89,21 +96,15 @@ fn digest_pass(cfg: &SolverConfig) -> (DigestTrace, bool) {
     // count: fresh engines, results must still match the sequential solver
     // scenario-for-scenario in submission order.
     for ((scheduler, _), &workers) in lanes.iter_mut().zip(&DIGEST_WORKERS) {
-        let jobs: Vec<BatchJob> = problems
+        let jobs = problems
             .iter()
-            .map(|p| BatchJob {
-                engine: SolveEngine::new(cfg.clone()),
-                problem: Arc::clone(p),
-                traced: true,
-            })
+            .map(|p| traced_solve(SolveEngine::new(cfg.clone()), Arc::clone(p)))
             .collect();
-        let results = scheduler.solve_batch(jobs);
+        let results = scheduler.run_batch(jobs);
         let mut components = Vec::new();
-        for ((name, problem), result) in names.iter().zip(&problems).zip(results) {
+        for ((name, problem), (_, es, et)) in names.iter().zip(&problems).zip(results) {
             let (solution, solve_trace) = solver::solve_traced(problem, cfg);
-            let es_digest = result.solution.state_digest();
-            let et_digest =
-                result.trace.expect("invariant: traced jobs return a trace").state_digest();
+            let (es_digest, et_digest) = (es.state_digest(), et.state_digest());
             if es_digest != solution.state_digest() || et_digest != solve_trace.state_digest() {
                 engines_match = false;
                 eprintln!(

@@ -22,14 +22,26 @@
 //! the memo rather than serve a stale solution.
 
 use gso_algo::{
-    ladders, solver, BatchConfig, BatchJob, BatchScheduler, ClientSpec, Ladder, Problem,
-    Resolution, SolveEngine, SolverConfig, SourceId, Subscription,
+    ladders, solver, BatchConfig, BatchScheduler, ClientSpec, Ladder, Problem, Resolution,
+    Solution, SolveEngine, SolveTrace, SolverConfig, SourceId, Subscription,
 };
 use gso_audit::{report, SolutionAuditor};
 use gso_util::digest::StateDigest;
 use gso_util::{Bitrate, ClientId};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A batch job: one traced engine solve that owns its engine and problem
+/// and hands the engine back, memo warmed, with the output.
+fn traced_solve(
+    mut engine: SolveEngine,
+    problem: Arc<Problem>,
+) -> impl FnOnce() -> (SolveEngine, Solution, SolveTrace) + Send + 'static {
+    move || {
+        let (solution, trace) = engine.solve_traced(&problem);
+        (engine, solution, trace)
+    }
+}
 
 fn arb_ladder() -> impl Strategy<Value = Ladder> {
     (0usize..4).prop_map(|pick| match pick {
@@ -287,42 +299,36 @@ proptest! {
 
         for workers in [2usize, 8] {
             let mut sched = BatchScheduler::new(&BatchConfig { workers });
-            let jobs: Vec<BatchJob> = batch
+            let jobs = batch
                 .iter()
-                .map(|p| BatchJob {
-                    engine: SolveEngine::new(cfg.clone()),
-                    problem: Arc::clone(p),
-                    traced: true,
-                })
+                .map(|p| traced_solve(SolveEngine::new(cfg.clone()), Arc::clone(p)))
                 .collect();
-            let cold = sched.solve_batch(jobs);
+            let cold = sched.run_batch(jobs);
             // Check the cold pass, then re-batch with the *returned* engines
             // so the warm pass runs on warm memos; must still equal the warm
             // sequential reference.
-            let warm_jobs: Vec<BatchJob> = cold
+            let warm_jobs = cold
                 .into_iter()
                 .zip(&warm_batch)
                 .zip(&reference)
-                .map(|((r, p), ((ref_sol, ref_trace), _))| {
+                .map(|(((engine, solution, trace), p), ((ref_sol, ref_trace), _))| {
                     prop_assert!(
-                        r.solution == *ref_sol && r.solution.state_digest() == ref_sol.state_digest(),
+                        solution == *ref_sol && solution.state_digest() == ref_sol.state_digest(),
                         "{workers} workers: cold batch solution diverged"
                     );
-                    let trace = r.trace.expect("traced job returns a trace");
                     prop_assert!(
                         trace == *ref_trace && trace.state_digest() == ref_trace.state_digest(),
                         "{workers} workers: cold batch trace diverged"
                     );
-                    Ok(BatchJob { engine: r.engine, problem: Arc::clone(p), traced: true })
+                    Ok(traced_solve(engine, Arc::clone(p)))
                 })
                 .collect::<Result<_, _>>()?;
-            let warm = sched.solve_batch(warm_jobs);
-            for (r, (_, (ref_sol, ref_trace))) in warm.into_iter().zip(&reference) {
+            let warm = sched.run_batch(warm_jobs);
+            for ((_, solution, trace), (_, (ref_sol, ref_trace))) in warm.into_iter().zip(&reference) {
                 prop_assert!(
-                    r.solution == *ref_sol && r.solution.state_digest() == ref_sol.state_digest(),
+                    solution == *ref_sol && solution.state_digest() == ref_sol.state_digest(),
                     "{workers} workers: warm batch solution diverged"
                 );
-                let trace = r.trace.expect("traced job returns a trace");
                 prop_assert!(
                     trace == *ref_trace && trace.state_digest() == ref_trace.state_digest(),
                     "{workers} workers: warm batch trace diverged"

@@ -8,24 +8,20 @@
 //! * `warm_*` — re-solves after a single-client bandwidth delta and after a
 //!   single-source ladder reduction (the controller's steady-state work).
 //!
-//! A multi-conference harness then drives 64 concurrent 20-party
-//! conferences through one orchestration tick each, cold and warm, the way
-//! a conference node's control plane would each round — first sequentially
-//! (one engine per conference, solved in a loop), then through the
-//! persistent [`BatchScheduler`] at 1/2/4/8 workers. The batch section also
-//! reports heap allocations per warm solve, measured by a counting
-//! `GlobalAlloc` wrapper (bench-only; the library crates stay allocator-
-//! agnostic).
+//! A `tenant_overload` section then times the tick of an overloaded
+//! multi-tenant `ControllerFleet` (admission and priority shedding active).
+//! The 64×20 fleet tick itself is timed, layer by layer, by perfbench's
+//! `fleet_churn` workload.
 //!
 //! Every timed engine path is first cross-checked bit-identical against a
-//! fresh `solver::solve` on the same problem. Both the full run and
-//! `--smoke` (CI) write machine-readable `BENCH_solver.json` at the repo
-//! root; smoke output is marked `"smoke":true` so baselines are never taken
-//! from it.
+//! fresh `solver::solve` on the same problem. A full run writes
+//! machine-readable `BENCH_solver.json` at the repo root; `--smoke` (CI)
+//! writes `target/BENCH_solver.smoke.json` instead, marked `"smoke":true`,
+//! so the committed baseline is never overwritten by smoke numbers.
 
 use gso_algo::{
-    ladders, solver, BatchConfig, BatchJob, BatchScheduler, PriorityClass, Problem, Resolution,
-    SolveEngine, SolverConfig, SourceId, Tenancy, TenantId,
+    ladders, solver, BatchConfig, PriorityClass, Problem, Resolution, SolveEngine, SolverConfig,
+    SourceId, Tenancy, TenantId,
 };
 use gso_bench::banner;
 use gso_control::{
@@ -35,47 +31,7 @@ use gso_control::{
 use gso_rtp::GsoTmmbn;
 use gso_sim::experiments::fig6;
 use gso_util::{Bitrate, ClientId, SimTime, Ssrc, StreamKind};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
-
-/// Counts every heap allocation made by the process. Only the delta around
-/// a timed region is reported, so the harness's own setup allocations do
-/// not pollute the per-solve numbers.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-#[allow(unsafe_code)]
-// SAFETY: pure pass-through to `System`; the counter is a relaxed atomic
-// increment with no effect on layout or aliasing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // lint: allow(atomics-policy, reason = "monotonic stat counter; the reader only wants an approximate total, no ordering with other memory")
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // lint: allow(atomics-policy, reason = "monotonic stat counter; the reader only wants an approximate total, no ordering with other memory")
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations since process start.
-fn allocs_now() -> u64 {
-    // lint: allow(atomics-policy, reason = "single-threaded harness reads its own counter; deltas need no cross-thread ordering")
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 /// Median wall-clock milliseconds of `reps` runs of `f`.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -235,181 +191,6 @@ fn bench_shape(shape: (usize, usize, usize), cold_reps: usize, warm_reps: usize)
     }
 }
 
-/// The jittered problem every conference `ci` sees at warm tick `tick`:
-/// one rotating client reports a downlink change (70–129 % of nominal,
-/// from a fixed sequence so every configuration solves identical inputs).
-fn jittered(base: &Problem, tick: usize, ci: usize) -> Problem {
-    let mut clients = base.clients().to_vec();
-    let idx = (tick + ci) % clients.len();
-    let scale = 70 + ((tick * 13 + ci * 7) % 60) as u64;
-    let c = clients.get_mut(idx).expect("index within client count");
-    c.downlink = Bitrate::from_bps(c.downlink.as_bps() * scale / 100);
-    Problem::new(clients, base.subscriptions().to_vec()).expect("jittered valid")
-}
-
-struct MultiConfReport {
-    conferences: usize,
-    parties: usize,
-    cold_tick_ms: f64,
-    warm_tick_ms: f64,
-    warm_allocs_per_solve: f64,
-}
-
-impl MultiConfReport {
-    fn warm_solves_per_sec(&self) -> f64 {
-        self.conferences as f64 / (self.warm_tick_ms.max(1e-9) / 1e3)
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"conferences\":{},\"parties\":{},\"cold_tick_ms\":{:.4},",
-                "\"warm_tick_ms\":{:.4},\"warm_allocs_per_solve\":{:.1},",
-                "\"conference_solves_per_sec_warm\":{:.1}}}"
-            ),
-            self.conferences,
-            self.parties,
-            self.cold_tick_ms,
-            self.warm_tick_ms,
-            self.warm_allocs_per_solve,
-            self.warm_solves_per_sec()
-        )
-    }
-}
-
-/// Drive `conferences` concurrent `parties`-way meetings through control
-/// ticks: one engine per conference solved in a plain loop — the sequential
-/// reference the batch scheduler is measured against.
-fn bench_multi_conference(
-    conferences: usize,
-    parties: usize,
-    warm_ticks: usize,
-) -> MultiConfReport {
-    let ladder = ladders::paper_table1();
-    let bases: Vec<Problem> =
-        (0..conferences).map(|_| fig6::symmetric_meeting(parties, ladder.clone())).collect();
-    let mut engines: Vec<SolveEngine> =
-        (0..conferences).map(|_| SolveEngine::new(SolverConfig::default())).collect();
-
-    let t = Instant::now();
-    for (engine, base) in engines.iter_mut().zip(&bases) {
-        std::hint::black_box(engine.solve(base));
-    }
-    let cold_tick_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let mut ticks_ms = Vec::with_capacity(warm_ticks);
-    let mut allocs = 0u64;
-    for tick in 0..warm_ticks {
-        let problems: Vec<Problem> =
-            bases.iter().enumerate().map(|(ci, base)| jittered(base, tick, ci)).collect();
-        let a = allocs_now();
-        let t = Instant::now();
-        for (engine, p) in engines.iter_mut().zip(&problems) {
-            std::hint::black_box(engine.solve(p));
-        }
-        ticks_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        allocs += allocs_now() - a;
-    }
-    ticks_ms.sort_by(f64::total_cmp);
-    let warm_tick_ms = ticks_ms[ticks_ms.len() / 2];
-    let warm_allocs_per_solve = allocs as f64 / (warm_ticks * conferences) as f64;
-
-    MultiConfReport { conferences, parties, cold_tick_ms, warm_tick_ms, warm_allocs_per_solve }
-}
-
-struct BatchTickReport {
-    workers: usize,
-    cold_tick_ms: f64,
-    warm_tick_ms: f64,
-    warm_allocs_per_solve: f64,
-}
-
-impl BatchTickReport {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workers\":{},\"cold_tick_ms\":{:.4},\"warm_tick_ms\":{:.4},",
-                "\"warm_allocs_per_solve\":{:.1}}}"
-            ),
-            self.workers, self.cold_tick_ms, self.warm_tick_ms, self.warm_allocs_per_solve
-        )
-    }
-}
-
-/// The same multi-conference workload through the persistent
-/// [`BatchScheduler`]: one cold batch, then jittered warm batches. Timing
-/// and allocation deltas bracket `solve_batch` only, so problem
-/// construction (the controller's job, not the scheduler's) stays outside
-/// the measurement. Warm solutions are cross-checked against a sequential
-/// engine once per worker count.
-fn bench_batch_tick(
-    conferences: usize,
-    parties: usize,
-    warm_ticks: usize,
-    workers: usize,
-) -> BatchTickReport {
-    let ladder = ladders::paper_table1();
-    let bases: Vec<Arc<Problem>> = (0..conferences)
-        .map(|_| Arc::new(fig6::symmetric_meeting(parties, ladder.clone())))
-        .collect();
-    let cfg = SolverConfig::default();
-    let mut sched = BatchScheduler::new(&BatchConfig { workers });
-
-    let jobs: Vec<BatchJob> = bases
-        .iter()
-        .map(|p| BatchJob {
-            engine: SolveEngine::new(cfg.clone()),
-            problem: Arc::clone(p),
-            traced: false,
-        })
-        .collect();
-    let t = Instant::now();
-    let mut results = sched.solve_batch(jobs);
-    let cold_tick_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let mut ticks_ms = Vec::with_capacity(warm_ticks);
-    let mut allocs = 0u64;
-    for tick in 0..warm_ticks {
-        let problems: Vec<Arc<Problem>> =
-            bases.iter().enumerate().map(|(ci, base)| Arc::new(jittered(base, tick, ci))).collect();
-        let jobs: Vec<BatchJob> = results
-            .into_iter()
-            .zip(&problems)
-            .map(|(r, p)| BatchJob { engine: r.engine, problem: Arc::clone(p), traced: false })
-            .collect();
-        let a = allocs_now();
-        let t = Instant::now();
-        results = sched.solve_batch(jobs);
-        ticks_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        allocs += allocs_now() - a;
-    }
-    ticks_ms.sort_by(f64::total_cmp);
-    let warm_tick_ms = ticks_ms[ticks_ms.len() / 2];
-    let warm_allocs_per_solve = allocs as f64 / (warm_ticks * conferences) as f64;
-
-    // Correctness: one final untimed warm batch, checked bit-identical
-    // against the one-shot solver on every conference.
-    let problems: Vec<Arc<Problem>> = bases
-        .iter()
-        .enumerate()
-        .map(|(ci, base)| Arc::new(jittered(base, warm_ticks, ci)))
-        .collect();
-    let jobs: Vec<BatchJob> = results
-        .into_iter()
-        .zip(&problems)
-        .map(|(r, p)| BatchJob { engine: r.engine, problem: Arc::clone(p), traced: false })
-        .collect();
-    for (p, r) in problems.iter().zip(sched.solve_batch(jobs)) {
-        assert_eq!(
-            r.solution,
-            solver::solve(p, &cfg),
-            "warm batch solution must be bit-identical to the solver ({workers} workers)"
-        );
-    }
-
-    BatchTickReport { workers, cold_tick_ms, warm_tick_ms, warm_allocs_per_solve }
-}
-
 fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -421,7 +202,6 @@ struct TenantOverloadReport {
     parties: u32,
     workers: usize,
     warm_tick_ms: f64,
-    allocs_per_tick: f64,
     shed: usize,
 }
 
@@ -430,14 +210,9 @@ impl TenantOverloadReport {
         format!(
             concat!(
                 "{{\"conferences\":{},\"parties\":{},\"workers\":{},",
-                "\"warm_tick_ms\":{:.4},\"allocs_per_tick\":{:.1},\"shed\":{}}}"
+                "\"warm_tick_ms\":{:.4},\"shed\":{}}}"
             ),
-            self.conferences,
-            self.parties,
-            self.workers,
-            self.warm_tick_ms,
-            self.allocs_per_tick,
-            self.shed
+            self.conferences, self.parties, self.workers, self.warm_tick_ms, self.shed
         )
     }
 }
@@ -485,7 +260,7 @@ fn ack_fleet_tick(fleet: &mut ControllerFleet, ticks: &[FleetTick]) {
     }
 }
 
-/// Median tick latency and allocations of an overloaded multi-tenant
+/// Median tick latency of an overloaded multi-tenant
 /// fleet: a starvation row budget keeps the shedding state machine and the
 /// admission ledger active on every tick, and a standing low-priority join
 /// attempt exercises the admission reject path each round.
@@ -541,20 +316,17 @@ fn bench_tenant_overload(
         step(&mut fleet, tick);
     }
     let mut samples = Vec::with_capacity(ticks);
-    let a = allocs_now();
     for tick in warmup..warmup + ticks {
         let t = Instant::now();
         step(&mut fleet, tick);
         samples.push(t.elapsed().as_secs_f64() * 1e3);
     }
-    let allocs_per_tick = (allocs_now() - a) as f64 / ticks as f64;
     samples.sort_by(f64::total_cmp);
     TenantOverloadReport {
         conferences,
         parties,
         workers,
         warm_tick_ms: samples[samples.len() / 2],
-        allocs_per_tick,
         shed: fleet.shed_count(),
     }
 }
@@ -589,55 +361,34 @@ fn main() {
     }
     println!("(ms medians; ×warm = seq cold / warm single-source reduction re-solve)");
 
-    let (confs, parties, ticks) = if smoke { (4, 6, 2) } else { (64, 20, 10) };
-    banner("solver_scale: multi-conference control-plane throughput");
-    let mc = bench_multi_conference(confs, parties, ticks);
-    println!(
-        "sequential: {} conferences × {} parties: cold tick {:.2} ms, warm tick {:.2} ms \
-         ({:.0} conference solves/s warm, {:.0} allocs/solve)",
-        mc.conferences,
-        mc.parties,
-        mc.cold_tick_ms,
-        mc.warm_tick_ms,
-        mc.warm_solves_per_sec(),
-        mc.warm_allocs_per_solve
-    );
-
-    let mut batch_reports = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let b = bench_batch_tick(confs, parties, ticks, workers);
-        println!(
-            "batch w={}: cold tick {:.2} ms, warm tick {:.2} ms ({:.0} allocs/solve)",
-            b.workers, b.cold_tick_ms, b.warm_tick_ms, b.warm_allocs_per_solve
-        );
-        batch_reports.push(b);
-    }
-    println!("host parallelism: {} (batch workers beyond it time-share)", host_parallelism());
-
     banner("solver_scale: multi-tenant fleet under overload (admission + shedding)");
     let (ov_confs, ov_parties, ov_ticks, ov_workers) =
         if smoke { (6, 4, 4, 2) } else { (18, 6, 12, 4) };
     let ov = bench_tenant_overload(ov_confs, ov_parties, ov_ticks, ov_workers);
     println!(
-        "tenant_overload w={}: {} conferences × {} parties: warm tick {:.3} ms \
-         ({:.0} allocs/tick, {} shed)",
-        ov.workers, ov.conferences, ov.parties, ov.warm_tick_ms, ov.allocs_per_tick, ov.shed
+        "tenant_overload w={}: {} conferences × {} parties: warm tick {:.3} ms ({} shed)",
+        ov.workers, ov.conferences, ov.parties, ov.warm_tick_ms, ov.shed
     );
+    println!("host parallelism: {}", host_parallelism());
 
     let json = format!(
         concat!(
             "{{\"bench\":\"solver_scale\",\"unit\":\"milliseconds\",\"smoke\":{},",
-            "\"host_parallelism\":{},\"shapes\":[{}],\"multi_conference\":{},",
-            "\"batch_tick\":[{}],\"tenant_overload\":{}}}\n"
+            "\"host_parallelism\":{},\"shapes\":[{}],\"tenant_overload\":{}}}\n"
         ),
         smoke,
         host_parallelism(),
         reports.iter().map(ShapeReport::to_json).collect::<Vec<_>>().join(","),
-        mc.to_json(),
-        batch_reports.iter().map(BatchTickReport::to_json).collect::<Vec<_>>().join(","),
         ov.to_json()
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    std::fs::write(out, json).expect("write BENCH_solver.json");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = if smoke {
+        let dir = format!("{root}/target");
+        std::fs::create_dir_all(&dir).expect("create target/");
+        format!("{dir}/BENCH_solver.smoke.json")
+    } else {
+        format!("{root}/BENCH_solver.json")
+    };
+    std::fs::write(&out, json).expect("write the bench report");
     println!("wrote {out}");
 }

@@ -435,12 +435,6 @@ impl GsoController {
         )
     }
 
-    /// Detach the engine so a retiring conference's DP slabs can be
-    /// recycled.
-    pub(crate) fn take_engine(&mut self) -> SolveEngine {
-        std::mem::replace(&mut self.engine, SolveEngine::new(self.cfg.solver.clone()))
-    }
-
     /// Phase 3 of a tick: apply the watchdog/stickiness policy to the
     /// round's solve, execute the configuration, and record metrics.
     ///

@@ -13,8 +13,8 @@
 //! bookkeeping — admission ledger, tenant rollups, shedding, queued joins —
 //! runs after the batch, in ascending conference order.
 //!
-//! Teardown feeds a retiring conference's engine into the scheduler's slab
-//! reservoir ([`ControllerFleet::retire`]); new conferences adopt from it.
+//! [`ControllerFleet::retire`] hands a conference back whole, warm engine
+//! included; dropping it frees the conference's DP slabs.
 //!
 //! # Overload shedding and admission
 //!
@@ -218,15 +218,12 @@ impl ControllerFleet {
         );
     }
 
-    /// Remove a conference, recycling its engine's DP slabs into the
-    /// scheduler's reservoir for future conferences and releasing its rows
-    /// from the admission ledger. Later conferences shift down by one
-    /// index.
+    /// Remove a conference and release its rows from the admission ledger.
+    /// The controller comes back unchanged, warm engine included. Later
+    /// conferences shift down by one index.
     pub fn retire(&mut self, index: usize) -> GsoController {
-        let mut controller = self.controllers.remove(index);
+        let controller = self.controllers.remove(index);
         let slot = self.slots.remove(index);
-        let engine = controller.take_engine();
-        self.scheduler.recycle(engine);
         if let Some(admission) = self.admission.as_mut() {
             admission.release(controller.tenancy(), slot.ledger_rows);
         }
@@ -670,17 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn retire_recycles_engine_slabs() {
+    fn retire_hands_back_a_warm_controller() {
         let mut fleet = ControllerFleet::new(&BatchConfig { workers: 1 });
         fleet.push(conference(4, 1_500, 7));
         let _ = fleet.tick_all(SimTime::from_millis(10));
+        let live = fleet.get_mut(0).expect("present");
+        let (stats, digest) = (live.engine_stats(), live.state_digest());
+        assert!(stats.solves > 0, "the tick must have warmed the engine");
         let retired = fleet.retire(0);
-        drop(retired);
         assert!(fleet.is_empty());
-        assert!(
-            fleet.scheduler.idle_states() >= 4,
-            "the retired conference's DP states must land in the reservoir"
-        );
+        assert_eq!(retired.engine_stats(), stats, "retire must keep the warm engine");
+        assert_eq!(retired.state_digest(), digest);
     }
 
     /// Make every conference's next round a real re-solve: alternating the

@@ -55,8 +55,7 @@ pub struct ScaleRow {
 }
 
 /// A symmetric meeting with constrained links: every client publishes and
-/// subscribes to everyone else. Also the building block of the bench
-/// harness's multi-conference throughput scenario.
+/// subscribes to everyone else.
 pub fn symmetric_meeting(n: usize, ladder: gso_algo::Ladder) -> Problem {
     // Constrained budgets: the downlink cannot hold everyone at max, and
     // serving every resolution at once presses the uplink — enough to make

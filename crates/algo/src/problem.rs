@@ -326,6 +326,18 @@ impl Problem {
         self.clients.iter().flat_map(|c| c.sources.iter()).collect()
     }
 
+    /// Set one client's uplink and downlink budgets in place. Bandwidths
+    /// carry no structural invariant, so nothing is re-validated; an
+    /// unknown client is ignored.
+    pub fn set_link(&mut self, id: ClientId, uplink: Bitrate, downlink: Bitrate) {
+        if let Ok(i) = self.clients.binary_search_by_key(&id, |c| c.id) {
+            if let Some(c) = self.clients.get_mut(i) {
+                c.uplink = uplink;
+                c.downlink = downlink;
+            }
+        }
+    }
+
     /// Replace the ladder of one source (used by the Step-3 Reduction, which
     /// shrinks the feasible stream set and re-runs Step 1).
     pub(crate) fn set_ladder(&mut self, id: SourceId, ladder: Ladder) {

@@ -7,7 +7,7 @@
 
 use crate::problem::{Problem, SourceId};
 use crate::types::Resolution;
-use gso_util::{Bitrate, ClientId};
+use gso_util::{Bitrate, ClientId, StreamKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -65,9 +65,11 @@ impl Solution {
 
     /// Total bitrate a client publishes across all of its sources.
     pub fn publish_rate(&self, client: ClientId) -> Bitrate {
+        // Sources sort by (client, kind) and `Audio` is the least kind, so
+        // one client's sources form the run starting at its audio source.
         self.publish
-            .iter()
-            .filter(|(src, _)| src.client == client)
+            .range(SourceId { client, kind: StreamKind::Audio }..)
+            .take_while(|(src, _)| src.client == client)
             .flat_map(|(_, ps)| ps.iter().map(|p| p.bitrate))
             .sum()
     }
@@ -96,9 +98,10 @@ impl Solution {
     /// return the first violation, in the order [`Self::violations`] lists
     /// them.
     ///
-    /// Every controller round runs this on the previous solution to decide
-    /// whether it may stay in place (stickiness), so it allocates nothing and
-    /// stops at the first finding. Any solution the solver emits must pass.
+    /// After a structural change the controller runs this on the previous
+    /// solution to decide whether it may stay in place (stickiness), so it
+    /// allocates nothing and stops at the first finding. Any solution the
+    /// solver emits must pass.
     pub fn validate(&self, problem: &Problem) -> Result<(), ConstraintViolation> {
         let mut first = None;
         let _ = self.walk_violations(problem, |v| {
@@ -125,6 +128,38 @@ impl Solution {
             ControlFlow::Continue(())
         });
         out
+    }
+
+    /// True when the solution fits every client's uplink and downlink
+    /// budget: the two §4.1 families that read bandwidths, and the only
+    /// ones a bandwidth-only change to `problem` can break. A solution
+    /// known valid on a problem with the same structure (clients, ladders,
+    /// subscriptions) is valid on `problem` exactly when this holds.
+    pub fn fits_links(&self, problem: &Problem) -> bool {
+        self.walk_links(problem, &mut |_| ControlFlow::Break(())).is_continue()
+    }
+
+    /// The uplink (Σ published ≤ B_u) then downlink (Σ received ≤ B_d)
+    /// families, client by client.
+    fn walk_links(
+        &self,
+        problem: &Problem,
+        emit: &mut impl FnMut(ConstraintViolation) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        use ConstraintViolation as V;
+        for c in problem.clients() {
+            let actual = self.publish_rate(c.id);
+            if actual > c.uplink {
+                emit(V::UplinkExceeded { client: c.id, actual, budgeted: c.uplink })?;
+            }
+        }
+        for c in problem.clients() {
+            let actual = self.receive_rate(c.id);
+            if actual > c.downlink {
+                emit(V::DownlinkExceeded { client: c.id, actual, budgeted: c.downlink })?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// The one §4.1 walker behind [`Self::validate`] and
@@ -159,21 +194,7 @@ impl Solution {
             }
         }
 
-        // Uplink: Σ published ≤ B_u per client.
-        for c in problem.clients() {
-            let actual = self.publish_rate(c.id);
-            if actual > c.uplink {
-                emit(V::UplinkExceeded { client: c.id, actual, budgeted: c.uplink })?;
-            }
-        }
-
-        // Downlink: Σ received ≤ B_d per client.
-        for c in problem.clients() {
-            let actual = self.receive_rate(c.id);
-            if actual > c.downlink {
-                emit(V::DownlinkExceeded { client: c.id, actual, budgeted: c.downlink })?;
-            }
-        }
+        self.walk_links(problem, &mut emit)?;
 
         // Subscription constraints: every received stream corresponds to an
         // actual subscription, respects its resolution cap, and a
@@ -184,11 +205,7 @@ impl Solution {
                 if streams.iter().take(i).any(|q| q.source == source && q.tag == tag) {
                     emit(V::MultipleStreamsPerSubscription { subscriber, source, tag })?;
                 }
-                let Some(subscription) = problem
-                    .subscriptions_of_slice(subscriber)
-                    .iter()
-                    .find(|s| s.source == source && s.tag == tag)
-                else {
+                let Some(subscription) = problem.subscription(subscriber, source, tag) else {
                     emit(V::NoSuchSubscription { subscriber, source, tag })?;
                     continue;
                 };
@@ -660,10 +677,17 @@ mod tests {
 
     #[test]
     fn rate_accessors() {
-        let s = valid_solution();
+        let mut s = valid_solution();
         assert_eq!(s.publish_rate(P), kbps(1500));
         assert_eq!(s.receive_rate(W), kbps(1500));
         assert_eq!(s.receive_rate(P), Bitrate::ZERO);
         assert!(s.received_from(W, src(), 0).is_some());
+        // A client's sources are summed across kinds and never mixed with
+        // the neighbouring clients' sources.
+        s.publish.insert(SourceId::screen(P), vec![policy(kbps(300), vec![(W, 0)])]);
+        s.publish.insert(SourceId::video(ClientId(0)), vec![policy(kbps(50), Vec::new())]);
+        s.publish.insert(SourceId::video(W), vec![policy(kbps(70), Vec::new())]);
+        assert_eq!(s.publish_rate(P), kbps(1800));
+        assert_eq!(s.publish_rate(W), kbps(70));
     }
 }

@@ -9,14 +9,14 @@ use crate::failure::fallback_solution;
 use crate::feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
 use crate::hysteresis::{BandwidthHysteresis, HysteresisConfig};
 use crate::scheduler::{ControlScheduler, SchedulerConfig};
-use crate::state::{ClientSnapshot, CodecCapability, GlobalPicture, SubscribeIntent};
+use crate::state::{ClientSnapshot, CodecCapability, GlobalPicture, LiveProblem, SubscribeIntent};
 use gso_algo::{
-    diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig, SourceId, Tenancy,
+    diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig, Tenancy,
 };
 use gso_rtp::{GsoTmmbn, GsoTmmbr};
 use gso_telemetry::{keys, Telemetry};
 use gso_util::{Bitrate, ClientId, SimTime, Ssrc};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Link direction, used as part of the hysteresis key.
@@ -74,7 +74,7 @@ impl ControllerConfig {
 /// waiting for its solve before [`GsoController::tick_commit`].
 #[derive(Debug)]
 pub struct RoundContext {
-    problem: Arc<Problem>,
+    live: LiveProblem,
     must_fall_back: bool,
 }
 
@@ -82,7 +82,7 @@ impl RoundContext {
     /// The problem snapshot this round must solve.
     #[must_use]
     pub fn problem(&self) -> &Arc<Problem> {
-        &self.problem
+        &self.live.problem
     }
 
     /// True when the round is forced into the §7 single-stream fallback —
@@ -160,9 +160,12 @@ pub struct GsoController {
     /// overruns regardless of their measured work.
     forced_overruns: u32,
     last_solution: Option<Solution>,
-    /// Who owns this conference and at which tier; stamped into every
-    /// problem snapshot so the fleet's admission/shedding layer can rank it.
-    tenancy: Tenancy,
+    /// The picture generation on which `last_solution` is known to satisfy
+    /// every §4.1 family: set by each non-fallback commit (a fresh solve or
+    /// a sticky keep that passed its check), cleared by a fallback commit.
+    /// While the round's generation matches, only link budgets can have
+    /// moved, so stickiness re-checks just those.
+    valid_for: Option<u64>,
     /// Metrics sink (disabled by default; see `gso-telemetry`).
     telemetry: Telemetry,
 }
@@ -183,7 +186,7 @@ impl GsoController {
             degraded: false,
             forced_overruns: 0,
             last_solution: None,
-            tenancy: Tenancy::default(),
+            valid_for: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -192,12 +195,12 @@ impl GsoController {
     /// (default: tenant 0, normal). Read by the fleet's overload shedding
     /// to decide who degrades first; never read by the solver.
     pub fn set_tenancy(&mut self, tenancy: Tenancy) {
-        self.tenancy = tenancy;
+        self.picture.set_tenancy(tenancy);
     }
 
     /// The conference's tenancy label.
     pub fn tenancy(&self) -> Tenancy {
-        self.tenancy
+        self.picture.tenancy()
     }
 
     /// Attach a metrics registry; shared with the feedback executor so
@@ -390,7 +393,8 @@ impl GsoController {
     }
 
     /// Phase 1 of a tick: poll the executor, evaluate fallback causes and
-    /// the schedule, and snapshot the problem for a due round.
+    /// the schedule, and hand a due round the picture's live problem
+    /// (rebuilt only after a structural change).
     ///
     /// Always returns the due retransmissions; [`TickPrep::Round`] means the
     /// caller must solve the context's problem (unless it must fall back)
@@ -417,7 +421,7 @@ impl GsoController {
             return (TickPrep::Idle, retransmissions);
         }
 
-        let Ok(problem) = self.picture.to_problem() else {
+        let Ok(live) = self.picture.live() else {
             // An inconsistent picture is an exception: skip this round and
             // retry on the next tick (the picture is rebuilt from fresh
             // signaling, so the condition is transient — latching fallback
@@ -426,13 +430,7 @@ impl GsoController {
             return (TickPrep::Idle, retransmissions);
         };
         let must_fall_back = self.manual_fallback || !self.failed_clients.is_empty();
-        (
-            TickPrep::Round(RoundContext {
-                problem: Arc::new(problem.with_tenancy(self.tenancy)),
-                must_fall_back,
-            }),
-            retransmissions,
-        )
+        (TickPrep::Round(RoundContext { live, must_fall_back }), retransmissions)
     }
 
     /// Phase 3 of a tick: apply the watchdog/stickiness policy to the
@@ -447,7 +445,10 @@ impl GsoController {
         ctx: RoundContext,
         solved: Option<SolveOutcome>,
     ) -> Option<ControlOutput> {
-        let RoundContext { problem, must_fall_back } = ctx;
+        let RoundContext {
+            live: LiveProblem { problem, ladder_layers, generation },
+            must_fall_back,
+        } = ctx;
         let mut solve_rows = 0;
         // `sticky`: the round keeps the previous solution, which
         // `last_solution` already holds.
@@ -495,11 +496,20 @@ impl GsoController {
             } else {
                 self.degraded = false;
                 // Solution stickiness: a still-valid previous configuration
-                // is kept unless the fresh one is a clear improvement.
+                // is kept unless the fresh one is a clear improvement. Known
+                // valid on this generation, it can only have broken a link
+                // budget; otherwise every family is checked.
+                let known_valid = self.valid_for == Some(generation);
                 let keep_previous = self
                     .last_solution
                     .as_ref()
-                    .filter(|prev| prev.validate(&problem).is_ok())
+                    .filter(|prev| {
+                        if known_valid {
+                            prev.fits_links(&problem)
+                        } else {
+                            prev.validate(&problem).is_ok()
+                        }
+                    })
                     .filter(|prev| fresh.total_qoe < prev.total_qoe * (1.0 + self.cfg.stickiness))
                     // lint: allow(hot-alloc, reason = "the round's output owns its solution; a sticky round's only copy")
                     .cloned();
@@ -517,14 +527,8 @@ impl GsoController {
                 self.telemetry.event(now, keys::EV_FALLBACK, "exited");
             }
         }
+        self.valid_for = if fallback { None } else { Some(generation) };
 
-        let ladder_layers: BTreeMap<SourceId, Vec<u16>> = problem
-            .sources()
-            .iter()
-            // lint: allow(hot-alloc, reason = "per-round ladder-layer map handed to the executor; reuse is tracked by the zero-alloc roadmap item")
-            .map(|s| (s.id, s.ladder.resolutions().iter().map(|r| r.0).collect::<Vec<u16>>()))
-            // lint: allow(hot-alloc, reason = "per-round ladder-layer map handed to the executor; reuse is tracked by the zero-alloc roadmap item")
-            .collect();
         let (configs, rules) = self.executor.execute(now, &solution, &ladder_layers);
         // Trust boundary: the tick's outward-bound decision. A sticky
         // previous solution may carry QoE bookkeeping that is stale under
@@ -605,7 +609,7 @@ impl GsoController {
             c.digest(&mut h);
         }
         self.executor.epoch().digest(&mut h);
-        self.tenancy.digest(&mut h);
+        self.picture.tenancy().digest(&mut h);
         self.last_solution.digest(&mut h);
         self.engine.stats().digest(&mut h);
         h.finish()
@@ -630,7 +634,7 @@ impl GsoController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gso_algo::{ladders, Resolution};
+    use gso_algo::{ladders, Resolution, SourceId};
     use gso_util::StreamKind;
 
     fn caps() -> CodecCapability {
@@ -904,6 +908,114 @@ mod tests {
             ),
             churn_before
         );
+    }
+
+    /// Prepare the round due at `now` and solve it on the controller's
+    /// engine, as `tick` does.
+    fn prepare_and_solve(c: &mut GsoController, now: SimTime) -> (RoundContext, SolveOutcome) {
+        let (TickPrep::Round(ctx), _) = c.tick_prepare(now) else {
+            panic!("a round is due at {now:?}");
+        };
+        let (solution, trace) = c.engine.solve_traced(ctx.problem());
+        (ctx, SolveOutcome { solution, trace: Some(trace), rows_delta: 0 })
+    }
+
+    /// Dropping a subscription is a structural change: the round carries a
+    /// new generation, so stickiness runs the full check, and a previous
+    /// solution still streaming the dropped source is replaced even though
+    /// it fits every link and out-scores the fresh one.
+    #[test]
+    fn subscription_change_forces_the_full_stickiness_check() {
+        let mut c = two_party();
+        let (ctx, solved) = prepare_and_solve(&mut c, SimTime::from_millis(10));
+        let first = ctx.live.generation;
+        let out = c.tick_commit(SimTime::from_millis(10), ctx, Some(solved)).unwrap();
+        assert_eq!(c.valid_for, Some(first));
+        let previous = out.solution;
+
+        c.on_subscriptions(ClientId(2), Vec::new());
+        let (ctx, solved) = prepare_and_solve(&mut c, SimTime::from_millis(1_100));
+        assert!(ctx.live.generation > first, "the subscription change bumps the generation");
+        assert!(previous.fits_links(ctx.problem()));
+        assert!(previous.validate(ctx.problem()).is_err());
+        assert!(solved.solution.total_qoe < previous.total_qoe);
+        let out = c.tick_commit(SimTime::from_millis(1_100), ctx, Some(solved)).unwrap();
+        assert!(out.solution.received.is_empty(), "the dropped stream is not kept");
+        assert_ne!(c.last_solution(), Some(&previous));
+    }
+
+    /// A fallback commit forgets that the previous solution was known
+    /// valid, so the next round checks every family even on an unchanged
+    /// structure: a previous solution that only the full check rejects is
+    /// not kept.
+    #[test]
+    fn round_after_fallback_runs_the_full_check() {
+        let mut c = two_party();
+        let (out, _) = c.tick(SimTime::from_millis(10));
+        let solved = out.expect("first tick runs").solution;
+        c.set_fallback(true);
+        let (out, _) = c.tick(SimTime::from_millis(1_100));
+        assert!(out.expect("fallback round runs").fallback);
+        assert_eq!(c.valid_for, None);
+
+        // Fits every link, breaks only a subscription family (no tag-1
+        // subscription exists), and out-scores any fresh solve.
+        let mut tampered = solved;
+        for streams in tampered.received.values_mut() {
+            for r in streams {
+                r.tag = 1;
+            }
+        }
+        tampered.total_qoe = f64::MAX;
+        c.last_solution = Some(tampered.clone());
+        c.set_fallback(false);
+        let (ctx, solved) = prepare_and_solve(&mut c, SimTime::from_millis(2_200));
+        assert!(tampered.fits_links(ctx.problem()));
+        assert!(tampered.validate(ctx.problem()).is_err());
+        let out = c.tick_commit(SimTime::from_millis(2_200), ctx, Some(solved)).unwrap();
+        assert!(!out.fallback);
+        assert_ne!(out.solution, tampered);
+        assert!(c.valid_for.is_some());
+    }
+
+    proptest::proptest! {
+        /// For a solver solution valid on a problem, the link-only check
+        /// agrees with the full check on any re-linked copy of it.
+        #[test]
+        fn fits_links_agrees_with_validate_on_relinked_problems(
+            links in proptest::prop::collection::vec((100u64..4_000, 100u64..4_000), 2..7),
+            relinks in proptest::prop::collection::vec((0u64..4_000, 0u64..4_000), 6..7),
+            watch in proptest::prop::collection::vec(proptest::prop::bool::ANY, 36..37),
+        ) {
+            let ids: Vec<ClientId> = (1..=links.len() as u32).map(ClientId).collect();
+            let clients = ids
+                .iter()
+                .zip(&links)
+                .map(|(&id, &(up, down))| {
+                    gso_algo::ClientSpec::new(id, k(up), k(down), ladders::paper_table1())
+                })
+                .collect();
+            let subscriptions = ids
+                .iter()
+                .flat_map(|&s| ids.iter().map(move |&p| (s, p)))
+                .zip(&watch)
+                .filter(|&((s, p), &on)| on && s != p)
+                .map(|((s, p), _)| {
+                    gso_algo::Subscription::new(s, SourceId::video(p), Resolution::R720)
+                })
+                .collect();
+            let problem = Problem::new(clients, subscriptions).expect("valid conference");
+            let solution = gso_algo::solver::solve(&problem, &SolverConfig::default());
+            proptest::prop_assert!(solution.validate(&problem).is_ok());
+            let mut relinked = problem.clone();
+            for (&id, &(up, down)) in ids.iter().zip(&relinks) {
+                relinked.set_link(id, k(up), k(down));
+            }
+            proptest::prop_assert_eq!(
+                solution.fits_links(&relinked),
+                solution.validate(&relinked).is_ok()
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! guarantee, so the executor retransmits a request until the matching
 //! GTBN acknowledgement arrives.
 
+use crate::state::LadderLayers;
 use gso_algo::{Solution, SourceId};
 use gso_rtp::{ssrc_for, GsoTmmbn, GsoTmmbr, TmmbrEntry};
 use gso_telemetry::{keys, Telemetry};
@@ -87,6 +88,9 @@ pub struct FeedbackExecutor {
     applied: BTreeMap<ClientId, Vec<TmmbrEntry>>,
     /// Clients that exhausted retransmissions since the last drain.
     failed: Vec<ClientId>,
+    /// One client's layer configuration while [`Self::execute`] builds it;
+    /// reused across clients and rounds.
+    entries: Vec<TmmbrEntry>,
     /// Metrics sink (disabled by default; see `gso-telemetry`).
     telemetry: Telemetry,
 }
@@ -103,6 +107,7 @@ impl FeedbackExecutor {
             outstanding: BTreeMap::new(),
             applied: BTreeMap::new(),
             failed: Vec::new(),
+            entries: Vec::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -149,7 +154,7 @@ impl FeedbackExecutor {
         &mut self,
         now: SimTime,
         solution: &Solution,
-        ladder_layers: &BTreeMap<SourceId, Vec<u16>>,
+        ladder_layers: &LadderLayers,
     ) -> (Vec<(ClientId, GsoTmmbr)>, Vec<ForwardingRule>) {
         // Forwarding rules straight from the solution's receive map.
         // lint: allow(hot-alloc, reason = "per-round forwarding-rule fan-out; buffer reuse is tracked by the zero-alloc roadmap item")
@@ -167,64 +172,80 @@ impl FeedbackExecutor {
             }
         }
 
-        // Per-client layer configuration vectors.
-        // lint: allow(hot-alloc, reason = "per-client TMMBR entry vectors rebuilt per round; reuse is tracked by the zero-alloc roadmap item")
-        let mut per_client: BTreeMap<ClientId, Vec<TmmbrEntry>> = BTreeMap::new();
+        // Per-client layer configuration vectors. Sources ascend by client,
+        // so one client's layers are contiguous: each is built in the
+        // reused layer buffer and offered once the next client's begin.
+        // lint: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
+        let mut messages = Vec::new();
+        let mut current = None;
         for (&source, lines_list) in ladder_layers {
+            if current != Some(source.client) {
+                if let Some(client) = current {
+                    self.offer(now, client, &mut messages);
+                }
+                current = Some(source.client);
+            }
             let policies = solution.policies(source);
             for &lines in lines_list {
                 let bitrate = policies
                     .iter()
                     .find(|p| p.resolution.0 == lines)
                     .map_or(Bitrate::ZERO, |p| p.bitrate);
-                // lint: allow(hot-alloc, reason = "per-client TMMBR entry vectors rebuilt per round; reuse is tracked by the zero-alloc roadmap item")
-                per_client.entry(source.client).or_default().push(TmmbrEntry {
+                // lint: allow(hot-alloc, reason = "reused layer buffer; regrows only after a sent message took its allocation")
+                self.entries.push(TmmbrEntry {
                     ssrc: ssrc_for(source.client, source.kind, lines),
                     bitrate,
                     overhead: 40,
                 });
             }
         }
-
-        // lint: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
-        let mut messages = Vec::new();
-        for (client, entries) in per_client {
-            if self.applied.get(&client) == Some(&entries)
-                && !self.outstanding.contains_key(&client)
-            {
-                continue; // configuration unchanged and acknowledged
-            }
-            if let Some(out) = self.outstanding.get(&client) {
-                if out.message.entries == entries {
-                    // The identical configuration is already in flight:
-                    // keep the outstanding message and its retransmission
-                    // budget. Re-issuing with a fresh sequence number would
-                    // reset `transmissions` on every controller tick, so a
-                    // persistently unreachable client could never exhaust
-                    // the budget and reach the §7 failure path whenever the
-                    // tick cadence is shorter than the summed backoff
-                    // schedule.
-                    continue;
-                }
-            }
-            let message = GsoTmmbr {
-                sender_ssrc: self.controller_ssrc,
-                epoch: self.epoch,
-                request_seq: self.next_seq,
-                entries,
-            };
-            self.next_seq += 1;
-            // lint: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
-            self.outstanding.insert(
-                client,
-                // lint: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
-                Outstanding { message: message.clone(), sent_at: now, transmissions: 1 },
-            );
-            self.telemetry.incr(keys::GTMB_SENT, client);
-            // lint: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
-            messages.push((client, message));
+        if let Some(client) = current {
+            self.offer(now, client, &mut messages);
         }
         (messages, rules)
+    }
+
+    /// Send `client` the configuration in the layer buffer unless it is
+    /// already applied or in flight, and leave the buffer empty. A sent
+    /// message takes the buffer's allocation with it. A client with no
+    /// layers gets no message.
+    fn offer(&mut self, now: SimTime, client: ClientId, messages: &mut Vec<(ClientId, GsoTmmbr)>) {
+        if self.entries.is_empty() {
+            return;
+        }
+        let entries = self.entries.as_slice();
+        let send = match self.outstanding.get(&client) {
+            // The identical configuration is already in flight: keep the
+            // outstanding message and its retransmission budget.
+            // Re-issuing with a fresh sequence number would reset
+            // `transmissions` on every controller tick, so a persistently
+            // unreachable client could never exhaust the budget and reach
+            // the §7 failure path whenever the tick cadence is shorter than
+            // the summed backoff schedule.
+            Some(out) => out.message.entries != entries,
+            // Configuration unchanged and acknowledged.
+            None => self.applied.get(&client).map(Vec::as_slice) != Some(entries),
+        };
+        if !send {
+            self.entries.clear();
+            return;
+        }
+        let message = GsoTmmbr {
+            sender_ssrc: self.controller_ssrc,
+            epoch: self.epoch,
+            request_seq: self.next_seq,
+            entries: std::mem::take(&mut self.entries),
+        };
+        self.next_seq += 1;
+        // lint: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
+        self.outstanding.insert(
+            client,
+            // lint: allow(hot-alloc, reason = "outstanding-message bookkeeping for GTMB reliability; one entry per unacked client")
+            Outstanding { message: message.clone(), sent_at: now, transmissions: 1 },
+        );
+        self.telemetry.incr(keys::GTMB_SENT, client);
+        // lint: allow(hot-alloc, reason = "per-round GTMB message batch; reuse is tracked by the zero-alloc roadmap item")
+        messages.push((client, message));
     }
 
     /// Process a GTBN acknowledgement from a client. Acks from a different

@@ -7,13 +7,19 @@
 //! [`GlobalPicture::to_problem`] assembles the current picture into a
 //! validated [`Problem`] for the solver, applying the audio-protection
 //! subtraction (§7) and speaker/screen priority boosts (§4.4).
+//!
+//! The picture keeps that problem live: it is built once per *structural
+//! generation* (the span between joins, leaves, subscription, speaker or
+//! tenancy changes), and link reports patch its bandwidths in place.
 
 use gso_algo::{
     ClientSpec, Ladder, Problem, ProblemError, PublisherSource, Resolution, SourceId, Subscription,
+    Tenancy,
 };
 use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{Bitrate, ClientId, SimTime, StreamKind};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A subscription intent as signaled by a client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,24 +77,51 @@ struct ClientState {
     intents: Vec<SubscribeIntent>,
 }
 
+/// Each source's negotiated resolution lines, in source order: what the
+/// feedback executor zero-fills when a layer is disabled.
+pub type LadderLayers = BTreeMap<SourceId, Vec<u16>>;
+
+/// The solver input of the current structural generation, shared with the
+/// rounds that solve it.
+#[derive(Debug, Clone)]
+pub(crate) struct LiveProblem {
+    /// Equal to a fresh [`GlobalPicture::to_problem`] at every moment.
+    pub(crate) problem: Arc<Problem>,
+    /// The problem's sources' resolution lines; only a structural change
+    /// can alter them.
+    pub(crate) ladder_layers: Arc<LadderLayers>,
+    /// Which rebuild produced this problem. Equal generations mean equal
+    /// structure: only link bandwidths can differ between two rounds that
+    /// carry the same generation.
+    pub(crate) generation: u64,
+}
+
 /// The assembled, continuously-updated view of one conference.
 #[derive(Debug, Default)]
 pub struct GlobalPicture {
     clients: BTreeMap<ClientId, ClientState>,
     speaker: Option<ClientId>,
+    /// Who owns this conference and at which tier; stamped into the
+    /// problem for the fleet's admission and shedding layer.
+    tenancy: Tenancy,
     /// Default bandwidth assumed before the first report arrives.
-    pub default_bandwidth: Bitrate,
+    default_bandwidth: Bitrate,
     /// QoE boost applied to the active speaker's camera subscriptions.
-    pub speaker_boost: f64,
+    speaker_boost: f64,
     /// QoE boost applied to screen-share subscriptions.
-    pub screen_boost: f64,
+    screen_boost: f64,
     /// Headroom subtracted from every link for audio + control (§7).
-    pub audio_protection: Bitrate,
+    audio_protection: Bitrate,
     /// Fraction of the reported bandwidth the controller may allocate.
     /// Estimates wobble around the true capacity; committing 100 % of them
     /// keeps the link saturated and the estimator oscillating, while a
     /// modest margin yields a stable fit just under the limit.
-    pub allocation_headroom: f64,
+    allocation_headroom: f64,
+    /// The live problem; `None` from a structural change until the next
+    /// [`Self::live`] rebuilds it. Not part of the digest.
+    live: Option<LiveProblem>,
+    /// Rebuilds so far. Not part of the digest.
+    generation: u64,
 }
 
 impl StateDigest for SubscribeIntent {
@@ -134,11 +167,14 @@ impl GlobalPicture {
         GlobalPicture {
             clients: BTreeMap::new(),
             speaker: None,
+            tenancy: Tenancy::default(),
             default_bandwidth: Bitrate::from_kbps(300),
             speaker_boost: gso_algo::qoe::SPEAKER_BOOST,
             screen_boost: gso_algo::qoe::SCREEN_BOOST,
             audio_protection: Bitrate::from_kbps(50),
             allocation_headroom: 0.85,
+            live: None,
+            generation: 0,
         }
     }
 
@@ -155,6 +191,7 @@ impl GlobalPicture {
                 intents: Vec::new(),
             },
         );
+        self.live = None;
     }
 
     /// A client left; its subscriptions (in both directions) disappear.
@@ -166,6 +203,7 @@ impl GlobalPicture {
         if self.speaker == Some(id) {
             self.speaker = None;
         }
+        self.live = None;
     }
 
     /// Is this client currently in the conference?
@@ -186,7 +224,10 @@ impl GlobalPicture {
     /// Replace a client's subscription intents.
     pub fn set_subscriptions(&mut self, id: ClientId, intents: Vec<SubscribeIntent>) {
         if let Some(c) = self.clients.get_mut(&id) {
-            c.intents = intents;
+            if c.intents != intents {
+                c.intents = intents;
+                self.live = None;
+            }
         }
     }
 
@@ -195,6 +236,7 @@ impl GlobalPicture {
         if let Some(c) = self.clients.get_mut(&id) {
             c.uplink = Some(bandwidth);
             c.last_uplink_report = Some(now);
+            self.patch_links(id);
         }
     }
 
@@ -203,17 +245,35 @@ impl GlobalPicture {
         if let Some(c) = self.clients.get_mut(&id) {
             c.downlink = Some(bandwidth);
             c.last_downlink_report = Some(now);
+            self.patch_links(id);
         }
     }
 
     /// Mark the active speaker (boosts its camera subscriptions).
     pub fn set_speaker(&mut self, id: Option<ClientId>) {
-        self.speaker = id;
+        if self.speaker != id {
+            self.speaker = id;
+            self.live = None;
+        }
     }
 
     /// Current speaker.
     pub fn speaker(&self) -> Option<ClientId> {
         self.speaker
+    }
+
+    /// Label the conference with its owning tenant and service tier
+    /// (default: tenant 0, normal).
+    pub fn set_tenancy(&mut self, tenancy: Tenancy) {
+        if self.tenancy != tenancy {
+            self.tenancy = tenancy;
+            self.live = None;
+        }
+    }
+
+    /// The conference's tenancy label.
+    pub fn tenancy(&self) -> Tenancy {
+        self.tenancy
     }
 
     /// Latest uplink estimate for a client.
@@ -244,45 +304,85 @@ impl GlobalPicture {
             .collect()
     }
 
-    /// Build the solver input from the current picture.
+    /// The solver's budget on a link last reported at `reported` (the
+    /// default bandwidth before any report): the allocation headroom
+    /// fraction minus the audio protection.
+    fn budget(&self, reported: Option<Bitrate>) -> Bitrate {
+        reported
+            .unwrap_or(self.default_bandwidth)
+            .mul_f64(self.allocation_headroom)
+            .saturating_sub(self.audio_protection)
+    }
+
+    /// Carry a client's new link budgets into the live problem. The
+    /// problem is copied first only while a round still holds it.
+    fn patch_links(&mut self, id: ClientId) {
+        let Some(c) = self.clients.get(&id) else { return };
+        let (uplink, downlink) = (self.budget(c.uplink), self.budget(c.downlink));
+        if let Some(live) = &mut self.live {
+            Arc::make_mut(&mut live.problem).set_link(id, uplink, downlink);
+        }
+    }
+
+    /// The live problem of the current structural generation, rebuilt
+    /// with [`Self::to_problem`] on the first call after a structural
+    /// change; that rebuild bumps the generation and recomputes the
+    /// ladder layers. Every other call hands out the same shared problem,
+    /// with link reports already patched in.
+    pub(crate) fn live(&mut self) -> Result<LiveProblem, ProblemError> {
+        if self.live.is_none() {
+            let problem = self.to_problem()?;
+            let ladder_layers = problem
+                .sources()
+                .iter()
+                // lint: allow(hot-alloc, reason = "ladder-layer map rebuilt once per structural change, not per round")
+                .map(|s| (s.id, s.ladder.resolutions().iter().map(|r| r.0).collect()))
+                // lint: allow(hot-alloc, reason = "ladder-layer map rebuilt once per structural change, not per round")
+                .collect();
+            self.generation += 1;
+            self.live = Some(LiveProblem {
+                problem: Arc::new(problem),
+                ladder_layers: Arc::new(ladder_layers),
+                generation: self.generation,
+            });
+        }
+        let live = self.live.as_ref().expect("invariant: filled above when empty");
+        // Two `Arc` handles and a counter: sharing, not allocation.
+        Ok(LiveProblem::clone(live))
+    }
+
+    /// Build the solver input from the current picture: the reference the
+    /// live problem must always equal.
     ///
-    /// Bandwidths default to [`Self::default_bandwidth`] until first
+    /// Bandwidths default to the picture's default bandwidth until first
     /// reported; the audio protection headroom is subtracted from both
-    /// directions; speaker and screen subscriptions get their boosts.
-    /// Intents pointing at departed clients or missing sources are dropped
-    /// rather than failing the build.
+    /// directions; speaker and screen subscriptions get their boosts; the
+    /// tenancy label is stamped on. Intents pointing at departed clients or
+    /// missing sources are dropped rather than failing the build.
     pub fn to_problem(&self) -> Result<Problem, ProblemError> {
         let clients: Vec<ClientSpec> = self
             .clients
             .iter()
-            .map(|(&id, c)| {
-                let uplink = c.uplink.unwrap_or(self.default_bandwidth);
-                let downlink = c.downlink.unwrap_or(self.default_bandwidth);
-                ClientSpec {
-                    id,
-                    uplink: uplink
-                        .mul_f64(self.allocation_headroom)
-                        .saturating_sub(self.audio_protection),
-                    downlink: downlink
-                        .mul_f64(self.allocation_headroom)
-                        .saturating_sub(self.audio_protection),
-                    sources: c
-                        .caps
-                        .ladders
-                        .iter()
-                        .map(|(kind, ladder)| PublisherSource {
-                            id: SourceId { client: id, kind: *kind },
-                            // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
-                            ladder: ladder.clone(),
-                        })
-                        // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
-                        .collect(),
-                }
+            .map(|(&id, c)| ClientSpec {
+                id,
+                uplink: self.budget(c.uplink),
+                downlink: self.budget(c.downlink),
+                sources: c
+                    .caps
+                    .ladders
+                    .iter()
+                    .map(|(kind, ladder)| PublisherSource {
+                        id: SourceId { client: id, kind: *kind },
+                        // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
+                        ladder: ladder.clone(),
+                    })
+                    // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
+                    .collect(),
             })
-            // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+            // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
             .collect();
 
-        // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+        // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
         let mut subscriptions = Vec::new();
         for (&id, c) in &self.clients {
             for intent in &c.intents {
@@ -302,7 +402,7 @@ impl GlobalPicture {
                 } else {
                     1.0
                 };
-                // lint: allow(hot-alloc, reason = "problem-assembly snapshot handed to the solver once per round; reuse is tracked by the zero-alloc roadmap item")
+                // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
                 subscriptions.push(
                     Subscription::new(id, intent.source, intent.max_resolution)
                         .with_boost(boost)
@@ -310,14 +410,15 @@ impl GlobalPicture {
                 );
             }
         }
-        Problem::new(clients, subscriptions)
+        Ok(Problem::new(clients, subscriptions)?.with_tenancy(self.tenancy))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gso_algo::ladders;
+    use gso_algo::{ladders, PriorityClass, TenantId};
+    use proptest::prelude::*;
 
     fn caps() -> CodecCapability {
         CodecCapability { ladders: vec![(StreamKind::Video, ladders::paper_table1())] }
@@ -429,6 +530,114 @@ mod tests {
         );
         let p = g.to_problem().unwrap();
         assert!(p.subscriptions().is_empty());
+    }
+
+    /// One signaling or report event against the picture.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Join with a camera, plus a screen share when set.
+        Join(u32, bool),
+        Leave(u32),
+        /// (publisher, screen?, tag) per intent.
+        Subscribe(u32, Vec<(u32, bool, u8)>),
+        Speaker(Option<u32>),
+        Tenancy(u32, u8),
+        Uplink(u32, u64),
+        Downlink(u32, u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let intents = prop::collection::vec((1u32..=6, prop::bool::ANY, 0u8..2), 0..4);
+        (0u8..7, 1u32..=6, prop::bool::ANY, 0u64..4_000, intents).prop_map(
+            |(kind, c, flag, n, intents)| match kind {
+                0 => Op::Join(c, flag),
+                1 => Op::Leave(c),
+                2 => Op::Subscribe(c, intents),
+                3 => Op::Speaker(flag.then_some(c)),
+                4 => Op::Tenancy(c % 3, (n % 3) as u8),
+                5 => Op::Uplink(c, n),
+                _ => Op::Downlink(c, n),
+            },
+        )
+    }
+
+    fn apply(g: &mut GlobalPicture, op: &Op) {
+        let now = SimTime::from_secs(1);
+        match *op {
+            Op::Join(c, screen) => {
+                let mut caps = caps();
+                if screen {
+                    caps.ladders.push((StreamKind::Screen, ladders::coarse3()));
+                }
+                g.join(ClientId(c), caps);
+            }
+            Op::Leave(c) => g.leave(ClientId(c)),
+            Op::Subscribe(c, ref intents) => {
+                let intents = intents
+                    .iter()
+                    .map(|&(p, screen, tag)| SubscribeIntent {
+                        source: if screen {
+                            SourceId::screen(ClientId(p))
+                        } else {
+                            SourceId::video(ClientId(p))
+                        },
+                        max_resolution: Resolution::R720,
+                        tag,
+                    })
+                    .collect();
+                g.set_subscriptions(ClientId(c), intents);
+            }
+            Op::Speaker(c) => g.set_speaker(c.map(ClientId)),
+            Op::Tenancy(t, p) => {
+                let priority = [PriorityClass::High, PriorityClass::Normal, PriorityClass::Low];
+                g.set_tenancy(Tenancy::new(TenantId(t), priority[usize::from(p)]));
+            }
+            Op::Uplink(c, kbps) => g.report_uplink(ClientId(c), now, k(kbps)),
+            Op::Downlink(c, kbps) => g.report_downlink(ClientId(c), now, k(kbps)),
+        }
+    }
+
+    proptest! {
+        /// After every event the live problem equals a fresh `to_problem`
+        /// (or both fail alike), and a round still holding an older
+        /// problem keeps seeing it unchanged.
+        #[test]
+        fn live_problem_equals_a_fresh_build(ops in prop::collection::vec(op(), 1..40)) {
+            let mut g = GlobalPicture::new();
+            let mut held: Option<(LiveProblem, String)> = None;
+            for op in &ops {
+                apply(&mut g, op);
+                // `Debug` prints every field, floats included, exactly.
+                let fresh = format!("{:?}", g.to_problem());
+                let live = g.live();
+                let patched = format!("{:?}", live.as_ref().map(|l| &l.problem));
+                prop_assert!(patched == fresh, "after {op:?}: live {patched}, fresh {fresh}");
+                if let Some((round, before)) = &held {
+                    prop_assert!(format!("{:?}", round.problem) == *before, "held round changed");
+                }
+                held = live.ok().map(|l| {
+                    let before = format!("{:?}", l.problem);
+                    (l, before)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn generation_moves_only_on_structural_change() {
+        let mut g = GlobalPicture::new();
+        g.join(ClientId(1), caps());
+        g.join(ClientId(2), caps());
+        let first = g.live().unwrap();
+        g.report_downlink(ClientId(2), SimTime::from_secs(1), k(1_000));
+        g.set_speaker(None);
+        let patched = g.live().unwrap();
+        assert_eq!(patched.generation, first.generation);
+        assert!(Arc::ptr_eq(&patched.ladder_layers, &first.ladder_layers));
+        assert_eq!(first.problem.client(ClientId(2)).unwrap().downlink, k(205));
+        assert_eq!(patched.problem.client(ClientId(2)).unwrap().downlink, k(800));
+        g.set_speaker(Some(ClientId(1)));
+        assert_eq!(g.live().unwrap().generation, first.generation + 1);
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!   each source's ladder is quantized once per iteration into a shared
 //!   *item template* instead of once per subscriber; Step-1 requests land in
 //!   reusable per-source buckets instead of a fresh `BTreeMap` per
-//!   iteration; retired clients' DP slabs return to an [`McPool`] that seeds
-//!   joining clients.
+//!   iteration, and a client's fingerprint caches each subscription's
+//!   bucket index, so a cache hit places its requests with no search;
+//!   retired clients' DP slabs return to an [`McPool`] that seeds joining
+//!   clients. Merge and assembly size every audience and every received
+//!   list before filling it, so each output is allocated once.
 //! * **Batching** — one engine per conference, driven sequentially here or
 //!   interleaved across conferences by [`crate::batch::BatchScheduler`],
 //!   which owns persistent workers and merges results deterministically.
@@ -38,8 +41,8 @@ use crate::mckp::{self, McItem, McOutcome, McPool, McReuse, McState};
 use crate::problem::{Problem, SourceId, Subscription};
 use crate::solution::Solution;
 use crate::solver::{
-    assemble, convergence_bound, merge_step, reduced_ladder, uplink_step, IterationTrace,
-    LadderView, ReductionTrace, Request, SolveTrace, SolverConfig,
+    assemble, convergence_bound, merge_step, merged_pairs, reduced_ladder, reduction_trace,
+    uplink_step, IterationTrace, LadderView, Request, SolveTrace, SolverConfig,
 };
 use crate::types::{Ladder, StreamSpec};
 use gso_util::{Bitrate, ClientId};
@@ -83,11 +86,15 @@ struct ClientEntry {
     /// Outcome of the last knapsack, consumed by the stats merge.
     last: Option<McOutcome>,
     /// Input fingerprint: the subscription slice this entry's scratch and DP
-    /// were last built from. Together with `downlink_key` and `tmpl_rev_key`
-    /// it captures *every* input `solve_flat` sees, so a match lets Step 1
-    /// skip the item rebuild and the DP call outright and materialize
-    /// requests from the cached choices.
-    subs_key: Vec<Subscription>,
+    /// were last built from, each subscription paired with its source's
+    /// index in `src_ids` (its request bucket) at that build. Together with
+    /// `downlink_key` and `tmpl_rev_key` it captures *every* input
+    /// `solve_flat` sees, so a match lets Step 1 skip the item rebuild and
+    /// the DP call outright and materialize requests from the cached
+    /// choices, straight into the cached buckets. Any template revision
+    /// (which is how `src_ids` changes) misses, so the slots are rebuilt
+    /// whenever a source joins or leaves.
+    subs_key: Vec<(Subscription, Option<usize>)>,
     /// Downlink the cached choices were solved at.
     downlink_key: Bitrate,
     /// Engine template revision the cache was built against; `0` never
@@ -255,37 +262,12 @@ impl SolveEngine {
         for iteration in 1..=max_iters {
             self.stats.iterations += 1;
             self.knapsack_step(problem, &overlay);
-            // Only sources somebody requested from participate in the merge;
-            // skipping empty buckets keeps the policy map's key set (and so
-            // every downstream digest) identical to the sequential path.
-            let mut policies = merge_step(
-                self.src_ids
-                    .iter()
-                    .zip(&self.buckets)
-                    .filter(|(_, b)| !b.is_empty())
-                    .map(|(s, b)| (*s, b.as_slice())),
-            );
-
-            let mut iter_trace = trace.as_ref().map(|_| IterationTrace {
-                requests: self
-                    .src_ids
-                    .iter()
-                    .zip(&self.buckets)
-                    .filter(|(_, b)| !b.is_empty())
-                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
-                    .map(|(s, b)| (*s, b.clone()))
-                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
-                    .collect(),
-                merged: policies
-                    .iter()
-                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
-                    .map(|(src, ps)| (*src, ps.iter().map(|p| (p.resolution, p.bitrate)).collect()))
-                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
-                    .collect(),
-                // lint: allow(hot-alloc, reason = "empty-vec constructor does not allocate")
-                repaired: Vec::new(),
-                reduction: None,
-            });
+            // Every source's bucket goes in; the merge skips empty ones, so
+            // the policy map's key set (and so every downstream digest) is
+            // identical to the sequential path.
+            let mut policies =
+                merge_step(self.src_ids.iter().zip(&self.buckets).map(|(s, b)| (*s, b.as_slice())));
+            let merged = trace.as_ref().map(|_| merged_pairs(&policies));
 
             self.repaired.clear();
             let reduction = uplink_step(
@@ -295,35 +277,31 @@ impl SolveEngine {
                 self.cfg.unit,
                 &mut self.repaired,
             );
-            if let Some(t) = iter_trace.as_mut() {
-                t.repaired = std::mem::take(&mut self.repaired);
-            }
-
-            if let Some((source, res)) = reduction {
-                let shrunk = reduced_ladder(&overlay, source, res);
-                if let Some(t) = iter_trace.take() {
-                    if let Some(trace) = trace.as_mut() {
+            let shrunk =
+                reduction.map(|(source, res)| (source, res, reduced_ladder(&overlay, source, res)));
+            if let Some(trace) = trace.as_mut() {
+                // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                trace.iterations.push(IterationTrace {
+                    requests: self
+                        .src_ids
+                        .iter()
+                        .zip(&self.buckets)
+                        .filter(|(_, b)| !b.is_empty())
                         // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
-                        trace.iterations.push(IterationTrace {
-                            reduction: Some(ReductionTrace {
-                                source,
-                                resolution: res,
-                                remaining_at_resolution: shrunk.at_resolution(res).len(),
-                            }),
-                            ..t
-                        });
-                    }
-                }
-                // lint: allow(hot-alloc, reason = "ladder reduction is the iteration-bounded slow branch, not the steady-state re-solve")
-                overlay.reduced.insert(source, shrunk);
-                continue;
+                        .map(|(s, b)| (*s, b.clone()))
+                        // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+                        .collect(),
+                    merged: merged.unwrap_or_default(),
+                    repaired: std::mem::take(&mut self.repaired),
+                    reduction: shrunk
+                        .as_ref()
+                        .map(|(source, res, ladder)| reduction_trace(*source, *res, ladder)),
+                });
             }
-
-            if let Some(t) = iter_trace.take() {
-                if let Some(trace) = trace.as_mut() {
-                    // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
-                    trace.iterations.push(t);
-                }
+            if let Some((source, _, ladder)) = shrunk {
+                // lint: allow(hot-alloc, reason = "ladder reduction is the iteration-bounded slow branch, not the steady-state re-solve")
+                overlay.reduced.insert(source, ladder);
+                continue;
             }
 
             let solution = assemble(problem, &overlay, policies, iteration);
@@ -355,16 +333,15 @@ impl SolveEngine {
                 let (_, entry) = old_iter.next().expect("invariant: just peeked a departed entry");
                 retire_entry(&mut self.pool, &mut self.spare, entry);
             }
-            if old_iter.peek().is_some_and(|(id, _)| *id == client.id) {
-                let entry = old_iter.next().expect("invariant: just peeked");
-                // lint: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
-                self.caches.push(entry);
+            let entry = if old_iter.peek().is_some_and(|(id, _)| *id == client.id) {
+                old_iter.next().expect("invariant: just peeked").1
             } else {
                 let mut entry = self.spare.pop().unwrap_or_default();
                 entry.mc = self.pool.acquire();
-                // lint: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
-                self.caches.push((client.id, entry));
-            }
+                entry
+            };
+            // lint: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
+            self.caches.push((client.id, entry));
         }
         for (_, entry) in old_iter {
             retire_entry(&mut self.pool, &mut self.spare, entry);
@@ -447,13 +424,14 @@ impl SolveEngine {
 
             // Fingerprint fast path: templates, subscriptions and downlink
             // together are *every* input the rebuild below and `solve_flat`
-            // read, so a match means the cached choices/specs/ranges are
-            // exactly what a re-solve would produce (it would be a Full hit
-            // with untouched choices) — skip both and go straight to request
-            // materialization.
+            // read, so a match means the cached choices/specs/ranges/slots
+            // are exactly what a re-solve would produce (it would be a Full
+            // hit with untouched choices) — skip both and go straight to
+            // request materialization.
             if entry.tmpl_rev_key == self.tmpl_rev
                 && entry.downlink_key == client.downlink
-                && entry.subs_key.as_slice() == subs
+                && entry.subs_key.len() == subs.len()
+                && entry.subs_key.iter().zip(subs).all(|((key, _), sub)| key == sub)
             {
                 self.stats.full_hits += 1;
                 self.stats.rows_reused += entry.ranges.len() as u64;
@@ -466,9 +444,14 @@ impl SolveEngine {
                 entry.items.clear();
                 entry.ranges.clear();
                 entry.specs.clear();
-                for sub in subs {
+                entry.subs_key.clear();
+                // lint: allow(hot-alloc, reason = "per-client fingerprint retained across solves; steady-state refreshes reuse capacity")
+                entry.subs_key.extend(
+                    subs.iter().map(|sub| (*sub, self.src_ids.binary_search(&sub.source).ok())),
+                );
+                for &(sub, slot) in &entry.subs_key {
                     let lo = entry.items.len();
-                    if let Ok(si) = self.src_ids.binary_search(&sub.source) {
+                    if let Some(si) = slot {
                         let &(tlo, thi) =
                             self.tmpl_ranges.get(si).expect("invariant: ranges mirror src_ids");
                         let tmpl = self
@@ -518,30 +501,25 @@ impl SolveEngine {
                     }
                 }
 
-                entry.subs_key.clear();
-                // lint: allow(hot-alloc, reason = "per-client fingerprint retained across solves; steady-state refreshes reuse capacity")
-                entry.subs_key.extend_from_slice(subs);
                 entry.downlink_key = client.downlink;
                 entry.tmpl_rev_key = self.tmpl_rev;
             }
 
-            // Materialize this client's requests straight into the source
-            // buckets. The DP solved exactly one class per subscription, so
-            // choices and ranges zip against subs without residue.
-            for (sub, (&choice, &(lo, _))) in
-                subs.iter().zip(entry.mc.choices().iter().zip(entry.ranges.iter()))
+            // Materialize this client's requests straight into the cached
+            // source buckets. The DP solved exactly one class per
+            // subscription, so choices and ranges zip against the
+            // fingerprint without residue.
+            for (&(sub, slot), (&choice, &(lo, _))) in
+                entry.subs_key.iter().zip(entry.mc.choices().iter().zip(entry.ranges.iter()))
             {
                 if let Some(i) = choice {
                     let spec = *entry
                         .specs
                         .get(lo + i)
                         .expect("invariant: choice entries index into their class range");
-                    let si = self
-                        .src_ids
-                        .binary_search(&sub.source)
-                        .expect("invariant: subscriptions name sources with templates");
-                    let bucket =
-                        self.buckets.get_mut(si).expect("invariant: buckets mirror src_ids");
+                    let bucket = slot
+                        .and_then(|si| self.buckets.get_mut(si))
+                        .expect("invariant: a chosen stream's source has a request bucket");
                     // lint: allow(hot-alloc, reason = "per-source request buckets are recycled across iterations; steady-state pushes reuse capacity")
                     bucket.push(Request { subscriber: *id, tag: sub.tag, spec });
                 }
@@ -555,6 +533,7 @@ mod tests {
     use super::*;
     use crate::ladders;
     use crate::problem::{ClientSpec, Subscription};
+    use crate::solution::Solution;
     use crate::solver;
     use crate::types::Resolution;
     use gso_util::Bitrate;
@@ -691,15 +670,18 @@ mod tests {
         assert_identical(&mut engine, &p8);
     }
 
-    #[test]
-    fn table1_cases_identical_via_engine() {
+    /// The three Table 1 meetings: every client subscribes to the other two,
+    /// with the paper's per-case bandwidths and resolution caps.
+    fn table1_problems() -> Vec<Problem> {
         let ladder = ladders::paper_table1();
-        for bw in [
+        let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
+        [
             [(5_000u64, 1_400u64), (5_000, 3_000), (5_000, 500)],
             [(5_000, 5_000), (600, 5_000), (5_000, 5_000)],
             [(5_000, 5_000), (600, 700), (5_000, 5_000)],
-        ] {
-            let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
+        ]
+        .into_iter()
+        .map(|bw| {
             let clients = vec![
                 ClientSpec::new(a, kbps(bw[0].0), kbps(bw[0].1), ladder.clone()),
                 ClientSpec::new(b, kbps(bw[1].0), kbps(bw[1].1), ladder.clone()),
@@ -713,11 +695,84 @@ mod tests {
                 Subscription::new(c, SourceId::video(b), Resolution::R360),
                 Subscription::new(c, SourceId::video(a), Resolution::R720),
             ];
-            let p = Problem::new(clients, subs).expect("valid problem");
+            Problem::new(clients, subs).expect("valid problem")
+        })
+        .collect()
+    }
+
+    #[test]
+    fn table1_cases_identical_via_engine() {
+        for p in table1_problems() {
             let mut engine = SolveEngine::new(SolverConfig::default());
             // Cold and warm both match.
             assert_identical(&mut engine, &p);
             assert_identical(&mut engine, &p);
         }
+    }
+
+    /// Every audience and every received list is allocated at its final
+    /// length, by the one-shot solver and by the engine, cold and warm.
+    #[test]
+    fn outputs_are_allocated_at_their_final_size() {
+        fn assert_exact(sol: &Solution) {
+            for p in sol.publish.values().flatten() {
+                assert_eq!(p.audience.capacity(), p.audience.len(), "audience of {p:?}");
+            }
+            for (sub, list) in &sol.received {
+                assert_eq!(list.capacity(), list.len(), "received list of {sub:?}");
+            }
+        }
+        let mut problems = table1_problems();
+        problems.push(mesh(20, &|i| 900 + 150 * u64::from(i)));
+        for p in &problems {
+            let mut engine = SolveEngine::new(SolverConfig::default());
+            assert_exact(&solver::solve(p, engine.config()));
+            assert_exact(&engine.solve(p));
+            assert_exact(&engine.solve(p));
+        }
+        let mesh = solver::solve(&problems[3], &SolverConfig::default());
+        assert!(
+            mesh.publish.values().any(|ps| ps.len() > 1),
+            "the mesh must split some source's audience across resolutions"
+        );
+    }
+
+    /// A client joins whose source sorts below every existing one, so every
+    /// source's request bucket moves up by one index. Nobody subscribes to
+    /// the joiner, so every existing client keeps its subscriptions and
+    /// downlink: only the template revision tells their fingerprints that
+    /// the cached source slots are stale. The warm solves must still equal
+    /// the one-shot solver's.
+    #[test]
+    fn join_below_existing_sources_rebuilds_the_cached_slots() {
+        let ladder = ladders::paper_table1();
+        let client = |i: u32| {
+            ClientSpec::new(
+                ClientId(i),
+                kbps(2_500),
+                kbps(900 + 100 * u64::from(i)),
+                ladder.clone(),
+            )
+        };
+        let subscribe = |i: u32, j: u32| {
+            Subscription::new(ClientId(i), SourceId::video(ClientId(j)), Resolution::R720)
+        };
+        let old: Vec<u32> = (10..=15).collect();
+        let mut subs: Vec<Subscription> = old
+            .iter()
+            .flat_map(|&i| old.iter().filter(move |&&j| j != i).map(move |&j| subscribe(i, j)))
+            .collect();
+        let before = Problem::new(old.iter().map(|&i| client(i)).collect(), subs.clone())
+            .expect("valid problem");
+        let mut engine = SolveEngine::new(SolverConfig::default());
+        assert_identical(&mut engine, &before);
+        assert_identical(&mut engine, &before);
+
+        subs.extend(old.iter().map(|&j| subscribe(1, j)));
+        let after =
+            Problem::new(std::iter::once(1).chain(old.iter().copied()).map(client).collect(), subs)
+                .expect("valid problem");
+        assert_identical(&mut engine, &after);
+        assert_identical(&mut engine, &after);
     }
 }

@@ -141,46 +141,25 @@ fn solve_impl(
 
         // ---- Step 2: merge per resolution ---------------------------------
         let mut policies = merge_step(requests_by_source.iter().map(|(s, v)| (*s, v.as_slice())));
-
-        let mut iter_trace = trace.as_ref().map(|_| IterationTrace {
-            requests: requests_by_source.clone(),
-            merged: policies
-                .iter()
-                .map(|(src, ps)| (*src, ps.iter().map(|p| (p.resolution, p.bitrate)).collect()))
-                .collect(),
-            repaired: Vec::new(),
-            reduction: None,
-        });
+        let merged = trace.as_ref().map(|_| merged_pairs(&policies));
 
         // ---- Step 3: uplink check / repair / reduction --------------------
         let mut repaired = Vec::new();
         let reduction = uplink_step(wp.clients(), &wp, &mut policies, cfg.unit, &mut repaired);
-        if let Some(t) = iter_trace.as_mut() {
-            t.repaired = repaired;
+        let shrunk = reduction.map(|(source, res)| (source, res, reduced_ladder(&wp, source, res)));
+        if let Some(trace) = trace.as_mut() {
+            trace.iterations.push(IterationTrace {
+                requests: requests_by_source,
+                merged: merged.unwrap_or_default(),
+                repaired,
+                reduction: shrunk
+                    .as_ref()
+                    .map(|(source, res, ladder)| reduction_trace(*source, *res, ladder)),
+            });
         }
-
-        if let Some((source, res)) = reduction {
-            let shrunk = reduced_ladder(&wp, source, res);
-            if let Some(t) = iter_trace.take() {
-                if let Some(trace) = trace.as_mut() {
-                    trace.iterations.push(IterationTrace {
-                        reduction: Some(ReductionTrace {
-                            source,
-                            resolution: res,
-                            remaining_at_resolution: shrunk.at_resolution(res).len(),
-                        }),
-                        ..t
-                    });
-                }
-            }
-            wp.set_ladder(source, shrunk);
+        if let Some((source, _, ladder)) = shrunk {
+            wp.set_ladder(source, ladder);
             continue;
-        }
-
-        if let Some(t) = iter_trace.take() {
-            if let Some(trace) = trace.as_mut() {
-                trace.iterations.push(t);
-            }
         }
 
         // Terminal iteration: assemble the solution.
@@ -213,6 +192,32 @@ pub(crate) fn convergence_bound(problem: &Problem) -> usize {
         .flat_map(|c| c.sources.iter())
         .map(|s| s.ladder.distinct_resolutions())
         .sum()
+}
+
+/// Step 2's output as an [`IterationTrace`] records it: per source, the
+/// merged `(resolution, bitrate)` pairs, taken before Step 3 repairs any.
+pub(crate) fn merged_pairs(
+    policies: &BTreeMap<SourceId, Vec<PublishPolicy>>,
+) -> BTreeMap<SourceId, Vec<(Resolution, Bitrate)>> {
+    policies
+        .iter()
+        // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+        .map(|(src, ps)| (*src, ps.iter().map(|p| (p.resolution, p.bitrate)).collect()))
+        // lint: allow(hot-alloc, reason = "solve-trace capture; allocates only when the caller requested tracing")
+        .collect()
+}
+
+/// The trace record of a Reduction that left `shrunk` as `source`'s ladder.
+pub(crate) fn reduction_trace(
+    source: SourceId,
+    resolution: Resolution,
+    shrunk: &Ladder,
+) -> ReductionTrace {
+    ReductionTrace {
+        source,
+        resolution,
+        remaining_at_resolution: shrunk.at_resolution(resolution).len(),
+    }
 }
 
 /// Step 1 for the one-shot path: every subscriber's MCKP, solved fresh.
@@ -264,42 +269,53 @@ fn knapsack_step(wp: &Problem, cfg: &SolverConfig) -> BTreeMap<SourceId, Vec<Req
 ///
 /// Generic over any ascending-`SourceId` iteration of request slices so the
 /// one-shot solver's `BTreeMap` and the engine's flat per-source buckets
-/// share one implementation. Grouping is a linear scan over a handful of
-/// resolutions (≤4 in every production ladder) sorted ascending at the end —
-/// the same (resolution-ascending, audience-in-request-order) output the
-/// previous `BTreeMap` grouping produced, without its per-node allocations.
+/// share one implementation; a source with no requests publishes nothing
+/// and gets no entry. Grouping is a linear scan over a handful of
+/// resolutions (≤4 in every production ladder) sorted ascending at the end,
+/// audiences in request order. A group's audience is sized when the group
+/// opens, by counting the requests at its resolution, so it is allocated
+/// once at its final length. The map is built in bulk from the ascending
+/// sources, in the buffer they were collected into.
 pub(crate) fn merge_step<'a, I>(requests_by_source: I) -> BTreeMap<SourceId, Vec<PublishPolicy>>
 where
     I: IntoIterator<Item = (SourceId, &'a [Request])>,
 {
-    // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
-    let mut policies: BTreeMap<SourceId, Vec<PublishPolicy>> = BTreeMap::new();
-    for (source, reqs) in requests_by_source {
-        // lint: allow(hot-alloc, reason = "per-solve merge output; one group per distinct requested resolution (≤4)")
-        let mut groups: Vec<PublishPolicy> = Vec::new();
-        for r in reqs {
-            match groups.iter_mut().find(|g| g.resolution == r.spec.resolution) {
-                Some(g) => {
-                    g.bitrate = g.bitrate.min(r.spec.bitrate); // Meg(): s_i^R = min (Eq. 12)
-                                                               // lint: allow(hot-alloc, reason = "per-solve merge output; the audiences move into the Solution the caller retains")
-                    g.audience.push((r.subscriber, r.tag));
-                }
-                // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
-                None => groups.push(PublishPolicy {
-                    resolution: r.spec.resolution,
-                    bitrate: r.spec.bitrate,
-                    // lint: allow(hot-alloc, reason = "per-solve merge output; the audiences move into the Solution the caller retains")
-                    audience: vec![(r.subscriber, r.tag)],
-                }),
+    let mut policies: Vec<(SourceId, Vec<PublishPolicy>)> = requests_by_source
+        .into_iter()
+        .map(|(source, reqs)| {
+            // lint: allow(hot-alloc, reason = "per-solve merge output; one group per distinct requested resolution (≤4), moved into the Solution")
+            let mut groups: Vec<PublishPolicy> = Vec::new();
+            for r in reqs {
+                let res = r.spec.resolution;
+                let k = match groups.iter().position(|g| g.resolution == res) {
+                    Some(k) => k,
+                    None => {
+                        let members = reqs.iter().filter(|q| q.spec.resolution == res).count();
+                        // lint: allow(hot-alloc, reason = "per-solve merge output; opens a group, moved into the Solution")
+                        groups.push(PublishPolicy {
+                            resolution: res,
+                            bitrate: r.spec.bitrate,
+                            // lint: allow(hot-alloc, reason = "per-solve merge output; the audience is allocated once at its final length")
+                            audience: Vec::with_capacity(members),
+                        });
+                        groups.len() - 1
+                    }
+                };
+                let g = groups.get_mut(k).expect("invariant: k indexes an open group");
+                g.bitrate = g.bitrate.min(r.spec.bitrate); // Meg(): s_i^R = min (Eq. 12)
+                                                           // lint: allow(hot-alloc, reason = "push into the capacity counted when the group opened; never reallocates")
+                g.audience.push((r.subscriber, r.tag));
             }
-        }
-        // One group per resolution, so keys are unique and the unstable sort
-        // is deterministic; audiences keep their request order.
-        groups.sort_unstable_by_key(|g| g.resolution);
-        // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
-        policies.insert(source, groups);
-    }
-    policies
+            // One group per resolution, so keys are unique and the unstable
+            // sort is deterministic; audiences keep their request order.
+            groups.sort_unstable_by_key(|g| g.resolution);
+            (source, groups)
+        })
+        // lint: allow(hot-alloc, reason = "per-solve buffer sized by the source iteration; the map below is built inside it")
+        .collect();
+    policies.retain(|(_, groups)| !groups.is_empty());
+    // lint: allow(hot-alloc, reason = "per-solve merge output; the policies move into the Solution the caller retains")
+    policies.into_iter().collect()
 }
 
 /// Step 3: check every publisher's uplink (Eq. 14), repairing fixable
@@ -469,14 +485,39 @@ fn repair_uplink<L: LadderView>(
 }
 
 /// Build the final [`Solution`] from the merged policies.
+///
+/// Each subscriber's `received` list is allocated once at its final length:
+/// a first pass counts every subscriber's streams, a second fills the lists
+/// (per source, per policy, per audience entry: the order the streams were
+/// merged in). The map is built in bulk from the non-empty lists in
+/// ascending client order, inside the buffer that held them, with no
+/// per-stream map probe.
 pub(crate) fn assemble<L: LadderView>(
     original: &Problem,
     working: &L,
     policies: BTreeMap<SourceId, Vec<PublishPolicy>>,
     iterations: usize,
 ) -> Solution {
-    // lint: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
-    let mut received: BTreeMap<ClientId, Vec<ReceivedStream>> = BTreeMap::new();
+    let clients = original.clients();
+    let slot = |sub: ClientId| {
+        clients
+            .binary_search_by_key(&sub, |c| c.id)
+            .expect("invariant: every audience member is a client of the problem")
+    };
+    // lint: allow(hot-alloc, reason = "solution assembly: one counter per client, sizes the received lists")
+    let mut counts = vec![0usize; clients.len()];
+    for p in policies.values().flatten() {
+        for &(sub, _) in &p.audience {
+            *counts.get_mut(slot(sub)).expect("invariant: slots index the client list") += 1;
+        }
+    }
+    let mut lists: Vec<(ClientId, Vec<ReceivedStream>)> = clients
+        .iter()
+        .zip(counts)
+        // lint: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains, each list at its final length")
+        .map(|(c, n)| (c.id, Vec::with_capacity(n)))
+        // lint: allow(hot-alloc, reason = "solution assembly: one list slot per client; the received map is built inside it")
+        .collect();
     let mut total_qoe = 0.0;
     for (source, ps) in &policies {
         let ladder = working
@@ -492,8 +533,10 @@ pub(crate) fn assemble<L: LadderView>(
                     .map_or((1.0, 0.0), |s| (s.qoe_boost, s.presence_bonus));
                 let qoe = spec.qoe * boost + presence;
                 total_qoe += qoe;
-                // lint: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
-                received.entry(sub).or_default().push(ReceivedStream {
+                let (_, list) =
+                    lists.get_mut(slot(sub)).expect("invariant: slots index the client list");
+                // lint: allow(hot-alloc, reason = "push into the capacity counted above; never reallocates")
+                list.push(ReceivedStream {
                     source: *source,
                     tag,
                     resolution: p.resolution,
@@ -503,6 +546,9 @@ pub(crate) fn assemble<L: LadderView>(
             }
         }
     }
+    lists.retain(|(_, list)| !list.is_empty());
+    // lint: allow(hot-alloc, reason = "solution assembly builds the owned output the caller retains")
+    let received = lists.into_iter().collect();
     Solution { publish: policies, received, total_qoe, iterations }
 }
 

@@ -124,8 +124,9 @@ pub struct ControlOutput {
     pub configs: Vec<(ClientId, GsoTmmbr)>,
     /// Media-plane forwarding rules.
     pub rules: Vec<ForwardingRule>,
-    /// The full solution (for metrics/inspection).
-    pub solution: Solution,
+    /// The full solution (for metrics/inspection): the same allocation the
+    /// controller keeps as its last solution, shared rather than copied.
+    pub solution: Arc<Solution>,
     /// Minimal reconfiguration relative to the previous round's solution
     /// (empty on the first round): what actually changes on the wire.
     pub churn: SolutionDiff,
@@ -159,7 +160,9 @@ pub struct GsoController {
     /// Chaos/test hook: treat this many upcoming solves as deadline
     /// overruns regardless of their measured work.
     forced_overruns: u32,
-    last_solution: Option<Solution>,
+    /// The most recent committed solution, shared with that round's
+    /// [`ControlOutput`]; a sticky round hands out this same allocation.
+    last_solution: Option<Arc<Solution>>,
     /// The picture generation on which `last_solution` is known to satisfy
     /// every §4.1 family: set by each non-fallback commit (a fresh solve or
     /// a sticky keep that passed its check), cleared by a fallback commit.
@@ -450,10 +453,10 @@ impl GsoController {
             must_fall_back,
         } = ctx;
         let mut solve_rows = 0;
-        // `sticky`: the round keeps the previous solution, which
-        // `last_solution` already holds.
+        // A sticky round keeps the previous solution: `last_solution`
+        // already holds it, and the round's output shares it.
         let (solution, fallback, sticky) = if must_fall_back {
-            (fallback_solution(&problem), true, false)
+            (Arc::new(fallback_solution(&problem)), true, false)
         } else {
             let SolveOutcome { solution: fresh, trace, rows_delta } =
                 solved.expect("invariant: non-fallback rounds carry their solve outcome");
@@ -492,7 +495,7 @@ impl GsoController {
                 self.degraded = true;
                 // Re-run promptly instead of waiting out the full cadence.
                 self.scheduler.trigger_event();
-                (fallback_solution(&problem), true, false)
+                (Arc::new(fallback_solution(&problem)), true, false)
             } else {
                 self.degraded = false;
                 // Solution stickiness: a still-valid previous configuration
@@ -511,10 +514,9 @@ impl GsoController {
                         }
                     })
                     .filter(|prev| fresh.total_qoe < prev.total_qoe * (1.0 + self.cfg.stickiness))
-                    // lint: allow(hot-alloc, reason = "the round's output owns its solution; a sticky round's only copy")
-                    .cloned();
+                    .map(Arc::clone);
                 let sticky = keep_previous.is_some();
-                (keep_previous.unwrap_or(fresh), false, sticky)
+                (keep_previous.unwrap_or_else(|| Arc::new(fresh)), false, sticky)
             }
         };
         if fallback != self.fallback_mode {
@@ -560,9 +562,8 @@ impl GsoController {
             SolutionDiff::default()
         } else {
             let churn =
-                diff(self.last_solution.as_ref().unwrap_or(&Solution::default()), &solution);
-            // lint: allow(hot-alloc, reason = "retained last-solution snapshot feeding the next round's churn diff; a changed round's only copy")
-            self.last_solution = Some(solution.clone());
+                diff(self.last_solution.as_deref().unwrap_or(&Solution::default()), &solution);
+            self.last_solution = Some(Arc::clone(&solution));
             churn
         };
         // Round metrics. "Solve latency" is deterministic by design: the
@@ -610,14 +611,14 @@ impl GsoController {
         }
         self.executor.epoch().digest(&mut h);
         self.picture.tenancy().digest(&mut h);
-        self.last_solution.digest(&mut h);
+        self.last_solution.as_deref().digest(&mut h);
         self.engine.stats().digest(&mut h);
         h.finish()
     }
 
     /// The most recent solution, if any.
     pub fn last_solution(&self) -> Option<&Solution> {
-        self.last_solution.as_ref()
+        self.last_solution.as_deref()
     }
 
     /// Recorded controller call intervals (Fig. 12).
@@ -897,7 +898,7 @@ mod tests {
 
         let out = c.tick_commit(now, ctx, Some(outcome)).expect("the round commits");
         assert!(!out.fallback);
-        assert_eq!(out.solution, previous, "stickiness keeps the previous solution");
+        assert_eq!(*out.solution, previous, "stickiness keeps the previous solution");
         assert!(out.churn.is_empty());
         assert_eq!(c.last_solution(), Some(&previous));
         assert_eq!(c.state_digest(), digest);
@@ -908,6 +909,34 @@ mod tests {
             ),
             churn_before
         );
+    }
+
+    /// A round's output and the controller's last solution are one
+    /// allocation on every kind of round: changed, sticky and fallback.
+    #[test]
+    fn rounds_share_the_committed_solution() {
+        let shared = |c: &GsoController, out: &ControlOutput| {
+            c.last_solution().is_some_and(|last| std::ptr::eq(last, &*out.solution))
+        };
+        let mut c = two_party();
+        c.on_downlink_report(SimTime::ZERO, ClientId(2), k(1_100));
+        let (out, _) = c.tick(SimTime::from_millis(10));
+        let changed = out.expect("first tick runs");
+        assert!(shared(&c, &changed), "a changed round moves its solution into the shared one");
+
+        // Within the stickiness margin (see the sticky-round test above).
+        c.on_downlink_report(SimTime::from_millis(1_500), ClientId(2), k(1_300));
+        let (out, _) = c.tick(SimTime::from_millis(1_600));
+        let sticky = out.expect("the downlink change triggers a round");
+        assert!(sticky.churn.is_empty() && !sticky.fallback);
+        assert!(Arc::ptr_eq(&sticky.solution, &changed.solution), "a sticky round copies nothing");
+        assert!(shared(&c, &sticky));
+
+        c.set_fallback(true);
+        let (out, _) = c.tick(SimTime::from_millis(2_700));
+        let fallback = out.expect("the fallback switch triggers a round");
+        assert!(fallback.fallback);
+        assert!(shared(&c, &fallback));
     }
 
     /// Prepare the round due at `now` and solve it on the controller's
@@ -941,7 +970,7 @@ mod tests {
         assert!(solved.solution.total_qoe < previous.total_qoe);
         let out = c.tick_commit(SimTime::from_millis(1_100), ctx, Some(solved)).unwrap();
         assert!(out.solution.received.is_empty(), "the dropped stream is not kept");
-        assert_ne!(c.last_solution(), Some(&previous));
+        assert_ne!(c.last_solution(), Some(&*previous));
     }
 
     /// A fallback commit forgets that the previous solution was known
@@ -960,21 +989,21 @@ mod tests {
 
         // Fits every link, breaks only a subscription family (no tag-1
         // subscription exists), and out-scores any fresh solve.
-        let mut tampered = solved;
+        let mut tampered = Solution::clone(&solved);
         for streams in tampered.received.values_mut() {
             for r in streams {
                 r.tag = 1;
             }
         }
         tampered.total_qoe = f64::MAX;
-        c.last_solution = Some(tampered.clone());
+        c.last_solution = Some(Arc::new(tampered.clone()));
         c.set_fallback(false);
         let (ctx, solved) = prepare_and_solve(&mut c, SimTime::from_millis(2_200));
         assert!(tampered.fits_links(ctx.problem()));
         assert!(tampered.validate(ctx.problem()).is_err());
         let out = c.tick_commit(SimTime::from_millis(2_200), ctx, Some(solved)).unwrap();
         assert!(!out.fallback);
-        assert_ne!(out.solution, tampered);
+        assert_ne!(*out.solution, tampered);
         assert!(c.valid_for.is_some());
     }
 

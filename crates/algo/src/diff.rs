@@ -77,7 +77,6 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
     let mut out = SolutionDiff::default();
 
     // Publisher layers: per (source, resolution) → bitrate (0 = absent).
-    // lint: allow(hot-alloc, reason = "one scratch buffer per diff, reused across every changed source")
     let mut resolutions: Vec<Resolution> = Vec::new();
     merge_join(&old.publish, &new.publish, |source, old_ps, new_ps| {
         let layer = |p: &PublishPolicy| (p.resolution, p.bitrate);
@@ -105,7 +104,6 @@ pub fn diff(old: &Solution, new: &Solution) -> SolutionDiff {
     });
 
     // Subscriber streams: per (subscriber, source, tag).
-    // lint: allow(hot-alloc, reason = "one scratch buffer per diff, reused across every changed subscriber")
     let mut streams: Vec<(SourceId, u8)> = Vec::new();
     merge_join(&old.received, &new.received, |subscriber, old_rs, new_rs| {
         let stream = |r: &ReceivedStream| (r.source, r.tag, r.resolution, r.bitrate);

@@ -255,7 +255,6 @@ impl SolveEngine {
     fn solve_impl(&mut self, problem: &Problem, mut trace: Option<&mut SolveTrace>) -> Solution {
         self.reconcile(problem);
         self.stats.solves += 1;
-        // lint: allow(hot-alloc, reason = "empty-map constructor does not allocate; entries appear only on ladder reduction")
         let mut overlay = Overlay { base: problem, reduced: BTreeMap::new() };
         let max_iters: usize = 1 + convergence_bound(problem);
 

@@ -48,6 +48,9 @@
 //! * [`brute`] — exact exponential-time baseline (Fig. 6a/6b comparison).
 //! * [`solution`] — solution representation and the one §4.1 constraint
 //!   checker (`Solution::validate` / `Solution::violations`).
+//! * [`audit`] — solver postconditions on top of it: QoE accounting, the
+//!   convergence bound, the all-lowest-rung floor, and the trace-backed
+//!   Eq. 12 merge-minimum and Eq. 18–20 whole-resolution checks.
 //! * [`digest`] — stable [`gso_util::digest::StateDigest`] fingerprints for
 //!   solutions, traces, and engine statistics.
 //! * [`diff`] — minimal reconfiguration between consecutive solutions.
@@ -57,6 +60,7 @@
 //! * [`tenant`] — tenant identity and priority classes consumed by the
 //!   fleet's admission control and overload shedding.
 
+pub mod audit;
 pub mod batch;
 pub mod brute;
 pub mod diff;

@@ -9,7 +9,6 @@
 use crate::tenant::Tenancy;
 use crate::types::{Ladder, Resolution};
 use gso_util::{Bitrate, ClientId, StreamKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one media source of a publisher (camera or screen share).
@@ -17,7 +16,7 @@ use std::fmt;
 /// A camera video and a screen-share video have different SSRC families and
 /// are never merged by the controller (§4.4, footnote 6), so they are
 /// distinct sources here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceId {
     /// The publishing client.
     pub client: ClientId,
@@ -44,7 +43,7 @@ impl fmt::Display for SourceId {
 }
 
 /// A publisher-side media source together with its feasible stream set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PublisherSource {
     /// Which source this is.
     pub id: SourceId,
@@ -53,7 +52,7 @@ pub struct PublisherSource {
 }
 
 /// A conference participant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientSpec {
     /// Participant identity.
     pub id: ClientId,
@@ -96,7 +95,7 @@ impl ClientSpec {
 /// speaker-first (thumbnail + high-resolution view of one camera). Distinct
 /// tags form distinct knapsack classes in Step 1 and are merged back per
 /// resolution in Step 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Subscription {
     /// The receiving client.
     pub subscriber: ClientId,
@@ -191,7 +190,7 @@ impl fmt::Display for ProblemError {
 impl std::error::Error for ProblemError {}
 
 /// A validated orchestration problem instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Problem {
     clients: Vec<ClientSpec>,
     subscriptions: Vec<Subscription>,

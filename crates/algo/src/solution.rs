@@ -8,14 +8,13 @@
 use crate::problem::{Problem, SourceId};
 use crate::types::Resolution;
 use gso_util::{Bitrate, ClientId, StreamKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
 
 /// One stream a publisher source is instructed to send: the pair
 /// `(M_i^R, s_i^R)` of §4.1.2 — a resolution/bitrate plus its audience.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PublishPolicy {
     /// Resolution of the stream.
     pub resolution: Resolution,
@@ -26,7 +25,7 @@ pub struct PublishPolicy {
 }
 
 /// One stream a subscriber receives, as seen from the receiving side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceivedStream {
     /// The source it comes from.
     pub source: SourceId,
@@ -41,7 +40,7 @@ pub struct ReceivedStream {
 }
 
 /// The controller's decision for a whole conference.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Solution {
     /// Streams each source publishes; at most one per resolution.
     pub publish: BTreeMap<SourceId, Vec<PublishPolicy>>,

@@ -101,7 +101,8 @@ pub fn solve(problem: &Problem, cfg: &SolverConfig) -> Solution {
 }
 
 /// Like [`solve`], additionally returning the per-iteration [`SolveTrace`]
-/// that `gso-audit` uses to verify solver-internal invariants.
+/// that [`audit_traced`](crate::audit::audit_traced) uses to verify
+/// solver-internal invariants.
 pub fn solve_traced(problem: &Problem, cfg: &SolverConfig) -> (Solution, SolveTrace) {
     let mut trace = SolveTrace::default();
     let solution = solve_impl(problem, cfg, Some(&mut trace));
@@ -283,7 +284,6 @@ where
     let mut policies: Vec<(SourceId, Vec<PublishPolicy>)> = requests_by_source
         .into_iter()
         .map(|(source, reqs)| {
-            // lint: allow(hot-alloc, reason = "per-solve merge output; one group per distinct requested resolution (≤4), moved into the Solution")
             let mut groups: Vec<PublishPolicy> = Vec::new();
             for r in reqs {
                 let res = r.spec.resolution;
@@ -452,7 +452,6 @@ fn repair_uplink<L: LadderView>(
                 .and_then(|ps| ps.get(i))
                 .expect("invariant: repair handles were collected from this map");
             let audience_weight: f64 = p.audience.len() as f64;
-            // lint: allow(hot-alloc, reason = "overflow-repair branch only; empty-vec constructor does not allocate")
             let Some(min) = cands.first() else { return Vec::new() };
             cands
                 .iter()

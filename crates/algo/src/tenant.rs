@@ -11,13 +11,10 @@
 //! from it is deterministic and replayable.
 
 use gso_util::digest::{StableHasher, StateDigest};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies the customer/account a conference belongs to.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u32);
 
 impl fmt::Display for TenantId {
@@ -32,9 +29,7 @@ impl fmt::Display for TenantId {
 /// priorities puts the most-protected class first and
 /// [`PriorityClass::shed_rank`] (higher = shed sooner) is just the enum
 /// discriminant.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PriorityClass {
     /// Premium tier: never load-shed; admission-reserved headroom.
     High,
@@ -77,9 +72,7 @@ impl fmt::Display for PriorityClass {
 ///
 /// [`Default`] is tenant 0 at [`PriorityClass::Normal`] — the
 /// single-tenant behavior every pre-tenancy call site keeps.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tenancy {
     /// Owning tenant.
     pub tenant: TenantId,

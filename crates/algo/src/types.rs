@@ -8,13 +8,12 @@
 //! Simulcast.
 
 use gso_util::Bitrate;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A video resolution, identified by its vertical line count (180, 360, 720…).
 ///
 /// Ordering follows line count, so `R180 < R360 < R720`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Resolution(pub u16);
 
 impl Resolution {
@@ -43,7 +42,7 @@ impl fmt::Display for Resolution {
 
 /// One entry of a publisher's feasible stream set: a bitrate together with
 /// its resolution (`Res_i`) and QoE utility weight (`QoE_i`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSpec {
     /// Resolution this bitrate encodes.
     pub resolution: Resolution,
@@ -99,7 +98,7 @@ impl std::error::Error for LadderError {}
 /// Entries are kept sorted by ascending bitrate; this ordering is also the
 /// item order used by the multiple-choice knapsack DP, which makes its
 /// tie-breaking deterministic.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Ladder {
     specs: Vec<StreamSpec>,
 }

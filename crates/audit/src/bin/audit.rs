@@ -25,9 +25,10 @@
 //! sequential solver and any scheduled engine) bisects to the first
 //! divergent scenario and fails the gate.
 
+use gso_algo::audit::{audit_traced, report};
 use gso_algo::solver::{self, SolveTrace, SolverConfig};
 use gso_algo::{BatchConfig, BatchScheduler, Problem, Solution, SolveEngine};
-use gso_audit::{report, scenarios, SolutionAuditor};
+use gso_audit::scenarios;
 use gso_telemetry::{keys, Telemetry};
 use gso_util::digest::{first_divergence, DigestEntry, DigestTrace, StateDigest};
 use std::process::ExitCode;
@@ -148,7 +149,6 @@ fn main() -> ExitCode {
     }
     let telemetry =
         if metrics_mode { Telemetry::new("audit-replay") } else { Telemetry::disabled() };
-    let auditor = SolutionAuditor::new();
     let cfg = SolverConfig::default();
     let mut failed = 0usize;
     let scenarios = scenarios::all();
@@ -160,7 +160,7 @@ fn main() -> ExitCode {
     for scenario in scenarios {
         let rows_before = engine.stats().rows_recomputed;
         let (solution, trace) = solver::solve_traced(&scenario.problem, &cfg);
-        let violations = auditor.audit_traced(&scenario.problem, &solution, &trace);
+        let violations = audit_traced(&scenario.problem, &solution, &trace);
         let cold = engine.solve_traced(&scenario.problem);
         let warm = engine.solve_traced(&scenario.problem);
         let engine_ok =

@@ -21,11 +21,11 @@
 //! must recompute zero DP rows, and a boost-only change must invalidate
 //! the memo rather than serve a stale solution.
 
+use gso_algo::audit::{audit_traced, report};
 use gso_algo::{
     ladders, solver, BatchConfig, BatchScheduler, ClientSpec, Ladder, Problem, Resolution,
     Solution, SolveEngine, SolveTrace, SolverConfig, SourceId, Subscription,
 };
-use gso_audit::{report, SolutionAuditor};
 use gso_util::digest::StateDigest;
 use gso_util::{Bitrate, ClientId};
 use proptest::prelude::*;
@@ -182,7 +182,7 @@ fn check(
         got_trace.state_digest() == want_trace.state_digest(),
         "{label}: trace digest diverged despite structural equality"
     );
-    let findings = SolutionAuditor::new().audit_traced(problem, &got_sol, &got_trace);
+    let findings = audit_traced(problem, &got_sol, &got_trace);
     prop_assert!(findings.is_empty(), "{}: auditor findings:\n{}", label, report(&findings));
     Ok(())
 }

@@ -5,11 +5,11 @@
 //! Instances are kept tiny (≤ 3 clients, ≤ 2 publisher sources, ≤ 3-rung
 //! ladders) so the exhaustive search is instant and exact.
 
+use gso_algo::audit::{audit, audit_traced, report};
 use gso_algo::{
     brute, ladders, solver, ClientSpec, Ladder, Problem, Resolution, SolverConfig, SourceId,
     Subscription,
 };
-use gso_audit::{report, SolutionAuditor};
 use gso_util::{Bitrate, ClientId};
 use proptest::prelude::*;
 
@@ -71,10 +71,9 @@ proptest! {
     #[test]
     fn gso_matches_exact_optimum_and_both_audit_clean(problem in arb_problem()) {
         let cfg = SolverConfig::default();
-        let auditor = SolutionAuditor::new();
 
         let (gso, trace) = solver::solve_traced(&problem, &cfg);
-        let findings = auditor.audit_traced(&problem, &gso, &trace);
+        let findings = audit_traced(&problem, &gso, &trace);
         prop_assert!(
             findings.is_empty(),
             "GSO solution not auditor-clean:\n{}",
@@ -83,7 +82,7 @@ proptest! {
 
         let exact = brute::solve_brute(&problem, &cfg, None);
         prop_assert!(exact.exact, "exhaustive search must complete on tiny instances");
-        let findings = auditor.audit(&problem, &exact.solution);
+        let findings = audit(&problem, &exact.solution);
         prop_assert!(
             findings.is_empty(),
             "brute-force solution not auditor-clean:\n{}",

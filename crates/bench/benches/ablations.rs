@@ -8,7 +8,6 @@
 //! * **Hysteresis on/off** — configuration churn with and without the
 //!   oscillation gate (§7).
 
-use criterion::Criterion;
 use gso_algo::{ladders, solver, SolverConfig};
 use gso_bench::banner;
 use gso_sim::experiments::fig6;
@@ -90,24 +89,8 @@ fn ablation_merge() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_kernels");
-    group.sample_size(10);
-    let problem = fig6::asymmetric_meeting(10, 100, 18);
-    for unit in [1u64, 10, 100] {
-        group.bench_function(format!("solve_unit_{unit}k"), |b| {
-            let cfg = SolverConfig { unit: Bitrate::from_kbps(unit) };
-            b.iter(|| solver::solve(&problem, &cfg));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     ablation_quantization();
     ablation_ladder_granularity();
     ablation_merge();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

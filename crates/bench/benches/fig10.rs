@@ -1,9 +1,8 @@
 //! Fig. 10 — deployment time series of video stall, voice stall and
 //! framerate (normalized) over the rollout.
 
-use criterion::Criterion;
 use gso_bench::banner;
-use gso_sim::deployment::{self, ImprovementFactors, Rollout};
+use gso_sim::deployment::{self, Rollout};
 
 fn print_figure() {
     banner("Fig. 10: deployment metrics by date (population model)");
@@ -44,20 +43,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig10_population");
-    group.sample_size(30);
-    group.bench_function("simulate_106_days", |b| {
-        b.iter(|| {
-            deployment::simulate_deployment(Rollout::paper(), ImprovementFactors::paper(), 1)
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,6 +1,5 @@
 //! Fig. 11 — user satisfaction score (normalized) over the rollout.
 
-use criterion::Criterion;
 use gso_bench::banner;
 use gso_sim::deployment::{self, ImprovementFactors, Rollout};
 
@@ -21,24 +20,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig11_satisfaction");
-    group.sample_size(50);
-    group.bench_function("logistic_model_day", |b| {
-        b.iter(|| {
-            deployment::simulate_deployment(
-                Rollout { days: 7, start: 2, full: 5 },
-                ImprovementFactors::paper(),
-                2,
-            )
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

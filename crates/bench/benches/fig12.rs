@@ -1,6 +1,5 @@
 //! Fig. 12 — CDF of the controller call interval under network churn.
 
-use criterion::Criterion;
 use gso_bench::banner;
 use gso_sim::experiments::fig12;
 
@@ -23,30 +22,6 @@ fn print_figure() {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig12_scheduler");
-    group.sample_size(50);
-    group.bench_function("scheduler_10k_polls", |b| {
-        b.iter(|| {
-            let mut s = gso_control::ControlScheduler::new(Default::default());
-            let mut fired = 0u32;
-            for i in 0..10_000u64 {
-                if i % 17 == 0 {
-                    s.trigger_event();
-                }
-                if s.poll(gso_util::SimTime::from_millis(i * 10)) {
-                    fired += 1;
-                }
-            }
-            fired
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,7 +1,6 @@
 //! Fig. 6a — compute time (normalized, log scale in the paper) and QoE
 //! optimality vs. the number of participants.
 
-use criterion::Criterion;
 use gso_bench::{banner, normalized};
 use gso_sim::experiments::fig6;
 
@@ -34,26 +33,6 @@ fn print_figure() {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6a_gso_solver");
-    group.sample_size(15);
-    for n in [2usize, 4, 8] {
-        let ladder = gso_algo::ladders::uniform(
-            &[gso_algo::Resolution::R180, gso_algo::Resolution::R360, gso_algo::Resolution::R720],
-            2,
-        );
-        let problem = fig6::asymmetric_meeting(n, n, 6);
-        let _ = ladder;
-        group.bench_function(format!("participants_{n}"), |b| {
-            b.iter(|| gso_algo::solver::solve(&problem, &Default::default()));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,7 +1,6 @@
 //! Fig. 6b — compute time and QoE optimality vs. the number of bitrate
 //! levels (3 participants).
 
-use criterion::Criterion;
 use gso_bench::{banner, normalized};
 use gso_sim::experiments::fig6;
 
@@ -29,44 +28,6 @@ fn print_figure() {
     println!("(brute grows exponentially with levels; GSO scales linearly — enabling fine-grained ladders)");
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6b_gso_vs_levels");
-    group.sample_size(15);
-    for levels in [2usize, 5, 8] {
-        let ladder = gso_algo::ladders::fine(levels);
-        let clients: Vec<gso_algo::ClientSpec> = (1..=3u32)
-            .map(|i| {
-                gso_algo::ClientSpec::new(
-                    gso_util::ClientId(i),
-                    gso_util::Bitrate::from_kbps(1_600),
-                    gso_util::Bitrate::from_kbps(1_500),
-                    ladder.clone(),
-                )
-            })
-            .collect();
-        let mut subs = Vec::new();
-        for i in 1..=3u32 {
-            for j in 1..=3u32 {
-                if i != j {
-                    subs.push(gso_algo::Subscription::new(
-                        gso_util::ClientId(i),
-                        gso_algo::SourceId::video(gso_util::ClientId(j)),
-                        gso_algo::Resolution::R720,
-                    ));
-                }
-            }
-        }
-        let problem = gso_algo::Problem::new(clients, subs).unwrap();
-        group.bench_function(format!("levels_{levels}"), |b| {
-            b.iter(|| gso_algo::solver::solve(&problem, &Default::default()));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,6 +1,5 @@
 //! Fig. 6c — GSO compute time at large meeting sizes.
 
-use criterion::Criterion;
 use gso_bench::{banner, normalized};
 use gso_sim::experiments::fig6;
 
@@ -21,21 +20,6 @@ fn print_figure() {
     println!("(linear in subscribers and levels, superlinear in publishers — real-time at 100s of participants)");
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6c_scale");
-    group.sample_size(10);
-    for &(p, s, l) in &[(10usize, 50usize, 9usize), (10, 200, 18)] {
-        let problem = fig6::asymmetric_meeting(p, s, l);
-        group.bench_function(format!("{p}x{s}x{l}"), |b| {
-            b.iter(|| gso_algo::solver::solve(&problem, &Default::default()));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

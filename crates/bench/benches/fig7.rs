@@ -1,7 +1,6 @@
 //! Fig. 7 — transient bitrate adaptation: GSO (fine ladder) vs Non-GSO
 //! (coarse ladder) under abrupt downlink caps.
 
-use criterion::Criterion;
 use gso_bench::banner;
 use gso_sim::experiments::fig7;
 use gso_sim::PolicyMode;
@@ -36,29 +35,7 @@ fn print_mode(mode: PolicyMode, label: &str) {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    // The transient scenario is seconds of simulated time; benchmark one
-    // short run as the end-to-end kernel.
-    let mut group = c.benchmark_group("fig7_scenario");
-    group.sample_size(10);
-    group.bench_function("gso_625k_20s", |b| {
-        b.iter(|| {
-            let mut s = gso_sim::workloads::slow_link_scenario(
-                PolicyMode::Gso,
-                gso_sim::workloads::slow_link_cases()[0],
-                1,
-            );
-            s.duration = gso_util::SimDuration::from_secs(5);
-            s.run()
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     print_mode(PolicyMode::Gso, "a");
     print_mode(PolicyMode::NonGso, "b");
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,7 +1,6 @@
 //! Fig. 8 — slow-link tests: normalized framerate, video quality and video
 //! stall across the Table 2 impairment matrix, for all four systems.
 
-use criterion::Criterion;
 use gso_bench::banner;
 use gso_sim::experiments::fig8;
 use gso_sim::PolicyMode;
@@ -53,26 +52,6 @@ fn print_figure() {
     println!("GSO has (near-)lowest video stall in {wins}/{} cases", cases.len());
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig8_one_cell");
-    group.sample_size(10);
-    group.bench_function("gso_normal_10s", |b| {
-        b.iter(|| {
-            let mut s = gso_sim::workloads::slow_link_scenario(
-                PolicyMode::Gso,
-                gso_sim::workloads::slow_link_cases()[0],
-                1,
-            );
-            s.duration = gso_util::SimDuration::from_secs(10);
-            s.run()
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

@@ -1,7 +1,6 @@
 //! Fig. 9 — client CPU utilization (work-unit model) across application
 //! scenarios, GSO vs Non-GSO.
 
-use criterion::Criterion;
 use gso_bench::banner;
 use gso_sim::experiments::fig9::{self, AppScenario};
 use gso_sim::PolicyMode;
@@ -22,25 +21,6 @@ fn print_figure() {
     println!("(audio unaffected by GSO; video/screen overhead stays within a few percent)");
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig9_cost_model");
-    group.sample_size(30);
-    group.bench_function("utilization_math", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for lines in [180u16, 360, 720] {
-                acc += gso_media::cost::encode_cost(lines, 10_000);
-                acc += gso_media::cost::decode_cost(lines);
-            }
-            gso_media::cost::utilization(acc, 1.0)
-        });
-    });
-    group.finish();
-}
-
 fn main() {
     print_figure();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

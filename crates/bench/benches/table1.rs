@@ -1,9 +1,7 @@
 //! Table 1 — worked examples of the control algorithm.
 //!
-//! Prints the reproduced final solutions for the paper's three cases and
-//! Criterion-times the solver on them.
+//! Prints the reproduced final solutions for the paper's three cases.
 
-use criterion::Criterion;
 use gso_bench::banner;
 use gso_sim::experiments::table1;
 
@@ -29,21 +27,6 @@ fn print_table() {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1");
-    group.sample_size(20);
-    for case in 0..3 {
-        let problem = table1::case_problem(case);
-        group.bench_function(format!("solve_case{}", case + 1), |b| {
-            b.iter(|| gso_algo::solver::solve(&problem, &Default::default()));
-        });
-    }
-    group.finish();
-}
-
 fn main() {
     print_table();
-    let mut c = Criterion::default().configure_from_args();
-    bench(&mut c);
-    c.final_summary();
 }

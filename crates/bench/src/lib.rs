@@ -1,7 +1,6 @@
 //! Shared helpers for the benchmark harness that regenerates every table
-//! and figure of the paper's evaluation. Each bench target first prints the
-//! reproduced rows/series, then (where meaningful) runs Criterion timings of
-//! the underlying computational kernel.
+//! and figure of the paper's evaluation. Each figure target prints the
+//! reproduced rows/series; `solver_scale` times the solver at scale.
 
 /// Normalize values so the maximum maps to 1.0, like the paper's plots.
 pub fn normalized(values: &[f64]) -> Vec<f64> {

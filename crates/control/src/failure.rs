@@ -19,15 +19,12 @@ use std::collections::BTreeMap;
 /// The minimal safe configuration: one (smallest) stream per source,
 /// delivered to every subscriber whose cap admits it.
 pub fn fallback_solution(problem: &Problem) -> Solution {
-    // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
     let mut publish: BTreeMap<SourceId, Vec<PublishPolicy>> = BTreeMap::new();
-    // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
     let mut received: BTreeMap<_, Vec<ReceivedStream>> = BTreeMap::new();
     let mut total_qoe = 0.0;
 
     for source in problem.sources() {
         let Some(spec) = source.ladder.specs().first().copied() else { continue };
-        // lint: allow(hot-alloc, reason = "fallback assembly runs only after a solver failure, off the steady-state path")
         let mut audience = Vec::new();
         for sub in problem.subscribers_of(source.id) {
             if spec.resolution > sub.max_resolution {

@@ -7,13 +7,17 @@
 //! APP/GTMB message carrying a request sequence number. RTCP has no delivery
 //! guarantee, so the executor retransmits a request until the matching
 //! GTBN acknowledgement arrives.
+//!
+//! [`check_forwarding`] cross-checks the rules against the solution that
+//! produced them; the controller runs it on every round in debug builds.
 
 use crate::state::LadderLayers;
-use gso_algo::{Solution, SourceId};
+use gso_algo::{ConstraintViolation, Solution, SourceId};
 use gso_rtp::{ssrc_for, GsoTmmbn, GsoTmmbr, TmmbrEntry};
 use gso_telemetry::{keys, Telemetry};
 use gso_util::{Bitrate, ClientId, DetRng, SimDuration, SimTime, Ssrc};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A forwarding instruction for the media plane: which exact stream a
 /// subscriber receives from a source.
@@ -177,7 +181,6 @@ impl FeedbackExecutor {
         // Per-client layer configuration vectors. Sources ascend by client,
         // so one client's layers are contiguous: each is built in the
         // reused layer buffer and offered once the next client's begin.
-        // lint: allow(hot-alloc, reason = "empty-vec constructor does not allocate; the batch grows only when a configuration is sent")
         let mut messages = Vec::new();
         let mut current = None;
         for (&source, lines_list) in ladder_layers {
@@ -310,11 +313,8 @@ impl FeedbackExecutor {
 
     /// Retransmission poll; returns messages to resend now.
     pub fn poll(&mut self, now: SimTime) -> Vec<(ClientId, GsoTmmbr)> {
-        // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
         let mut resend = Vec::new();
-        // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
         let mut exhausted = Vec::new();
-        // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
         let mut due: Vec<ClientId> = Vec::new();
         for (&client, out) in &self.outstanding {
             if now.saturating_since(out.sent_at)
@@ -362,6 +362,149 @@ impl FeedbackExecutor {
     pub fn pending(&self, client: ClientId) -> bool {
         self.outstanding.contains_key(&client)
     }
+}
+
+/// A disagreement between the forwarding rules and the solution that
+/// produced them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ForwardingViolation {
+    /// Two rules serve one `(subscriber, source, tag)`; always a
+    /// [`ConstraintViolation::MultipleStreamsPerSubscription`].
+    Constraint(ConstraintViolation),
+    /// A forwarding rule names a stream the subscriber does not receive.
+    ForwardingWithoutStream {
+        /// The rule's subscriber.
+        subscriber: ClientId,
+        /// The rule's source.
+        source: SourceId,
+        /// The rule's tag.
+        tag: u8,
+    },
+    /// A received stream has no forwarding rule delivering it.
+    StreamWithoutForwarding {
+        /// The starved subscriber.
+        subscriber: ClientId,
+        /// The stream's source.
+        source: SourceId,
+        /// The subscription's tag.
+        tag: u8,
+    },
+    /// A forwarding rule's bitrate disagrees with the configured stream.
+    ForwardingBitrateMismatch {
+        /// The rule's subscriber.
+        subscriber: ClientId,
+        /// The rule's source.
+        source: SourceId,
+        /// The rule's tag.
+        tag: u8,
+        /// Bitrate the rule forwards.
+        actual: Bitrate,
+        /// Bitrate the solution configured.
+        budgeted: Bitrate,
+    },
+}
+
+impl ForwardingViolation {
+    /// The paper equation (or section) this finding violates.
+    pub fn equation(&self) -> &'static str {
+        match self {
+            ForwardingViolation::Constraint(c) => c.equation(),
+            _ => "§4.3 (feedback execution)",
+        }
+    }
+
+    /// Short machine-friendly name of the violation kind.
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            ForwardingViolation::Constraint(c) => c.kind_name(),
+            ForwardingViolation::ForwardingWithoutStream { .. } => "forwarding-without-stream",
+            ForwardingViolation::StreamWithoutForwarding { .. } => "stream-without-forwarding",
+            ForwardingViolation::ForwardingBitrateMismatch { .. } => "forwarding-bitrate-mismatch",
+        }
+    }
+}
+
+impl fmt::Display for ForwardingViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{} | {}] ", self.kind_name(), self.equation())?;
+        match self {
+            ForwardingViolation::Constraint(c) => write!(f, "{c}"),
+            ForwardingViolation::ForwardingWithoutStream { subscriber, source, tag } => {
+                write!(
+                    f,
+                    "rule forwards {source} tag {tag} to {subscriber} who receives no such stream"
+                )
+            }
+            ForwardingViolation::StreamWithoutForwarding { subscriber, source, tag } => {
+                write!(
+                    f,
+                    "{subscriber} is configured for {source} tag {tag} but no rule forwards it"
+                )
+            }
+            ForwardingViolation::ForwardingBitrateMismatch {
+                subscriber,
+                source,
+                tag,
+                actual,
+                budgeted,
+            } => {
+                write!(
+                    f,
+                    "rule forwards {source} tag {tag} to {subscriber} at {actual}, configured {budgeted}"
+                )
+            }
+        }
+    }
+}
+
+/// Cross-check media-plane forwarding rules against the solution that
+/// produced them: the rules must deliver exactly the receive map — no
+/// phantom rules, no starved subscriptions, no bitrate drift.
+pub fn check_forwarding(solution: &Solution, rules: &[ForwardingRule]) -> Vec<ForwardingViolation> {
+    let mut out = Vec::new();
+    let mut by_key: BTreeMap<(ClientId, SourceId, u8), Bitrate> = BTreeMap::new();
+    for r in rules {
+        if by_key.insert((r.subscriber, r.source, r.tag), r.bitrate).is_some() {
+            out.push(ForwardingViolation::Constraint(
+                ConstraintViolation::MultipleStreamsPerSubscription {
+                    subscriber: r.subscriber,
+                    source: r.source,
+                    tag: r.tag,
+                },
+            ));
+        }
+    }
+    for (&(sub, src, tag), &bitrate) in &by_key {
+        match solution.received_from(sub, src, tag) {
+            None => out.push(ForwardingViolation::ForwardingWithoutStream {
+                subscriber: sub,
+                source: src,
+                tag,
+            }),
+            Some(r) if r.bitrate != bitrate => {
+                out.push(ForwardingViolation::ForwardingBitrateMismatch {
+                    subscriber: sub,
+                    source: src,
+                    tag,
+                    actual: bitrate,
+                    budgeted: r.bitrate,
+                });
+            }
+            Some(_) => {}
+        }
+    }
+    for (&sub, streams) in &solution.received {
+        for r in streams {
+            if !by_key.contains_key(&(sub, r.source, r.tag)) {
+                out.push(ForwardingViolation::StreamWithoutForwarding {
+                    subscriber: sub,
+                    source: r.source,
+                    tag: r.tag,
+                });
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -743,5 +886,69 @@ mod tests {
         // exhausts its original budget in the same window.)
         assert!(!ex.take_failed().contains(&ClientId(2)), "old budget must not carry over");
         assert!(ex.pending(ClientId(2)), "fresh message still retransmitting");
+    }
+
+    #[test]
+    fn forwarding_rules_cross_check() {
+        let (solution, _) = solved();
+        let src = SourceId::video(ClientId(1));
+        let w = ClientId(2);
+        let got = solution.received_from(w, src, 0).expect("invariant: watcher receives");
+        let rule = |tag, bitrate| ForwardingRule {
+            subscriber: w,
+            source: src,
+            tag,
+            ssrc: ssrc_for(ClientId(1), StreamKind::Video, got.resolution.0),
+            bitrate,
+        };
+
+        // Exact rules: clean.
+        let rules = vec![rule(0, got.bitrate)];
+        assert!(check_forwarding(&solution, &rules).is_empty());
+
+        // Bitrate drift.
+        let drifted = vec![rule(0, Bitrate::from_kbps(123))];
+        let violations = check_forwarding(&solution, &drifted);
+        assert_eq!(violations.len(), 1);
+        assert!(matches!(violations[0], ForwardingViolation::ForwardingBitrateMismatch { .. }));
+
+        // Phantom rule for a stream nobody is configured to receive.
+        let phantom = vec![rule(0, got.bitrate), rule(7, got.bitrate)];
+        let violations = check_forwarding(&solution, &phantom);
+        assert_eq!(violations.len(), 1);
+        assert!(matches!(
+            violations[0],
+            ForwardingViolation::ForwardingWithoutStream { tag: 7, .. }
+        ));
+
+        // Missing rule: the configured stream is never forwarded.
+        let violations = check_forwarding(&solution, &[]);
+        assert_eq!(violations.len(), 1);
+        assert!(matches!(violations[0], ForwardingViolation::StreamWithoutForwarding { .. }));
+
+        // Two rules for one subscription.
+        let doubled = vec![rule(0, got.bitrate), rule(0, got.bitrate)];
+        let violations = check_forwarding(&solution, &doubled);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].kind_name(), "multiple-streams-per-subscription");
+    }
+
+    /// The findings print the kind name, the paper section and the
+    /// identities the rule and the solution disagree on.
+    #[test]
+    fn forwarding_findings_display() {
+        let v = ForwardingViolation::ForwardingBitrateMismatch {
+            subscriber: ClientId(2),
+            source: SourceId::video(ClientId(1)),
+            tag: 0,
+            actual: Bitrate::from_kbps(123),
+            budgeted: Bitrate::from_kbps(800),
+        };
+        assert_eq!(v.equation(), "§4.3 (feedback execution)");
+        assert_eq!(
+            v.to_string(),
+            "[forwarding-bitrate-mismatch | §4.3 (feedback execution)] rule forwards \
+             client1/video tag 0 to client2 at 123Kbps, configured 800Kbps"
+        );
     }
 }

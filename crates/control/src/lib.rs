@@ -11,6 +11,8 @@
 //! * [`scheduler`] — 1–3 s control cadence with event triggers (Fig. 12).
 //! * [`feedback`] — solution → GTMB/forwarding rules, with retransmission.
 //! * [`failure`] — single-stream fallback and client downgrade monitor (§7).
+//! * [`failover`] — standby takeover (§7): lease-based failure detection
+//!   and the epoch-ledger split-brain fence.
 //! * [`sdp`] — SDP offer/answer with the custom `simulcastInfo` attribute
 //!   and per-layer SSRC assignment (§4.2).
 //! * [`controller`] — the composed [`controller::GsoController`].
@@ -20,6 +22,7 @@
 
 pub mod admission;
 pub mod controller;
+pub mod failover;
 pub mod failure;
 pub mod feedback;
 pub mod fleet;
@@ -34,6 +37,7 @@ pub use admission::{
 pub use controller::{
     ControlOutput, ControllerConfig, Direction, GsoController, RoundContext, SolveOutcome, TickPrep,
 };
+pub use failover::{EpochLedger, FailureDetector, LeaseConfig};
 pub use failure::{fallback_solution, DowngradeMonitor};
 pub use feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
 pub use fleet::{ControllerFleet, FleetTick, ShedPolicy};

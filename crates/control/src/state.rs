@@ -341,7 +341,9 @@ impl GlobalPicture {
                 .collect();
             self.generation += 1;
             self.live = Some(LiveProblem {
+                // lint: allow(hot-alloc, reason = "the live problem and its ladder-layer map are shared once per structural change, not per round")
                 problem: Arc::new(problem),
+                // lint: allow(hot-alloc, reason = "the live problem and its ladder-layer map are shared once per structural change, not per round")
                 ladder_layers: Arc::new(ladder_layers),
                 generation: self.generation,
             });
@@ -382,7 +384,6 @@ impl GlobalPicture {
             // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
             .collect();
 
-        // lint: allow(hot-alloc, reason = "problem assembly runs once per structural change; link reports patch the live problem in place")
         let mut subscriptions = Vec::new();
         for (&id, c) in &self.clients {
             for intent in &c.intents {

@@ -14,10 +14,10 @@
 //! (possibly stale) uplink estimate says otherwise — so `UplinkExceeded`
 //! findings are the only ones tolerated here.
 
+use gso_algo::audit::report;
 use gso_algo::{
     ClientSpec, ConstraintViolation, Ladder, Problem, Resolution, StreamSpec, Subscription,
 };
-use gso_audit::report;
 use gso_control::failure::fallback_solution;
 use gso_util::{Bitrate, ClientId};
 use proptest::prelude::*;

@@ -2,8 +2,9 @@
 //!
 //! * `hot-panic` — no `unwrap`/undocumented `expect`/`panic!` family/raw
 //!   indexing/runtime division reachable from a declared hot-path root.
-//! * `hot-alloc` — no allocator traffic (`Vec::new`, `push`, `collect`,
-//!   `clone`, `Box::new`, `to_vec`, `format!`, …) reachable from a root.
+//! * `hot-alloc` — no allocator traffic (`push`, `collect`, `clone`,
+//!   `Vec::with_capacity`, `Box::new`, `Arc::new`, `to_vec`, `format!`, …)
+//!   reachable from a root.
 //! * `metric-key` — every telemetry recording call outside
 //!   `crates/telemetry` must pass a `keys::` const, never a literal or
 //!   variable (the "every metric name lives in keys.rs" invariant).

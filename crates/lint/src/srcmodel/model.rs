@@ -24,7 +24,7 @@ pub enum SiteKind {
     /// `.expect("invariant: …")` — the sanctioned, documented form; counted
     /// in the report but never a violation.
     DocumentedInvariant,
-    /// Allocator traffic: `Vec::new`, `push`, `collect`, `clone`, `format!`…
+    /// Allocator traffic: `push`, `collect`, `clone`, `Arc::new`, `format!`…
     Alloc,
 }
 

@@ -61,16 +61,16 @@ pub const ALLOC_METHODS: &[&str] = &[
 ];
 
 /// `Type::ctor` paths that allocate (matched on the last two segments).
+/// Empty collections (`Vec::new()`, `BTreeMap::new()`, …) allocate
+/// nothing until they grow, and growth is counted at the
+/// [`ALLOC_METHODS`] call that does it.
 const ALLOC_PATHS: &[(&str, &str)] = &[
-    ("Vec", "new"),
     ("Vec", "with_capacity"),
-    ("String", "new"),
     ("String", "from"),
     ("String", "with_capacity"),
     ("Box", "new"),
-    ("BTreeMap", "new"),
-    ("BTreeSet", "new"),
-    ("VecDeque", "new"),
+    ("Arc", "new"),
+    ("Rc", "new"),
 ];
 
 /// Condvar wait methods (all release their guard for the wait's duration).
@@ -1166,7 +1166,9 @@ impl Parser<'_> {
                 let what: &'static str = match (a, b) {
                     (_, "with_capacity") => "with_capacity",
                     ("Box", _) => "Box::new",
-                    ("String", _) => "String::new",
+                    ("Arc", _) => "Arc::new",
+                    ("Rc", _) => "Rc::new",
+                    ("String", _) => "String::from",
                     _ => "ctor",
                 };
                 info.sites.push(Site { line, kind: SiteKind::Alloc, what });
@@ -1271,14 +1273,11 @@ mod tests {
     #[test]
     fn classifies_alloc_sites() {
         let p = parse(
-            "fn f() { let mut v = Vec::new(); v.push(1); let s = format!(\"x\"); let w: Vec<u32> = v.iter().cloned().collect(); }\n",
+            "fn f() { let mut v = Vec::new(); v.push(1); let s = format!(\"x\"); let w: Vec<u32> = v.iter().cloned().collect(); let a = Arc::new(w); }\n",
         );
         let whats: Vec<&str> = p.fns[0].sites.iter().map(|s| s.what).collect();
-        assert!(whats.contains(&"ctor"));
-        assert!(whats.contains(&"push"));
-        assert!(whats.contains(&"format!"));
-        assert!(whats.contains(&"collect"));
-        assert!(whats.contains(&"cloned"));
+        // `Vec::new()` is empty: the `push` is the allocation.
+        assert_eq!(whats, ["push", "format!", "cloned", "collect", "Arc::new"]);
     }
 
     #[test]

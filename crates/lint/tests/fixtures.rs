@@ -122,8 +122,13 @@ mod hot_path {
 
     #[test]
     fn hot_alloc_fixture_flags_ctor_and_push() {
-        assert_finding(P, "hot_alloc.rs", 5, "hot-alloc"); // Vec::new()
         assert_finding(P, "hot_alloc.rs", 7, "hot-alloc"); // out.push(x)
+        assert_finding(P, "hot_alloc.rs", 9, "hot-alloc"); // Arc::new(out)
+                                                           // An empty `Vec::new()` never allocates; its growth is the push.
+        assert!(
+            !findings_in(P, "hot_alloc.rs").iter().any(|f| f.line == 5),
+            "Vec::new() was wrongly flagged"
+        );
     }
 
     #[test]

@@ -15,8 +15,7 @@ use gso_bwe::TwccGenerator;
 use gso_bwe::{
     BweConfig, ProbeConfig, ProbeController, SembConfig, SembScheduler, SendHistory, SenderBwe,
 };
-use gso_cluster::EpochLedger;
-use gso_control::SubscribeIntent;
+use gso_control::{EpochLedger, SubscribeIntent};
 use gso_media::FragmentHeader;
 use gso_net::{Actions, Node, NodeId, Packet};
 use gso_rtp::{decode_ssrc, ssrc_for, RtcpPacket, RtpPacket};

@@ -19,8 +19,7 @@
 
 use crate::ctrl::CtrlMessage;
 use crate::SHARD_LABEL;
-use gso_cluster::{FailureDetector, LeaseConfig};
-use gso_control::{CodecCapability, ControllerConfig, GsoController};
+use gso_control::{CodecCapability, ControllerConfig, FailureDetector, GsoController, LeaseConfig};
 use gso_net::{Actions, Node, NodeId, Packet};
 use gso_rtp::{epoch_newer, RtcpPacket};
 use gso_telemetry::{keys, Telemetry};

@@ -213,7 +213,7 @@ impl Scenario {
             let sb = sim.add_node(Box::new(ConferenceNode::new_standby(
                 ControllerConfig::paper_defaults(),
                 ans.clone(),
-                gso_cluster::LeaseConfig { seed: self.seed, ..Default::default() },
+                gso_control::LeaseConfig { seed: self.seed, ..Default::default() },
             )));
             sim.add_duplex_link(
                 cn,

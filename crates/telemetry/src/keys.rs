@@ -87,7 +87,7 @@ pub const ADMISSION_QUEUED: &str = "admission.queued";
 pub const ADMISSION_REJECTED: &str = "admission.rejected";
 
 // ---------------------------------------------------------------------
-// Controller failover (gso-cluster primitives run by gso-sim). Label: shard ("s<id>")
+// Controller failover (gso_control::failover primitives run by gso-sim). Label: shard ("s<id>")
 // unless noted.
 // ---------------------------------------------------------------------
 

@@ -28,7 +28,7 @@
 //!    [`keys`]; dynamic cardinality goes in the label dimension only.
 //!
 //! The export format is hand-rolled JSON in the same spirit as
-//! `BENCH_solver.json` (the serde shim is a marker, not a serializer):
+//! `BENCH_solver.json` (the workspace has no serialization dependency):
 //! one object with a sorted `metrics` array and a bounded `events` ring.
 
 pub mod keys;

@@ -5,15 +5,12 @@
 //! bits/bytes and per-second/per-interval confusions out of the codebase.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A bitrate in bits per second.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bitrate(u64);
 
 impl Bitrate {

@@ -1,12 +1,10 @@
 //! Exponentially-weighted moving average.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple EWMA: `y ← (1-α)·y + α·x`.
 ///
 /// Used by the delay-gradient filter and rate smoothers in `gso-bwe`, and by
 /// QoE trackers in the harness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

@@ -1,11 +1,10 @@
 //! Identifier newtypes used across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A conference participant. Each client can act as publisher and subscriber
 /// at the same time (§4.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {
@@ -19,7 +18,7 @@ impl fmt::Display for ClientId {
 /// GSO-Simulcast assigns a distinct SSRC to each (client, stream-kind,
 /// resolution) tuple during SDP negotiation so that TMMBR feedback can target
 /// an individual simulcast layer (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ssrc(pub u32);
 
 impl fmt::Display for Ssrc {
@@ -32,7 +31,7 @@ impl fmt::Display for Ssrc {
 ///
 /// A camera video and a screen-share video from the same client have
 /// different SSRCs and are never merged by the controller (§4.4, footnote 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StreamKind {
     /// Audio; not orchestrated by GSO but protected by a bandwidth headroom
     /// subtraction (§7 "Protecting audios").

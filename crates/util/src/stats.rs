@@ -6,10 +6,9 @@
 //! small and uniform.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Streaming mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,
@@ -56,7 +55,7 @@ impl Welford {
 }
 
 /// A collected sample set supporting percentiles and CDF export.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
 }
@@ -137,7 +136,7 @@ impl Samples {
 
 /// A `(time, value)` series recorder, e.g. the per-second send-rate trace of
 /// the transient-response experiment (Fig. 7).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

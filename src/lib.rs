@@ -5,10 +5,10 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`algo`] — the Knapsack–Merge–Reduction control algorithm (the paper's
-//!   core contribution), exact brute-force baseline, ladders and QoE model.
-//! * [`audit`] — static invariant auditor for solutions, wired into debug
-//!   builds at the solver and controller trust boundaries (the SFU's
-//!   selector checks are its own `debug_assert!`s).
+//!   core contribution), exact brute-force baseline, ladders and QoE model,
+//!   and the solver postconditions ([`algo::audit`]) that debug builds check
+//!   at the controller's trust boundary.
+//! * [`audit`] — the replayable scenario corpus behind the `audit` CI gate.
 //! * [`rtp`] — RTP/RTCP wire formats including the paper's SEMB and
 //!   orchestration TMMBR/TMMBN (GTMB/GTBN) messages.
 //! * [`net`] — deterministic discrete-event packet network simulator.

@@ -9,6 +9,11 @@
 //! is any `FnOnce() -> T + Send` ([`BatchScheduler::run_batch`]); the pool
 //! knows nothing about what a job computes.
 //!
+//! One lock guards the pool: every worker's deque and the shutdown flag sit
+//! behind a single `Mutex`, and one `Condvar` wakes idle workers when a
+//! batch is dealt. Jobs run with no lock held, and no path nests the pool
+//! lock with a batch's `Sink` lock.
+//!
 //! # Determinism
 //!
 //! Work stealing randomizes *which worker* runs a job and *when*, but not
@@ -43,8 +48,9 @@ pub struct BatchConfig {
 /// A queued job, already bound to its batch's sink and slot.
 type Task = Box<dyn FnOnce() + Send>;
 
-/// Pool locks never guard a job (jobs run unlocked, under `catch_unwind`),
-/// so only a bug in the pool itself could poison one.
+/// Neither the pool lock nor a sink lock ever guards a job (jobs run
+/// unlocked, under `catch_unwind`), so only a bug in the pool itself could
+/// poison one.
 const UNPOISONED: &str = "invariant: pool locks guard no job code, so they are never poisoned";
 
 /// Completion sink for one batch: workers deposit results (or caught
@@ -78,68 +84,57 @@ impl<T> Sink<T> {
     }
 }
 
-struct SignalState {
-    /// Bumped once per submitted batch; sleeping workers wake on a change.
-    epoch: u64,
+/// Everything the pool shares, behind its one lock.
+struct Queues {
+    /// One deque per worker; owners pop the front, thieves the back.
+    deques: Vec<VecDeque<Task>>,
     shutdown: bool,
 }
 
-struct Shared {
-    /// One deque per worker; owners pop the front, thieves the back.
-    // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no job state")
-    signal: Mutex<SignalState>,
-    cv: Condvar,
+impl Queues {
+    /// Grab a task: own deque's front first, then steal from the others'
+    /// backs. `None` only when every deque is empty.
+    fn grab(&mut self, wid: usize) -> Option<Task> {
+        let n = self.deques.len();
+        (0..n).find_map(|off| {
+            let q = self
+                .deques
+                .get_mut((wid + off) % n)
+                .expect("invariant: deque index is reduced modulo deque count");
+            if off == 0 {
+                q.pop_front()
+            } else {
+                q.pop_back()
+            }
+        })
+    }
 }
 
-impl Shared {
-    /// Grab a task: own queue front first, then steal from the others'
-    /// backs. `None` only after every queue was observed empty.
-    fn grab(&self, wid: usize) -> Option<Task> {
-        let n = self.queues.len();
-        for off in 0..n {
-            let qi = (wid + off) % n;
-            let mut q = self
-                .queues
-                .get(qi)
-                .expect("invariant: queue index is reduced modulo queue count")
-                .lock()
-                .expect(UNPOISONED);
-            let task = if off == 0 { q.pop_front() } else { q.pop_back() };
-            if task.is_some() {
-                return task;
-            }
-        }
-        None
-    }
+struct Shared {
+    // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
+    queues: Mutex<Queues>,
+    /// Signalled when a batch is dealt or the pool shuts down.
+    work: Condvar,
 }
 
 fn worker_loop(wid: usize, shared: &Shared) {
     loop {
-        // Fast path: drain without touching the signal lock.
-        while let Some(task) = shared.grab(wid) {
-            task();
-        }
-        let mut sig = shared.signal.lock().expect(UNPOISONED);
-        if sig.shutdown {
-            return;
-        }
-        // Re-scan while *holding* the signal lock: a submitter must take
-        // this lock to bump the epoch, so either we see its tasks here or
-        // we sleep strictly before its notify — no lost wakeup.
-        if let Some(task) = shared.grab(wid) {
-            drop(sig);
-            task();
-            continue;
-        }
-        let epoch = sig.epoch;
-        while sig.epoch == epoch && !sig.shutdown {
-            sig = shared.cv.wait(sig).expect(UNPOISONED);
-        }
-        if sig.shutdown {
-            return;
-        }
+        // Checking the deques and going to sleep happen under the one lock
+        // a submitter deals under, so a batch cannot land unseen between
+        // the two: no lost wakeup.
+        let task = {
+            let mut q = shared.queues.lock().expect(UNPOISONED);
+            loop {
+                if let Some(task) = q.grab(wid) {
+                    break task;
+                }
+                if q.shutdown {
+                    return;
+                }
+                q = shared.work.wait(q).expect(UNPOISONED);
+            }
+        };
+        task();
     }
 }
 
@@ -148,7 +143,6 @@ fn worker_loop(wid: usize, shared: &Shared) {
 /// Workers are spawned once and live until the scheduler is dropped; a tick
 /// submits one job per conference and receives the results in submission
 /// order. See the module docs for the determinism argument.
-#[derive(Debug)]
 pub struct BatchScheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -156,9 +150,11 @@ pub struct BatchScheduler {
     next_queue: usize,
 }
 
-impl std::fmt::Debug for Shared {
+impl std::fmt::Debug for BatchScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared").field("queues", &self.queues.len()).finish_non_exhaustive()
+        f.debug_struct("BatchScheduler")
+            .field("workers", &self.workers.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -173,10 +169,11 @@ impl BatchScheduler {
         };
         let shared = Arc::new(Shared {
             // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            // lint: allow(unordered-merge, reason = "epoch/shutdown wakeup flag; carries no job state")
-            signal: Mutex::new(SignalState { epoch: 0, shutdown: false }),
-            cv: Condvar::new(),
+            queues: Mutex::new(Queues {
+                deques: (0..workers).map(|_| VecDeque::new()).collect(),
+                shutdown: false,
+            }),
+            work: Condvar::new(),
         });
         let handles = (0..workers)
             .map(|wid| {
@@ -219,28 +216,29 @@ impl BatchScheduler {
             state: Mutex::new(SinkState { slots, remaining: n }),
             done: Condvar::new(),
         });
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let qi = self.next_queue % self.workers.len();
-            self.next_queue = self.next_queue.wrapping_add(1);
-            let out = Arc::clone(&sink);
-            let task: Task =
-                Box::new(move || out.deposit(idx, panic::catch_unwind(AssertUnwindSafe(job))));
-            self.shared
-                .queues
-                .get(qi)
-                .expect("invariant: queue index is reduced modulo queue count")
-                .lock()
-                .expect(UNPOISONED)
-                .push_back(task);
-        }
+        // Bind every job to its slot before taking the pool lock, so the
+        // lock is held only to deal.
+        let tasks: Vec<Task> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(idx, job)| {
+                let out = Arc::clone(&sink);
+                Box::new(move || out.deposit(idx, panic::catch_unwind(AssertUnwindSafe(job))))
+                    as Task
+            })
+            .collect();
         {
-            // Queue locks are released above before this lock is taken —
-            // workers take them in the opposite order (signal, then queues),
-            // which would deadlock if a submitter ever held both.
-            let mut sig = self.shared.signal.lock().expect(UNPOISONED);
-            sig.epoch = sig.epoch.wrapping_add(1);
-            self.shared.cv.notify_all();
+            let mut q = self.shared.queues.lock().expect(UNPOISONED);
+            for task in tasks {
+                let qi = self.next_queue % self.workers.len();
+                self.next_queue = self.next_queue.wrapping_add(1);
+                q.deques
+                    .get_mut(qi)
+                    .expect("invariant: deque index is reduced modulo deque count")
+                    .push_back(task);
+            }
         }
+        self.shared.work.notify_all();
         let mut st = sink.state.lock().expect(UNPOISONED);
         while st.remaining > 0 {
             st = sink.done.wait(st).expect(UNPOISONED);
@@ -259,10 +257,10 @@ impl BatchScheduler {
 
 impl Drop for BatchScheduler {
     fn drop(&mut self) {
-        if let Ok(mut sig) = self.shared.signal.lock() {
-            sig.shutdown = true;
+        if let Ok(mut q) = self.shared.queues.lock() {
+            q.shutdown = true;
         }
-        self.shared.cv.notify_all();
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             drop(handle.join());
         }

@@ -1,16 +1,15 @@
-//! Unit model of the batch scheduler's concurrency shape, plus
-//! digest-equivalence checks for `BatchScheduler` at 1/2/8 workers.
+//! The batch scheduler under Miri, plus digest-equivalence checks for
+//! `BatchScheduler` at 1/2/8 workers.
 //!
-//! The `model_*` tests replicate the exact concurrency shape of
-//! `BatchScheduler::run_batch` — persistent workers stealing owned tasks
-//! from per-worker deques and sending `(index, result)` pairs over a
-//! channel, the submitter re-ordering by index — on a small, pure
-//! computation. They run in seconds under Miri (`cargo miri test -p
-//! gso-algo --test merge_model model_`), which checks the pattern for
-//! undefined behaviour and data races; the `engine_*` tests then tie the
-//! model back to the real scheduler by running traced engine solves as
-//! `run_batch` jobs and asserting digest-identical solutions and traces
-//! across worker counts.
+//! The `model_*` tests drive the real `BatchScheduler::run_batch` on a
+//! small, pure computation: many tiny back-to-back batches (the
+//! lost-wakeup regression), more workers than jobs, and empty and
+//! single-job batches. They are small enough for Miri (`cargo miri test -p
+//! gso-algo --test merge_model model_`), which checks the pool for
+//! undefined behaviour, data races and deadlocks; a lost wakeup fails the
+//! back-to-back test on its timeout. The `engine_*` tests run
+//! traced engine solves as `run_batch` jobs and assert digest-identical
+//! solutions and traces across worker counts.
 
 use gso_algo::{
     ladders, solver, BatchConfig, BatchScheduler, ClientSpec, Problem, Resolution, Solution,
@@ -18,13 +17,11 @@ use gso_algo::{
 };
 use gso_util::digest::StateDigest;
 use gso_util::{Bitrate, ClientId};
-use std::collections::VecDeque;
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
-/// The computation each "conference job" performs in the model: something
-/// order-sensitive enough that a wrong merge order or a lost task would
-/// change the result.
+/// The computation each "conference job" performs: something
+/// order-sensitive enough that a result in the wrong slot or a lost job
+/// changes the output.
 fn work(id: u64) -> u64 {
     let mut acc = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for i in 0..32 {
@@ -33,206 +30,66 @@ fn work(id: u64) -> u64 {
     acc
 }
 
-/// Sequential reference: process every entry in index order.
+/// Run one job per id on `sched` and return the results.
+fn run(sched: &mut BatchScheduler, ids: &[u64]) -> Vec<u64> {
+    sched.run_batch(ids.iter().map(|&id| move || work(id)).collect())
+}
+
 fn sequential(ids: &[u64]) -> Vec<u64> {
     ids.iter().map(|&id| work(id)).collect()
 }
 
-/// The scheduler's pattern: tasks distributed round-robin over per-worker
-/// deques, workers popping their own front and stealing others' backs,
-/// results sent as `(index, value)` and re-ordered by the submitter.
-fn batched(ids: &[u64], workers: usize) -> Vec<u64> {
-    #[allow(clippy::type_complexity)]
-    let queues: Arc<Vec<Mutex<VecDeque<(usize, u64)>>>> =
-        Arc::new((0..workers).map(|_| Mutex::new(VecDeque::new())).collect());
-    for (idx, &id) in ids.iter().enumerate() {
-        queues[idx % workers].lock().unwrap().push_back((idx, id));
-    }
-    let (tx, rx) = channel();
-    std::thread::scope(|s| {
-        for wid in 0..workers {
-            let queues = Arc::clone(&queues);
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let mut task = None;
-                for off in 0..workers {
-                    let mut q = queues[(wid + off) % workers].lock().unwrap();
-                    task = if off == 0 { q.pop_front() } else { q.pop_back() };
-                    if task.is_some() {
-                        break;
-                    }
-                }
-                let Some((idx, id)) = task else { return };
-                tx.send((idx, work(id))).unwrap();
-            });
-        }
-        drop(tx);
-        // Index-keyed merge: identical to the sequential iteration order
-        // regardless of which worker finished first.
-        let mut out: Vec<Option<u64>> = vec![None; ids.len()];
-        for (idx, value) in rx {
-            assert!(out[idx].replace(value).is_none(), "task {idx} completed twice");
-        }
-        out.into_iter().map(|v| v.expect("every slot filled exactly once")).collect()
-    })
-}
-
 #[test]
-fn model_batched_merge_matches_sequential() {
+fn model_results_in_submission_order_at_1_2_3_8_workers() {
     let ids: Vec<u64> = (0..37).map(|i| i * 3 + 1).collect();
-    let expect = sequential(&ids);
     for workers in [1, 2, 3, 8] {
-        assert_eq!(batched(&ids, workers), expect, "workers = {workers}");
+        let mut sched = BatchScheduler::new(&BatchConfig { workers });
+        assert_eq!(run(&mut sched, &ids), sequential(&ids), "workers = {workers}");
     }
 }
 
+/// Lost-wakeup regression. Between batches every worker sleeps on the
+/// pool's condvar; the window to guard is a worker that has found the
+/// deques empty but is not yet asleep when the next batch is dealt. Tiny
+/// batches back to back at 2 workers send workers racing back to sleep
+/// just as the next submission lands. The submitter waits for its batch,
+/// so once both workers miss one wakeup the rounds stop and the test fails
+/// on its timeout. A pool that unlocks and yields between finding the
+/// deques empty and waiting fails it natively on a 2-vCPU host; under Miri
+/// the scheduler explores the interleavings of the 24 rounds instead.
 #[test]
-fn model_more_workers_than_tasks_covers_all_entries() {
-    let ids: Vec<u64> = (100..110).collect();
-    assert_eq!(batched(&ids, 8), sequential(&ids));
-    assert_eq!(batched(&ids, 16), sequential(&ids));
-}
-
-#[test]
-fn model_single_entry_and_empty() {
-    assert_eq!(batched(&[42], 8), sequential(&[42]));
-    assert_eq!(batched(&[], 4), Vec::<u64>::new());
-}
-
-/// Regression model for the submission/`Condvar::wait` race in the
-/// *persistent* scheduler. The scoped-thread model above tears its workers
-/// down after one batch; the real `BatchScheduler` parks idle workers on a
-/// condvar between batches, which opens the classic lost-wakeup window: a
-/// worker observes empty queues, a submitter pushes tasks and calls
-/// `notify_all`, and only then does the worker go to sleep — forever, since
-/// the single-wakeup `Sink` submitter is itself blocked waiting for that
-/// worker. `batch.rs` closes the window by re-scanning the queues *while
-/// holding the signal lock* (the submitter must take that lock to bump the
-/// epoch, so the worker either sees the tasks or sleeps strictly before the
-/// notify). This test replicates that exact handshake on a pure
-/// computation and hammers it with many tiny back-to-back batches; a lost
-/// wakeup manifests as a hang (caught by the test/Miri timeout).
-#[test]
-fn model_lost_wakeup_submission_race() {
-    const WORKERS: usize = 2;
-    const ROUNDS: u64 = 24;
-
-    struct Task {
-        idx: usize,
-        id: u64,
-        out: Arc<Sink>,
-    }
-    struct SignalState {
-        epoch: u64,
-        shutdown: bool,
-    }
-    struct Shared {
-        queues: Vec<Mutex<VecDeque<Task>>>,
-        signal: Mutex<SignalState>,
-        cv: Condvar,
-    }
-    struct SinkState {
-        slots: Vec<Option<u64>>,
-        remaining: usize,
-    }
-    struct Sink {
-        state: Mutex<SinkState>,
-        done: Condvar,
-    }
-
-    impl Shared {
-        fn grab(&self, wid: usize) -> Option<Task> {
-            let n = self.queues.len();
-            for off in 0..n {
-                let mut q = self.queues[(wid + off) % n].lock().unwrap();
-                let task = if off == 0 { q.pop_front() } else { q.pop_back() };
-                if task.is_some() {
-                    return task;
-                }
-            }
-            None
+fn model_tiny_back_to_back_batches_at_2_workers() {
+    let rounds = if cfg!(miri) { 24 } else { 20_000 };
+    let (done, finished) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        let mut sched = BatchScheduler::new(&BatchConfig { workers: 2 });
+        for round in 0..rounds {
+            let ids: Vec<u64> = (0..1 + round % 3).map(|i| round * 17 + i).collect();
+            assert_eq!(run(&mut sched, &ids), sequential(&ids), "round {round}");
         }
-    }
-
-    fn run_task(task: &Task) {
-        let value = work(task.id);
-        let mut st = task.out.state.lock().unwrap();
-        assert!(st.slots[task.idx].replace(value).is_none(), "task {} completed twice", task.idx);
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            task.out.done.notify_one();
-        }
-    }
-
-    let shared = Arc::new(Shared {
-        queues: (0..WORKERS).map(|_| Mutex::new(VecDeque::new())).collect(),
-        signal: Mutex::new(SignalState { epoch: 0, shutdown: false }),
-        cv: Condvar::new(),
+        done.send(()).expect("the test thread is waiting");
     });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("every round completes: no lost wakeup, no failed round");
+    submitter.join().expect("the submitter finished cleanly");
+}
 
-    std::thread::scope(|s| {
-        for wid in 0..WORKERS {
-            let shared = Arc::clone(&shared);
-            s.spawn(move || loop {
-                while let Some(task) = shared.grab(wid) {
-                    run_task(&task);
-                }
-                let mut sig = shared.signal.lock().unwrap();
-                if sig.shutdown {
-                    return;
-                }
-                // The lost-wakeup defence under test: re-scan with the
-                // signal lock held. Deleting this block makes the test hang.
-                if let Some(task) = shared.grab(wid) {
-                    drop(sig);
-                    run_task(&task);
-                    continue;
-                }
-                let epoch = sig.epoch;
-                while sig.epoch == epoch && !sig.shutdown {
-                    sig = shared.cv.wait(sig).unwrap();
-                }
-                if sig.shutdown {
-                    return;
-                }
-            });
-        }
+#[test]
+fn model_more_workers_than_jobs() {
+    let ids: Vec<u64> = (100..103).collect();
+    let mut sched = BatchScheduler::new(&BatchConfig { workers: 8 });
+    // Twice: the second batch is dealt starting at a different deque.
+    assert_eq!(run(&mut sched, &ids), sequential(&ids));
+    assert_eq!(run(&mut sched, &ids), sequential(&ids));
+}
 
-        // Submitter: many tiny batches back to back, so workers repeatedly
-        // drain everything and race their way back onto the condvar just as
-        // the next submission lands.
-        for round in 0..ROUNDS {
-            let n = 1 + (round as usize) % 3;
-            let ids: Vec<u64> = (0..n as u64).map(|i| round * 17 + i).collect();
-            let sink = Arc::new(Sink {
-                state: Mutex::new(SinkState { slots: vec![None; n], remaining: n }),
-                done: Condvar::new(),
-            });
-            for (idx, &id) in ids.iter().enumerate() {
-                shared.queues[idx % WORKERS].lock().unwrap().push_back(Task {
-                    idx,
-                    id,
-                    out: Arc::clone(&sink),
-                });
-            }
-            {
-                let mut sig = shared.signal.lock().unwrap();
-                sig.epoch = sig.epoch.wrapping_add(1);
-                shared.cv.notify_all();
-            }
-            let mut st = sink.state.lock().unwrap();
-            while st.remaining > 0 {
-                st = sink.done.wait(st).unwrap();
-            }
-            let got: Vec<u64> =
-                st.slots.iter().map(|v| v.expect("every slot filled exactly once")).collect();
-            assert_eq!(got, sequential(&ids), "round {round}");
-        }
-
-        let mut sig = shared.signal.lock().unwrap();
-        sig.shutdown = true;
-        shared.cv.notify_all();
-    });
+#[test]
+fn model_empty_and_single_job_batches() {
+    let mut sched = BatchScheduler::new(&BatchConfig { workers: 4 });
+    assert_eq!(run(&mut sched, &[]), Vec::<u64>::new());
+    assert_eq!(run(&mut sched, &[42]), sequential(&[42]));
+    assert_eq!(run(&mut sched, &[]), Vec::<u64>::new());
 }
 
 // ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ impl GsoController {
     /// and it no longer counts as an undeliverable fallback cause.
     pub fn on_join(&mut self, id: ClientId, caps: CodecCapability) {
         if self.picture.contains(id) {
-            self.executor.reset_client(id);
+            self.executor.on_client_leave(id);
             self.failed_clients.remove(&id);
         }
         self.picture.join(id, caps);
@@ -242,6 +242,10 @@ impl GsoController {
         // `applied` configuration.
         self.executor.on_client_leave(id);
         self.failed_clients.remove(&id);
+        // Likewise the link gates: a reused ClientId would otherwise
+        // inherit the old downgrade mark.
+        self.hysteresis.forget((id, Direction::Uplink));
+        self.hysteresis.forget((id, Direction::Downlink));
         self.scheduler.trigger_event();
     }
 
@@ -261,7 +265,7 @@ impl GsoController {
     pub fn on_uplink_report(&mut self, now: SimTime, client: ClientId, measured: Bitrate) {
         let prev = self.picture.uplink_of(client);
         let effective = self.hysteresis.filter((client, Direction::Uplink), now, measured);
-        self.picture.report_uplink(client, now, effective);
+        self.picture.report_uplink(client, effective);
         self.maybe_trigger(prev, effective);
     }
 
@@ -269,7 +273,7 @@ impl GsoController {
     pub fn on_downlink_report(&mut self, now: SimTime, client: ClientId, measured: Bitrate) {
         let prev = self.picture.downlink_of(client);
         let effective = self.hysteresis.filter((client, Direction::Downlink), now, measured);
-        self.picture.report_downlink(client, now, effective);
+        self.picture.report_downlink(client, effective);
         self.maybe_trigger(prev, effective);
     }
 
@@ -1099,6 +1103,27 @@ mod tests {
         // retransmission budget must not trip fallback for it.
         // Client 1 acks first so only client 2's state could fail.
         assert!(!c.executor.pending(ClientId(2)));
+    }
+
+    #[test]
+    fn leave_forgets_the_bandwidth_hysteresis() {
+        let mut c = two_party();
+        let t = SimTime::from_secs;
+        let id = ClientId(2);
+        c.on_uplink_report(t(1), id, k(1_000));
+        c.on_downlink_report(t(1), id, k(1_000));
+        // Downgrades mark both links for 30 s.
+        c.on_uplink_report(t(2), id, k(500));
+        c.on_downlink_report(t(2), id, k(500));
+        c.on_leave(id);
+        c.on_join(id, caps());
+        assert_eq!(c.hysteresis.effective((id, Direction::Uplink)), None);
+        // +10 % is under the marked links' +15 % threshold; a fresh
+        // client's first reports pass through.
+        c.on_uplink_report(t(3), id, k(550));
+        c.on_downlink_report(t(3), id, k(550));
+        assert_eq!(c.picture.uplink_of(id), Some(k(550)));
+        assert_eq!(c.picture.downlink_of(id), Some(k(550)));
     }
 
     #[test]

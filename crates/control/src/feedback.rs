@@ -271,27 +271,18 @@ impl FeedbackExecutor {
         }
     }
 
-    /// Forget all delivery state for a departed client.
+    /// Forget all delivery state for a departed client, or for a known
+    /// `ClientId` that re-registered as a fresh endpoint.
     ///
     /// Without this, `outstanding`, `applied`, and `failed` entries leak
     /// for the conference lifetime — and a stale `applied` entry would
     /// suppress the initial configuration if the `ClientId` is ever
-    /// reused.
+    /// reused. A client that rejoins mid-retransmission would also have
+    /// its silence counted against the old message's budget.
     pub fn on_client_leave(&mut self, client: ClientId) {
         self.outstanding.remove(&client);
         self.applied.remove(&client);
         self.failed.retain(|&c| c != client);
-    }
-
-    /// A known `ClientId` re-registered: treat it as a fresh endpoint.
-    ///
-    /// A client that crashes and rejoins mid-retransmission has lost its
-    /// applied configuration and its epoch/seq bookkeeping; continuing the
-    /// old retry sequence would count its silence against the old message's
-    /// budget and a stale `applied` entry would suppress its initial
-    /// configuration. Delivery state is dropped wholesale instead.
-    pub fn reset_client(&mut self, client: ClientId) {
-        self.on_client_leave(client);
     }
 
     /// The backoff interval before retransmission number `tx + 1` of
@@ -871,7 +862,7 @@ mod tests {
         assert!(ex.pending(ClientId(2)));
 
         // Client 2 crashes and rejoins: the controller resets it.
-        ex.reset_client(ClientId(2));
+        ex.on_client_leave(ClientId(2));
         assert!(!ex.pending(ClientId(2)));
 
         // Re-executing the same solution re-issues a fresh message with a

@@ -76,6 +76,12 @@ impl<K: Ord + Hash + Copy> BandwidthHysteresis<K> {
         state.effective
     }
 
+    /// Drop a link's state: its next measurement passes through unmarked,
+    /// as on a link never seen before.
+    pub fn forget(&mut self, key: K) {
+        self.links.remove(&key);
+    }
+
     /// Current effective value for a link, if any measurement was seen.
     pub fn effective(&self, key: K) -> Option<Bitrate> {
         self.links.get(&key).map(|s| s.effective)

@@ -17,7 +17,7 @@ use gso_algo::{
     Tenancy,
 };
 use gso_util::digest::{StableHasher, StateDigest};
-use gso_util::{Bitrate, ClientId, SimTime, StreamKind};
+use gso_util::{Bitrate, ClientId, StreamKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,8 +72,6 @@ struct ClientState {
     caps: CodecCapability,
     uplink: Option<Bitrate>,
     downlink: Option<Bitrate>,
-    last_uplink_report: Option<SimTime>,
-    last_downlink_report: Option<SimTime>,
     intents: Vec<SubscribeIntent>,
 }
 
@@ -143,8 +141,6 @@ impl StateDigest for ClientState {
         self.caps.digest(h);
         self.uplink.digest(h);
         self.downlink.digest(h);
-        self.last_uplink_report.digest(h);
-        self.last_downlink_report.digest(h);
         self.intents.digest(h);
     }
 }
@@ -180,17 +176,8 @@ impl GlobalPicture {
 
     /// A client joined with negotiated capabilities.
     pub fn join(&mut self, id: ClientId, caps: CodecCapability) {
-        self.clients.insert(
-            id,
-            ClientState {
-                caps,
-                uplink: None,
-                downlink: None,
-                last_uplink_report: None,
-                last_downlink_report: None,
-                intents: Vec::new(),
-            },
-        );
+        self.clients
+            .insert(id, ClientState { caps, uplink: None, downlink: None, intents: Vec::new() });
         self.live = None;
     }
 
@@ -232,19 +219,17 @@ impl GlobalPicture {
     }
 
     /// Record an uplink bandwidth report (from a SEMB message).
-    pub fn report_uplink(&mut self, id: ClientId, now: SimTime, bandwidth: Bitrate) {
+    pub fn report_uplink(&mut self, id: ClientId, bandwidth: Bitrate) {
         if let Some(c) = self.clients.get_mut(&id) {
             c.uplink = Some(bandwidth);
-            c.last_uplink_report = Some(now);
             self.patch_links(id);
         }
     }
 
     /// Record a downlink bandwidth report (from an accessing node).
-    pub fn report_downlink(&mut self, id: ClientId, now: SimTime, bandwidth: Bitrate) {
+    pub fn report_downlink(&mut self, id: ClientId, bandwidth: Bitrate) {
         if let Some(c) = self.clients.get_mut(&id) {
             c.downlink = Some(bandwidth);
-            c.last_downlink_report = Some(now);
             self.patch_links(id);
         }
     }
@@ -434,8 +419,8 @@ mod tests {
         let mut g = GlobalPicture::new();
         g.join(ClientId(1), caps());
         g.join(ClientId(2), caps());
-        g.report_uplink(ClientId(1), SimTime::from_secs(1), k(2_000));
-        g.report_downlink(ClientId(2), SimTime::from_secs(1), k(1_000));
+        g.report_uplink(ClientId(1), k(2_000));
+        g.report_downlink(ClientId(2), k(1_000));
         g.set_subscriptions(
             ClientId(2),
             vec![SubscribeIntent {
@@ -563,7 +548,6 @@ mod tests {
     }
 
     fn apply(g: &mut GlobalPicture, op: &Op) {
-        let now = SimTime::from_secs(1);
         match *op {
             Op::Join(c, screen) => {
                 let mut caps = caps();
@@ -593,8 +577,8 @@ mod tests {
                 let priority = [PriorityClass::High, PriorityClass::Normal, PriorityClass::Low];
                 g.set_tenancy(Tenancy::new(TenantId(t), priority[usize::from(p)]));
             }
-            Op::Uplink(c, kbps) => g.report_uplink(ClientId(c), now, k(kbps)),
-            Op::Downlink(c, kbps) => g.report_downlink(ClientId(c), now, k(kbps)),
+            Op::Uplink(c, kbps) => g.report_uplink(ClientId(c), k(kbps)),
+            Op::Downlink(c, kbps) => g.report_downlink(ClientId(c), k(kbps)),
         }
     }
 
@@ -630,7 +614,7 @@ mod tests {
         g.join(ClientId(1), caps());
         g.join(ClientId(2), caps());
         let first = g.live().unwrap();
-        g.report_downlink(ClientId(2), SimTime::from_secs(1), k(1_000));
+        g.report_downlink(ClientId(2), k(1_000));
         g.set_speaker(None);
         let patched = g.live().unwrap();
         assert_eq!(patched.generation, first.generation);

@@ -420,12 +420,6 @@ impl AccessNode {
         match msg {
             // Client → CN signaling, recorded locally for baseline policy,
             // audio fan-out and controller resync, then relayed.
-            CtrlMessage::Join { client, ref ladders } => {
-                self.client_ladders.insert(client, ladders.clone());
-                if let Some(cn) = self.conference() {
-                    out.send(cn, Packet::new(msg.serialize()));
-                }
-            }
             CtrlMessage::SdpOffer { client, ref sdp } => {
                 if let Ok(offer) = gso_control::SdpOffer::parse(sdp) {
                     self.client_ladders.insert(client, offer.ladders);

@@ -19,7 +19,7 @@
 
 use crate::ctrl::CtrlMessage;
 use crate::SHARD_LABEL;
-use gso_control::{CodecCapability, ControllerConfig, FailureDetector, GsoController, LeaseConfig};
+use gso_control::{ControllerConfig, FailureDetector, GsoController, LeaseConfig};
 use gso_net::{Actions, Node, NodeId, Packet};
 use gso_rtp::{epoch_newer, RtcpPacket};
 use gso_telemetry::{keys, Telemetry};
@@ -256,10 +256,6 @@ impl Node for ConferenceNode {
                     self.client_an.insert(snap.client, from);
                 }
                 self.controller.restore(now, clients);
-            }
-            CtrlMessage::Join { client, ladders } => {
-                self.client_an.insert(client, from);
-                self.controller.on_join(client, CodecCapability { ladders });
             }
             CtrlMessage::SdpOffer { client, sdp } => {
                 // §4.2: negotiate the offer, store the capabilities, and

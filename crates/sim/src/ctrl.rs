@@ -21,13 +21,6 @@ pub const CTRL_MAGIC: u8 = 0xCC;
 /// A control-plane message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtrlMessage {
-    /// Client joined, with its negotiated ladders (the simulcastInfo).
-    Join {
-        /// The joining client.
-        client: ClientId,
-        /// Negotiated per-kind bitrate ladders.
-        ladders: Vec<(StreamKind, Ladder)>,
-    },
     /// Client left.
     Leave {
         /// The departing client.
@@ -225,20 +218,6 @@ impl CtrlMessage {
         let mut b = BytesMut::new();
         b.put_u8(CTRL_MAGIC);
         match self {
-            CtrlMessage::Join { client, ladders } => {
-                b.put_u8(1);
-                b.put_u32(client.0);
-                b.put_u8(ladders.len() as u8);
-                for (kind, ladder) in ladders {
-                    put_kind(&mut b, *kind);
-                    b.put_u16(ladder.len() as u16);
-                    for s in ladder.specs() {
-                        b.put_u16(s.resolution.0);
-                        b.put_u64(s.bitrate.as_bps());
-                        b.put_f64(s.qoe);
-                    }
-                }
-            }
             CtrlMessage::Leave { client } => {
                 b.put_u8(2);
                 b.put_u32(client.0);
@@ -347,28 +326,9 @@ impl CtrlMessage {
         fn need(b: &impl Buf, n: usize) -> Option<()> {
             (b.remaining() >= n).then_some(())
         }
+        // Retired tags stay unassigned: 1 (a join carrying ladders; clients
+        // join with `SdpOffer`) and 16–17 (standby replication).
         Some(match tag {
-            1 => {
-                need(b, 5)?;
-                let client = ClientId(b.get_u32());
-                let n = b.get_u8() as usize;
-                let mut ladders = Vec::with_capacity(n);
-                for _ in 0..n {
-                    need(b, 3)?;
-                    let kind = get_kind(b)?;
-                    let m = b.get_u16() as usize;
-                    need(b, m.checked_mul(18)?)?;
-                    let mut specs = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        let res = Resolution(b.get_u16());
-                        let rate = Bitrate::from_bps(b.get_u64());
-                        let qoe = b.get_f64();
-                        specs.push(StreamSpec::new(res, rate, qoe));
-                    }
-                    ladders.push((kind, Ladder::new(specs).ok()?));
-                }
-                CtrlMessage::Join { client, ladders }
-            }
             2 => {
                 need(b, 4)?;
                 CtrlMessage::Leave { client: ClientId(b.get_u32()) }
@@ -506,13 +466,6 @@ mod tests {
     #[test]
     fn all_variants_roundtrip() {
         let msgs = vec![
-            CtrlMessage::Join {
-                client: ClientId(7),
-                ladders: vec![
-                    (StreamKind::Video, ladders::paper_table1()),
-                    (StreamKind::Screen, ladders::coarse3()),
-                ],
-            },
             CtrlMessage::Leave { client: ClientId(3) },
             CtrlMessage::Subscribe {
                 client: ClientId(2),
@@ -584,8 +537,9 @@ mod tests {
         assert!(CtrlMessage::parse(Bytes::from_static(&[0x80, 0x60, 0, 0])).is_none());
         assert!(CtrlMessage::parse(Bytes::new()).is_none());
         assert!(CtrlMessage::parse(Bytes::from_static(&[0xCC, 99, 0, 0, 0, 0])).is_none());
-        // Retired tags (the old standby replication messages) stay unused.
-        for tag in [16, 17] {
+        // Retired tags (the ladder-carrying join, the old standby
+        // replication messages) stay unused.
+        for tag in [1, 16, 17] {
             let wire = Bytes::copy_from_slice(&[0xCC, tag, 0, 0, 0, 0, 0, 0, 0, 0]);
             assert!(CtrlMessage::parse(wire).is_none(), "tag {tag}");
         }

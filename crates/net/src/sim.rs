@@ -59,6 +59,10 @@ pub struct Simulator {
     links: BTreeMap<(NodeId, NodeId), Link>,
     /// Packets whose destination had no link/node; counted, not fatal.
     pub undeliverable: u64,
+    /// The one action buffer every dispatch fills and
+    /// [`Simulator::apply_actions`] drains, so a dispatch allocates nothing
+    /// once it has grown to the largest burst.
+    actions: Actions,
 }
 
 impl Simulator {
@@ -73,6 +77,7 @@ impl Simulator {
             nodes: Vec::new(),
             links: BTreeMap::new(),
             undeliverable: 0,
+            actions: Actions::default(),
         }
     }
 
@@ -153,7 +158,7 @@ impl Simulator {
         let Some(mut node) = self.nodes.get_mut(id.0 as usize).and_then(Option::take) else {
             return;
         };
-        let mut out = Actions::default();
+        let mut out = std::mem::take(&mut self.actions);
         let now = self.now;
         f(node.as_mut(), now, &mut out);
         self.nodes[id.0 as usize] = Some(node);
@@ -197,7 +202,7 @@ impl Simulator {
             self.undeliverable += 1;
             return;
         };
-        let mut out = Actions::default();
+        let mut out = std::mem::take(&mut self.actions);
         node.on_packet(self.now, from, packet, &mut out);
         self.nodes[to.0 as usize] = Some(node);
         self.apply_actions(to, out);
@@ -208,20 +213,23 @@ impl Simulator {
             self.undeliverable += 1;
             return;
         };
-        let mut out = Actions::default();
+        let mut out = std::mem::take(&mut self.actions);
         node.on_timer(self.now, token, &mut out);
         self.nodes[id.0 as usize] = Some(node);
         self.apply_actions(id, out);
     }
 
-    fn apply_actions(&mut self, source: NodeId, out: Actions) {
+    /// Route the sends and queue the timers of one dispatch, in the order
+    /// the node emitted them, then keep the emptied buffer for the next.
+    fn apply_actions(&mut self, source: NodeId, mut out: Actions) {
         let now = self.now;
-        for (dest, packet) in out.sends {
+        for (dest, packet) in out.sends.drain(..) {
             self.route(now, source, dest, packet);
         }
-        for (at, token) in out.timers {
+        for (at, token) in out.timers.drain(..) {
             self.push_event(at.max(now), EventKind::Timer { node: source, token });
         }
+        self.actions = out;
     }
 
     /// Stable digest of the simulator's observable state: the clock, the
@@ -375,6 +383,22 @@ mod tests {
         assert_eq!(fired, 1);
         sim.run_until(SimTime::from_millis(100));
         assert_eq!(sim.node::<Echo>(echo).unwrap().timers.len(), 2);
+    }
+
+    #[test]
+    fn dispatches_reuse_one_drained_action_buffer() {
+        let mut sim = Simulator::new(1);
+        let echo = sim.add_node(Box::new(Echo::new()));
+        let pinger = sim.add_node(Box::new(Pinger { peer: echo, remaining: 3, echoes: vec![] }));
+        duplex(&mut sim, pinger, echo);
+        sim.schedule_timer(pinger, SimTime::ZERO, 0);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.node::<Pinger>(pinger).unwrap().echoes.len(), 3);
+        assert!(sim.actions.is_empty(), "every dispatch's actions were applied");
+        assert!(
+            sim.actions.sends.capacity() > 0 && sim.actions.timers.capacity() > 0,
+            "the buffer kept its capacity for the next dispatch"
+        );
     }
 
     #[test]

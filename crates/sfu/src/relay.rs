@@ -55,9 +55,10 @@ impl RelayTable {
         });
     }
 
-    /// Where should a packet with this SSRC go?
-    pub fn targets(&self, ssrc: Ssrc) -> Vec<RelayTarget> {
-        self.routes.get(&ssrc).map(|s| s.iter().copied().collect()).unwrap_or_default()
+    /// Where should a packet with this SSRC go? In target order, without
+    /// allocating (it runs once per relayed packet).
+    pub fn targets(&self, ssrc: Ssrc) -> impl Iterator<Item = RelayTarget> + '_ {
+        self.routes.get(&ssrc).into_iter().flatten().copied()
     }
 
     /// True if nobody needs this stream (the accessing node can tell the
@@ -82,7 +83,10 @@ mod tests {
         t.subscribe(Ssrc(1), RelayTarget::Local(10));
         t.subscribe(Ssrc(1), RelayTarget::Local(10)); // duplicate
         t.subscribe(Ssrc(1), RelayTarget::Peer(2));
-        assert_eq!(t.targets(Ssrc(1)), vec![RelayTarget::Local(10), RelayTarget::Peer(2)]);
+        assert_eq!(
+            t.targets(Ssrc(1)).collect::<Vec<_>>(),
+            vec![RelayTarget::Local(10), RelayTarget::Peer(2)]
+        );
     }
 
     #[test]
@@ -93,7 +97,7 @@ mod tests {
         for _ in 0..10 {
             t.subscribe(Ssrc(5), RelayTarget::Peer(3));
         }
-        assert_eq!(t.targets(Ssrc(5)).len(), 1);
+        assert_eq!(t.targets(Ssrc(5)).count(), 1);
     }
 
     #[test]
@@ -102,7 +106,7 @@ mod tests {
         t.subscribe(Ssrc(1), RelayTarget::Local(1));
         t.unsubscribe(Ssrc(1), RelayTarget::Local(1));
         assert!(t.is_unwanted(Ssrc(1)));
-        assert!(t.targets(Ssrc(1)).is_empty());
+        assert!(t.targets(Ssrc(1)).next().is_none());
         assert!(t.active_ssrcs().is_empty());
     }
 
@@ -114,7 +118,7 @@ mod tests {
         t.subscribe(Ssrc(2), RelayTarget::Local(8));
         t.remove_target(RelayTarget::Local(7));
         assert!(t.is_unwanted(Ssrc(1)));
-        assert_eq!(t.targets(Ssrc(2)), vec![RelayTarget::Local(8)]);
+        assert_eq!(t.targets(Ssrc(2)).collect::<Vec<_>>(), vec![RelayTarget::Local(8)]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use gso_sfu::{
     LargestFitSelector, LayerSwitcher, OfferedLayer, PassthroughSelector, StreamSelector,
     TwoLevelSelector,
 };
-use gso_telemetry::{keys, Telemetry};
+use gso_telemetry::{keys, Slot, Telemetry};
 use gso_util::{Bitrate, ClientId, SimDuration, SimTime, Ssrc, StreamKind};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -42,6 +42,11 @@ struct DownPath {
     reporter: SembScheduler,
     probe_seq: u16,
     bytes_window: u64,
+    /// This subscriber's `sfu.forwarded_bytes` and `sfu.dropped_bytes`
+    /// slots, resolved at their first record (every forwarded or withheld
+    /// packet records one of them).
+    forwarded_slot: Option<Slot>,
+    dropped_slot: Option<Slot>,
 }
 
 impl DownPath {
@@ -54,6 +59,8 @@ impl DownPath {
             reporter: SembScheduler::new(SembConfig::default()),
             probe_seq: 0,
             bytes_window: 0,
+            forwarded_slot: None,
+            dropped_slot: None,
         }
     }
 }
@@ -103,6 +110,9 @@ pub struct AccessNode {
     report_blackout: bool,
     /// Observed publisher layers.
     layer_rates: BTreeMap<Ssrc, LayerRate>,
+    /// Scratch for the peers an audio packet is relayed to, reused across
+    /// packets.
+    audio_peers: Vec<NodeId>,
     last_slow: SimTime,
     started: bool,
     /// Metrics sink (disabled by default; see `gso-telemetry`).
@@ -132,6 +142,7 @@ impl AccessNode {
             last_uplink: BTreeMap::new(),
             report_blackout: false,
             layer_rates: BTreeMap::new(),
+            audio_peers: Vec::new(),
             last_slow: SimTime::ZERO,
             started: false,
             telemetry: Telemetry::disabled(),
@@ -144,6 +155,9 @@ impl AccessNode {
         self.telemetry = telemetry;
         for (client, path) in &mut self.down {
             path.bwe.set_telemetry(self.telemetry.clone(), format!("down:{client}"));
+            // Slots belong to the registry that resolved them.
+            path.forwarded_slot = None;
+            path.dropped_slot = None;
         }
     }
 
@@ -204,26 +218,33 @@ impl AccessNode {
         sim.schedule_timer(node, SimTime::ZERO, SLOW_TICK);
     }
 
-    /// Forward one received datagram (`wire`, parsed as `pkt`) to a local
-    /// subscriber, unchanged.
-    fn forward_to(
-        &mut self,
+    /// Forward one received datagram (`wire`, parsed as `pkt`) to the local
+    /// subscriber behind `path`, unchanged.
+    fn forward(
+        path: &mut DownPath,
+        telemetry: &Telemetry,
         now: SimTime,
         subscriber: ClientId,
         pkt: &RtpPacket,
         wire: &bytes::Bytes,
         out: &mut Actions,
     ) {
-        let Some(path) = self.down.get_mut(&subscriber) else { return };
         path.history.record(pkt.ssrc, pkt.sequence, now, wire.len() + 28, false);
         path.bytes_window += wire.len() as u64;
-        self.telemetry.add(keys::SFU_FORWARDED_BYTES, subscriber, wire.len() as u64);
+        telemetry.add_cached(
+            &mut path.forwarded_slot,
+            keys::SFU_FORWARDED_BYTES,
+            subscriber,
+            wire.len() as u64,
+        );
         out.send(path.endpoint, Packet::new(wire.clone()));
     }
 
     /// Route one received RTP datagram. `pkt` is `wire` parsed; since the
     /// parser accepts only the plain fixed header, `wire` is exactly what
-    /// re-serializing `pkt` would give, so it is relayed as is.
+    /// re-serializing `pkt` would give, so it is relayed as is. Nothing
+    /// here allocates per packet: subscribers are served while their maps
+    /// are walked, and the audio relay peers go through a reused buffer.
     fn handle_rtp(
         &mut self,
         now: SimTime,
@@ -249,39 +270,29 @@ impl AccessNode {
             StreamKind::Audio => {
                 // Audio fans out to every *local* subscriber of this
                 // publisher; for remote subscribers, relay once per peer.
-                let targets: Vec<ClientId> = self
-                    .subs
-                    .iter()
-                    .filter(|(&sub, intents)| {
-                        sub != publisher
-                            && self.clients.contains_key(&sub)
-                            && intents.iter().any(|i| i.source.client == publisher)
-                    })
-                    .map(|(&sub, _)| sub)
-                    .collect();
-                for sub in targets {
-                    self.forward_to(now, sub, &pkt, &wire, out);
-                }
-                if from_local {
-                    let peers: std::collections::BTreeSet<NodeId> = self
-                        .subs
-                        .iter()
-                        .filter(|(&sub, intents)| {
-                            sub != publisher && intents.iter().any(|i| i.source.client == publisher)
-                        })
-                        .filter_map(|(&sub, _)| self.remote_clients.get(&sub).copied())
-                        .collect();
-                    for peer in peers {
-                        out.send(peer, Packet::new(wire.clone()));
+                for (&sub, intents) in &self.subs {
+                    if sub == publisher || !intents.iter().any(|i| i.source.client == publisher) {
+                        continue;
+                    }
+                    if let Some(path) = self.down.get_mut(&sub) {
+                        Self::forward(path, &self.telemetry, now, sub, &pkt, &wire, out);
+                    } else if let (true, Some(&peer)) = (from_local, self.remote_clients.get(&sub))
+                    {
+                        self.audio_peers.push(peer);
                     }
                 }
+                self.audio_peers.sort_unstable();
+                self.audio_peers.dedup();
+                for &peer in &self.audio_peers {
+                    out.send(peer, Packet::new(wire.clone()));
+                }
+                self.audio_peers.clear();
             }
             StreamKind::Video | StreamKind::Screen => {
                 self.layer_rates.entry(pkt.ssrc).or_default().bytes_window += pkt.wire_len() as u64;
                 let keyframe_start = FragmentHeader::parse(&pkt.payload)
                     .is_some_and(|h| h.keyframe && h.frag_index == 0);
                 let source = SourceId { client: publisher, kind };
-                let mut targets: Vec<ClientId> = Vec::new();
                 for ((sub, _, _), sw) in
                     self.switchers.iter_mut().filter(|((_, src, _), _)| *src == source)
                 {
@@ -301,16 +312,20 @@ impl AccessNode {
                             format!("{sub} -> {} after {latency}", pkt.ssrc),
                         );
                     }
+                    // Switchers exist only for attached subscribers.
+                    let Some(path) = self.down.get_mut(sub) else { continue };
                     if forward {
-                        targets.push(*sub);
+                        Self::forward(path, &self.telemetry, now, *sub, &pkt, &wire, out);
                     } else {
                         // Bytes of this source withheld from the subscriber
                         // (other layers, or a switch waiting for a keyframe).
-                        self.telemetry.add(keys::SFU_DROPPED_BYTES, sub, pkt.wire_len() as u64);
+                        self.telemetry.add_cached(
+                            &mut path.dropped_slot,
+                            keys::SFU_DROPPED_BYTES,
+                            sub,
+                            pkt.wire_len() as u64,
+                        );
                     }
-                }
-                for sub in targets {
-                    self.forward_to(now, sub, &pkt, &wire, out);
                 }
                 // Relay locally-published streams to peer nodes whose
                 // subscribers need them — once per peer link, however many
@@ -416,7 +431,7 @@ impl AccessNode {
     }
 
     fn handle_ctrl(&mut self, now: SimTime, from: NodeId, msg: CtrlMessage, out: &mut Actions) {
-        let from_client = self.endpoint_to_client.get(&from).copied();
+        let from_local = self.endpoint_to_client.contains_key(&from);
         match msg {
             // Client → CN signaling, recorded locally for baseline policy,
             // audio fan-out and controller resync, then relayed.
@@ -424,16 +439,12 @@ impl AccessNode {
                 if let Ok(offer) = gso_control::SdpOffer::parse(sdp) {
                     self.client_ladders.insert(client, offer.ladders);
                 }
-                if let Some(cn) = self.conference() {
-                    out.send(cn, Packet::new(msg.serialize()));
-                }
+                self.relay_up(from_local, &msg, out);
             }
             CtrlMessage::Leave { client } => {
                 self.client_ladders.remove(&client);
                 self.last_uplink.remove(&client);
-                if let Some(cn) = self.conference() {
-                    out.send(cn, Packet::new(msg.serialize()));
-                }
+                self.relay_up(from_local, &msg, out);
             }
             CtrlMessage::SdpAnswer { client, .. } => {
                 if let Some(&endpoint) = self.clients.get(&client) {
@@ -442,9 +453,7 @@ impl AccessNode {
             }
             CtrlMessage::Subscribe { client, ref intents } => {
                 self.subs.insert(client, intents.clone());
-                if let Some(cn) = self.conference() {
-                    out.send(cn, Packet::new(msg.serialize()));
-                }
+                self.relay_up(from_local, &msg, out);
             }
             CtrlMessage::KeyframeRequest { source } => {
                 // From a subscriber (or a peer relaying one); deliver to the
@@ -531,9 +540,18 @@ impl AccessNode {
                     }
                 }
             }
-            _ => {
-                let _ = from_client;
-            }
+            _ => {}
+        }
+    }
+
+    /// Relay client → CN signaling (`SdpOffer`, `Leave`, `Subscribe`) to
+    /// the conference node, but only when it came from one of this node's
+    /// own client endpoints. Anything else is a copy the conference node
+    /// rebroadcast so every access node knows the mesh's subscriptions:
+    /// it is recorded and goes no further, so it cannot bounce back up.
+    fn relay_up(&self, from_local: bool, msg: &CtrlMessage, out: &mut Actions) {
+        if let (true, Some(cn)) = (from_local, self.conference()) {
+            out.send(cn, Packet::new(msg.serialize()));
         }
     }
 
@@ -1001,6 +1019,30 @@ mod tests {
         assert_eq!(c1.ladders.len(), 1, "ladder recovered from the cached offer");
         assert_eq!(c1.intents.len(), 1, "intents recovered");
         assert_eq!(c1.uplink, Bitrate::from_kbps(1_500), "uplink recovered");
+    }
+
+    #[test]
+    fn only_local_subscribes_are_relayed_to_the_conference() {
+        let (mut an, cn, e1, _e2) = an_with_two_clients();
+        let intents = vec![SubscribeIntent {
+            source: SourceId::video(ClientId(1)),
+            max_resolution: gso_algo::Resolution::R720,
+            tag: 0,
+        }];
+        // The conference node's rebroadcast of a remote client's subscribe
+        // is recorded for audio fan-out and goes no further.
+        let remote = CtrlMessage::Subscribe { client: ClientId(7), intents: intents.clone() };
+        let mut out = Actions::default();
+        an.on_packet(SimTime::ZERO, cn, Packet::new(remote.serialize()), &mut out);
+        assert_eq!(an.subs.get(&ClientId(7)), Some(&intents));
+        assert!(out.is_empty(), "a rebroadcast must not bounce back to the conference node");
+        // A local client's own subscribe goes up exactly once.
+        let local = CtrlMessage::Subscribe { client: ClientId(1), intents };
+        let mut out = Actions::default();
+        an.on_packet(SimTime::ZERO, e1, Packet::new(local.serialize()), &mut out);
+        assert_eq!(out.sends().len(), 1);
+        assert_eq!(out.sends()[0].0, cn);
+        assert_eq!(CtrlMessage::parse(out.sends()[0].1.data.clone()), Some(local));
     }
 
     #[test]

@@ -281,11 +281,12 @@ impl Node for ConferenceNode {
             CtrlMessage::Subscribe { client, intents } => {
                 self.controller.on_subscriptions(client, intents.clone());
                 // Re-broadcast to the other accessing nodes: they need the
-                // subscription map for audio fan-out across the mesh.
-                let rebroadcast = CtrlMessage::Subscribe { client, intents };
+                // subscription map for audio fan-out across the mesh. They
+                // record it and relay nothing back (see `AccessNode`).
+                let rebroadcast = CtrlMessage::Subscribe { client, intents }.serialize();
                 for &an in &self.access_nodes {
                     if an != from {
-                        out.send(an, Packet::new(rebroadcast.serialize()));
+                        out.send(an, Packet::new(rebroadcast.clone()));
                     }
                 }
             }

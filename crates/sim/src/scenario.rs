@@ -544,6 +544,56 @@ mod region_tests {
         }
     }
 
+    /// Three regions, one client each: signaling between the conference
+    /// node and the access nodes stays a handful of packets per link. A
+    /// subscribe the conference node rebroadcasts is terminal at the access
+    /// nodes; relayed back up, it would bounce between them and the
+    /// conference node without end, so the run is stepped and checked
+    /// every 100 ms and fails at the first slice over the bound.
+    #[test]
+    fn three_regions_keep_signaling_bounded() {
+        let ladder = ladder_for_mode(PolicyMode::Gso);
+        let mut clients: Vec<ClientScenario> = (1..=3u32)
+            .map(|i| {
+                ClientScenario::clean(
+                    ClientId(i),
+                    Bitrate::from_mbps(4),
+                    Bitrate::from_mbps(4),
+                    ladder.clone(),
+                )
+            })
+            .collect();
+        for (region, c) in clients.iter_mut().enumerate() {
+            c.region = region;
+        }
+        let mut s = Scenario {
+            seed: 57,
+            mode: PolicyMode::Gso,
+            duration: SimDuration::from_secs(3),
+            clients,
+            speaker_schedule: Vec::new(),
+            standby: false,
+        };
+        s.subscribe_all_to_all(Resolution::R720);
+        let mut wired = s.build();
+        assert_eq!(wired.ans.len(), 3);
+        const BOUND: u64 = 24;
+        let end = SimTime::ZERO + s.duration;
+        let mut t = SimTime::ZERO;
+        while t < end {
+            t = (t + SimDuration::from_millis(100)).min(end);
+            wired.sim.run_until(t);
+            for &an in &wired.ans {
+                for (from, to) in [(an, wired.cn), (wired.cn, an)] {
+                    let carried = wired.sim.link_stats(from, to).expect("backbone link").enqueued;
+                    assert!(carried <= BOUND, "{from}->{to} carried {carried} packets by {t}");
+                }
+            }
+        }
+        let r = s.harvest(wired, end);
+        assert!(!r.controller_intervals.is_empty(), "the controller ran");
+    }
+
     /// Mixed: two clients share region 0, a third sits in region 1; every
     /// stream still reaches every subscriber exactly once.
     #[test]

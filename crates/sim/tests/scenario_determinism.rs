@@ -57,11 +57,26 @@ fn cross_region(seed: u64) -> Scenario {
     s
 }
 
+/// Three parties in three regions: every access node relays media to two
+/// peers, and subscriptions fan out to two other access nodes.
+fn three_region(seed: u64) -> Scenario {
+    let mut s = two_party(seed);
+    let mut third = s.clients[0].clone();
+    third.id = ClientId(3);
+    s.clients.push(third);
+    for (region, c) in s.clients.iter_mut().enumerate() {
+        c.region = region;
+    }
+    s.subscribe_all_to_all(Resolution::R720);
+    s
+}
+
 fn example_scenarios(seed: u64) -> Vec<(&'static str, Scenario)> {
     vec![
         ("two-party", two_party(seed)),
         ("impaired", impaired(seed)),
         ("cross-region", cross_region(seed)),
+        ("three-region", three_region(seed)),
     ]
 }
 

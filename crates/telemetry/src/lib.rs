@@ -23,7 +23,10 @@
 //!    [`Telemetry`] handle; the disabled handle is a `None` and each
 //!    operation is a single branch — labels are not even formatted. An
 //!    enabled handle formats the label into a reused buffer, so only the
-//!    first record of a (name, label) pair allocates.
+//!    first record of a (name, label) pair allocates. That first record
+//!    resolves the pair into a dense [`Slot`]; a per-packet site caches
+//!    the slot ([`Telemetry::add_cached`]), and its later hits neither
+//!    format a label nor probe a map.
 //! 3. **Static metric keys.** Metric names are `&'static str` constants in
 //!    [`keys`]; dynamic cardinality goes in the label dimension only.
 //!
@@ -83,14 +86,24 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
+/// A `(name, label)` metric resolved to its dense index in one registry.
+///
+/// [`Telemetry::add_cached`] fills a cached slot at the pair's first
+/// record and writes through it afterwards. A slot belongs to the registry
+/// that resolved it: a holder that switches handles drops its cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
 /// The per-conference metric registry behind an enabled [`Telemetry`]
 /// handle. Not used directly — all access goes through the handle.
 #[derive(Debug, Default)]
 struct Registry {
     conference: String,
-    /// Metrics by name, then label: the same iteration order as a
-    /// `(name, label)` key, but a hit can look the label up by `&str`.
-    metrics: BTreeMap<&'static str, BTreeMap<String, MetricValue>>,
+    /// Every recorded metric, in first-record order; a [`Slot`] indexes it.
+    values: Vec<MetricValue>,
+    /// Slot of each metric by name, then label: the export order. A
+    /// first record looks the label up by `&str`.
+    slots: BTreeMap<&'static str, BTreeMap<String, Slot>>,
     /// Scratch buffer each record formats its label into.
     label: String,
     events: VecDeque<Event>,
@@ -106,27 +119,57 @@ impl Registry {
         Registry { conference, event_capacity, ..Registry::default() }
     }
 
-    /// The metric `(name, label)`, created by `init` on its first record.
-    fn metric(
+    /// The slot of `(name, label)`, created with the value `init` gives
+    /// on the pair's first record.
+    fn resolve_slot(
         &mut self,
         name: &'static str,
         label: impl Display,
         init: impl FnOnce() -> MetricValue,
-    ) -> &mut MetricValue {
+    ) -> Slot {
         self.label.clear();
         let _ = write!(self.label, "{label}");
-        let labels = self.metrics.entry(name).or_default();
-        if !labels.contains_key(self.label.as_str()) {
-            // lint: allow(hot-alloc, reason = "the first record of a (name, label) pair owns its label; every later hit looks it up through the scratch buffer")
-            labels.insert(self.label.clone(), init());
+        let labels = self.slots.entry(name).or_default();
+        if let Some(&slot) = labels.get(self.label.as_str()) {
+            return slot;
         }
-        labels.get_mut(self.label.as_str()).expect("invariant: the label was inserted above")
+        let slot = Slot(self.values.len() as u32);
+        // The index takes the formatted label itself; the scratch buffer
+        // grows again at the next record.
+        // lint: allow(hot-alloc, reason = "the first record of a (name, label) pair indexes its label; every later hit finds the slot through the scratch buffer or a cached slot")
+        labels.insert(std::mem::take(&mut self.label), slot);
+        // lint: allow(hot-alloc, reason = "one value per (name, label) pair, pushed at its first record")
+        self.values.push(init());
+        slot
+    }
+
+    fn slot_value(&mut self, slot: Slot) -> &mut MetricValue {
+        self.values
+            .get_mut(slot.0 as usize)
+            .expect("invariant: a slot indexes the registry that resolved it")
+    }
+
+    /// The recorded metric `(name, label)`, if any.
+    fn recorded(&self, name: &'static str, label: impl Display) -> Option<&MetricValue> {
+        let slot = self.slots.get(name)?.get(label.to_string().as_str())?;
+        self.values.get(slot.0 as usize)
+    }
+
+    /// Every metric recorded under `name`, in label order.
+    fn recorded_under(&self, name: &'static str) -> impl Iterator<Item = &MetricValue> {
+        self.slots
+            .get(name)
+            .into_iter()
+            .flat_map(BTreeMap::values)
+            .map(|s| &self.values[s.0 as usize])
     }
 
     /// Every metric in export order: by name, then label.
     fn in_export_order(&self) -> impl Iterator<Item = (&'static str, &str, &MetricValue)> {
-        self.metrics.iter().flat_map(|(name, labels)| {
-            labels.iter().map(move |(label, metric)| (*name, label.as_str(), metric))
+        self.slots.iter().flat_map(move |(name, labels)| {
+            labels
+                .iter()
+                .map(move |(label, slot)| (*name, label.as_str(), &self.values[slot.0 as usize]))
         })
     }
 
@@ -210,8 +253,24 @@ impl Telemetry {
 
     /// Add `delta` to the counter `(name, label)`.
     pub fn add(&self, name: &'static str, label: impl Display, delta: u64) {
+        self.add_cached(&mut None, name, label, delta);
+    }
+
+    /// Add `delta` to the counter `(name, label)` through `slot`, a cache
+    /// of its resolved [`Slot`]: an empty cache is filled at this record,
+    /// and a filled one is written through without formatting `label` or
+    /// probing a map. The cache must come from this handle's registry.
+    pub fn add_cached(
+        &self,
+        slot: &mut Option<Slot>,
+        name: &'static str,
+        label: impl Display,
+        delta: u64,
+    ) {
         let Some(mut reg) = self.registry() else { return };
-        if let MetricValue::Counter(v) = reg.metric(name, label, || MetricValue::Counter(0)) {
+        let slot =
+            *slot.get_or_insert_with(|| reg.resolve_slot(name, label, || MetricValue::Counter(0)));
+        if let MetricValue::Counter(v) = reg.slot_value(slot) {
             *v += delta;
         } else {
             debug_assert!(false, "metric {name} recorded with mixed kinds");
@@ -234,7 +293,8 @@ impl Telemetry {
             return;
         }
         let Some(mut reg) = self.registry() else { return };
-        *reg.metric(name, label, || MetricValue::Gauge(value)) = MetricValue::Gauge(value);
+        let slot = reg.resolve_slot(name, label, || MetricValue::Gauge(value));
+        *reg.slot_value(slot) = MetricValue::Gauge(value);
     }
 
     /// Record `value` into the fixed-bucket histogram `(name, label)`.
@@ -250,11 +310,11 @@ impl Telemetry {
         bounds: &'static [u64],
     ) {
         let Some(mut reg) = self.registry() else { return };
-        let slot = reg.metric(name, label, || {
+        let slot = reg.resolve_slot(name, label, || {
             // lint: allow(hot-alloc, reason = "a histogram lazily allocates its buckets once per (name, label) pair")
             MetricValue::Histogram { bounds, counts: vec![0; bounds.len() + 1], total: 0, sum: 0 }
         });
-        if let MetricValue::Histogram { bounds, counts, total, sum } = slot {
+        if let MetricValue::Histogram { bounds, counts, total, sum } = reg.slot_value(slot) {
             let idx = bounds.partition_point(|&b| b < value);
             *counts
                 .get_mut(idx)
@@ -283,7 +343,7 @@ impl Telemetry {
     #[must_use]
     pub fn counter(&self, name: &'static str, label: impl Display) -> u64 {
         let Some(reg) = self.registry() else { return 0 };
-        match reg.metrics.get(name).and_then(|m| m.get(label.to_string().as_str())) {
+        match reg.recorded(name, label) {
             Some(MetricValue::Counter(v)) => *v,
             _ => 0,
         }
@@ -293,10 +353,7 @@ impl Telemetry {
     #[must_use]
     pub fn counter_total(&self, name: &'static str) -> u64 {
         let Some(reg) = self.registry() else { return 0 };
-        reg.metrics
-            .get(name)
-            .into_iter()
-            .flat_map(BTreeMap::values)
+        reg.recorded_under(name)
             .map(|m| match m {
                 MetricValue::Counter(v) => *v,
                 _ => 0,
@@ -308,7 +365,7 @@ impl Telemetry {
     #[must_use]
     pub fn gauge_value(&self, name: &'static str, label: impl Display) -> Option<f64> {
         let reg = self.registry()?;
-        match reg.metrics.get(name).and_then(|m| m.get(label.to_string().as_str())) {
+        match reg.recorded(name, label) {
             Some(MetricValue::Gauge(v)) => Some(*v),
             _ => None,
         }
@@ -318,7 +375,7 @@ impl Telemetry {
     #[must_use]
     pub fn histogram(&self, name: &'static str, label: impl Display) -> Option<HistogramSnapshot> {
         let reg = self.registry()?;
-        match reg.metrics.get(name).and_then(|m| m.get(label.to_string().as_str())) {
+        match reg.recorded(name, label) {
             Some(MetricValue::Histogram { bounds, counts, total, sum }) => {
                 Some(HistogramSnapshot { bounds, counts: counts.clone(), total: *total, sum: *sum })
             }
@@ -331,11 +388,9 @@ impl Telemetry {
     #[must_use]
     pub fn histogram_total(&self, name: &'static str) -> (u64, u64) {
         let Some(reg) = self.registry() else { return (0, 0) };
-        reg.metrics.get(name).into_iter().flat_map(BTreeMap::values).fold((0, 0), |(c, s), m| {
-            match m {
-                MetricValue::Histogram { total, sum, .. } => (c + total, s + sum),
-                _ => (c, s),
-            }
+        reg.recorded_under(name).fold((0, 0), |(c, s), m| match m {
+            MetricValue::Histogram { total, sum, .. } => (c + total, s + sum),
+            _ => (c, s),
         })
     }
 
@@ -553,6 +608,32 @@ mod tests {
         t.incr("c", "");
         u.incr("c", "");
         assert_eq!(t.counter("c", ""), 2);
+    }
+
+    #[test]
+    fn cached_slots_record_exactly_what_the_string_api_records() {
+        let by_string = Telemetry::new("conf");
+        let by_slot = Telemetry::new("conf");
+        let (mut a, mut b) = (None, None);
+        assert_eq!(by_slot.export_json(), by_string.export_json(), "nothing before a record");
+        for delta in [3, 5, 7] {
+            by_string.add("c", "a", delta);
+            by_string.add("c", 2, delta);
+            by_slot.add_cached(&mut a, "c", "a", delta);
+            by_slot.add_cached(&mut b, "c", 2, delta);
+        }
+        assert!(a.is_some() && b.is_some() && a != b, "one slot per (name, label)");
+        assert_eq!(by_slot.counter("c", "a"), 15);
+        assert_eq!(by_slot.export_json(), by_string.export_json());
+        assert_eq!(by_slot.export_digest(), by_string.export_digest());
+        // The string API writes through the same slot a cache holds.
+        by_slot.add("c", "a", 1);
+        by_slot.add_cached(&mut a, "c", "a", 1);
+        assert_eq!(by_slot.counter("c", "a"), 17);
+        // A disabled handle leaves the cache empty.
+        let mut none = None;
+        Telemetry::disabled().add_cached(&mut none, "c", "a", 1);
+        assert_eq!(none, None);
     }
 
     #[test]

@@ -57,8 +57,6 @@
 //! * [`qoe`] — QoE utility curves with small-stream protection (§4.4).
 //! * [`ladders`] — the paper's Table-1 ladder, fine 15-level and coarse
 //!   3-level production ladders, and parametric generators.
-//! * [`tenant`] — tenant identity and priority classes consumed by the
-//!   fleet's admission control and overload shedding.
 
 pub mod audit;
 pub mod batch;
@@ -72,7 +70,6 @@ pub mod problem;
 pub mod qoe;
 pub mod solution;
 pub mod solver;
-pub mod tenant;
 pub mod types;
 
 pub use batch::{BatchConfig, BatchScheduler};
@@ -82,5 +79,4 @@ pub use mckp::McPool;
 pub use problem::{ClientSpec, Problem, ProblemError, PublisherSource, SourceId, Subscription};
 pub use solution::{ConstraintViolation, PublishPolicy, ReceivedStream, Solution};
 pub use solver::{IterationTrace, ReductionTrace, Request, SolveTrace, SolverConfig};
-pub use tenant::{PriorityClass, Tenancy, TenantId};
 pub use types::{Ladder, LadderError, Resolution, StreamSpec};

@@ -6,7 +6,6 @@
 //! the subscription relations between clients, including per-subscription
 //! maximum resolutions and priority boosts.
 
-use crate::tenant::Tenancy;
 use crate::types::{Ladder, Resolution};
 use gso_util::{Bitrate, ClientId, StreamKind};
 use std::fmt;
@@ -194,9 +193,6 @@ impl std::error::Error for ProblemError {}
 pub struct Problem {
     clients: Vec<ClientSpec>,
     subscriptions: Vec<Subscription>,
-    /// Who owns this conference and at which service tier. The solver never
-    /// reads it; the fleet's admission/shedding layer does.
-    tenancy: Tenancy,
 }
 
 impl Problem {
@@ -244,21 +240,7 @@ impl Problem {
                 return Err(ProblemError::DuplicateSubscription(s.subscriber, s.source, s.tag));
             }
         }
-        Ok(Problem { clients, subscriptions, tenancy: Tenancy::default() })
-    }
-
-    /// Attach a tenancy label (default: tenant 0, normal priority — the
-    /// single-tenant behavior). Tenancy is a control-plane label; it does
-    /// not affect what the solver computes for this conference, only how
-    /// the fleet treats it under contention.
-    pub fn with_tenancy(mut self, tenancy: Tenancy) -> Self {
-        self.tenancy = tenancy;
-        self
-    }
-
-    /// The conference's tenancy label.
-    pub fn tenancy(&self) -> Tenancy {
-        self.tenancy
+        Ok(Problem { clients, subscriptions })
     }
 
     /// All clients, ascending by id.

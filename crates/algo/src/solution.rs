@@ -53,15 +53,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// True when this solution came from a template baseline (the control
-    /// plane's fallback path) rather than from the solver: the solver always
-    /// runs at least one Knapsack–Merge–Reduction iteration, the baseline
-    /// runs none. The fleet's overload shedding uses this to tell demoted
-    /// conferences apart from freshly solved ones.
-    pub fn is_template_baseline(&self) -> bool {
-        self.iterations == 0
-    }
-
     /// Total bitrate a client publishes across all of its sources.
     pub fn publish_rate(&self, client: ClientId) -> Bitrate {
         // Sources sort by (client, kind) and `Audio` is the least kind, so

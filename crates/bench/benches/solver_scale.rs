@@ -8,10 +8,8 @@
 //! * `warm_*` — re-solves after a single-client bandwidth delta and after a
 //!   single-source ladder reduction (the controller's steady-state work).
 //!
-//! A `tenant_overload` section then times the tick of an overloaded
-//! multi-tenant `ControllerFleet` (admission and priority shedding active).
-//! The 64×20 fleet tick itself is timed, layer by layer, by perfbench's
-//! `fleet_churn` workload.
+//! The 64×20 `ControllerFleet` tick is timed, layer by layer, by
+//! perfbench's `fleet_churn` workload.
 //!
 //! Every timed engine path is first cross-checked bit-identical against a
 //! fresh `solver::solve` on the same problem. A full run writes
@@ -19,18 +17,10 @@
 //! writes `target/BENCH_solver.smoke.json` instead, marked `"smoke":true`,
 //! so the committed baseline is never overwritten by smoke numbers.
 
-use gso_algo::{
-    ladders, solver, BatchConfig, PriorityClass, Problem, Resolution, SolveEngine, SolverConfig,
-    SourceId, Tenancy, TenantId,
-};
+use gso_algo::{solver, Problem, SolveEngine, SolverConfig};
 use gso_bench::banner;
-use gso_control::{
-    AdmissionConfig, AdmissionController, CodecCapability, ControllerConfig, ControllerFleet,
-    FleetTick, GsoController, ShedPolicy, SubscribeIntent,
-};
-use gso_rtp::GsoTmmbn;
 use gso_sim::experiments::fig6;
-use gso_util::{Bitrate, ClientId, SimTime, Ssrc, StreamKind};
+use gso_util::Bitrate;
 use std::time::Instant;
 
 /// Median wall-clock milliseconds of `reps` runs of `f`.
@@ -195,142 +185,6 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// One fleet tick under sustained overload: admission + priority shedding
-/// active, every conference churned so each round does real solve work.
-struct TenantOverloadReport {
-    conferences: usize,
-    parties: u32,
-    workers: usize,
-    warm_tick_ms: f64,
-    shed: usize,
-}
-
-impl TenantOverloadReport {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"conferences\":{},\"parties\":{},\"workers\":{},",
-                "\"warm_tick_ms\":{:.4},\"shed\":{}}}"
-            ),
-            self.conferences, self.parties, self.workers, self.warm_tick_ms, self.shed
-        )
-    }
-}
-
-/// An n-party full-mesh conference under the given tenancy.
-fn tenant_conference(tenancy: Tenancy, parties: u32, ssrc: u32) -> GsoController {
-    let caps = CodecCapability { ladders: vec![(StreamKind::Video, ladders::paper_table1())] };
-    let mut c = GsoController::new(ControllerConfig::paper_defaults(), Ssrc(ssrc));
-    for i in 1..=parties {
-        c.on_join(ClientId(i), caps.clone());
-    }
-    for i in 1..=parties {
-        let intents: Vec<SubscribeIntent> = (1..=parties)
-            .filter(|j| *j != i)
-            .map(|j| SubscribeIntent {
-                source: SourceId::video(ClientId(j)),
-                max_resolution: Resolution::R720,
-                tag: 0,
-            })
-            .collect();
-        c.on_subscriptions(ClientId(i), intents);
-        c.on_uplink_report(SimTime::ZERO, ClientId(i), Bitrate::from_kbps(2_000));
-        c.on_downlink_report(SimTime::ZERO, ClientId(i), Bitrate::from_kbps(1_800));
-    }
-    c.set_tenancy(tenancy);
-    c
-}
-
-/// Ack every delivered/retransmitted GTMB so the §7 undeliverable-client
-/// path stays out of the measurement.
-fn ack_fleet_tick(fleet: &mut ControllerFleet, ticks: &[FleetTick]) {
-    for (i, (out, retx)) in ticks.iter().enumerate() {
-        let configs = out.iter().flat_map(|o| o.configs.iter());
-        for (client, msg) in configs.chain(retx.iter()) {
-            fleet.get_mut(i).expect("ticked conference exists").on_ack(
-                *client,
-                &GsoTmmbn {
-                    sender_ssrc: Ssrc(9_999),
-                    epoch: msg.epoch,
-                    request_seq: msg.request_seq,
-                    entries: vec![],
-                },
-            );
-        }
-    }
-}
-
-/// Median tick latency of an overloaded multi-tenant
-/// fleet: a starvation row budget keeps the shedding state machine and the
-/// admission ledger active on every tick, and a standing low-priority join
-/// attempt exercises the admission reject path each round.
-fn bench_tenant_overload(
-    conferences: usize,
-    parties: u32,
-    ticks: usize,
-    workers: usize,
-) -> TenantOverloadReport {
-    let mut fleet = ControllerFleet::new(&BatchConfig { workers });
-    for i in 0..conferences {
-        let tier = match i % 3 {
-            0 => PriorityClass::High,
-            1 => PriorityClass::Normal,
-            _ => PriorityClass::Low,
-        };
-        let tenancy = Tenancy::new(TenantId(i as u32 + 1), tier);
-        fleet.push(tenant_conference(tenancy, parties, 100 + i as u32 * 10));
-    }
-    fleet.set_shed_policy(ShedPolicy {
-        row_budget_per_tick: 1,
-        enter_ticks: 2,
-        exit_ticks: 5,
-        headroom: 0.25,
-    });
-    fleet.set_admission(AdmissionController::new(AdmissionConfig {
-        row_budget: 1,
-        high_reserve: 0.2,
-        queue_capacity: 8,
-        tenant_quota: 0,
-    }));
-    let mut joiner =
-        Some(tenant_conference(Tenancy::new(TenantId(999), PriorityClass::Low), parties, 9_990));
-
-    let mut step = |fleet: &mut ControllerFleet, tick: usize| {
-        for i in 0..fleet.len() {
-            let speaker = ClientId(1 + (tick as u32 % parties));
-            fleet.get_mut(i).expect("pre-seated conference exists").on_speaker(Some(speaker));
-        }
-        if let Some(c) = joiner.take() {
-            // Low + exhausted budget → always rejected, controller returned.
-            joiner = fleet.admit(c, 1_000).err().map(|e| (*e).1);
-        }
-        let now = SimTime::from_millis(10 + tick as u64 * 1_100);
-        let out = fleet.tick_all(now);
-        ack_fleet_tick(fleet, &out);
-    };
-
-    // Warmup: cold solves plus enough ticks for shedding to reach its
-    // steady state under the starvation budget.
-    let warmup = 2 + 2 * conferences;
-    for tick in 0..warmup {
-        step(&mut fleet, tick);
-    }
-    let mut samples = Vec::with_capacity(ticks);
-    for tick in warmup..warmup + ticks {
-        let t = Instant::now();
-        step(&mut fleet, tick);
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    samples.sort_by(f64::total_cmp);
-    TenantOverloadReport {
-        conferences,
-        parties,
-        workers,
-        warm_tick_ms: samples[samples.len() / 2],
-        shed: fleet.shed_count(),
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (shapes, cold_reps, warm_reps): (&[(usize, usize, usize)], usize, usize) = if smoke {
@@ -360,26 +214,16 @@ fn main() {
         reports.push(r);
     }
     println!("(ms medians; ×warm = seq cold / warm single-source reduction re-solve)");
-
-    banner("solver_scale: multi-tenant fleet under overload (admission + shedding)");
-    let (ov_confs, ov_parties, ov_ticks, ov_workers) =
-        if smoke { (6, 4, 4, 2) } else { (18, 6, 12, 4) };
-    let ov = bench_tenant_overload(ov_confs, ov_parties, ov_ticks, ov_workers);
-    println!(
-        "tenant_overload w={}: {} conferences × {} parties: warm tick {:.3} ms ({} shed)",
-        ov.workers, ov.conferences, ov.parties, ov.warm_tick_ms, ov.shed
-    );
     println!("host parallelism: {}", host_parallelism());
 
     let json = format!(
         concat!(
             "{{\"bench\":\"solver_scale\",\"unit\":\"milliseconds\",\"smoke\":{},",
-            "\"host_parallelism\":{},\"shapes\":[{}],\"tenant_overload\":{}}}\n"
+            "\"host_parallelism\":{},\"shapes\":[{}]}}\n"
         ),
         smoke,
         host_parallelism(),
-        reports.iter().map(ShapeReport::to_json).collect::<Vec<_>>().join(","),
-        ov.to_json()
+        reports.iter().map(ShapeReport::to_json).collect::<Vec<_>>().join(",")
     );
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let out = if smoke {

@@ -15,11 +15,11 @@
 //! (`FaultPlan::failover_smoke`: shard crash + split brain) on the
 //! standby-paired one — the only end-to-end gate on standby takeover and
 //! zombie fencing. The default replays the full five-plan matrix plus all
-//! four failover plans. Both end with the fleet-overload check.
+//! four failover plans.
 
-use gso_chaos::{check_overload, check_plan, failover_scenario, run_plan};
+use gso_chaos::{check_plan, failover_scenario, run_plan};
 use gso_chaos::{standard_clients, standard_scenario};
-use gso_chaos::{Baseline, ChaosBounds, FaultPlan, OverloadBounds};
+use gso_chaos::{Baseline, ChaosBounds, FaultPlan};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -98,16 +98,6 @@ fn main() -> ExitCode {
         if !verdict.passed() {
             failed += 1;
         }
-    }
-    // Fleet overload rides in both matrices: 2× offered capacity against
-    // multi-tenant admission + shedding, judged on high-priority QoE.
-    let overload = check_overload(seed, &OverloadBounds::default());
-    println!("{}", overload.row());
-    if let Some(report) = &overload.divergence {
-        println!("{report}");
-    }
-    if !overload.passed() {
-        failed += 1;
     }
     if failed > 0 {
         println!("{failed} plan(s) FAILED");

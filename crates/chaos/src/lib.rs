@@ -15,11 +15,6 @@
 //!   Eq. 1–13; uplink budgets excluded for the §7 fallback), and
 //! * digest-identical double runs ([`gso_util::digest::first_divergence`]).
 //!
-//! The [`overload`] module extends the harness from single-conference
-//! faults to fleet-level overload: 2× offered capacity against the
-//! multi-tenant admission controller and priority shedding, judged on
-//! high-priority tenant QoE.
-//!
 //! The sharded-controller failover plans — shard crash, standby promotion
 //! under load, heartbeat-loss flapping, symmetric-partition split brain —
 //! run against [`failover_scenario`] (the same conference paired with a
@@ -28,17 +23,12 @@
 //! and split-brain fencing (`cluster.fenced` > 0 with a zombie stepdown,
 //! zero otherwise).
 //!
-//! The `chaos` binary replays the full matrix plus the failover matrix and
-//! the overload scenario (`--smoke` for the CI subset) and exits non-zero
-//! on any failed verdict.
+//! The `chaos` binary replays the full matrix plus the failover matrix
+//! (`--smoke` for the CI subset) and exits non-zero on any failed verdict.
 
-pub mod overload;
 pub mod plan;
 pub mod runner;
 
-pub use overload::{
-    check_overload, run_overload, OverloadBounds, OverloadOutcome, OverloadPlan, OverloadVerdict,
-};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, LinkFault, LinkSide};
 pub use runner::{
     check_plan, run_plan, steady_state_qoe, Baseline, ChaosBounds, ChaosOutcome, PlanVerdict,

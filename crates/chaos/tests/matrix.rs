@@ -5,8 +5,7 @@
 //! full five-plan matrix is `#[ignore]`d for local/CI deep runs via
 //! `cargo test -p gso-chaos -- --ignored`.
 
-use gso_chaos::{check_overload, check_plan, failover_scenario, run_overload};
-use gso_chaos::{run_plan, Baseline, ChaosBounds, FaultPlan, OverloadBounds, OverloadPlan};
+use gso_chaos::{check_plan, failover_scenario, run_plan, Baseline, ChaosBounds, FaultPlan};
 use gso_chaos::{standard_clients, standard_scenario};
 use gso_sim::Scenario;
 use gso_telemetry::keys;
@@ -122,42 +121,6 @@ fn link_chaos_exercises_idempotent_reapplication() {
     let outcome = run_plan(&scenario, &plan);
     let dup_reacked = outcome.result.telemetry.counter_total(keys::EPOCH_DUP_REACKED);
     assert!(dup_reacked >= 1, "no duplicated GTMB was re-acked (counter {dup_reacked})");
-}
-
-/// The fleet overload scenario must pass all its acceptance gates: 2×
-/// offered capacity, high-priority QoE within 1% of the uncontended
-/// baseline, low-priority conferences degraded to the template baseline
-/// (never starved), no join admitted mid-overload, auditor-clean finals,
-/// and digest-identical double runs at 1/2/8 workers.
-#[test]
-fn overload_verdict_passes() {
-    let verdict = check_overload(7, &OverloadBounds::default());
-    assert!(
-        verdict.passed(),
-        "fleet-overload failed: {}\n{}",
-        verdict.row(),
-        verdict.divergence.as_deref().unwrap_or("")
-    );
-    assert!(verdict.shed >= 2, "overload must demote at least the two low conferences");
-    assert!(
-        verdict.offered_rows >= 2 * verdict.budget_rows,
-        "calibration must offer at least twice the provisioned budget"
-    );
-}
-
-/// An uncontended fleet run must never shed, queue or reject anyone — the
-/// overload machinery is strictly additive.
-#[test]
-fn uncontended_fleet_never_sheds() {
-    let plan = OverloadPlan::standard(7);
-    let outcome = run_overload(&plan, 2, 0);
-    assert_eq!(outcome.shed, 0, "no shedding without a budget");
-    assert_eq!(outcome.joins, (0, 0, 0), "no join wave without admission");
-    assert!(outcome.rows_per_tick > 0, "churned fleet must do real solve work");
-    assert!(
-        outcome.low_finals.iter().all(|&(fallback, _, media)| !fallback && media),
-        "uncontended low-priority conferences solve normally"
-    );
 }
 
 /// Deadline overruns must enter fallback and then re-promote.

@@ -10,9 +10,7 @@ use crate::feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
 use crate::hysteresis::{BandwidthHysteresis, HysteresisConfig};
 use crate::scheduler::{ControlScheduler, SchedulerConfig};
 use crate::state::{ClientSnapshot, CodecCapability, GlobalPicture, LiveProblem, SubscribeIntent};
-use gso_algo::{
-    diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig, Tenancy,
-};
+use gso_algo::{diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig};
 use gso_rtp::{GsoTmmbn, GsoTmmbr};
 use gso_telemetry::{keys, Telemetry};
 use gso_util::{Bitrate, ClientId, SimTime, Ssrc};
@@ -194,18 +192,6 @@ impl GsoController {
         }
     }
 
-    /// Label this conference with its owning tenant and service tier
-    /// (default: tenant 0, normal). Read by the fleet's overload shedding
-    /// to decide who degrades first; never read by the solver.
-    pub fn set_tenancy(&mut self, tenancy: Tenancy) {
-        self.picture.set_tenancy(tenancy);
-    }
-
-    /// The conference's tenancy label.
-    pub fn tenancy(&self) -> Tenancy {
-        self.picture.tenancy()
-    }
-
     /// Attach a metrics registry; shared with the feedback executor so
     /// solve work, churn and GTMB delivery all land in one export.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -261,16 +247,26 @@ impl GsoController {
         self.scheduler.trigger_event();
     }
 
-    /// An uplink SEMB report arrived.
+    /// An uplink SEMB report arrived. A report for a client that is not in
+    /// the picture (it left, or has not joined yet) is dropped before it
+    /// reaches the link gate: it would re-create the gate entry
+    /// [`Self::on_leave`] forgot and arm a round for nothing.
     pub fn on_uplink_report(&mut self, now: SimTime, client: ClientId, measured: Bitrate) {
+        if !self.picture.contains(client) {
+            return;
+        }
         let prev = self.picture.uplink_of(client);
         let effective = self.hysteresis.filter((client, Direction::Uplink), now, measured);
         self.picture.report_uplink(client, effective);
         self.maybe_trigger(prev, effective);
     }
 
-    /// A downlink report from an accessing node arrived.
+    /// A downlink report from an accessing node arrived; dropped like an
+    /// uplink report when the client is not in the picture.
     pub fn on_downlink_report(&mut self, now: SimTime, client: ClientId, measured: Bitrate) {
+        if !self.picture.contains(client) {
+            return;
+        }
         let prev = self.picture.downlink_of(client);
         let effective = self.hysteresis.filter((client, Direction::Downlink), now, measured);
         self.picture.report_downlink(client, effective);
@@ -614,7 +610,6 @@ impl GsoController {
             c.digest(&mut h);
         }
         self.executor.epoch().digest(&mut h);
-        self.picture.tenancy().digest(&mut h);
         self.last_solution.as_deref().digest(&mut h);
         self.engine.stats().digest(&mut h);
         h.finish()
@@ -640,7 +635,7 @@ impl GsoController {
 mod tests {
     use super::*;
     use gso_algo::{ladders, Resolution, SourceId};
-    use gso_util::StreamKind;
+    use gso_util::{SimDuration, StreamKind};
 
     fn caps() -> CodecCapability {
         CodecCapability { ladders: vec![(StreamKind::Video, ladders::paper_table1())] }
@@ -1124,6 +1119,71 @@ mod tests {
         c.on_downlink_report(t(3), id, k(550));
         assert_eq!(c.picture.uplink_of(id), Some(k(550)));
         assert_eq!(c.picture.downlink_of(id), Some(k(550)));
+    }
+
+    /// Leave/rejoin churn of reused ids, each leave followed by late link
+    /// reports for the departed client: the reports are dropped, so they
+    /// neither re-create the link gates `on_leave` forgot nor schedule a
+    /// round, and the per-client state returns to its baseline size after
+    /// every rejoin.
+    #[test]
+    fn late_reports_after_leave_leave_no_state_behind() {
+        const N: u32 = 4;
+        fn join(c: &mut GsoController, id: u32, now: SimTime) {
+            c.on_join(ClientId(id), caps());
+            let intents = (1..=N)
+                .filter(|&j| j != id)
+                .map(|j| SubscribeIntent {
+                    source: SourceId::video(ClientId(j)),
+                    max_resolution: Resolution::R720,
+                    tag: 0,
+                })
+                .collect();
+            c.on_subscriptions(ClientId(id), intents);
+            c.on_uplink_report(now, ClientId(id), k(2_000));
+            c.on_downlink_report(now, ClientId(id), k(3_000));
+        }
+        /// Tick and acknowledge everything sent; true when a round ran.
+        fn tick_and_ack(c: &mut GsoController, now: SimTime) -> bool {
+            let (out, retx) = c.tick(now);
+            let ran = out.is_some();
+            for (client, msg) in out.into_iter().flat_map(|o| o.configs).chain(retx) {
+                ack(c, client, &msg);
+            }
+            ran
+        }
+        fn sizes(c: &GsoController) -> [usize; 4] {
+            [c.picture.len(), c.hysteresis.len(), c.executor.len(), c.failed_clients.len()]
+        }
+
+        let mut c = GsoController::new(ControllerConfig::paper_defaults(), Ssrc(0xc0de));
+        for id in 1..=N {
+            join(&mut c, id, SimTime::ZERO);
+        }
+        assert!(tick_and_ack(&mut c, SimTime::from_millis(10)));
+        let base = sizes(&c);
+        assert_eq!(base, [4, 8, 4, 0]);
+
+        for cycle in 0..50u64 {
+            let id = 2 + (cycle % 3) as u32;
+            let t0 = SimTime::from_millis(10 + (cycle + 1) * 2_200);
+            c.on_leave(ClientId(id));
+            assert!(tick_and_ack(&mut c, t0), "cycle {cycle}: the leave round runs");
+            let late = t0 + SimDuration::from_millis(100);
+            let deadline = c.next_deadline(late);
+            c.on_downlink_report(late, ClientId(id), k(500));
+            c.on_uplink_report(late, ClientId(id), k(500));
+            assert_eq!(c.next_deadline(late), deadline, "cycle {cycle}: late report armed a round");
+            assert_eq!(
+                sizes(&c),
+                [base[0] - 1, base[1] - 2, base[2] - 1, 0],
+                "cycle {cycle}: state after the late reports"
+            );
+
+            join(&mut c, id, t0 + SimDuration::from_millis(200));
+            assert!(tick_and_ack(&mut c, t0 + SimDuration::from_millis(1_100)));
+            assert_eq!(sizes(&c), base, "cycle {cycle}: state after the rejoin");
+        }
     }
 
     #[test]

@@ -285,6 +285,13 @@ impl FeedbackExecutor {
         self.failed.retain(|&c| c != client);
     }
 
+    /// Per-client entries held: outstanding messages, applied
+    /// configurations and undrained failures.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.outstanding.len() + self.applied.len() + self.failed.len()
+    }
+
     /// The backoff interval before retransmission number `tx + 1` of
     /// `message` (exponential in `tx`, capped, plus deterministic jitter).
     fn rto(&self, client: ClientId, message: &GsoTmmbr, tx: u32) -> SimDuration {

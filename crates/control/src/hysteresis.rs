@@ -86,6 +86,12 @@ impl<K: Ord + Hash + Copy> BandwidthHysteresis<K> {
     pub fn effective(&self, key: K) -> Option<Bitrate> {
         self.links.get(&key).map(|s| s.effective)
     }
+
+    /// Links with state.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.links.len()
+    }
 }
 
 #[cfg(test)]

@@ -16,11 +16,9 @@
 //! * [`sdp`] — SDP offer/answer with the custom `simulcastInfo` attribute
 //!   and per-layer SSRC assignment (§4.2).
 //! * [`controller`] — the composed [`controller::GsoController`].
-//! * [`fleet`] — many controllers sharing one persistent batch scheduler,
-//!   with tenancy-aware overload shedding.
-//! * [`admission`] — solver-deadline-aware multi-tenant admission control.
+//! * [`fleet`] — many controllers ticked as one batch on a shared
+//!   persistent scheduler.
 
-pub mod admission;
 pub mod controller;
 pub mod failover;
 pub mod failure;
@@ -31,16 +29,13 @@ pub mod scheduler;
 pub mod sdp;
 pub mod state;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, QueuedJoin, RejectReason,
-};
 pub use controller::{
     ControlOutput, ControllerConfig, Direction, GsoController, RoundContext, SolveOutcome, TickPrep,
 };
 pub use failover::{EpochLedger, FailureDetector, LeaseConfig};
 pub use failure::{fallback_solution, DowngradeMonitor};
 pub use feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
-pub use fleet::{ControllerFleet, FleetTick, ShedPolicy};
+pub use fleet::{ControllerFleet, FleetTick};
 pub use hysteresis::{BandwidthHysteresis, HysteresisConfig};
 pub use scheduler::{ControlScheduler, SchedulerConfig};
 pub use sdp::{SdpAnswer, SdpError, SdpOffer};

@@ -9,12 +9,11 @@
 //! subtraction (§7) and speaker/screen priority boosts (§4.4).
 //!
 //! The picture keeps that problem live: it is built once per *structural
-//! generation* (the span between joins, leaves, subscription, speaker or
-//! tenancy changes), and link reports patch its bandwidths in place.
+//! generation* (the span between joins, leaves, subscription or speaker
+//! changes), and link reports patch its bandwidths in place.
 
 use gso_algo::{
     ClientSpec, Ladder, Problem, ProblemError, PublisherSource, Resolution, SourceId, Subscription,
-    Tenancy,
 };
 use gso_util::digest::{StableHasher, StateDigest};
 use gso_util::{Bitrate, ClientId, StreamKind};
@@ -99,9 +98,6 @@ pub(crate) struct LiveProblem {
 pub struct GlobalPicture {
     clients: BTreeMap<ClientId, ClientState>,
     speaker: Option<ClientId>,
-    /// Who owns this conference and at which tier; stamped into the
-    /// problem for the fleet's admission and shedding layer.
-    tenancy: Tenancy,
     /// Default bandwidth assumed before the first report arrives.
     default_bandwidth: Bitrate,
     /// QoE boost applied to the active speaker's camera subscriptions.
@@ -163,7 +159,6 @@ impl GlobalPicture {
         GlobalPicture {
             clients: BTreeMap::new(),
             speaker: None,
-            tenancy: Tenancy::default(),
             default_bandwidth: Bitrate::from_kbps(300),
             speaker_boost: gso_algo::qoe::SPEAKER_BOOST,
             screen_boost: gso_algo::qoe::SCREEN_BOOST,
@@ -245,20 +240,6 @@ impl GlobalPicture {
     /// Current speaker.
     pub fn speaker(&self) -> Option<ClientId> {
         self.speaker
-    }
-
-    /// Label the conference with its owning tenant and service tier
-    /// (default: tenant 0, normal).
-    pub fn set_tenancy(&mut self, tenancy: Tenancy) {
-        if self.tenancy != tenancy {
-            self.tenancy = tenancy;
-            self.live = None;
-        }
-    }
-
-    /// The conference's tenancy label.
-    pub fn tenancy(&self) -> Tenancy {
-        self.tenancy
     }
 
     /// Latest uplink estimate for a client.
@@ -343,9 +324,9 @@ impl GlobalPicture {
     ///
     /// Bandwidths default to the picture's default bandwidth until first
     /// reported; the audio protection headroom is subtracted from both
-    /// directions; speaker and screen subscriptions get their boosts; the
-    /// tenancy label is stamped on. Intents pointing at departed clients or
-    /// missing sources are dropped rather than failing the build.
+    /// directions; speaker and screen subscriptions get their boosts.
+    /// Intents pointing at departed clients or missing sources are dropped
+    /// rather than failing the build.
     pub fn to_problem(&self) -> Result<Problem, ProblemError> {
         let clients: Vec<ClientSpec> = self
             .clients
@@ -396,14 +377,14 @@ impl GlobalPicture {
                 );
             }
         }
-        Ok(Problem::new(clients, subscriptions)?.with_tenancy(self.tenancy))
+        Problem::new(clients, subscriptions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gso_algo::{ladders, PriorityClass, TenantId};
+    use gso_algo::ladders;
     use proptest::prelude::*;
 
     fn caps() -> CodecCapability {
@@ -527,21 +508,19 @@ mod tests {
         /// (publisher, screen?, tag) per intent.
         Subscribe(u32, Vec<(u32, bool, u8)>),
         Speaker(Option<u32>),
-        Tenancy(u32, u8),
         Uplink(u32, u64),
         Downlink(u32, u64),
     }
 
     fn op() -> impl Strategy<Value = Op> {
         let intents = prop::collection::vec((1u32..=6, prop::bool::ANY, 0u8..2), 0..4);
-        (0u8..7, 1u32..=6, prop::bool::ANY, 0u64..4_000, intents).prop_map(
+        (0u8..6, 1u32..=6, prop::bool::ANY, 0u64..4_000, intents).prop_map(
             |(kind, c, flag, n, intents)| match kind {
                 0 => Op::Join(c, flag),
                 1 => Op::Leave(c),
                 2 => Op::Subscribe(c, intents),
                 3 => Op::Speaker(flag.then_some(c)),
-                4 => Op::Tenancy(c % 3, (n % 3) as u8),
-                5 => Op::Uplink(c, n),
+                4 => Op::Uplink(c, n),
                 _ => Op::Downlink(c, n),
             },
         )
@@ -573,10 +552,6 @@ mod tests {
                 g.set_subscriptions(ClientId(c), intents);
             }
             Op::Speaker(c) => g.set_speaker(c.map(ClientId)),
-            Op::Tenancy(t, p) => {
-                let priority = [PriorityClass::High, PriorityClass::Normal, PriorityClass::Low];
-                g.set_tenancy(Tenancy::new(TenantId(t), priority[usize::from(p)]));
-            }
             Op::Uplink(c, kbps) => g.report_uplink(ClientId(c), k(kbps)),
             Op::Downlink(c, kbps) => g.report_downlink(ClientId(c), k(kbps)),
         }

@@ -58,35 +58,6 @@ pub const GTMB_ACKED: &str = "gtmb.acked";
 pub const GTMB_FAILED: &str = "gtmb.failed";
 
 // ---------------------------------------------------------------------
-// Fleet multi-tenancy (gso-control fleet). Label: tenant ("t<id>:<tier>").
-// ---------------------------------------------------------------------
-
-/// Counter — orchestration rounds solved for a tenant's conferences.
-pub const TENANT_SOLVED_ROUNDS: &str = "tenant.solved_rounds";
-/// Counter — rounds a tenant's conferences served from the fallback
-/// template (any cause, including overload shedding).
-pub const TENANT_FALLBACK_ROUNDS: &str = "tenant.fallback_rounds";
-/// Gauge — summed QoE of a tenant's most recent per-conference solutions.
-pub const TENANT_QOE: &str = "tenant.qoe_total";
-/// Counter — conferences demoted to the template baseline by overload
-/// shedding.
-pub const FLEET_SHED_DEMOTIONS: &str = "fleet.shed.demotions";
-/// Counter — demoted conferences re-promoted to full solving after the
-/// headroom hysteresis cleared.
-pub const FLEET_SHED_PROMOTIONS: &str = "fleet.shed.promotions";
-/// Gauge — conferences currently demoted by overload shedding.
-pub const FLEET_SHED_ACTIVE: &str = "fleet.shed.active";
-/// Histogram — summed DP rows recomputed per fleet tick across all
-/// conferences (bounds: [`WORK_BOUNDS`]).
-pub const FLEET_TICK_ROWS: &str = "fleet.tick.rows_recomputed";
-/// Counter — joins admitted by the admission controller (label: tenant).
-pub const ADMISSION_ADMITTED: &str = "admission.admitted";
-/// Counter — joins parked in the admission queue (label: tenant).
-pub const ADMISSION_QUEUED: &str = "admission.queued";
-/// Counter — joins rejected by the admission controller (label: tenant).
-pub const ADMISSION_REJECTED: &str = "admission.rejected";
-
-// ---------------------------------------------------------------------
 // Controller failover (gso_control::failover primitives run by gso-sim). Label: shard ("s<id>")
 // unless noted.
 // ---------------------------------------------------------------------

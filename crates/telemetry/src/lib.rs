@@ -201,14 +201,14 @@ impl Registry {
 /// Cloning is cheap and every clone records into the same registry. The
 /// handle is `Send`, so a controller can tick on a batch worker: its
 /// registry sits behind a mutex that only one thread uses at a time,
-/// because each owner (a conference, a fleet) records into its own
+/// because each owner (a conference, a node) records into its own
 /// registry and the owners take turns. [`Telemetry::disabled`] (also the
 /// [`Default`]) carries no registry: every operation is one branch and no
 /// label is formatted, which keeps instrumented hot paths free for unit
 /// tests and library consumers that do not observe.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    // lint: allow(unordered-merge, reason = "one owner records at a time (a fleet conference ticks on one worker, the fleet records between batches), so the lock never orders concurrent records")
+    // lint: allow(unordered-merge, reason = "one owner records at a time (a fleet conference ticks on one worker), so the lock never orders concurrent records")
     inner: Option<Arc<std::sync::Mutex<Registry>>>,
 }
 

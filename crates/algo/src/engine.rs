@@ -137,9 +137,9 @@ fn retire_entry(pool: &mut McPool, spare: &mut Vec<ClientEntry>, mut entry: Clie
 
 /// Reduction overlay: the base problem's ladders with this solve's shrunken
 /// ones on top. Replaces the one-shot solver's `problem.clone()`.
-struct Overlay<'a> {
-    base: &'a Problem,
-    reduced: BTreeMap<SourceId, Ladder>,
+pub(crate) struct Overlay<'a> {
+    pub(crate) base: &'a Problem,
+    pub(crate) reduced: BTreeMap<SourceId, Ladder>,
 }
 
 impl LadderView for Overlay<'_> {

@@ -2,7 +2,7 @@
 //!
 //! Everything the solver emits — [`Solution`], [`SolveTrace`], and the
 //! engine's [`EngineStats`] — can be fingerprinted with a stable 64-bit
-//! digest. The audit binary and the engine-equivalence property tests use
+//! digest. `check digest` and the engine-equivalence property tests use
 //! these to assert that the incremental/sharded [`crate::SolveEngine`] is
 //! *bit-identical* to the sequential solver: not merely equal QoE, but the
 //! same policies, audiences, float bit patterns, and trace structure.

@@ -669,39 +669,9 @@ mod tests {
         assert_identical(&mut engine, &p8);
     }
 
-    /// The three Table 1 meetings: every client subscribes to the other two,
-    /// with the paper's per-case bandwidths and resolution caps.
-    fn table1_problems() -> Vec<Problem> {
-        let ladder = ladders::paper_table1();
-        let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
-        [
-            [(5_000u64, 1_400u64), (5_000, 3_000), (5_000, 500)],
-            [(5_000, 5_000), (600, 5_000), (5_000, 5_000)],
-            [(5_000, 5_000), (600, 700), (5_000, 5_000)],
-        ]
-        .into_iter()
-        .map(|bw| {
-            let clients = vec![
-                ClientSpec::new(a, kbps(bw[0].0), kbps(bw[0].1), ladder.clone()),
-                ClientSpec::new(b, kbps(bw[1].0), kbps(bw[1].1), ladder.clone()),
-                ClientSpec::new(c, kbps(bw[2].0), kbps(bw[2].1), ladder.clone()),
-            ];
-            let subs = vec![
-                Subscription::new(a, SourceId::video(b), Resolution::R360),
-                Subscription::new(a, SourceId::video(c), Resolution::R180),
-                Subscription::new(b, SourceId::video(a), Resolution::R720),
-                Subscription::new(b, SourceId::video(c), Resolution::R360),
-                Subscription::new(c, SourceId::video(b), Resolution::R360),
-                Subscription::new(c, SourceId::video(a), Resolution::R720),
-            ];
-            Problem::new(clients, subs).expect("valid problem")
-        })
-        .collect()
-    }
-
     #[test]
     fn table1_cases_identical_via_engine() {
-        for p in table1_problems() {
+        for p in (0..3).map(ladders::table1_case) {
             let mut engine = SolveEngine::new(SolverConfig::default());
             // Cold and warm both match.
             assert_identical(&mut engine, &p);
@@ -721,7 +691,7 @@ mod tests {
                 assert_eq!(list.capacity(), list.len(), "received list of {sub:?}");
             }
         }
-        let mut problems = table1_problems();
+        let mut problems: Vec<Problem> = (0..3).map(ladders::table1_case).collect();
         problems.push(mesh(20, &|i| 900 + 150 * u64::from(i)));
         for p in &problems {
             let mut engine = SolveEngine::new(SolverConfig::default());

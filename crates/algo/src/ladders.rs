@@ -1,7 +1,9 @@
 //! Standard bitrate ladders.
 //!
 //! * [`paper_table1`] — the exact 9-level ladder of Table 1 in the paper,
-//!   used by the worked examples and the Fig. 6 experiments.
+//!   used by the worked examples and the Fig. 6 experiments; the worked
+//!   examples themselves are [`table1_case`] (bandwidths in
+//!   [`TABLE1_CASES`]) on the meeting [`table1_meeting`].
 //! * [`fine`] — a production-style fine-grained ladder with up to 15 levels
 //!   (what GSO-Simulcast deploys, §6).
 //! * [`coarse3`] — a traditional 3-level Simulcast ladder (large/medium/
@@ -9,9 +11,10 @@
 //! * [`uniform`] — a parametric ladder generator for the scaling experiments
 //!   of Fig. 6 (vary resolutions × levels-per-resolution).
 
+use crate::problem::{ClientSpec, Problem, SourceId, Subscription};
 use crate::qoe::default_utility;
 use crate::types::{Ladder, Resolution, StreamSpec};
-use gso_util::Bitrate;
+use gso_util::{Bitrate, ClientId};
 
 /// The 9-level ladder of Table 1:
 /// 720P {1.5M/1200, 1.3M/1050, 1M/750}, 360P {800K/700, 600K/530, 500K/440,
@@ -30,6 +33,47 @@ pub fn paper_table1() -> Ladder {
         StreamSpec::new(Resolution::R180, k(100), 100.0),
     ])
     .expect("paper ladder is valid")
+}
+
+/// The bandwidths of the paper's Table 1 cases: (uplink, downlink) in Kbps
+/// for clients A, B, C. Case 1 limits C's downlink, case 2 B's uplink, and
+/// case 3 both of B's links.
+pub const TABLE1_CASES: [[(u64, u64); 3]; 3] = [
+    [(5_000, 1_400), (5_000, 3_000), (5_000, 500)],
+    [(5_000, 5_000), (600, 5_000), (5_000, 5_000)],
+    [(5_000, 5_000), (600, 700), (5_000, 5_000)],
+];
+
+/// The three-client meeting of Table 1: clients A, B, C (ids 1–3) on the
+/// [`paper_table1`] ladder with the given (uplink, downlink) Kbps, every
+/// client subscribed to the other two.
+///
+/// Subscription caps from the table: A→B at 360P, A→C at 180P,
+/// B→A at 720P, B→C at 360P, C→B at 360P, C→A at 720P.
+pub fn table1_meeting(bw: [(u64, u64); 3]) -> Problem {
+    let ladder = paper_table1();
+    let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
+    let clients = [a, b, c]
+        .into_iter()
+        .zip(bw)
+        .map(|(id, (up, down))| {
+            ClientSpec::new(id, Bitrate::from_kbps(up), Bitrate::from_kbps(down), ladder.clone())
+        })
+        .collect();
+    let subs = vec![
+        Subscription::new(a, SourceId::video(b), Resolution::R360),
+        Subscription::new(a, SourceId::video(c), Resolution::R180),
+        Subscription::new(b, SourceId::video(a), Resolution::R720),
+        Subscription::new(b, SourceId::video(c), Resolution::R360),
+        Subscription::new(c, SourceId::video(b), Resolution::R360),
+        Subscription::new(c, SourceId::video(a), Resolution::R720),
+    ];
+    Problem::new(clients, subs).expect("invariant: the Table 1 meeting is a valid conference")
+}
+
+/// One of the paper's Table 1 worked examples (`case` in `0..3`).
+pub fn table1_case(case: usize) -> Problem {
+    table1_meeting(TABLE1_CASES[case])
 }
 
 /// A fine-grained 15-level production-style ladder spanning 100 Kbps–1.5 Mbps

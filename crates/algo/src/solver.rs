@@ -600,30 +600,6 @@ mod tests {
         Bitrate::from_kbps(k)
     }
 
-    /// Build the three-client meeting of Table 1: every client subscribes to
-    /// the other two, with the paper's per-case bandwidths.
-    ///
-    /// Subscription caps from the table: A→B at 360P, A→C at 180P,
-    /// B→A at 720P, B→C at 360P, C→B at 360P, C→A at 720P.
-    fn table1_problem(bw: [(u64, u64); 3]) -> Problem {
-        let ladder = ladders::paper_table1();
-        let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
-        let clients = vec![
-            ClientSpec::new(a, kbps(bw[0].0), kbps(bw[0].1), ladder.clone()),
-            ClientSpec::new(b, kbps(bw[1].0), kbps(bw[1].1), ladder.clone()),
-            ClientSpec::new(c, kbps(bw[2].0), kbps(bw[2].1), ladder),
-        ];
-        let subs = vec![
-            Subscription::new(a, SourceId::video(b), Resolution::R360),
-            Subscription::new(a, SourceId::video(c), Resolution::R180),
-            Subscription::new(b, SourceId::video(a), Resolution::R720),
-            Subscription::new(b, SourceId::video(c), Resolution::R360),
-            Subscription::new(c, SourceId::video(b), Resolution::R360),
-            Subscription::new(c, SourceId::video(a), Resolution::R720),
-        ];
-        Problem::new(clients, subs).unwrap()
-    }
-
     fn published(sol: &Solution, client: ClientId) -> Vec<(Resolution, Bitrate)> {
         let mut v: Vec<(Resolution, Bitrate)> = sol
             .policies(SourceId::video(client))
@@ -638,7 +614,7 @@ mod tests {
     /// Table 1, case 1: C's downlink is limited to 500 Kbps.
     #[test]
     fn table1_case1() {
-        let p = table1_problem([(5_000, 1_400), (5_000, 3_000), (5_000, 500)]);
+        let p = ladders::table1_case(0);
         let sol = solve(&p, &SolverConfig::default());
         sol.validate(&p).unwrap();
         let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
@@ -659,7 +635,7 @@ mod tests {
     /// Table 1, case 2: B's uplink is limited to 600 Kbps.
     #[test]
     fn table1_case2() {
-        let p = table1_problem([(5_000, 5_000), (600, 5_000), (5_000, 5_000)]);
+        let p = ladders::table1_case(1);
         let sol = solve(&p, &SolverConfig::default());
         sol.validate(&p).unwrap();
         let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
@@ -675,7 +651,7 @@ mod tests {
     /// both limited.
     #[test]
     fn table1_case3() {
-        let p = table1_problem([(5_000, 5_000), (600, 700), (5_000, 5_000)]);
+        let p = ladders::table1_case(2);
         let sol = solve(&p, &SolverConfig::default());
         sol.validate(&p).unwrap();
         let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
@@ -737,7 +713,7 @@ mod tests {
     /// every uplink is pathologically small.
     #[test]
     fn converges_under_tiny_uplinks() {
-        let p = table1_problem([(100, 5_000), (100, 5_000), (100, 5_000)]);
+        let p = ladders::table1_meeting([(100, 5_000), (100, 5_000), (100, 5_000)]);
         let sol = solve(&p, &SolverConfig::default());
         sol.validate(&p).unwrap();
         // 3 sources × 3 resolutions + 1 terminal iteration is the bound.
@@ -751,7 +727,7 @@ mod tests {
     /// Uplink of zero forces every source to publish nothing.
     #[test]
     fn zero_uplink_publishes_nothing() {
-        let p = table1_problem([(0, 5_000), (0, 5_000), (0, 5_000)]);
+        let p = ladders::table1_meeting([(0, 5_000), (0, 5_000), (0, 5_000)]);
         let sol = solve(&p, &SolverConfig::default());
         sol.validate(&p).unwrap();
         assert_eq!(sol.total_qoe, 0.0);

@@ -6,7 +6,7 @@
 //! under Miri (`cargo miri test -p gso-control --test handoff_model
 //! model_`), which checks the pattern for undefined behaviour and data
 //! races; the simulation then drives the same ledger type, one per access
-//! node, over lossy links in `gso-sim` and `gso-chaos`.
+//! node, over lossy links in `gso-sim` and `check chaos` (`gso-check`).
 
 use gso_control::EpochLedger;
 use std::sync::{Arc, Mutex};

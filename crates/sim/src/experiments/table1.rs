@@ -1,13 +1,11 @@
 //! Table 1 — the worked examples of the control algorithm.
 //!
-//! Rebuilds the paper's three cases (limited downlink, limited uplink,
-//! both limited) and returns the final per-client publish configuration in
+//! Solves the paper's three cases (limited downlink, limited uplink,
+//! both limited; built by [`ladders::table1_case`]) and returns the final per-client publish configuration in
 //! the table's layout, so the bench/example can print the table and tests
 //! can assert exact equality with the paper.
 
-use gso_algo::{
-    ladders, solver, ClientSpec, Problem, Resolution, SolverConfig, SourceId, Subscription,
-};
+use gso_algo::{ladders, solver, Resolution, SolverConfig, SourceId};
 use gso_util::{Bitrate, ClientId};
 
 /// One client's row: publish bitrate per resolution column (720P/360P/180P).
@@ -23,47 +21,9 @@ pub struct Table1Row {
     pub r180: Option<Bitrate>,
 }
 
-/// The three cases' bandwidths: (uplink, downlink) Kbps per client A/B/C.
-pub const CASES: [[(u64, u64); 3]; 3] = [
-    [(5_000, 1_400), (5_000, 3_000), (5_000, 500)],
-    [(5_000, 5_000), (600, 5_000), (5_000, 5_000)],
-    [(5_000, 5_000), (600, 700), (5_000, 5_000)],
-];
-
-/// Build one case's problem with the paper's subscription caps.
-pub fn case_problem(case: usize) -> Problem {
-    let bw = CASES[case];
-    let ladder = ladders::paper_table1();
-    let [a, b, c] = [ClientId(1), ClientId(2), ClientId(3)];
-    let clients = vec![
-        ClientSpec::new(
-            a,
-            Bitrate::from_kbps(bw[0].0),
-            Bitrate::from_kbps(bw[0].1),
-            ladder.clone(),
-        ),
-        ClientSpec::new(
-            b,
-            Bitrate::from_kbps(bw[1].0),
-            Bitrate::from_kbps(bw[1].1),
-            ladder.clone(),
-        ),
-        ClientSpec::new(c, Bitrate::from_kbps(bw[2].0), Bitrate::from_kbps(bw[2].1), ladder),
-    ];
-    let subs = vec![
-        Subscription::new(a, SourceId::video(b), Resolution::R360),
-        Subscription::new(a, SourceId::video(c), Resolution::R180),
-        Subscription::new(b, SourceId::video(a), Resolution::R720),
-        Subscription::new(b, SourceId::video(c), Resolution::R360),
-        Subscription::new(c, SourceId::video(b), Resolution::R360),
-        Subscription::new(c, SourceId::video(a), Resolution::R720),
-    ];
-    Problem::new(clients, subs).expect("valid Table 1 case")
-}
-
 /// Solve one case and lay the result out as table rows.
 pub fn solve_case(case: usize) -> Vec<Table1Row> {
-    let problem = case_problem(case);
+    let problem = ladders::table1_case(case);
     let solution = solver::solve(&problem, &SolverConfig::default());
     solution.validate(&problem).expect("Table 1 solution valid");
     ['A', 'B', 'C']

@@ -137,7 +137,7 @@ pub const MEDIA_BYTES_RENDERED: &str = "media.bytes_rendered";
 pub const MEDIA_KEYFRAMES_RENDERED: &str = "media.keyframes_rendered";
 
 // ---------------------------------------------------------------------
-// Solver replay (gso-audit --metrics). Label: scenario name.
+// Solver replay (`check metrics`). Label: scenario name.
 // ---------------------------------------------------------------------
 
 /// Counter — scenarios replayed through the solver.

@@ -6,37 +6,16 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use gso_simulcast::algo::{
-    ladders, solver, ClientSpec, Problem, Resolution, SourceId, Subscription,
-};
-use gso_simulcast::util::{Bitrate, ClientId};
+use gso_simulcast::algo::{solver, SourceId};
+use gso_simulcast::sim::workloads;
+use gso_simulcast::util::ClientId;
 
 fn main() {
-    // The production-style fine ladder: 15 bitrate levels across 180P/360P/720P.
-    let ladder = ladders::fine15();
-
-    // Three clients: a well-connected host, a typical participant, and a
-    // mobile user on a weak downlink.
-    let host = ClientId(1);
-    let peer = ClientId(2);
-    let mobile = ClientId(3);
-    let clients = vec![
-        ClientSpec::new(host, Bitrate::from_mbps(5), Bitrate::from_mbps(5), ladder.clone()),
-        ClientSpec::new(peer, Bitrate::from_mbps(2), Bitrate::from_mbps(3), ladder.clone()),
-        ClientSpec::new(mobile, Bitrate::from_kbps(800), Bitrate::from_kbps(900), ladder),
-    ];
-
-    // Everyone watches everyone (like a gallery view), up to 720P.
-    let mut subscriptions = Vec::new();
-    for &a in &[host, peer, mobile] {
-        for &b in &[host, peer, mobile] {
-            if a != b {
-                subscriptions.push(Subscription::new(a, SourceId::video(b), Resolution::R720));
-            }
-        }
-    }
-
-    let problem = Problem::new(clients, subscriptions).expect("valid conference");
+    // Three clients on the fine 15-level ladder: a well-connected host, a
+    // typical participant, and a mobile user on a weak downlink, everyone
+    // watching everyone up to 720P.
+    let problem = workloads::quickstart();
+    let [host, peer, mobile] = [ClientId(1), ClientId(2), ClientId(3)];
     let solution = solver::solve(&problem, &Default::default());
     solution.validate(&problem).expect("solution satisfies every constraint");
 

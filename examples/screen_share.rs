@@ -7,54 +7,16 @@
 //!
 //! Run with: `cargo run --example screen_share`
 
-use gso_simulcast::algo::qoe::{SCREEN_BOOST, SPEAKER_BOOST};
-use gso_simulcast::algo::{
-    ladders, solver, ClientSpec, Problem, PublisherSource, Resolution, SourceId, Subscription,
-};
-use gso_simulcast::util::{Bitrate, ClientId, StreamKind};
+use gso_simulcast::algo::{solver, SourceId};
+use gso_simulcast::sim::workloads;
+use gso_simulcast::util::{ClientId, StreamKind};
 
 fn main() {
-    let ladder = ladders::paper_table1();
-    let presenter = ClientId(1);
-    let viewer_a = ClientId(2);
-    let viewer_b = ClientId(3);
-
-    // The presenter publishes both a camera and a screen source.
-    let mut presenter_spec =
-        ClientSpec::new(presenter, Bitrate::from_mbps(4), Bitrate::from_mbps(4), ladder.clone());
-    presenter_spec
-        .sources
-        .push(PublisherSource { id: SourceId::screen(presenter), ladder: ladders::coarse3() });
-
-    let clients = vec![
-        presenter_spec,
-        ClientSpec::new(viewer_a, Bitrate::from_mbps(2), Bitrate::from_mbps(3), ladder.clone()),
-        // Viewer B is bandwidth-poor: priorities decide what survives.
-        ClientSpec::new(viewer_b, Bitrate::from_mbps(2), Bitrate::from_kbps(1_200), ladder),
-    ];
-
-    let mut subs = Vec::new();
-    for &v in &[viewer_a, viewer_b] {
-        // Screen share: top priority.
-        subs.push(
-            Subscription::new(v, SourceId::screen(presenter), Resolution::R720)
-                .with_boost(SCREEN_BOOST),
-        );
-        // Speaker-first: a thumbnail (tag 0) …
-        subs.push(Subscription::new(v, SourceId::video(presenter), Resolution::R180));
-        // … plus a separate high-resolution view of the same camera
-        // (tag 1 = the virtual publisher X' of §4.4).
-        subs.push(
-            Subscription::new(v, SourceId::video(presenter), Resolution::R720)
-                .with_tag(1)
-                .with_boost(SPEAKER_BOOST),
-        );
-    }
-    // Viewers also watch each other at thumbnail size.
-    subs.push(Subscription::new(viewer_a, SourceId::video(viewer_b), Resolution::R360));
-    subs.push(Subscription::new(viewer_b, SourceId::video(viewer_a), Resolution::R360));
-
-    let problem = Problem::new(clients, subs).expect("valid conference");
+    // Client 1 presents (camera + screen); viewers 2 and 3 subscribe to
+    // the screen, a thumbnail and a speaker view; viewer 3 is
+    // bandwidth-poor, so priorities decide what survives.
+    let problem = workloads::screen_share();
+    let [presenter, viewer_a, viewer_b] = [ClientId(1), ClientId(2), ClientId(3)];
     let solution = solver::solve(&problem, &Default::default());
     solution.validate(&problem).expect("constraints hold");
 

@@ -8,7 +8,6 @@
 //!   core contribution), exact brute-force baseline, ladders and QoE model,
 //!   and the solver postconditions ([`algo::audit`]) that debug builds check
 //!   at the controller's trust boundary.
-//! * [`audit`] — the replayable scenario corpus behind the `audit` CI gate.
 //! * [`rtp`] — RTP/RTCP wire formats including the paper's SEMB and
 //!   orchestration TMMBR/TMMBN (GTMB/GTBN) messages.
 //! * [`net`] — deterministic discrete-event packet network simulator.
@@ -26,10 +25,11 @@
 //!
 //! See `examples/quickstart.rs` for a three-line tour, and the
 //! `crates/bench` targets for the regeneration of every table and figure in
-//! the paper's evaluation.
+//! the paper's evaluation. The CI gates (`check audit`, `metrics`,
+//! `digest` and `chaos`) are the `gso-check` crate's binary, which this
+//! facade does not re-export.
 
 pub use gso_algo as algo;
-pub use gso_audit as audit;
 pub use gso_bwe as bwe;
 pub use gso_control as control;
 pub use gso_media as media;

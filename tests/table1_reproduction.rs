@@ -16,7 +16,7 @@ fn table1_all_cases_exact() {
 #[test]
 fn table1_solutions_satisfy_all_constraints() {
     for case in 0..3 {
-        let problem = table1::case_problem(case);
+        let problem = gso_simulcast::algo::ladders::table1_case(case);
         let solution = gso_simulcast::algo::solver::solve(&problem, &Default::default());
         solution.validate(&problem).unwrap();
         // Uplink discipline: nobody exceeds their budget.

@@ -20,9 +20,10 @@
 //!   reusable per-source buckets instead of a fresh `BTreeMap` per
 //!   iteration, and a client's fingerprint caches each subscription's
 //!   bucket index, so a cache hit places its requests with no search;
-//!   retired clients' DP slabs return to an [`McPool`] that seeds joining
-//!   clients. Merge and assembly size every audience and every received
-//!   list before filling it, so each output is allocated once.
+//!   departed clients' cleared entries (DP slabs and scratch together)
+//!   queue up to seed joining clients. Merge and assembly size every
+//!   audience and every received list before filling it, so each output
+//!   is allocated once.
 //! * **Batching** — one engine per conference, driven sequentially here or
 //!   interleaved across conferences by [`crate::batch::BatchScheduler`],
 //!   which owns persistent workers and merges results deterministically.
@@ -37,7 +38,7 @@
 //! them against the memo inside [`McState::solve_flat`] finds the first
 //! changed class exactly.
 
-use crate::mckp::{self, McItem, McOutcome, McPool, McReuse, McState};
+use crate::mckp::{self, McItem, McOutcome, McReuse, McState};
 use crate::problem::{Problem, SourceId, Subscription};
 use crate::solution::Solution;
 use crate::solver::{
@@ -46,7 +47,7 @@ use crate::solver::{
 };
 use crate::types::{Ladder, StreamSpec};
 use gso_util::{Bitrate, ClientId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cumulative work counters, for benchmarks and regression tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,19 +121,24 @@ fn debug_validate(problem: &Problem, solution: &Solution, max_iters: usize) {
     let _ = (problem, solution, max_iters);
 }
 
-/// Retire a cache entry: its DP slab returns to the pool, its scratch is
-/// cleared (capacity kept) and parked in the spare list, and its input
-/// fingerprint is invalidated so a recycled entry can never false-hit.
-fn retire_entry(pool: &mut McPool, spare: &mut Vec<ClientEntry>, mut entry: ClientEntry) {
-    pool.retire(std::mem::take(&mut entry.mc));
+/// Retire a cache entry: its DP memo and scratch are cleared (capacity
+/// kept), its input fingerprint is invalidated so a recycled entry can never
+/// false-hit, and the whole entry joins the back of the spare queue.
+///
+/// Recycling is FIFO: a roster retired in client order and re-seeded in
+/// client order hands every client its *own* slab back, so preserved row
+/// strides line up with each client's downlink instead of shuffling across
+/// heterogeneous capacities.
+fn retire_entry(spare: &mut VecDeque<ClientEntry>, mut entry: ClientEntry) {
+    entry.mc.clear();
     entry.items.clear();
     entry.ranges.clear();
     entry.specs.clear();
     entry.last = None;
     entry.subs_key.clear();
     entry.tmpl_rev_key = 0;
-    // lint: allow(hot-alloc, reason = "membership-change path only; spare list is bounded by peak roster size")
-    spare.push(entry);
+    // lint: allow(hot-alloc, reason = "membership-change path only; spare queue is bounded by peak roster size")
+    spare.push_back(entry);
 }
 
 /// Reduction overlay: the base problem's ladders with this solve's shrunken
@@ -158,10 +164,9 @@ pub struct SolveEngine {
     cfg: SolverConfig,
     /// Per-client caches, ascending by id (mirrors `Problem::clients()`).
     caches: Vec<(ClientId, ClientEntry)>,
-    /// Retired DP slabs, recycled into joining clients' entries.
-    pool: McPool,
-    /// Retired scratch buffers (items/ranges/specs) awaiting a new client.
-    spare: Vec<ClientEntry>,
+    /// Departed clients' cleared entries (DP slabs and scratch), oldest
+    /// first, recycled into joining clients.
+    spare: VecDeque<ClientEntry>,
     /// Sources with ≥1 candidate template this iteration, ascending.
     src_ids: Vec<SourceId>,
     /// Flat per-source item templates: each source's current ladder specs
@@ -195,8 +200,7 @@ impl SolveEngine {
         SolveEngine {
             cfg,
             caches: Vec::new(),
-            pool: McPool::new(),
-            spare: Vec::new(),
+            spare: VecDeque::new(),
             src_ids: Vec::new(),
             tmpl: Vec::new(),
             tmpl_ranges: Vec::new(),
@@ -228,11 +232,12 @@ impl SolveEngine {
         self.stats = EngineStats::default();
     }
 
-    /// Drop every memoized DP table, forcing the next solve cold. The slabs
-    /// go back to the pool, so the rebuild itself stays allocation-light.
+    /// Drop every memoized DP table, forcing the next solve cold. The
+    /// cleared entries queue up for reuse, so the rebuild itself stays
+    /// allocation-light.
     pub fn clear_cache(&mut self) {
         for (_, entry) in self.caches.drain(..) {
-            retire_entry(&mut self.pool, &mut self.spare, entry);
+            retire_entry(&mut self.spare, entry);
         }
     }
 
@@ -313,9 +318,10 @@ impl SolveEngine {
     }
 
     /// Align the cache vector with the problem's client list: entries for
-    /// departed clients are retired to the pool, new clients are seeded from
-    /// it, everyone else keeps their memo. The steady-state roster (no
-    /// membership change) is a pure comparison — no moves, no allocation.
+    /// departed clients are retired to the spare queue, new clients are
+    /// seeded from it, everyone else keeps their memo. The steady-state
+    /// roster (no membership change) is a pure comparison — no moves, no
+    /// allocation.
     fn reconcile(&mut self, problem: &Problem) {
         let clients = problem.clients();
         if self.caches.len() == clients.len()
@@ -330,20 +336,18 @@ impl SolveEngine {
         for client in clients {
             while old_iter.peek().is_some_and(|(id, _)| *id < client.id) {
                 let (_, entry) = old_iter.next().expect("invariant: just peeked a departed entry");
-                retire_entry(&mut self.pool, &mut self.spare, entry);
+                retire_entry(&mut self.spare, entry);
             }
             let entry = if old_iter.peek().is_some_and(|(id, _)| *id == client.id) {
                 old_iter.next().expect("invariant: just peeked").1
             } else {
-                let mut entry = self.spare.pop().unwrap_or_default();
-                entry.mc = self.pool.acquire();
-                entry
+                self.spare.pop_front().unwrap_or_default()
             };
             // lint: allow(hot-alloc, reason = "push into the capacity reserved above; never reallocates")
             self.caches.push((client.id, entry));
         }
         for (_, entry) in old_iter {
-            retire_entry(&mut self.pool, &mut self.spare, entry);
+            retire_entry(&mut self.spare, entry);
         }
     }
 
@@ -663,10 +667,22 @@ mod tests {
         )
         .expect("valid problem");
         assert_identical(&mut engine, &p5);
-        // …and two new ones join, seeded from the departed client's slabs.
-        assert!(engine.pool.idle_states() > 0, "the departed client's DP state must be pooled");
+        // …its whole entry is parked cleared, never able to false-hit…
+        assert_eq!(engine.spare.len(), 1, "the departed client's entry must be recycled");
+        let parked = &engine.spare[0];
+        assert!(parked.mc.choices().is_empty() && parked.subs_key.is_empty());
+        assert_eq!(parked.tmpl_rev_key, 0);
+        // …and three new ones join, the first seeded from the departed
+        // client's entry.
         let p8 = mesh(8, &|_| 2_000);
         assert_identical(&mut engine, &p8);
+        assert!(engine.spare.is_empty(), "joiners must drain the spare queue");
+        // A cleared cache parks every entry; the next solve takes them all
+        // back and still matches the one-shot solver.
+        engine.clear_cache();
+        assert_eq!(engine.spare.len(), 8);
+        assert_identical(&mut engine, &p8);
+        assert!(engine.spare.is_empty());
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub mod types;
 pub use batch::{BatchConfig, BatchScheduler};
 pub use diff::{diff, LayerChange, SolutionDiff, SwitchChange};
 pub use engine::{EngineStats, SolveEngine};
-pub use mckp::McPool;
 pub use problem::{ClientSpec, Problem, ProblemError, PublisherSource, SourceId, Subscription};
 pub use solution::{ConstraintViolation, PublishPolicy, ReceivedStream, Solution};
 pub use solver::{IterationTrace, ReductionTrace, Request, SolveTrace, SolverConfig};

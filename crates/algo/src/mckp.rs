@@ -57,9 +57,9 @@
 //! inner loop is a branch-light elementwise `max` over two contiguous `f64`
 //! slices ([`relax_row`]).
 //!
-//! [`McPool`] recycles retired states' slabs across clients, ticks and
-//! conferences: capacity is kept on [`McState::clear`], so a state acquired
-//! from the pool re-solves without touching the allocator.
+//! [`McState::clear`] keeps capacity, so the engine recycles a departed
+//! client's state into a joining one and the recycled state re-solves
+//! without touching the allocator.
 
 use gso_util::Bitrate;
 
@@ -163,7 +163,7 @@ impl McState {
     /// all-zero row and every later row is fully overwritten before it is
     /// read, so the next solve can rebuild straight into the slab without a
     /// zero-fill pass over tens of kilobytes of cache-cold memory — the
-    /// dominant cost of a cold re-solve against pooled states.
+    /// dominant cost of a cold re-solve against recycled states.
     pub fn clear(&mut self) {
         self.key_items.clear();
         self.key_ranges.clear();
@@ -246,7 +246,7 @@ impl McState {
                 // The point of the shrink rebuild is to stop paying for a
                 // slab sized by a much bigger knapsack — return the memory,
                 // don't just stop reading it. `clear` alone keeps capacity,
-                // so without this a pooled state adopted from a huge
+                // so without this a recycled state adopted from a huge
                 // conference would pin its worst-case slab forever. Grow
                 // rebuilds skip this: they reallocate upward right away.
                 self.rows.shrink_to((k + 1) * target);
@@ -384,50 +384,6 @@ fn relax_row(dst: &mut [f64], src: &[f64], value: f64) {
     for (d, s) in dst.iter_mut().zip(src.iter()) {
         let cand = s + value;
         *d = if cand > *d { cand } else { *d };
-    }
-}
-
-/// Recycles the heap slabs behind retired [`McState`]s — checkpoint rows,
-/// the flat item memo and the selection buffer — across clients and ticks.
-///
-/// [`McState::clear`] keeps buffer capacity, so a state acquired from the
-/// pool re-solves a similarly shaped knapsack without touching the
-/// allocator. The engine retires a departing client's state here and seeds
-/// joining clients from it.
-///
-/// Recycling is FIFO: a roster retired in client order and re-acquired in
-/// client order hands every client its *own* slab back, so preserved row
-/// strides line up with each client's downlink instead of shuffling across
-/// heterogeneous capacities.
-#[derive(Debug, Default)]
-pub struct McPool {
-    states: std::collections::VecDeque<McState>,
-}
-
-impl McPool {
-    /// An empty pool (no allocation).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retire a state: its memo is cleared, its slabs keep their capacity
-    /// for the next [`acquire`](Self::acquire).
-    pub fn retire(&mut self, mut state: McState) {
-        state.clear();
-        // lint: allow(hot-alloc, reason = "pool growth is bounded by peak concurrent clients; steady-state churn pops and pushes within capacity")
-        self.states.push_back(state);
-    }
-
-    /// Hand out a cleared state, reusing retired slabs when available.
-    pub fn acquire(&mut self) -> McState {
-        self.states.pop_front().unwrap_or_default()
-    }
-
-    /// Number of retired states currently held.
-    #[must_use]
-    pub fn idle_states(&self) -> usize {
-        self.states.len()
     }
 }
 
@@ -764,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_slab_capacity_across_states() {
+    fn cleared_state_keeps_slab_capacity() {
         let classes = sample_classes();
         let (items, ranges) = flatten(&classes);
         let mut st = McState::new();
@@ -772,24 +728,13 @@ mod tests {
         let rows_cap = st.rows.capacity();
         assert!(rows_cap > 0);
 
-        let mut pool = McPool::new();
-        pool.retire(st);
-        assert_eq!(pool.idle_states(), 1);
-
         // The recycled state starts cleared but keeps its slabs.
-        let mut st = pool.acquire();
-        assert_eq!(pool.idle_states(), 0);
+        st.clear();
         assert!(st.choices().is_empty());
         assert_eq!(st.rows.capacity(), rows_cap);
         let out = st.solve_flat(&items, &ranges, 100);
         assert_eq!(out.reuse, McReuse::Fresh);
         assert_matches_fresh(&st, &classes, 100);
-
-        // An exhausted pool hands out fresh states.
-        pool.retire(McState::new());
-        assert_eq!(pool.idle_states(), 1);
-        assert!(pool.acquire().choices().is_empty());
-        assert!(pool.acquire().choices().is_empty());
     }
 
     #[test]
@@ -858,7 +803,7 @@ mod tests {
 
     #[test]
     fn shrink_hysteresis_releases_slab_after_sustained_small_problems() {
-        // A state shaped by a huge knapsack (e.g. adopted from the pool
+        // A state shaped by a huge knapsack (e.g. recycled by the engine
         // after serving a high-capacity client) must not pin its worst-case
         // slab forever once it settles onto small problems.
         let big = sized_classes(50_000);
@@ -884,19 +829,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_state_adopted_for_small_problems_releases_memory() {
-        // Same scenario through the pool: retire a state shaped by a big
-        // conference, re-acquire it for a small one.
+    fn cleared_state_adopted_for_small_problems_releases_memory() {
+        // Same scenario through recycling: clear a state shaped by a big
+        // conference, as the engine does on a leave, and reuse it for a
+        // small one.
         let big = sized_classes(50_000);
         let (items, ranges) = flatten(&big);
         let mut st = McState::new();
         st.solve_flat(&items, &ranges, 100_000);
         let big_cap = st.rows.capacity();
 
-        let mut pool = McPool::new();
-        pool.retire(st);
-        let mut st = pool.acquire();
-        assert_eq!(st.rows.capacity(), big_cap, "retire/acquire keeps slabs");
+        st.clear();
+        assert_eq!(st.rows.capacity(), big_cap, "clear keeps slabs");
 
         let small = sized_classes(100);
         let (items, ranges) = flatten(&small);

@@ -5,13 +5,16 @@
 //! check metrics                     # the same replay, telemetry JSON only
 //! check digest                      # double-run solver/batch digests
 //! check chaos [--smoke] [--seed N]  # the §7 fault-plan matrix
+//! check repro <target|all>          # print Table 1, a Fig. 6–12 or the ablations
+//! check solver-scale [--smoke]      # time the solve engine at Fig. 6c shapes
 //! ```
 //!
-//! Each gate exits nonzero when it fails; an unknown subcommand or flag
-//! exits 2 with the usage line.
+//! Each gate exits nonzero when it fails; an unknown subcommand, flag or
+//! `repro` target exits 2 with the usage line.
 
 use gso_check::cli::{self, Command, USAGE};
-use gso_check::{chaos, replay};
+use gso_check::repro::{self, Target};
+use gso_check::{chaos, replay, solver_scale};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -20,6 +23,17 @@ fn main() -> ExitCode {
         Ok(Command::Metrics) => replay::metrics(),
         Ok(Command::Digest) => replay::digest(),
         Ok(Command::Chaos { smoke, seed }) => chaos::run_matrix(smoke, seed),
+        Ok(Command::Repro(target)) => {
+            match target {
+                Some(target) => repro::run(target),
+                None => Target::ALL.into_iter().for_each(repro::run),
+            }
+            ExitCode::SUCCESS
+        }
+        Ok(Command::SolverScale { smoke }) => {
+            solver_scale::run(smoke);
+            ExitCode::SUCCESS
+        }
         Ok(Command::Help) => {
             println!("{USAGE}");
             ExitCode::SUCCESS

@@ -35,9 +35,8 @@ pub use runner::{
     check_plan, run_plan, steady_state_qoe, Baseline, ChaosBounds, ChaosOutcome, PlanVerdict,
 };
 
-use gso_algo::Resolution;
-use gso_sim::workloads::ladder_for_mode;
-use gso_sim::{ClientScenario, PolicyMode, Scenario};
+use gso_sim::workloads::clean_mesh;
+use gso_sim::{PolicyMode, Scenario};
 use gso_util::{Bitrate, ClientId, SimDuration};
 use std::process::ExitCode;
 
@@ -49,26 +48,14 @@ use std::process::ExitCode;
 /// boundary. Faults land in the 8–16 s window (see [`plan`]), leaving the
 /// final [`ChaosBounds::tail_window`] for steady-state comparison.
 pub fn standard_scenario(seed: u64) -> Scenario {
-    let ladder = ladder_for_mode(PolicyMode::Gso);
-    let mut s = Scenario {
+    clean_mesh(
+        PolicyMode::Gso,
+        3,
+        Bitrate::from_mbps(6),
+        Bitrate::from_mbps(10),
+        SimDuration::from_secs(30),
         seed,
-        mode: PolicyMode::Gso,
-        duration: SimDuration::from_secs(30),
-        clients: (1..=3)
-            .map(|i| {
-                ClientScenario::clean(
-                    ClientId(i),
-                    Bitrate::from_mbps(6),
-                    Bitrate::from_mbps(10),
-                    ladder.clone(),
-                )
-            })
-            .collect(),
-        speaker_schedule: Vec::new(),
-        standby: false,
-    };
-    s.subscribe_all_to_all(Resolution::R720);
-    s
+    )
 }
 
 /// The client ids of [`standard_scenario`].

@@ -1,8 +1,13 @@
-//! The `check` binary's argument parser: one subcommand per gate.
+//! The `check` binary's argument parser: one subcommand per gate, plus the
+//! paper's evaluation printers.
+
+use crate::repro::Target;
 
 /// The usage line printed by `--help` and on a parse error.
-pub const USAGE: &str =
-    "usage: check audit | check metrics | check digest | check chaos [--smoke] [--seed N]";
+pub const USAGE: &str = "usage: check audit | check metrics | check digest \
+                         | check chaos [--smoke] [--seed N] \
+                         | check repro <table1|fig6a|fig6b|fig6c|fig7|fig8|fig9|fig10|fig11|fig12|ablations|all> \
+                         | check solver-scale [--smoke]";
 
 /// One parsed `check` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,13 +25,21 @@ pub enum Command {
         /// Seed of the fault plans and the simulated conference.
         seed: u64,
     },
+    /// Print one piece of the paper's evaluation; `None` prints every
+    /// target in [`Target::ALL`] order.
+    Repro(Option<Target>),
+    /// Time the solve engine at the Fig. 6c shapes.
+    SolverScale {
+        /// Run the CI shape and write the smoke report.
+        smoke: bool,
+    },
     /// Print the usage line.
     Help,
 }
 
-/// Parse the arguments after the program name. An unknown subcommand or
-/// flag, a missing subcommand, or a `--seed` without an integer is an
-/// error carrying the reason.
+/// Parse the arguments after the program name. An unknown subcommand,
+/// flag or `repro` target, a missing subcommand or target, or a `--seed`
+/// without an integer is an error carrying the reason.
 ///
 /// # Errors
 /// Returns the reason the arguments do not form a command.
@@ -40,13 +53,25 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
         "metrics" => Command::Metrics,
         "digest" => Command::Digest,
         "chaos" => Command::Chaos { smoke: false, seed: 7 },
+        "repro" => match args.next().as_deref() {
+            Some("all") => Command::Repro(None),
+            Some("--help" | "-h") => return Ok(Command::Help),
+            Some(name) => match Target::from_name(name) {
+                Some(target) => Command::Repro(Some(target)),
+                None => return Err(format!("unknown repro target {name}")),
+            },
+            None => return Err("repro needs a target".into()),
+        },
+        "solver-scale" => Command::SolverScale { smoke: false },
         "--help" | "-h" => return Ok(Command::Help),
         other => return Err(format!("unknown subcommand {other}")),
     };
     while let Some(arg) = args.next() {
         match (&mut command, arg.as_str()) {
             (_, "--help" | "-h") => return Ok(Command::Help),
-            (Command::Chaos { smoke, .. }, "--smoke") => *smoke = true,
+            (Command::Chaos { smoke, .. } | Command::SolverScale { smoke }, "--smoke") => {
+                *smoke = true;
+            }
             (Command::Chaos { seed, .. }, "--seed") => {
                 *seed = args
                     .next()
@@ -61,7 +86,7 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, Command};
+    use super::{parse, Command, Target, USAGE};
 
     fn run(args: &[&str]) -> Result<Command, String> {
         parse(args.iter().map(|a| (*a).to_string()))
@@ -80,6 +105,30 @@ mod tests {
         );
         assert_eq!(run(&["--help"]), Ok(Command::Help));
         assert_eq!(run(&["chaos", "-h"]), Ok(Command::Help));
+    }
+
+    #[test]
+    fn each_repro_target_parses() {
+        for target in Target::ALL {
+            assert_eq!(run(&["repro", target.name()]), Ok(Command::Repro(Some(target))));
+            assert!(USAGE.contains(target.name()), "the usage line lists {}", target.name());
+        }
+        assert_eq!(run(&["repro", "all"]), Ok(Command::Repro(None)));
+        assert_eq!(run(&["solver-scale"]), Ok(Command::SolverScale { smoke: false }));
+        assert_eq!(run(&["solver-scale", "--smoke"]), Ok(Command::SolverScale { smoke: true }));
+    }
+
+    #[test]
+    fn repro_needs_a_known_target() {
+        assert_eq!(run(&["repro"]), Err("repro needs a target".into()));
+        assert_eq!(run(&["repro", "fig13"]), Err("unknown repro target fig13".into()));
+        assert!(run(&["repro", "fig8", "extra"]).is_err());
+    }
+
+    #[test]
+    fn flags_belong_to_their_own_subcommand() {
+        assert!(run(&["repro", "fig8", "--smoke"]).is_err(), "repro takes no flags");
+        assert!(run(&["solver-scale", "--seed", "1"]).is_err(), "--seed belongs to chaos");
     }
 
     #[test]

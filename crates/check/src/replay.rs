@@ -23,7 +23,7 @@
 //! `first_divergence`. Each worker count keeps one engine warm across
 //! scenarios (single-job batches), and the pass closes with all scenarios
 //! submitted as one batch; any nondeterminism (across runs, or between the
-//! sequential solver and any scheduled engine) bisects to the first
+//! sequential solver and any scheduled engine) is traced to the first
 //! divergent scenario and fails the gate.
 
 use crate::scenarios;

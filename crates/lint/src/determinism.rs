@@ -5,8 +5,8 @@
 //! on determinism. This pass flags the hazards that break it: hash-ordered
 //! collections, wall-clock reads, ambient randomness, float accumulation
 //! over unordered containers, and unordered cross-thread merges. The
-//! runtime prong (per-tick state digests and double-run divergence
-//! bisection) lives in `gso_util::digest`.
+//! runtime prong (per-tick state digests and the double-run search for
+//! the first divergent tick) lives in `gso_util::digest`.
 //!
 //! The hazards are all visible as identifier patterns, so the pass works on
 //! the masked source line by line: a `"HashMap"` inside a log message or a
@@ -25,8 +25,10 @@ pub const RULES: &[&str] =
 /// Scope: every crate's `src/` except this analyzer's own, plus the root
 /// `tests/` and `examples/` trees — integration tests and examples drive
 /// the replay scenarios, so ambient nondeterminism there corrupts the
-/// fixtures the digests are checked against. Not `benches/` (the solver
-/// scale bench times itself with `Instant`) and not the root facade `src/`.
+/// fixtures the digests are checked against. Not any crate's `benches/`
+/// or `tests/`, and not the root facade `src/`. Host timers inside the
+/// scope (the Fig. 6 experiment, `check repro ablations`,
+/// `check solver-scale`) carry a reasoned `wall-clock` pragma.
 #[must_use]
 pub fn scans(path: &str) -> bool {
     match crate_tree(path) {

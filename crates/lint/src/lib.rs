@@ -307,7 +307,7 @@ mod tests {
         let cases = [
             ("crates/algo/src/mckp.rs", [true, true, true]),
             ("crates/lint/src/lib.rs", [false, true, true]),
-            ("crates/bench/benches/solver_scale.rs", [false, false, true]),
+            ("crates/x/benches/y.rs", [false, false, true]),
             ("crates/algo/tests/merge_model.rs", [false, false, false]),
             ("src/lib.rs", [false, true, true]),
             ("tests/table1_reproduction.rs", [true, false, false]),

@@ -427,9 +427,7 @@ mod tests {
     use super::*;
     use crate::access::AccessNode;
     use crate::client::PolicyMode;
-    use crate::scenario::{ClientScenario, Scenario};
-    use crate::workloads::ladder_for_mode;
-    use gso_algo::Resolution;
+    use crate::workloads::clean_mesh;
     use gso_control::SubscribeIntent;
     use gso_util::Bitrate;
 
@@ -440,28 +438,11 @@ mod tests {
     /// estimates, and that first round already solves without fallback.
     #[test]
     fn promoted_standby_has_full_picture_at_first_tick() {
-        let ladder = ladder_for_mode(PolicyMode::Gso);
-        let mut clients: Vec<ClientScenario> = (1..=4u32)
-            .map(|i| {
-                ClientScenario::clean(
-                    ClientId(i),
-                    Bitrate::from_mbps(4),
-                    Bitrate::from_mbps(4),
-                    ladder.clone(),
-                )
-            })
-            .collect();
-        clients[2].region = 1;
-        clients[3].region = 1;
-        let mut s = Scenario {
-            seed: 61,
-            mode: PolicyMode::Gso,
-            duration: SimDuration::from_secs(20),
-            clients,
-            speaker_schedule: Vec::new(),
-            standby: true,
-        };
-        s.subscribe_all_to_all(Resolution::R720);
+        let mbps4 = Bitrate::from_mbps(4);
+        let mut s = clean_mesh(PolicyMode::Gso, 4, mbps4, mbps4, SimDuration::from_secs(20), 61);
+        s.clients[2].region = 1;
+        s.clients[3].region = 1;
+        s.standby = true;
         let mut wired = s.build();
         let sb = wired.standby.expect("standby requested");
         assert_eq!(wired.ans.len(), 2);

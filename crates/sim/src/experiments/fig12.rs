@@ -6,46 +6,33 @@
 //! deployment observes a 1.8 s mean interval between 1 s and 3 s bounds.
 
 use crate::client::PolicyMode;
-use crate::scenario::{ClientScenario, Scenario};
-use crate::workloads::ladder_for_mode;
-use gso_algo::Resolution;
+use crate::workloads::clean_mesh;
 use gso_net::{LinkConfig, Schedule};
 use gso_util::stats::Samples;
-use gso_util::{Bitrate, ClientId, SimDuration, SimTime};
+use gso_util::{Bitrate, SimDuration, SimTime};
 
 /// Run the churny conference and return the call-interval samples (seconds).
 pub fn fig12(seed: u64, duration_secs: u64) -> Samples {
-    let ladder = ladder_for_mode(PolicyMode::Gso);
     let base = Bitrate::from_mbps(4);
-    let clients: Vec<ClientScenario> = (1..=4u32)
-        .map(|i| {
-            let mut c = ClientScenario::clean(ClientId(i), base, base, ladder.clone());
-            // Each client's downlink steps between distinct rates on its own
-            // cadence, driving bandwidth-change events at the controller.
-            let period = 6 + u64::from(i) * 3;
-            let mut steps = vec![(SimTime::ZERO, base)];
-            let mut t = period;
-            let mut low = true;
-            while t < duration_secs {
-                let rate = if low { Bitrate::from_kbps(400 + 250 * u64::from(i)) } else { base };
-                steps.push((SimTime::from_secs(t), rate));
-                low = !low;
-                t += period;
-            }
-            c.downlink = LinkConfig::clean(base, SimDuration::from_millis(20))
-                .with_rate_schedule(Schedule::steps(steps));
-            c
-        })
-        .collect();
-    let mut s = Scenario {
-        seed,
-        mode: PolicyMode::Gso,
-        duration: SimDuration::from_secs(duration_secs),
-        clients,
-        speaker_schedule: Vec::new(),
-        standby: false,
-    };
-    s.subscribe_all_to_all(Resolution::R720);
+    let mut s =
+        clean_mesh(PolicyMode::Gso, 4, base, base, SimDuration::from_secs(duration_secs), seed);
+    for c in &mut s.clients {
+        let i = u64::from(c.id.0);
+        // Each client's downlink steps between distinct rates on its own
+        // cadence, driving bandwidth-change events at the controller.
+        let period = 6 + i * 3;
+        let mut steps = vec![(SimTime::ZERO, base)];
+        let mut t = period;
+        let mut low = true;
+        while t < duration_secs {
+            let rate = if low { Bitrate::from_kbps(400 + 250 * i) } else { base };
+            steps.push((SimTime::from_secs(t), rate));
+            low = !low;
+            t += period;
+        }
+        c.downlink = LinkConfig::clean(base, SimDuration::from_millis(20))
+            .with_rate_schedule(Schedule::steps(steps));
+    }
     let r = s.run();
     let mut samples = Samples::new();
     for d in &r.controller_intervals {

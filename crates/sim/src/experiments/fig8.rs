@@ -31,7 +31,7 @@ pub struct SlowLinkResult {
 }
 
 /// Run the full matrix (15 cases × 4 systems). With `quick`, sessions are
-/// shortened (used by tests); the bench uses full-length runs.
+/// shortened (used by tests); `check repro fig8` uses full-length runs.
 pub fn fig8(seed: u64, quick: bool) -> Vec<SlowLinkResult> {
     let mut out = Vec::new();
     for case in slow_link_cases() {

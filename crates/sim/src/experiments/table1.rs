@@ -1,9 +1,10 @@
 //! Table 1 — the worked examples of the control algorithm.
 //!
 //! Solves the paper's three cases (limited downlink, limited uplink,
-//! both limited; built by [`ladders::table1_case`]) and returns the final per-client publish configuration in
-//! the table's layout, so the bench/example can print the table and tests
-//! can assert exact equality with the paper.
+//! both limited; built by [`ladders::table1_case`]) and returns the final
+//! per-client publish configuration in the table's layout, so
+//! `check repro table1` can print the table and tests can assert exact
+//! equality with the paper.
 
 use gso_algo::{ladders, solver, Resolution, SolverConfig, SourceId};
 use gso_util::{Bitrate, ClientId};

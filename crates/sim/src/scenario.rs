@@ -412,33 +412,11 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::ladder_for_mode;
+    use crate::workloads::clean_mesh;
 
     fn two_party(mode: PolicyMode, seed: u64) -> Scenario {
-        let ladder = ladder_for_mode(mode);
-        let mut s = Scenario {
-            seed,
-            mode,
-            duration: SimDuration::from_secs(20),
-            clients: vec![
-                ClientScenario::clean(
-                    ClientId(1),
-                    Bitrate::from_mbps(4),
-                    Bitrate::from_mbps(4),
-                    ladder.clone(),
-                ),
-                ClientScenario::clean(
-                    ClientId(2),
-                    Bitrate::from_mbps(4),
-                    Bitrate::from_mbps(4),
-                    ladder,
-                ),
-            ],
-            speaker_schedule: Vec::new(),
-            standby: false,
-        };
-        s.subscribe_all_to_all(Resolution::R720);
-        s
+        let mbps4 = Bitrate::from_mbps(4);
+        clean_mesh(mode, 2, mbps4, mbps4, SimDuration::from_secs(20), seed)
     }
 
     #[test]
@@ -499,36 +477,19 @@ mod tests {
 #[cfg(test)]
 mod region_tests {
     use super::*;
-    use crate::workloads::ladder_for_mode;
+    use crate::workloads::clean_mesh;
+
+    /// `n` GSO clients on clean 4 Mbps links, all in region 0.
+    fn mesh(n: u32, secs: u64, seed: u64) -> Scenario {
+        let mbps4 = Bitrate::from_mbps(4);
+        clean_mesh(PolicyMode::Gso, n, mbps4, mbps4, SimDuration::from_secs(secs), seed)
+    }
 
     /// Two regions, one client each: media must cross the inter-node relay.
     #[test]
     fn cross_region_conference_flows_through_relay() {
-        let ladder = ladder_for_mode(PolicyMode::Gso);
-        let mut clients = vec![
-            ClientScenario::clean(
-                ClientId(1),
-                Bitrate::from_mbps(4),
-                Bitrate::from_mbps(4),
-                ladder.clone(),
-            ),
-            ClientScenario::clean(
-                ClientId(2),
-                Bitrate::from_mbps(4),
-                Bitrate::from_mbps(4),
-                ladder,
-            ),
-        ];
-        clients[1].region = 1;
-        let mut s = Scenario {
-            seed: 55,
-            mode: PolicyMode::Gso,
-            duration: SimDuration::from_secs(20),
-            clients,
-            speaker_schedule: Vec::new(),
-            standby: false,
-        };
-        s.subscribe_all_to_all(Resolution::R720);
+        let mut s = mesh(2, 20, 55);
+        s.clients[1].region = 1;
         let r = s.run();
         for (id, m) in &r.per_client {
             assert!(m.framerate > 10.0, "{id}: framerate {}", m.framerate);
@@ -552,29 +513,10 @@ mod region_tests {
     /// every 100 ms and fails at the first slice over the bound.
     #[test]
     fn three_regions_keep_signaling_bounded() {
-        let ladder = ladder_for_mode(PolicyMode::Gso);
-        let mut clients: Vec<ClientScenario> = (1..=3u32)
-            .map(|i| {
-                ClientScenario::clean(
-                    ClientId(i),
-                    Bitrate::from_mbps(4),
-                    Bitrate::from_mbps(4),
-                    ladder.clone(),
-                )
-            })
-            .collect();
-        for (region, c) in clients.iter_mut().enumerate() {
+        let mut s = mesh(3, 3, 57);
+        for (region, c) in s.clients.iter_mut().enumerate() {
             c.region = region;
         }
-        let mut s = Scenario {
-            seed: 57,
-            mode: PolicyMode::Gso,
-            duration: SimDuration::from_secs(3),
-            clients,
-            speaker_schedule: Vec::new(),
-            standby: false,
-        };
-        s.subscribe_all_to_all(Resolution::R720);
         let mut wired = s.build();
         assert_eq!(wired.ans.len(), 3);
         const BOUND: u64 = 24;
@@ -598,27 +540,8 @@ mod region_tests {
     /// stream still reaches every subscriber exactly once.
     #[test]
     fn three_clients_two_regions() {
-        let ladder = ladder_for_mode(PolicyMode::Gso);
-        let mut clients: Vec<ClientScenario> = (1..=3u32)
-            .map(|i| {
-                ClientScenario::clean(
-                    ClientId(i),
-                    Bitrate::from_mbps(4),
-                    Bitrate::from_mbps(4),
-                    ladder.clone(),
-                )
-            })
-            .collect();
-        clients[2].region = 1;
-        let mut s = Scenario {
-            seed: 56,
-            mode: PolicyMode::Gso,
-            duration: SimDuration::from_secs(20),
-            clients,
-            speaker_schedule: Vec::new(),
-            standby: false,
-        };
-        s.subscribe_all_to_all(Resolution::R720);
+        let mut s = mesh(3, 20, 56);
+        s.clients[2].region = 1;
         let r = s.run();
         // All three hear and see both others.
         for m in r.per_client.values() {

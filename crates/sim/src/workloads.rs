@@ -1,5 +1,6 @@
 //! Standard workloads: the slow-link impairment matrix of Table 2,
-//! scenario builders shared by the experiments, and the problem-level
+//! scenario builders shared by the experiments and the tests (the clean
+//! full-mesh conference, [`clean_mesh`], among them), and the problem-level
 //! conferences of the shipped examples that the `check audit` replay
 //! solves and audits ([`quickstart`], [`screen_share`],
 //! [`slow_link_picture`], [`transient_capped`], [`large_conference`]).
@@ -132,36 +133,49 @@ pub fn ladder_for_mode(mode: PolicyMode) -> Ladder {
     }
 }
 
+/// The clean full-mesh conference: clients `1..=n` in region 0 on clean
+/// 20 ms links at `uplink`/`downlink`, each negotiating
+/// [`ladder_for_mode`]`(mode)`, everyone watching everyone up to 720P, with
+/// no speaker schedule and no standby. Callers layer their own region,
+/// standby and link overrides on top.
+pub fn clean_mesh(
+    mode: PolicyMode,
+    n: u32,
+    uplink: Bitrate,
+    downlink: Bitrate,
+    duration: SimDuration,
+    seed: u64,
+) -> Scenario {
+    let ladder = ladder_for_mode(mode);
+    let mut s = Scenario {
+        seed,
+        mode,
+        duration,
+        clients: (1..=n)
+            .map(|i| ClientScenario::clean(ClientId(i), uplink, downlink, ladder.clone()))
+            .collect(),
+        speaker_schedule: Vec::new(),
+        standby: false,
+    };
+    s.subscribe_all_to_all(Resolution::R720);
+    s
+}
+
 /// The small-meeting setup of the slow-link tests (§5): three clients on a
 /// controlled network, with the impairment applied to client 1's chosen
 /// link.
 pub fn slow_link_scenario(mode: PolicyMode, case: SlowLinkCase, seed: u64) -> Scenario {
-    let ladder = ladder_for_mode(mode);
     // Modest last-mile links, as in the paper's controlled lab setup: wide
     // enough for one good stream per publisher, tight enough that the
     // template baseline's habit of pushing *every* layer (2.4 Mbps of
     // mostly-unwatched video, Fig. 3a) eats into the margin.
     let clean_rate = Bitrate::from_kbps(3_000);
-    let mut clients = Vec::new();
-    for i in 1..=3u32 {
-        let mut c = ClientScenario::clean(ClientId(i), clean_rate, clean_rate, ladder.clone());
-        if i == 1 {
-            match case.direction {
-                Direction::Uplink => c.uplink = impaired_link(clean_rate, case.impairment),
-                Direction::Downlink => c.downlink = impaired_link(clean_rate, case.impairment),
-            }
-        }
-        clients.push(c);
+    let mut s = clean_mesh(mode, 3, clean_rate, clean_rate, SimDuration::from_secs(60), seed);
+    let c = &mut s.clients[0];
+    match case.direction {
+        Direction::Uplink => c.uplink = impaired_link(clean_rate, case.impairment),
+        Direction::Downlink => c.downlink = impaired_link(clean_rate, case.impairment),
     }
-    let mut s = Scenario {
-        seed,
-        mode,
-        duration: SimDuration::from_secs(60),
-        clients,
-        speaker_schedule: Vec::new(),
-        standby: false,
-    };
-    s.subscribe_all_to_all(Resolution::R720);
     s
 }
 

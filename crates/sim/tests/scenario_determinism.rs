@@ -4,43 +4,24 @@
 //! produce a byte-identical `metrics_json` export *and* an identical
 //! per-tick [`DigestTrace`] over the network simulator, the controller, and
 //! the telemetry registry. A third test seeds a deliberate divergence and
-//! proves [`first_divergence`] bisects to exactly the tick where it was
+//! proves [`first_divergence`] finds exactly the tick where it was
 //! injected — the comparator works, not just the happy path.
 
-use gso_sim::workloads::{ladder_for_mode, slow_link_cases, slow_link_scenario};
-use gso_sim::{ClientScenario, PolicyMode, Scenario};
+use gso_sim::workloads::{clean_mesh, slow_link_cases, slow_link_scenario};
+use gso_sim::{PolicyMode, Scenario};
 use gso_util::digest::first_divergence;
-use gso_util::{Bitrate, ClientId, SimDuration, SimTime};
+use gso_util::{Bitrate, SimDuration, SimTime};
 use proptest::prelude::*;
 
-use gso_algo::Resolution;
+/// A short `n`-party GSO conference on clean links.
+fn mesh(n: u32, seed: u64) -> Scenario {
+    let mbps4 = Bitrate::from_mbps(4);
+    clean_mesh(PolicyMode::Gso, n, mbps4, mbps4, SimDuration::from_secs(10), seed)
+}
 
 /// A short two-party GSO conference on clean links.
 fn two_party(seed: u64) -> Scenario {
-    let ladder = ladder_for_mode(PolicyMode::Gso);
-    let mut s = Scenario {
-        seed,
-        mode: PolicyMode::Gso,
-        duration: SimDuration::from_secs(10),
-        clients: vec![
-            ClientScenario::clean(
-                ClientId(1),
-                Bitrate::from_mbps(4),
-                Bitrate::from_mbps(4),
-                ladder.clone(),
-            ),
-            ClientScenario::clean(
-                ClientId(2),
-                Bitrate::from_mbps(4),
-                Bitrate::from_mbps(4),
-                ladder,
-            ),
-        ],
-        speaker_schedule: Vec::new(),
-        standby: false,
-    };
-    s.subscribe_all_to_all(Resolution::R720);
-    s
+    mesh(2, seed)
 }
 
 /// A three-party meeting with an impaired link, shortened for test budget.
@@ -60,14 +41,10 @@ fn cross_region(seed: u64) -> Scenario {
 /// Three parties in three regions: every access node relays media to two
 /// peers, and subscriptions fan out to two other access nodes.
 fn three_region(seed: u64) -> Scenario {
-    let mut s = two_party(seed);
-    let mut third = s.clients[0].clone();
-    third.id = ClientId(3);
-    s.clients.push(third);
+    let mut s = mesh(3, seed);
     for (region, c) in s.clients.iter_mut().enumerate() {
         c.region = region;
     }
-    s.subscribe_all_to_all(Resolution::R720);
     s
 }
 
@@ -111,7 +88,7 @@ fn digest_run_matches_plain_run_output() {
 }
 
 #[test]
-fn seeded_divergence_is_bisected_to_the_injection_tick() {
+fn seeded_divergence_is_found_at_the_injection_tick() {
     let s = two_party(11);
     let fault_at = SimTime::from_secs(5);
     let (_, clean) = s.run_digest(None);
@@ -122,7 +99,7 @@ fn seeded_divergence_is_bisected_to_the_injection_tick() {
     // The fault fires at the first tick boundary >= 5 s, so the first
     // divergent entry is the one covering (5.0 s, 5.1 s] — index 50 of the
     // 100 ms tick sequence.
-    assert_eq!(d.index, 50, "bisection must land exactly on the injection tick");
+    assert_eq!(d.index, 50, "the walk must land exactly on the injection tick");
     let entry = d.a.as_ref().expect("clean run has the tick");
     assert_eq!(entry.tick, SimTime::from_millis(5_100).as_micros());
     // The junk packet is unroutable: only the simulator core notices it.

@@ -14,7 +14,7 @@
 //! "bit-identical solve" guarantee (tolerance-based comparison would mask
 //! the accumulation-order bugs the double-run gates exist to catch).
 //!
-//! [`compare`] records per-tick [`DigestTrace`]s and bisects two runs to
+//! [`compare`] records per-tick [`DigestTrace`]s and walks two runs to
 //! their first divergent tick.
 
 use crate::{Bitrate, ClientId, SimDuration, SimTime, Ssrc, StreamKind};

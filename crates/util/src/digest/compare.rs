@@ -1,13 +1,10 @@
-//! Double-run digest comparison and divergence bisection.
+//! Double-run digest comparison.
 //!
 //! Each deterministic run produces a [`DigestTrace`]: an ordered sequence of
 //! [`DigestEntry`] ticks, each carrying the tick label, a combined digest,
 //! and per-component digests plus a state dump for forensics. Comparing two
-//! traces with [`first_divergence`] does not scan linearly: it builds
-//! prefix-combined hashes and binary-searches for the first index where the
-//! prefixes disagree, so locating the first bad tick in an `n`-tick run costs
-//! `O(n)` hashing once plus `O(log n)` comparisons — the same shape as
-//! bisecting a regression in version control.
+//! traces with [`first_divergence`] walks them forward to the first tick
+//! whose combined digests differ, `O(n)` comparisons for an `n`-tick run.
 
 use crate::digest::StableHasher;
 
@@ -57,20 +54,6 @@ impl DigestTrace {
     /// Append one tick.
     pub fn record(&mut self, entry: DigestEntry) {
         self.entries.push(entry);
-    }
-
-    /// Combined digests of every prefix: `prefix[i]` covers entries `0..i`.
-    /// `prefix[0]` is the empty-prefix digest; length is `entries.len() + 1`.
-    #[must_use]
-    pub fn prefix_digests(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.entries.len() + 1);
-        let mut h = StableHasher::new();
-        out.push(h.finish());
-        for e in &self.entries {
-            h.write_u64(e.combined);
-            out.push(h.finish());
-        }
-        out
     }
 }
 
@@ -150,21 +133,17 @@ fn indent(s: &str) -> String {
     out
 }
 
-/// Bisect two traces to the first divergent tick.
+/// Walk two traces to the first divergent tick.
 ///
 /// Returns `None` when the traces are identical. On a length mismatch with an
 /// identical common prefix, the divergence index is the shorter trace's
 /// length and the missing side is `None`.
 #[must_use]
 pub fn first_divergence(a: &DigestTrace, b: &DigestTrace) -> Option<Divergence> {
-    let pa = a.prefix_digests();
-    let pb = b.prefix_digests();
     let common = a.entries.len().min(b.entries.len());
-
-    // Invariant for the binary search: prefixes of length `lo` agree,
-    // prefixes of length `hi` disagree (or `hi` is past the common range).
-    let diverged_in_common = pa[common] != pb[common];
-    if !diverged_in_common {
+    let Some(idx) =
+        a.entries.iter().zip(&b.entries).position(|(ea, eb)| ea.combined != eb.combined)
+    else {
         if a.entries.len() == b.entries.len() {
             return None;
         }
@@ -175,20 +154,7 @@ pub fn first_divergence(a: &DigestTrace, b: &DigestTrace) -> Option<Divergence> 
             b: b.entries.get(common).cloned(),
             divergent_components: Vec::new(),
         });
-    }
-
-    let (mut lo, mut hi) = (0usize, common);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if pa[mid] == pb[mid] {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    // Prefixes of length `lo` agree and length `hi = lo + 1` disagree, so
-    // entry `lo` is the first divergent tick.
-    let idx = lo;
+    };
     let ea = &a.entries[idx];
     let eb = &b.entries[idx];
     let mut names: Vec<String> = Vec::new();
@@ -234,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn bisects_to_first_divergent_tick() {
+    fn finds_the_first_divergent_tick() {
         let a = trace((0..100).map(|i| entry(i, &[("x", i)])).collect());
         let mut b = a.clone();
         // Diverge at index 37 and (as a real fault would) at every tick after.

@@ -18,7 +18,7 @@
 //!   portable, seed-free 64-bit [`StableHasher`](digest::StableHasher), so
 //!   every layer (solver solutions and traces, controller state, simulator
 //!   event queue, telemetry export) can be fingerprinted per tick, and
-//!   [`first_divergence`](digest::first_divergence), which bisects two
+//!   [`first_divergence`](digest::first_divergence), which walks two
 //!   recorded runs to the first tick where they disagree.
 
 pub mod bitrate;

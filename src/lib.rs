@@ -23,10 +23,10 @@
 //! * [`util`] — simulated time, bitrates, deterministic RNG, statistics,
 //!   and the stable state digests behind the double-run determinism gates.
 //!
-//! See `examples/quickstart.rs` for a three-line tour, and the
-//! `crates/bench` targets for the regeneration of every table and figure in
-//! the paper's evaluation. The CI gates (`check audit`, `metrics`,
-//! `digest` and `chaos`) are the `gso-check` crate's binary, which this
+//! See `examples/quickstart.rs` for a three-line tour. The CI gates
+//! (`check audit`, `metrics`, `digest` and `chaos`) and the regeneration
+//! of every table and figure in the paper's evaluation (`check repro`,
+//! `check solver-scale`) are the `gso-check` crate's binary, which this
 //! facade does not re-export.
 
 pub use gso_algo as algo;

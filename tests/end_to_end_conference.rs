@@ -3,33 +3,13 @@
 //! control loop of the paper: SDP-style join → SEMB/downlink reports →
 //! Knapsack-Merge-Reduction → GTMB/GTBN → selective forwarding → playback.
 
-use gso_simulcast::algo::Resolution;
-use gso_simulcast::sim::workloads::ladder_for_mode;
-use gso_simulcast::sim::{ClientScenario, PolicyMode, Scenario};
+use gso_simulcast::sim::workloads::clean_mesh;
+use gso_simulcast::sim::{PolicyMode, Scenario};
 use gso_simulcast::util::{Bitrate, ClientId, SimDuration, SimTime};
 
 fn meeting(mode: PolicyMode, n: u32, seed: u64, secs: u64) -> Scenario {
-    let ladder = ladder_for_mode(mode);
-    let clients = (1..=n)
-        .map(|i| {
-            ClientScenario::clean(
-                ClientId(i),
-                Bitrate::from_mbps(4),
-                Bitrate::from_mbps(4),
-                ladder.clone(),
-            )
-        })
-        .collect();
-    let mut s = Scenario {
-        seed,
-        mode,
-        duration: SimDuration::from_secs(secs),
-        clients,
-        speaker_schedule: Vec::new(),
-        standby: false,
-    };
-    s.subscribe_all_to_all(Resolution::R720);
-    s
+    let mbps4 = Bitrate::from_mbps(4);
+    clean_mesh(mode, n, mbps4, mbps4, SimDuration::from_secs(secs), seed)
 }
 
 #[test]

@@ -2,42 +2,24 @@
 //! marks a new active speaker, its camera subscriptions gain the §4.4 QoE
 //! boost and the controller reallocates tight downlinks in its favor.
 
-use gso_simulcast::algo::Resolution;
-use gso_simulcast::sim::workloads::ladder_for_mode;
-use gso_simulcast::sim::{ClientScenario, PolicyMode, Scenario};
+use gso_simulcast::sim::workloads::clean_mesh;
+use gso_simulcast::sim::PolicyMode;
 use gso_simulcast::util::{Bitrate, ClientId, SimDuration, SimTime};
 
 #[test]
 fn speaker_boost_shifts_allocation_on_a_tight_downlink() {
-    let ladder = ladder_for_mode(PolicyMode::Gso);
     // Three publishers, one constrained watcher: only ~1 good stream fits.
-    let mut clients: Vec<ClientScenario> = (1..=4u32)
-        .map(|i| {
-            ClientScenario::clean(
-                ClientId(i),
-                Bitrate::from_mbps(4),
-                Bitrate::from_mbps(4),
-                ladder.clone(),
-            )
-        })
-        .collect();
-    clients[3].downlink = gso_simulcast::net::LinkConfig::clean(
+    let mbps4 = Bitrate::from_mbps(4);
+    let mut s = clean_mesh(PolicyMode::Gso, 4, mbps4, mbps4, SimDuration::from_secs(40), 909);
+    s.clients[3].downlink = gso_simulcast::net::LinkConfig::clean(
         Bitrate::from_kbps(1_500),
         SimDuration::from_millis(20),
     );
-    let mut s = Scenario {
-        seed: 909,
-        mode: PolicyMode::Gso,
-        duration: SimDuration::from_secs(40),
-        clients,
-        // Client 2 speaks from t=5s; client 3 takes over at t=22s.
-        speaker_schedule: vec![
-            (SimTime::from_secs(5), Some(ClientId(2))),
-            (SimTime::from_secs(22), Some(ClientId(3))),
-        ],
-        standby: false,
-    };
-    s.subscribe_all_to_all(Resolution::R720);
+    // Client 2 speaks from t=5s; client 3 takes over at t=22s.
+    s.speaker_schedule = vec![
+        (SimTime::from_secs(5), Some(ClientId(2))),
+        (SimTime::from_secs(22), Some(ClientId(3))),
+    ];
     let r = s.run();
 
     // The constrained watcher keeps flowing video throughout.

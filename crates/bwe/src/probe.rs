@@ -8,15 +8,17 @@
 //! carefully limited redundancy.
 //!
 //! The [`ProbeController`] decides when to emit a probe cluster and at what
-//! rate; the client's pacer turns a cluster into padding packets flagged
-//! `is_probe` in the send history.
+//! rate; the client (and the access node, for downlinks) sends a cluster as
+//! one bounded burst of 5–15 padding packets flagged `is_probe` in the send
+//! history. There is no pacer: the burst bound limits the redundancy.
 
 use gso_util::{Bitrate, SimDuration, SimTime};
 
-/// A probe cluster to be paced onto the wire.
+/// A probe cluster: the rate and duration that size one padding burst
+/// (`target_rate × duration` bytes, sent back to back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeCluster {
-    /// Rate to pace padding at.
+    /// Rate the burst is sized for.
     pub target_rate: Bitrate,
     /// Burst duration.
     pub duration: SimDuration,

@@ -1,14 +1,14 @@
 //! Tick-stepped fault-plan execution and verdicts.
 //!
 //! [`run_plan`] builds a [`Scenario`] onto the deterministic packet
-//! simulator and steps it in controller-tick-sized intervals, applying
-//! each due [`FaultEvent`] at the enclosing tick boundary and recording a
-//! per-tick [`DigestTrace`] over the network simulator, the controller and
-//! the telemetry registry. [`check_plan`] runs a plan *twice*, then renders
-//! the §7 acceptance verdict: steady-state QoE within tolerance of the
-//! no-fault baseline, bounded recovery time for every controller restart,
-//! zero auditor violations in the final configuration, and digest-identical
-//! double runs.
+//! simulator and steps it with [`WiredConference::run_traced`], applying
+//! each due [`FaultEvent`] at the enclosing tick boundary; the stepper
+//! records a per-tick [`DigestTrace`] over the network simulator, the
+//! controllers and the telemetry registry. [`check_plan`] runs a plan
+//! *twice*, then renders the §7 acceptance verdict: steady-state QoE
+//! within tolerance of the no-fault baseline, bounded recovery time for
+//! every controller restart, zero auditor violations in the final
+//! configuration, and digest-identical double runs.
 
 use super::plan::{FaultEvent, FaultKind, FaultPlan, LinkFault, LinkSide};
 use gso_algo::ConstraintViolation;
@@ -17,7 +17,7 @@ use gso_sim::access::AccessNode;
 use gso_sim::conference::ConferenceNode;
 use gso_sim::{ClientNode, Scenario, ScenarioResult, WiredConference};
 use gso_telemetry::{keys, HistogramSnapshot};
-use gso_util::digest::{first_divergence, DigestEntry, DigestTrace};
+use gso_util::digest::{first_divergence, DigestTrace};
 use gso_util::{ClientId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -89,41 +89,13 @@ pub fn run_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosOutcome {
     let mut wired = scenario.build();
     let originals = snapshot_links(scenario, &mut wired);
     let end = SimTime::ZERO + scenario.duration;
-    let tick = SimDuration::from_millis(100);
-    let mut trace = DigestTrace::new();
     let mut idx = 0;
-    let mut t = SimTime::ZERO;
-    while t < end {
+    let (wired, trace) = wired.run_traced(end, |wired, t| {
         while idx < plan.events.len() && plan.events[idx].at <= t {
-            apply(&mut wired, scenario, &originals, &plan.events[idx]);
+            apply(wired, scenario, &originals, &plan.events[idx]);
             idx += 1;
         }
-        let next = (t + tick).min(end);
-        wired.sim.run_until(next);
-        t = next;
-        let net = wired.sim.state_digest();
-        let ctrl =
-            wired.sim.node::<ConferenceNode>(wired.cn).map_or(0, |c| c.controller.state_digest());
-        let standby = wired
-            .standby
-            .and_then(|sb| wired.sim.node::<ConferenceNode>(sb))
-            .map_or(0, |c| c.controller.state_digest());
-        let telemetry = wired.telemetry.export_digest();
-        trace.record(DigestEntry::new(
-            t.as_micros(),
-            vec![
-                ("net.sim".to_string(), net),
-                ("ctrl".to_string(), ctrl),
-                ("standby".to_string(), standby),
-                ("telemetry".to_string(), telemetry),
-            ],
-            format!(
-                "t={}us net={net:#018x} ctrl={ctrl:#018x} standby={standby:#018x} \
-                 telemetry={telemetry:#018x}",
-                t.as_micros()
-            ),
-        ));
-    }
+    });
     let violations = audit_final(&wired);
     let solution_qoe =
         live_cn(&wired).and_then(|c| c.controller.last_solution()).map_or(0.0, |s| s.total_qoe);

@@ -1,19 +1,17 @@
-//! Design for failure (§7).
+//! Design for failure (§7): the server-side fallback.
 //!
-//! Two mechanisms from the paper:
+//! "When an exception is raised, GSO-Simulcast would ask clients to fall
+//! back to a single stream configuration so the service could continue, at
+//! the cost of reduced QoE." [`fallback_solution`] builds that
+//! configuration: every source publishes exactly its smallest stream, every
+//! subscriber takes it.
 //!
-//! * **Server-side fallback**: "when an exception is raised, GSO-Simulcast
-//!   would ask clients to fall back to a single stream configuration so the
-//!   service could continue, at the cost of reduced QoE."
-//!   [`fallback_solution`] builds that configuration: every source publishes
-//!   exactly its smallest stream, every subscriber takes it.
-//! * **Client-side downgrade**: "a server instructs a client to send
-//!   multiple streams, however, only a low bitrate stream is received" — the
-//!   [`DowngradeMonitor`] watches which configured layers actually produce
-//!   packets and switches subscriptions to the highest layer that is alive.
+//! The paper's other §7 mechanism, the client-side downgrade ("a server
+//! instructs a client to send multiple streams, however, only a low bitrate
+//! stream is received"), is not modeled: a client keeps the subscriptions
+//! the controller configured.
 
 use gso_algo::{Problem, PublishPolicy, ReceivedStream, Solution, SourceId};
-use gso_util::{SimDuration, SimTime, Ssrc};
 use std::collections::BTreeMap;
 
 /// The minimal safe configuration: one (smallest) stream per source,
@@ -66,90 +64,6 @@ pub fn fallback_solution(problem: &Problem) -> Solution {
         }
     }
     Solution { publish, received, total_qoe, iterations: 0 }
-}
-
-/// Watches per-layer liveness on the receive path, recommends downgrades
-/// when configured layers stop flowing, and re-upgrades — with hysteresis
-/// — when a previously dead layer produces packets again.
-///
-/// Downgrades are immediate (a silent layer is useless), but a revived
-/// layer must flow *continuously* for `upgrade_hold` before it is
-/// preferred again: a layer that blinks in and out (e.g. an uplink on the
-/// edge of its budget) would otherwise flap the subscription on every
-/// revival, and each flap costs a keyframe wait.
-#[derive(Debug)]
-pub struct DowngradeMonitor {
-    /// A layer is dead if silent for this long while configured active.
-    timeout: SimDuration,
-    /// A revived layer must flow this long before re-upgrade.
-    upgrade_hold: SimDuration,
-    last_seen: BTreeMap<Ssrc, SimTime>,
-    /// Start of the layer's current uninterrupted liveness streak; reset
-    /// whenever a packet arrives after a `timeout`-sized silence.
-    alive_since: BTreeMap<Ssrc, SimTime>,
-}
-
-impl DowngradeMonitor {
-    /// New monitor with the given liveness timeout; the re-upgrade hold
-    /// defaults to the same duration (symmetric hysteresis).
-    pub fn new(timeout: SimDuration) -> Self {
-        Self::with_upgrade_hold(timeout, timeout)
-    }
-
-    /// New monitor with an explicit re-upgrade hold.
-    pub fn with_upgrade_hold(timeout: SimDuration, upgrade_hold: SimDuration) -> Self {
-        DowngradeMonitor {
-            timeout,
-            upgrade_hold,
-            last_seen: BTreeMap::new(),
-            alive_since: BTreeMap::new(),
-        }
-    }
-
-    /// Record traffic on a layer.
-    pub fn on_packet(&mut self, now: SimTime, ssrc: Ssrc) {
-        let revived =
-            self.last_seen.get(&ssrc).is_none_or(|&seen| now.saturating_since(seen) > self.timeout);
-        if revived {
-            self.alive_since.insert(ssrc, now);
-        }
-        self.last_seen.insert(ssrc, now);
-    }
-
-    /// Given the layers a subscriber is *supposed* to be able to use
-    /// (descending preference), pick the best one that is demonstrably
-    /// alive *and* past the re-upgrade hold. If no layer qualifies, fall
-    /// back to the lowest layer that is at least alive, and failing that
-    /// to the last (lowest) layer outright — matching the paper's "switch
-    /// the high-bitrate subscription to a low-bitrate subscription".
-    pub fn best_alive(&self, now: SimTime, preference: &[Ssrc]) -> Option<Ssrc> {
-        for &ssrc in preference {
-            if self.is_stable(now, ssrc) {
-                return Some(ssrc);
-            }
-        }
-        preference
-            .iter()
-            .rev()
-            .copied()
-            .find(|&s| self.is_alive(now, s))
-            .or_else(|| preference.last().copied())
-    }
-
-    /// Is a specific layer alive?
-    pub fn is_alive(&self, now: SimTime, ssrc: Ssrc) -> bool {
-        self.last_seen.get(&ssrc).is_some_and(|&seen| now.saturating_since(seen) <= self.timeout)
-    }
-
-    /// Is a layer alive and has it been flowing uninterrupted for at least
-    /// the re-upgrade hold?
-    pub fn is_stable(&self, now: SimTime, ssrc: Ssrc) -> bool {
-        self.is_alive(now, ssrc)
-            && self
-                .alive_since
-                .get(&ssrc)
-                .is_some_and(|&since| now.saturating_since(since) >= self.upgrade_hold)
-    }
 }
 
 #[cfg(test)]
@@ -229,89 +143,5 @@ mod tests {
         let sol = fallback_solution(&p);
         sol.validate(&p).unwrap();
         assert!(sol.publish.is_empty());
-    }
-
-    /// Feed one packet per second on `ssrc` over `[from, to]` seconds.
-    fn flow(m: &mut DowngradeMonitor, ssrc: Ssrc, from: u64, to: u64) {
-        for s in from..=to {
-            m.on_packet(SimTime::from_secs(s), ssrc);
-        }
-    }
-
-    #[test]
-    fn downgrade_monitor_picks_best_alive() {
-        let mut m = DowngradeMonitor::new(SimDuration::from_secs(2));
-        let prefs = [Ssrc(3), Ssrc(2), Ssrc(1)]; // high → low
-        flow(&mut m, Ssrc(3), 0, 2);
-        flow(&mut m, Ssrc(1), 0, 2);
-        assert_eq!(m.best_alive(SimTime::from_secs(2), &prefs), Some(Ssrc(3)));
-        // High layer goes silent; low keeps flowing.
-        flow(&mut m, Ssrc(1), 3, 6);
-        assert_eq!(m.best_alive(SimTime::from_secs(6), &prefs), Some(Ssrc(1)));
-        assert!(!m.is_alive(SimTime::from_secs(6), Ssrc(3)));
-    }
-
-    #[test]
-    fn downgrade_monitor_defaults_to_lowest() {
-        let m = DowngradeMonitor::new(SimDuration::from_secs(2));
-        assert_eq!(
-            m.best_alive(SimTime::from_secs(1), &[Ssrc(3), Ssrc(1)]),
-            Some(Ssrc(1)),
-            "nothing seen yet: subscribe low, not high"
-        );
-        assert_eq!(m.best_alive(SimTime::ZERO, &[]), None);
-    }
-
-    /// Satellite regression: a layer that dies and later revives must be
-    /// re-upgraded to — but only after flowing continuously through the
-    /// hold window, so a blinking layer cannot flap the subscription.
-    #[test]
-    fn dead_layer_revival_reupgrades_after_hold() {
-        let mut m = DowngradeMonitor::with_upgrade_hold(
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(3),
-        );
-        let prefs = [Ssrc(3), Ssrc(1)]; // high → low
-                                        // Both layers flow long enough to be stable; high wins.
-        flow(&mut m, Ssrc(3), 0, 10);
-        flow(&mut m, Ssrc(1), 0, 30);
-        assert_eq!(m.best_alive(SimTime::from_secs(10), &prefs), Some(Ssrc(3)));
-
-        // High dies at t=10 (silent past the 2 s timeout): downgrade is
-        // immediate at detection time.
-        assert_eq!(m.best_alive(SimTime::from_secs(13), &prefs), Some(Ssrc(1)));
-
-        // High revives at t=20. One packet is not enough (pre-fix, it was:
-        // the revived layer was instantly preferred again)…
-        m.on_packet(SimTime::from_secs(20), Ssrc(3));
-        assert!(m.is_alive(SimTime::from_secs(20), Ssrc(3)));
-        assert_eq!(
-            m.best_alive(SimTime::from_secs(20), &prefs),
-            Some(Ssrc(1)),
-            "revival must survive the hold before re-upgrade"
-        );
-        // …and a blink (silence at t=21..24 exceeds the timeout) restarts
-        // the hold, keeping the subscription pinned low.
-        m.on_packet(SimTime::from_secs(24), Ssrc(3));
-        assert_eq!(m.best_alive(SimTime::from_secs(25), &prefs), Some(Ssrc(1)));
-
-        // Continuous flow through the 3 s hold re-upgrades.
-        flow(&mut m, Ssrc(3), 24, 28);
-        assert_eq!(m.best_alive(SimTime::from_secs(28), &prefs), Some(Ssrc(3)));
-    }
-
-    /// When nothing is stable yet, the monitor prefers an *alive* low
-    /// layer over a dead lowest entry.
-    #[test]
-    fn unstable_fallback_prefers_living_low_layer() {
-        let mut m = DowngradeMonitor::new(SimDuration::from_secs(2));
-        let prefs = [Ssrc(3), Ssrc(2), Ssrc(1)];
-        // Only the middle layer has produced anything, and only just.
-        m.on_packet(SimTime::from_secs(1), Ssrc(2));
-        assert_eq!(
-            m.best_alive(SimTime::from_secs(1), &prefs),
-            Some(Ssrc(2)),
-            "an alive-but-unproven layer beats a dead lowest layer"
-        );
     }
 }

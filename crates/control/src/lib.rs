@@ -10,7 +10,7 @@
 //! * [`hysteresis`] — oscillation-avoidance bandwidth gate (§7).
 //! * [`scheduler`] — 1–3 s control cadence with event triggers (Fig. 12).
 //! * [`feedback`] — solution → GTMB/forwarding rules, with retransmission.
-//! * [`failure`] — single-stream fallback and client downgrade monitor (§7).
+//! * [`failure`] — single-stream fallback (§7).
 //! * [`failover`] — standby takeover (§7): lease-based failure detection
 //!   and the epoch-ledger split-brain fence.
 //! * [`sdp`] — SDP offer/answer with the custom `simulcastInfo` attribute
@@ -33,7 +33,7 @@ pub use controller::{
     ControlOutput, ControllerConfig, Direction, GsoController, RoundContext, SolveOutcome, TickPrep,
 };
 pub use failover::{EpochLedger, FailureDetector, LeaseConfig};
-pub use failure::{fallback_solution, DowngradeMonitor};
+pub use failure::fallback_solution;
 pub use feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
 pub use fleet::{ControllerFleet, FleetTick};
 pub use hysteresis::{BandwidthHysteresis, HysteresisConfig};

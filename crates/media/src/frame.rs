@@ -6,7 +6,7 @@
 //! packets whose payloads begin with a small fragment header so the receiver
 //! can reassemble without codec knowledge.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use gso_rtp::RtpPacket;
 use gso_util::{SimTime, Ssrc};
 
@@ -114,19 +114,6 @@ pub fn packetize(frame: &EncodedFrame, next_seq: &mut u16, payload_type: u8) -> 
     packets
 }
 
-/// Total wire bytes (RTP headers included) of a packetized frame; used by
-/// rate accounting without materializing packets.
-pub fn packetized_size(frame_size: usize) -> usize {
-    let data_per_packet = MTU_PAYLOAD - FRAG_HEADER_LEN;
-    let frags = frame_size.div_ceil(data_per_packet).max(1);
-    frame_size + frags * (FRAG_HEADER_LEN + gso_rtp::RTP_HEADER_LEN)
-}
-
-/// Extract the payload bytes of a packet as a `Bytes` for reassembly.
-pub fn payload_bytes(packet: &RtpPacket) -> Bytes {
-    packet.payload.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,15 +192,6 @@ mod tests {
         let pkts = packetize(&frame(0), &mut seq, 96);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].payload.len(), FRAG_HEADER_LEN);
-    }
-
-    #[test]
-    fn packetized_size_accounts_headers() {
-        let per = MTU_PAYLOAD - FRAG_HEADER_LEN;
-        assert_eq!(
-            packetized_size(per * 2),
-            per * 2 + 2 * (FRAG_HEADER_LEN + gso_rtp::RTP_HEADER_LEN)
-        );
     }
 
     #[test]

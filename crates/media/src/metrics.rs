@@ -47,11 +47,6 @@ impl VideoPlayback {
         }
     }
 
-    /// Gap that would be recorded if a frame rendered at `at` (for debug).
-    pub fn pending_gap(&self, at: SimTime) -> SimDuration {
-        at.saturating_since(self.last_render.unwrap_or(self.start))
-    }
-
     /// Record a rendered frame.
     pub fn on_frame(&mut self, rendered_at: SimTime) {
         self.frames += 1;

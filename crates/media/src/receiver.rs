@@ -301,13 +301,6 @@ impl StreamReceiver {
         self.stats
     }
 
-    /// Drain the aggregates: returns the counts accumulated since the last
-    /// drain and resets them, so a periodic metrics snapshot can feed
-    /// counters without double-counting.
-    pub fn take_render_stats(&mut self) -> RenderStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Accumulated decode/render work units.
     pub fn work_units(&self) -> f64 {
         self.work_units
@@ -462,25 +455,32 @@ mod tests {
     }
 
     #[test]
-    fn take_render_stats_drains_without_double_counting() {
-        let packets = make_stream(2, 600);
-        let mut rx = StreamReceiver::new(Ssrc(1));
-        let mid = packets.len() / 2;
-        for (i, p) in packets[..mid].iter().enumerate() {
-            rx.on_packet(SimTime::from_millis(i as u64 * 5), p);
-        }
-        let first = rx.take_render_stats();
-        assert!(first.frames > 0);
-        assert_eq!(rx.render_stats(), RenderStats::default(), "drained");
-        for (i, p) in packets[mid..].iter().enumerate() {
-            rx.on_packet(SimTime::from_millis((mid + i) as u64 * 5), p);
-        }
-        let second = rx.take_render_stats();
-        assert_eq!(first.frames + second.frames, 30, "no loss, no double count");
-        let mut merged = first;
-        merged.merge(&second);
-        assert_eq!(merged.frames, 30);
-        assert_eq!(merged.first_render, first.first_render);
-        assert_eq!(merged.last_render, second.last_render);
+    fn render_stats_merge_sums_counts_and_spans_render_times() {
+        let early = RenderStats {
+            frames: 3,
+            bytes: 900,
+            keyframes: 1,
+            resolution_line_sum: 1_080,
+            first_render: Some(SimTime::from_millis(10)),
+            last_render: Some(SimTime::from_millis(80)),
+        };
+        let late = RenderStats {
+            frames: 2,
+            bytes: 400,
+            keyframes: 0,
+            resolution_line_sum: 720,
+            first_render: Some(SimTime::from_millis(50)),
+            last_render: Some(SimTime::from_millis(120)),
+        };
+        let mut merged = late;
+        merged.merge(&early);
+        assert_eq!((merged.frames, merged.bytes, merged.keyframes), (5, 1_300, 1));
+        assert_eq!(merged.resolution_line_sum, 1_800);
+        assert_eq!(merged.first_render, early.first_render);
+        assert_eq!(merged.last_render, late.last_render);
+        // An empty side leaves the other's times as they are.
+        let mut empty = RenderStats::default();
+        empty.merge(&early);
+        assert_eq!(empty, early);
     }
 }

@@ -8,7 +8,6 @@
 //!
 //! * [`node`] — the [`node::Node`] trait, packets, and action sinks.
 //! * [`link`] — link model and impairment [`link::Schedule`]s.
-//! * [`pacer`] — token-bucket packet pacing (§7's probe/media pacer).
 //! * [`sim`] — the [`sim::Simulator`] event loop.
 //!
 //! Everything is seeded and deterministic: the same scenario and seed yield
@@ -16,10 +15,8 @@
 
 pub mod link;
 pub mod node;
-pub mod pacer;
 pub mod sim;
 
 pub use link::{Link, LinkConfig, LinkStats, Schedule, Transmit};
 pub use node::{Actions, Node, NodeId, Packet, UDP_IP_OVERHEAD};
-pub use pacer::{Pacer, PacerConfig};
 pub use sim::Simulator;

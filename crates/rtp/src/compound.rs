@@ -8,28 +8,20 @@
 
 use crate::app::{GsoTmmbn, GsoTmmbr, Semb};
 use crate::error::ParseError;
-use crate::feedback::{Nack, Remb, Tmmbn, Tmmbr, TransportFeedback};
-use crate::report::{ReceiverReport, SenderReport};
+use crate::feedback::{Nack, TransportFeedback};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gso_util::Ssrc;
 
 /// RTCP packet types used in this stack.
 mod pt {
-    pub const SR: u8 = 200;
-    pub const RR: u8 = 201;
     pub const APP: u8 = 204;
     pub const RTPFB: u8 = 205;
-    pub const PSFB: u8 = 206;
 }
 
 /// FMT values for PT 205 (transport feedback).
 mod fmt {
     pub const NACK: u8 = 1;
-    pub const TMMBR: u8 = 3;
-    pub const TMMBN: u8 = 4;
     pub const TRANSPORT_CC: u8 = 15;
-    /// FMT 15 for PT 206 is application-layer feedback (REMB).
-    pub const ALFB: u8 = 15;
 }
 
 /// APP subtypes for our three messages.
@@ -42,18 +34,8 @@ mod subtype {
 /// Any RTCP packet this stack understands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RtcpPacket {
-    /// Sender report (PT 200).
-    SenderReport(SenderReport),
-    /// Receiver report (PT 201).
-    ReceiverReport(ReceiverReport),
-    /// RFC 5104 TMMBR (PT 205 FMT 3) — congestion-control use.
-    Tmmbr(Tmmbr),
-    /// RFC 5104 TMMBN (PT 205 FMT 4).
-    Tmmbn(Tmmbn),
     /// Generic NACK (PT 205 FMT 1).
     Nack(Nack),
-    /// REMB (PT 206 FMT 15).
-    Remb(Remb),
     /// Transport-wide feedback (PT 205 FMT 15).
     TransportFeedback(TransportFeedback),
     /// GSO uplink bandwidth report (APP "SEMB").
@@ -68,55 +50,34 @@ impl RtcpPacket {
     /// Serialize one packet including its RTCP header.
     pub fn serialize(&self) -> Bytes {
         let mut body = BytesMut::new();
-        let (count_or_fmt, packet_type, name): (u8, u8, Option<&[u8; 4]>) = match self {
-            RtcpPacket::SenderReport(p) => {
-                p.write_body(&mut body);
-                (p.reports.len() as u8, pt::SR, None)
-            }
-            RtcpPacket::ReceiverReport(p) => {
-                p.write_body(&mut body);
-                (p.reports.len() as u8, pt::RR, None)
-            }
-            RtcpPacket::Tmmbr(p) => {
-                p.write_body(&mut body);
-                (fmt::TMMBR, pt::RTPFB, None)
-            }
-            RtcpPacket::Tmmbn(p) => {
-                p.write_body(&mut body);
-                (fmt::TMMBN, pt::RTPFB, None)
-            }
+        let (count_or_fmt, packet_type) = match self {
             RtcpPacket::Nack(p) => {
                 p.write_body(&mut body);
-                (fmt::NACK, pt::RTPFB, None)
-            }
-            RtcpPacket::Remb(p) => {
-                p.write_body(&mut body);
-                (fmt::ALFB, pt::PSFB, None)
+                (fmt::NACK, pt::RTPFB)
             }
             RtcpPacket::TransportFeedback(p) => {
                 p.write_body(&mut body);
-                (fmt::TRANSPORT_CC, pt::RTPFB, None)
+                (fmt::TRANSPORT_CC, pt::RTPFB)
             }
             RtcpPacket::Semb(p) => {
                 body.put_u32(p.sender_ssrc.0);
                 body.extend_from_slice(Semb::NAME);
                 p.write_body(&mut body);
-                (subtype::SEMB, pt::APP, None)
+                (subtype::SEMB, pt::APP)
             }
             RtcpPacket::GsoTmmbr(p) => {
                 body.put_u32(p.sender_ssrc.0);
                 body.extend_from_slice(GsoTmmbr::NAME);
                 p.write_body(&mut body);
-                (subtype::GTMB, pt::APP, None)
+                (subtype::GTMB, pt::APP)
             }
             RtcpPacket::GsoTmmbn(p) => {
                 body.put_u32(p.sender_ssrc.0);
                 body.extend_from_slice(GsoTmmbn::NAME);
                 p.write_body(&mut body);
-                (subtype::GTBN, pt::APP, None)
+                (subtype::GTBN, pt::APP)
             }
         };
-        let _ = name;
         // Pad the body to a 32-bit boundary.
         while !body.len().is_multiple_of(4) {
             body.put_u8(0);
@@ -156,23 +117,11 @@ impl RtcpPacket {
         let mut body = data;
 
         let packet = match packet_type {
-            pt::SR => RtcpPacket::SenderReport(SenderReport::read_body(count_or_fmt, &mut body)?),
-            pt::RR => {
-                RtcpPacket::ReceiverReport(ReceiverReport::read_body(count_or_fmt, &mut body)?)
-            }
             pt::RTPFB => match count_or_fmt {
                 fmt::NACK => RtcpPacket::Nack(Nack::read_body(&mut body)?),
-                fmt::TMMBR => RtcpPacket::Tmmbr(Tmmbr::read_body(&mut body)?),
-                fmt::TMMBN => RtcpPacket::Tmmbn(Tmmbn::read_body(&mut body)?),
                 fmt::TRANSPORT_CC => {
                     RtcpPacket::TransportFeedback(TransportFeedback::read_body(&mut body)?)
                 }
-                other => {
-                    return Err(ParseError::UnknownFormat { packet_type, fmt: other });
-                }
-            },
-            pt::PSFB => match count_or_fmt {
-                fmt::ALFB => RtcpPacket::Remb(Remb::read_body(&mut body)?),
                 other => {
                     return Err(ParseError::UnknownFormat { packet_type, fmt: other });
                 }
@@ -225,32 +174,17 @@ impl RtcpPacket {
 mod tests {
     use super::*;
     use crate::feedback::TmmbrEntry;
-    use crate::report::ReportBlock;
     use gso_util::Bitrate;
 
-    fn sample_rr() -> RtcpPacket {
-        RtcpPacket::ReceiverReport(ReceiverReport {
-            sender_ssrc: Ssrc(1),
-            reports: vec![ReportBlock {
-                ssrc: Ssrc(2),
-                fraction_lost: 10,
-                cumulative_lost: 5,
-                highest_seq: 1000,
-                jitter: 3,
-                last_sr: 7,
-                delay_since_last_sr: 11,
-            }],
-        })
+    fn sample_nack() -> RtcpPacket {
+        RtcpPacket::Nack(Nack { sender_ssrc: Ssrc(1), media_ssrc: Ssrc(2), lost: vec![5, 6, 40] })
     }
 
-    fn sample_sr() -> RtcpPacket {
-        RtcpPacket::SenderReport(SenderReport {
+    fn sample_semb() -> RtcpPacket {
+        RtcpPacket::Semb(Semb {
             sender_ssrc: Ssrc(3),
-            ntp_micros: 123_456_789,
-            rtp_timestamp: 90_000,
-            packet_count: 42,
-            octet_count: 42_000,
-            reports: vec![],
+            bitrate: Bitrate::from_kbps(2048),
+            ssrcs: vec![Ssrc(7), Ssrc(8)],
         })
     }
 
@@ -269,7 +203,7 @@ mod tests {
 
     #[test]
     fn single_packet_roundtrips() {
-        for p in [sample_rr(), sample_sr(), sample_gtmb()] {
+        for p in [sample_nack(), sample_semb(), sample_gtmb()] {
             let wire = p.serialize();
             let (back, rest) = RtcpPacket::parse(wire).unwrap();
             assert!(rest.is_empty());
@@ -280,34 +214,14 @@ mod tests {
     #[test]
     fn all_variants_roundtrip() {
         let packets = vec![
-            sample_sr(),
-            sample_rr(),
-            RtcpPacket::Tmmbr(Tmmbr {
-                sender_ssrc: Ssrc(1),
-                entries: vec![TmmbrEntry {
-                    ssrc: Ssrc(5),
-                    bitrate: Bitrate::from_kbps(256),
-                    overhead: 0,
-                }],
-            }),
-            RtcpPacket::Tmmbn(Tmmbn { sender_ssrc: Ssrc(1), entries: vec![] }),
-            RtcpPacket::Nack(Nack { sender_ssrc: Ssrc(1), media_ssrc: Ssrc(2), lost: vec![5, 6] }),
-            RtcpPacket::Remb(Remb {
-                sender_ssrc: Ssrc(1),
-                bitrate: Bitrate::from_kbps(1024),
-                ssrcs: vec![Ssrc(7)],
-            }),
+            sample_nack(),
             RtcpPacket::TransportFeedback(TransportFeedback {
                 sender_ssrc: Ssrc(1),
                 feedback_seq: 3,
                 base_seq: 100,
                 arrivals: vec![Some(10), None],
             }),
-            RtcpPacket::Semb(Semb {
-                sender_ssrc: Ssrc(1),
-                bitrate: Bitrate::from_kbps(2048),
-                ssrcs: vec![],
-            }),
+            sample_semb(),
             sample_gtmb(),
             RtcpPacket::GsoTmmbn(GsoTmmbn {
                 sender_ssrc: Ssrc(2),
@@ -323,7 +237,7 @@ mod tests {
 
     #[test]
     fn compound_parse_stops_at_garbage() {
-        let mut wire = BytesMut::from(&sample_rr().serialize()[..]);
+        let mut wire = BytesMut::from(&sample_nack().serialize()[..]);
         wire.extend_from_slice(&[0x80, 199, 0, 0]); // unknown PT 199
         let err = RtcpPacket::parse_compound(wire.freeze()).unwrap_err();
         assert_eq!(err, ParseError::UnknownPacketType(199));
@@ -331,7 +245,7 @@ mod tests {
 
     #[test]
     fn length_field_counts_words() {
-        let wire = sample_sr().serialize();
+        let wire = sample_semb().serialize();
         let words = u16::from_be_bytes([wire[2], wire[3]]) as usize;
         assert_eq!(wire.len(), 4 + words * 4);
     }

@@ -1,15 +1,12 @@
 //! RTCP transport-layer and payload-specific feedback.
 //!
-//! * TMMBR/TMMBN (RFC 5104, PT 205 FMT 3/4) — temporary maximum media
-//!   stream bitrate request/notification. The paper notes that using these
-//!   *as-is* for stream orchestration would be ambiguous with congestion
-//!   control (RFC 8888), which is why GSO wraps its orchestration variant in
-//!   an APP packet (see [`crate::app`]). The plain messages here remain for
-//!   congestion-control use.
+//! * [`TmmbrEntry`] — the RFC 5104 TMMBR (SSRC, bitrate, overhead) tuple.
+//!   The paper notes that sending plain TMMBR for stream orchestration
+//!   would be ambiguous with congestion control (RFC 8888), so GSO carries
+//!   these entries inside its own APP packets (see [`crate::app`]); the
+//!   plain TMMBR/TMMBN messages are not part of this stack.
 //! * Generic NACK (RFC 4585, PT 205 FMT 1) — retransmission requests used
 //!   by the loss-recovery path in the media simulator.
-//! * REMB (draft-alvestrand-rmcat-remb, PT 206 FMT 15) — receiver estimated
-//!   maximum bitrate.
 //! * Transport-wide feedback (PT 205 FMT 15) — per-packet arrival times for
 //!   the sender-side bandwidth estimator (§4.2: "we rely on sender-side
 //!   bandwidth estimation"). The body layout is a simplified fixed-width
@@ -22,7 +19,7 @@ use crate::mantissa;
 use bytes::{Buf, BufMut, BytesMut};
 use gso_util::{Bitrate, Ssrc};
 
-/// One (SSRC, bitrate, overhead) tuple in a TMMBR/TMMBN message.
+/// One (SSRC, bitrate, overhead) tuple in the RFC 5104 TMMBR layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmmbrEntry {
     /// The stream being limited; GSO assigns one SSRC per simulcast layer,
@@ -52,67 +49,6 @@ impl TmmbrEntry {
         let m = (word >> 9) & 0x1ffff;
         let overhead = (word & 0x1ff) as u16;
         TmmbrEntry { ssrc, bitrate: mantissa::decode(exp, m), overhead }
-    }
-}
-
-/// TMMBR: a request to cap a stream's bitrate (PT 205, FMT 3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tmmbr {
-    /// Sender of the request.
-    pub sender_ssrc: Ssrc,
-    /// Per-stream limits.
-    pub entries: Vec<TmmbrEntry>,
-}
-
-/// TMMBN: the acknowledging notification (PT 205, FMT 4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tmmbn {
-    /// Sender of the notification.
-    pub sender_ssrc: Ssrc,
-    /// Echoed bounding set.
-    pub entries: Vec<TmmbrEntry>,
-}
-
-fn tmmb_write_body(sender: Ssrc, entries: &[TmmbrEntry], b: &mut BytesMut) {
-    b.put_u32(sender.0);
-    b.put_u32(0); // media SSRC is zero for TMMB* per RFC 5104
-    for e in entries {
-        e.write(b);
-    }
-}
-
-fn tmmb_read_body(b: &mut impl Buf) -> Result<(Ssrc, Vec<TmmbrEntry>), ParseError> {
-    if b.remaining() < 8 {
-        return Err(ParseError::Truncated { needed: 8, got: b.remaining() });
-    }
-    let sender = Ssrc(b.get_u32());
-    let _media = b.get_u32();
-    if !b.remaining().is_multiple_of(TmmbrEntry::WIRE_LEN) {
-        return Err(ParseError::BadLength);
-    }
-    let n = b.remaining() / TmmbrEntry::WIRE_LEN;
-    Ok((sender, (0..n).map(|_| TmmbrEntry::read(b)).collect()))
-}
-
-impl Tmmbr {
-    pub(crate) fn write_body(&self, b: &mut BytesMut) {
-        tmmb_write_body(self.sender_ssrc, &self.entries, b);
-    }
-
-    pub(crate) fn read_body(b: &mut impl Buf) -> Result<Tmmbr, ParseError> {
-        let (sender_ssrc, entries) = tmmb_read_body(b)?;
-        Ok(Tmmbr { sender_ssrc, entries })
-    }
-}
-
-impl Tmmbn {
-    pub(crate) fn write_body(&self, b: &mut BytesMut) {
-        tmmb_write_body(self.sender_ssrc, &self.entries, b);
-    }
-
-    pub(crate) fn read_body(b: &mut impl Buf) -> Result<Tmmbn, ParseError> {
-        let (sender_ssrc, entries) = tmmb_read_body(b)?;
-        Ok(Tmmbn { sender_ssrc, entries })
     }
 }
 
@@ -177,53 +113,6 @@ impl Nack {
             }
         }
         Ok(Nack { sender_ssrc, media_ssrc, lost })
-    }
-}
-
-/// REMB: receiver estimated maximum bitrate (PT 206, FMT 15, name "REMB").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Remb {
-    /// The estimating receiver.
-    pub sender_ssrc: Ssrc,
-    /// Estimated available bitrate.
-    pub bitrate: Bitrate,
-    /// Streams the estimate applies to.
-    pub ssrcs: Vec<Ssrc>,
-}
-
-impl Remb {
-    pub(crate) fn write_body(&self, b: &mut BytesMut) {
-        b.put_u32(self.sender_ssrc.0);
-        b.put_u32(0);
-        b.extend_from_slice(b"REMB");
-        let (exp, m) = mantissa::encode(self.bitrate, mantissa::REMB_MANTISSA_BITS);
-        let word = ((self.ssrcs.len() as u32 & 0xff) << 24) | (u32::from(exp) << 18) | m;
-        b.put_u32(word);
-        for s in &self.ssrcs {
-            b.put_u32(s.0);
-        }
-    }
-
-    pub(crate) fn read_body(b: &mut impl Buf) -> Result<Remb, ParseError> {
-        if b.remaining() < 16 {
-            return Err(ParseError::Truncated { needed: 16, got: b.remaining() });
-        }
-        let sender_ssrc = Ssrc(b.get_u32());
-        let _media = b.get_u32();
-        let mut name = [0u8; 4];
-        b.copy_to_slice(&mut name);
-        if &name != b"REMB" {
-            return Err(ParseError::UnknownAppName(name));
-        }
-        let word = b.get_u32();
-        let n = (word >> 24) as usize;
-        let exp = ((word >> 18) & 0x3f) as u8;
-        let m = word & 0x3ffff;
-        if b.remaining() < n * 4 {
-            return Err(ParseError::Truncated { needed: n * 4, got: b.remaining() });
-        }
-        let ssrcs = (0..n).map(|_| Ssrc(b.get_u32())).collect();
-        Ok(Remb { sender_ssrc, bitrate: mantissa::decode(exp, m), ssrcs })
     }
 }
 
@@ -336,20 +225,6 @@ mod tests {
         let mut lost = back.lost.clone();
         lost.sort_unstable();
         assert_eq!(lost, vec![0, 1, 0xffff]);
-    }
-
-    #[test]
-    fn remb_roundtrip() {
-        let r = Remb {
-            sender_ssrc: Ssrc(9),
-            bitrate: Bitrate::from_kbps(2048),
-            ssrcs: vec![Ssrc(1), Ssrc(2), Ssrc(3)],
-        };
-        let mut b = BytesMut::new();
-        r.write_body(&mut b);
-        let back = Remb::read_body(&mut b.freeze()).unwrap();
-        assert_eq!(back.ssrcs, r.ssrcs);
-        assert_eq!(back.bitrate, r.bitrate); // power-of-two kbps is exact
     }
 
     #[test]

@@ -7,18 +7,16 @@
 //! * [`template`] — publisher-side template policies (what to push given
 //!   only the local uplink estimate) for the same baselines.
 //! * [`switcher`] — keyframe-aligned layer switching.
-//! * [`relay`] — inter-accessing-node routing with per-link deduplication.
 //!
 //! The full accessing-node network entity is assembled in `gso-sim`, where
 //! these pieces are wired to the packet simulator, the bandwidth estimator
-//! and the control plane.
+//! and the control plane, and where the inter-node relay routes (which peer
+//! access nodes need each locally published stream) are kept.
 
-pub mod relay;
 pub mod selector;
 pub mod switcher;
 pub mod template;
 
-pub use relay::{RelayTable, RelayTarget};
 pub use selector::{
     LargestFitSelector, OfferedLayer, PassthroughSelector, StreamSelector, TwoLevelSelector,
 };

@@ -26,7 +26,7 @@ use gso_sfu::{
 use gso_telemetry::{keys, Slot, Telemetry};
 use gso_util::{Bitrate, ClientId, SimDuration, SimTime, Ssrc, StreamKind};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const FAST_TICK: u64 = 1;
 const SLOW_TICK: u64 = 2;
@@ -90,9 +90,10 @@ pub struct AccessNode {
     /// Clients served by peer accessing nodes, and the peer that serves
     /// each (the media-plane mesh of §3).
     remote_clients: BTreeMap<ClientId, NodeId>,
-    /// Relay routes for locally-published streams toward peer nodes, with
-    /// per-link deduplication.
-    relay: gso_sfu::RelayTable,
+    /// Relay routes: for each locally-published stream, the peer nodes
+    /// whose subscribers need it. A set, so a stream crosses each
+    /// inter-node link once however many remote subscribers sit behind it.
+    relay: BTreeMap<Ssrc, BTreeSet<NodeId>>,
     twcc_up: BTreeMap<ClientId, TwccGenerator>,
     down: BTreeMap<ClientId, DownPath>,
     /// (subscriber, source, tag) → layer switcher.
@@ -133,7 +134,7 @@ impl AccessNode {
             clients: BTreeMap::new(),
             endpoint_to_client: BTreeMap::new(),
             remote_clients: BTreeMap::new(),
-            relay: gso_sfu::RelayTable::new(),
+            relay: BTreeMap::new(),
             twcc_up: BTreeMap::new(),
             down: BTreeMap::new(),
             switchers: BTreeMap::new(),
@@ -186,9 +187,10 @@ impl AccessNode {
         self.remote_clients.values().any(|&p| p == node)
     }
 
-    /// Downlink estimate for a client (for tests/metrics).
-    pub fn downlink_estimate(&self, client: ClientId) -> Option<Bitrate> {
-        self.down.get(&client).map(|d| d.bwe.estimate())
+    /// Where traffic bound for `publisher` goes: its endpoint when it is
+    /// attached here, else the peer node that hosts it.
+    fn publisher_route(&self, publisher: ClientId) -> Option<NodeId> {
+        self.clients.get(&publisher).or_else(|| self.remote_clients.get(&publisher)).copied()
     }
 
     /// Suppress (or restore) downlink reports toward the conference node —
@@ -331,10 +333,8 @@ impl AccessNode {
                 // subscribers need them — once per peer link, however many
                 // remote subscribers sit behind it.
                 if from_local {
-                    for target in self.relay.targets(pkt.ssrc) {
-                        if let gso_sfu::RelayTarget::Peer(peer) = target {
-                            out.send(NodeId(peer), Packet::new(wire.clone()));
-                        }
+                    for &peer in self.relay.get(&pkt.ssrc).into_iter().flatten() {
+                        out.send(peer, Packet::new(wire.clone()));
                     }
                 }
             }
@@ -356,22 +356,14 @@ impl AccessNode {
                     }
                 }
                 RtcpPacket::Nack(nack) => {
-                    // Relay the retransmission request toward the publisher:
-                    // directly if local, via the hosting peer otherwise.
-                    if let Some((publisher, _, _)) = decode_ssrc(nack.media_ssrc) {
-                        let dest = self
-                            .clients
-                            .get(&publisher)
-                            .or_else(|| self.remote_clients.get(&publisher))
-                            .copied();
-                        if let Some(dest) = dest {
-                            out.send(
-                                dest,
-                                Packet::new(RtcpPacket::serialize_compound(&[RtcpPacket::Nack(
-                                    nack,
-                                )])),
-                            );
-                        }
+                    // Relay the retransmission request toward the publisher.
+                    let dest = decode_ssrc(nack.media_ssrc)
+                        .and_then(|(publisher, _, _)| self.publisher_route(publisher));
+                    if let Some(dest) = dest {
+                        out.send(
+                            dest,
+                            Packet::new(RtcpPacket::serialize_compound(&[RtcpPacket::Nack(nack)])),
+                        );
                     }
                 }
                 RtcpPacket::Semb(semb) => {
@@ -458,12 +450,7 @@ impl AccessNode {
             CtrlMessage::KeyframeRequest { source } => {
                 // From a subscriber (or a peer relaying one); deliver to the
                 // publisher's endpoint or to the peer that hosts it.
-                let dest = self
-                    .clients
-                    .get(&source.client)
-                    .or_else(|| self.remote_clients.get(&source.client))
-                    .copied();
-                if let Some(dest) = dest {
+                if let Some(dest) = self.publisher_route(source.client) {
                     if dest != from {
                         out.send(
                             dest,
@@ -500,9 +487,8 @@ impl AccessNode {
                 // subscribers; relay routes carry locally-published streams
                 // to the peers whose subscribers need them.
                 let mut covered: Vec<(ClientId, SourceId, u8)> = Vec::new();
-                let mut keyframe_needed: std::collections::BTreeSet<SourceId> =
-                    std::collections::BTreeSet::new();
-                self.relay = gso_sfu::RelayTable::new();
+                let mut keyframe_needed: BTreeSet<SourceId> = BTreeSet::new();
+                self.relay.clear();
                 for r in &rules {
                     if self.clients.contains_key(&r.subscriber) {
                         let key = (r.subscriber, r.source, r.tag);
@@ -517,7 +503,7 @@ impl AccessNode {
                         }
                     } else if self.clients.contains_key(&r.source.client) {
                         if let Some(&peer) = self.remote_clients.get(&r.subscriber) {
-                            self.relay.subscribe(r.ssrc, gso_sfu::RelayTarget::Peer(peer.0));
+                            self.relay.entry(r.ssrc).or_default().insert(peer);
                         }
                     }
                 }
@@ -526,19 +512,7 @@ impl AccessNode {
                         sw.request_at(None, now);
                     }
                 }
-                for source in keyframe_needed {
-                    let dest = self
-                        .clients
-                        .get(&source.client)
-                        .or_else(|| self.remote_clients.get(&source.client))
-                        .copied();
-                    if let Some(dest) = dest {
-                        out.send(
-                            dest,
-                            Packet::new(CtrlMessage::KeyframeRequest { source }.serialize()),
-                        );
-                    }
-                }
+                self.request_keyframes(keyframe_needed, out);
             }
             _ => {}
         }
@@ -564,8 +538,7 @@ impl AccessNode {
         if self.mode == PolicyMode::Gso {
             return;
         }
-        let mut keyframe_needed: std::collections::BTreeSet<SourceId> =
-            std::collections::BTreeSet::new();
+        let mut keyframe_needed: BTreeSet<SourceId> = BTreeSet::new();
         let selector: Box<dyn StreamSelector> = match self.mode {
             PolicyMode::NonGso => Box::new(LargestFitSelector::default()),
             PolicyMode::Competitor1 => Box::new(TwoLevelSelector),
@@ -640,12 +613,15 @@ impl AccessNode {
                 }
             }
         }
-        for source in keyframe_needed {
-            if let Some(&endpoint) = self.clients.get(&source.client) {
-                out.send(
-                    endpoint,
-                    Packet::new(CtrlMessage::KeyframeRequest { source }.serialize()),
-                );
+        self.request_keyframes(keyframe_needed, out);
+    }
+
+    /// Ask each source's publisher for a keyframe, via the peer node that
+    /// hosts it when the publisher is remote.
+    fn request_keyframes(&self, sources: BTreeSet<SourceId>, out: &mut Actions) {
+        for source in sources {
+            if let Some(dest) = self.publisher_route(source.client) {
+                out.send(dest, Packet::new(CtrlMessage::KeyframeRequest { source }.serialize()));
             }
         }
     }
@@ -845,17 +821,18 @@ mod tests {
         frame::packetize(&f, &mut seq, 96).remove(0)
     }
 
-    fn rules_for(sub: u32, publisher: u32) -> CtrlMessage {
-        CtrlMessage::Rules {
-            epoch: 0,
-            rules: vec![ForwardingRule {
-                subscriber: ClientId(sub),
-                source: SourceId::video(ClientId(publisher)),
-                tag: 0,
-                ssrc: ssrc_for(ClientId(publisher), StreamKind::Video, 360),
-                bitrate: Bitrate::from_kbps(600),
-            }],
+    fn rule(sub: u32, publisher: u32) -> ForwardingRule {
+        ForwardingRule {
+            subscriber: ClientId(sub),
+            source: SourceId::video(ClientId(publisher)),
+            tag: 0,
+            ssrc: ssrc_for(ClientId(publisher), StreamKind::Video, 360),
+            bitrate: Bitrate::from_kbps(600),
         }
+    }
+
+    fn rules_for(sub: u32, publisher: u32) -> CtrlMessage {
+        CtrlMessage::Rules { epoch: 0, rules: vec![rule(sub, publisher)] }
     }
 
     #[test]
@@ -1091,6 +1068,80 @@ mod tests {
         let dests: Vec<NodeId> = out.sends().iter().map(|(d, _)| *d).collect();
         assert_eq!(dests, vec![peer]);
         assert_eq!(out.sends()[0].1.data.as_ptr(), wire.as_ptr());
+    }
+
+    #[test]
+    fn relay_sends_one_copy_per_peer_until_rules_drop_the_route() {
+        let cn = NodeId(0);
+        let (near, far) = (NodeId(50), NodeId(99));
+        let mut an = AccessNode::new(PolicyMode::Gso, Some(cn));
+        an.attach(ClientId(1), NodeId(10));
+        an.attach_remote(ClientId(2), far);
+        an.attach_remote(ClientId(3), far);
+        an.attach_remote(ClientId(4), near);
+        let relayed_to = |an: &mut AccessNode, at_ms: u64| {
+            let mut out = Actions::default();
+            let wire = video_packet(1, true).serialize();
+            an.on_packet(SimTime::from_millis(at_ms), NodeId(10), Packet::new(wire), &mut out);
+            out.sends().iter().map(|(d, _)| *d).collect::<Vec<_>>()
+        };
+        // Two remote subscribers behind `far` and one behind `near`: one
+        // copy per peer link, in ascending node order.
+        let rules =
+            CtrlMessage::Rules { epoch: 0, rules: vec![rule(2, 1), rule(3, 1), rule(4, 1)] };
+        an.on_packet(SimTime::ZERO, cn, Packet::new(rules.serialize()), &mut Actions::default());
+        assert_eq!(relayed_to(&mut an, 1), vec![near, far]);
+        // A replacement without clients 2 and 3 stops the relay to `far`…
+        an.on_packet(
+            SimTime::ZERO,
+            cn,
+            Packet::new(rules_for(4, 1).serialize()),
+            &mut Actions::default(),
+        );
+        assert_eq!(relayed_to(&mut an, 2), vec![near]);
+        // …and an empty one stops it altogether.
+        let none = CtrlMessage::Rules { epoch: 0, rules: vec![] };
+        an.on_packet(SimTime::ZERO, cn, Packet::new(none.serialize()), &mut Actions::default());
+        assert!(relayed_to(&mut an, 3).is_empty());
+    }
+
+    #[test]
+    fn baseline_switch_to_remote_publisher_requests_keyframe_via_peer() {
+        let peer = NodeId(99);
+        let e2 = NodeId(11);
+        let mut an = AccessNode::new(PolicyMode::NonGso, None);
+        an.attach(ClientId(2), e2);
+        an.attach_remote(ClientId(1), peer);
+        let sub = CtrlMessage::Subscribe {
+            client: ClientId(2),
+            intents: vec![SubscribeIntent {
+                source: SourceId::video(ClientId(1)),
+                max_resolution: gso_algo::Resolution::R720,
+                tag: 0,
+            }],
+        };
+        an.on_packet(SimTime::ZERO, e2, Packet::new(sub.serialize()), &mut Actions::default());
+        // The peer relays client 1's layer, so the local policy sees it flow.
+        let wire = video_packet(1, false).serialize();
+        an.on_packet(SimTime::from_millis(1), peer, Packet::new(wire), &mut Actions::default());
+        // The slow tick selects that layer for client 2; the pending switch
+        // asks client 1 for a keyframe through the peer that hosts it.
+        let mut out = Actions::default();
+        an.on_timer(SimTime::from_millis(500), SLOW_TICK, &mut out);
+        let kf: Vec<NodeId> = out
+            .sends()
+            .iter()
+            .filter(|(_, p)| {
+                CtrlMessage::is_ctrl(&p.data)
+                    && matches!(
+                        CtrlMessage::parse(p.data.clone()),
+                        Some(CtrlMessage::KeyframeRequest { source })
+                            if source == SourceId::video(ClientId(1))
+                    )
+            })
+            .map(|(d, _)| *d)
+            .collect();
+        assert_eq!(kf, vec![peer]);
     }
 
     #[test]

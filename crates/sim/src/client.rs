@@ -14,7 +14,7 @@ use gso_bwe::{
     BweConfig, ProbeConfig, ProbeController, SembConfig, SembScheduler, SendHistory, SenderBwe,
     TwccGenerator,
 };
-use gso_control::{BandwidthHysteresis, DowngradeMonitor, HysteresisConfig, SubscribeIntent};
+use gso_control::{BandwidthHysteresis, HysteresisConfig, SubscribeIntent};
 use gso_media::{
     frame, AudioSource, EncoderConfig, LayerConfig, SimulcastEncoder, StreamReceiver,
     VideoPlayback, VoicePlayback,
@@ -164,7 +164,6 @@ pub struct ClientNode {
     /// Voice playback trackers per publisher.
     pub voice_play: BTreeMap<ClientId, VoicePlayback>,
     twcc_rx: TwccGenerator,
-    downgrade: DowngradeMonitor,
     last_keyframe_req: BTreeMap<SourceId, SimTime>,
 
     /// Highest controller generation seen; GTMBs from older epochs are
@@ -246,7 +245,6 @@ impl ClientNode {
             video_play: BTreeMap::new(),
             voice_play: BTreeMap::new(),
             twcc_rx: TwccGenerator::new(),
-            downgrade: DowngradeMonitor::new(SimDuration::from_secs(2)),
             last_keyframe_req: BTreeMap::new(),
             ctrl_epoch: 0,
             applied_cfgs: BTreeSet::new(),
@@ -365,7 +363,6 @@ impl ClientNode {
 
     fn handle_rtp(&mut self, now: SimTime, pkt: RtpPacket, out: &mut Actions) {
         self.twcc_rx.on_packet(now, pkt.ssrc, pkt.sequence);
-        self.downgrade.on_packet(now, pkt.ssrc);
         self.bytes_recv_window += pkt.wire_len() as u64;
         self.metrics.receiver_work += gso_media::cost::PACKET_COST;
         let Some((publisher, kind, lines)) = decode_ssrc(pkt.ssrc) else { return };

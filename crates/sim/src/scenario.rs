@@ -12,6 +12,7 @@ use gso_algo::{Ladder, Resolution, SourceId};
 use gso_control::{ControllerConfig, SubscribeIntent};
 use gso_net::{LinkConfig, NodeId, Simulator};
 use gso_telemetry::{keys, Telemetry};
+use gso_util::digest::{DigestEntry, DigestTrace};
 use gso_util::stats::TimeSeries;
 use gso_util::{Bitrate, ClientId, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -98,75 +99,12 @@ impl Scenario {
         self.harvest(wired, end)
     }
 
-    /// Wire and run the scenario while recording a per-tick
-    /// [`gso_util::digest::DigestTrace`] over the network simulator, the GSO
-    /// controller, and the telemetry registry.
-    ///
-    /// The simulator is stepped in controller-tick-sized intervals; this
-    /// processes the exact same event sequence as one [`Scenario::run`] call
-    /// (events at a deadline boundary are handled identically), so the
-    /// harvested [`ScenarioResult`] is bit-identical to a plain run.
-    ///
-    /// `fault_at`: when set, a junk packet is injected toward an unlinked
-    /// node at the first tick boundary at or after the given time. The
-    /// packet is unroutable, so it perturbs nothing the media plane sees —
-    /// only the simulator's `undeliverable` counter — which makes it a
-    /// minimal seeded divergence for exercising the double-run comparator.
-    pub fn run_digest(
-        &self,
-        fault_at: Option<SimTime>,
-    ) -> (ScenarioResult, gso_util::digest::DigestTrace) {
-        use gso_util::digest::{DigestEntry, DigestTrace};
-
-        let mut wired = self.build();
-        let end = SimTime::ZERO + self.duration;
-        let tick_interval = SimDuration::from_millis(100);
-        let mut trace = DigestTrace::new();
-        let mut fault_pending = fault_at;
-        let mut t = SimTime::ZERO;
-        while t < end {
-            let next = (t + tick_interval).min(end);
-            if let Some(at) = fault_pending {
-                if t >= at {
-                    // No link exists toward this node id, so the injection
-                    // bumps `undeliverable` and nothing else.
-                    wired.sim.inject(
-                        wired.cn,
-                        NodeId(u32::MAX),
-                        gso_net::Packet::new(bytes::Bytes::from_static(b"detguard-fault")),
-                    );
-                    fault_pending = None;
-                }
-            }
-            wired.sim.run_until(next);
-            t = next;
-            let net = wired.sim.state_digest();
-            let ctrl = wired
-                .sim
-                .node::<ConferenceNode>(wired.cn)
-                .map_or(0, |c| c.controller.state_digest());
-            let telemetry = wired.telemetry.export_digest();
-            trace.record(DigestEntry::new(
-                t.as_micros(),
-                vec![
-                    ("net.sim".to_string(), net),
-                    ("ctrl".to_string(), ctrl),
-                    ("telemetry".to_string(), telemetry),
-                ],
-                format!(
-                    "t={}us net={net:#018x} ctrl={ctrl:#018x} telemetry={telemetry:#018x}",
-                    t.as_micros()
-                ),
-            ));
-        }
-        (self.harvest(wired, end), trace)
-    }
-
     /// Build the full system onto a fresh simulator without running it.
     ///
-    /// Public so external harnesses (the chaos runner) can step the
-    /// simulator themselves, injecting faults between steps, and then
-    /// [`Scenario::harvest`] the same metrics a plain run would produce.
+    /// Public so harnesses can step the simulator themselves (see
+    /// [`WiredConference::run_traced`]), injecting faults between steps,
+    /// and then [`Scenario::harvest`] the same metrics a plain run would
+    /// produce.
     pub fn build(&self) -> WiredConference {
         let mut sim = Simulator::new(self.seed);
         let telemetry = Telemetry::new(format!("{}-seed{}", self.mode.short_name(), self.seed));
@@ -359,6 +297,58 @@ pub struct WiredConference {
     pub endpoints: BTreeMap<ClientId, NodeId>,
     /// Accessing-node ids, indexed by region.
     pub ans: Vec<NodeId>,
+}
+
+impl WiredConference {
+    /// Run to `end` in controller-tick-sized (100 ms) steps, recording a
+    /// per-tick [`DigestTrace`] over the network simulator (`net.sim`), the
+    /// conference node's and the standby's controllers (`ctrl`, `standby`;
+    /// 0 when absent) and the telemetry registry (`telemetry`).
+    ///
+    /// `at_tick` runs at each tick boundary `t`, before the simulator runs
+    /// on to the next one; fault injectors act there. Stepping processes
+    /// the exact same event sequence as one `sim.run_until(end)` call
+    /// (events at a deadline boundary are handled identically), so with a
+    /// no-op `at_tick` the harvested [`ScenarioResult`] is bit-identical to
+    /// [`Scenario::run`]'s.
+    pub fn run_traced(
+        mut self,
+        end: SimTime,
+        mut at_tick: impl FnMut(&mut WiredConference, SimTime),
+    ) -> (WiredConference, DigestTrace) {
+        let tick = SimDuration::from_millis(100);
+        let mut trace = DigestTrace::new();
+        let mut t = SimTime::ZERO;
+        while t < end {
+            at_tick(&mut self, t);
+            let next = (t + tick).min(end);
+            self.sim.run_until(next);
+            t = next;
+            let controller = |node: Option<NodeId>| {
+                node.and_then(|n| self.sim.node::<ConferenceNode>(n))
+                    .map_or(0, |c| c.controller.state_digest())
+            };
+            let net = self.sim.state_digest();
+            let ctrl = controller(Some(self.cn));
+            let standby = controller(self.standby);
+            let telemetry = self.telemetry.export_digest();
+            trace.record(DigestEntry::new(
+                t.as_micros(),
+                vec![
+                    ("net.sim".to_string(), net),
+                    ("ctrl".to_string(), ctrl),
+                    ("standby".to_string(), standby),
+                    ("telemetry".to_string(), telemetry),
+                ],
+                format!(
+                    "t={}us net={net:#018x} ctrl={ctrl:#018x} standby={standby:#018x} \
+                     telemetry={telemetry:#018x}",
+                    t.as_micros()
+                ),
+            ));
+        }
+        (self, trace)
+    }
 }
 
 /// Everything harvested from one scenario run.

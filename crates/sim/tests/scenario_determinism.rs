@@ -2,16 +2,38 @@
 //!
 //! Every example scenario is run twice with the same seed; the runs must
 //! produce a byte-identical `metrics_json` export *and* an identical
-//! per-tick [`DigestTrace`] over the network simulator, the controller, and
+//! per-tick [`DigestTrace`] over the network simulator, the controllers, and
 //! the telemetry registry. A third test seeds a deliberate divergence and
 //! proves [`first_divergence`] finds exactly the tick where it was
 //! injected — the comparator works, not just the happy path.
 
+use gso_net::{NodeId, Packet};
 use gso_sim::workloads::{clean_mesh, slow_link_cases, slow_link_scenario};
-use gso_sim::{PolicyMode, Scenario};
-use gso_util::digest::first_divergence;
+use gso_sim::{PolicyMode, Scenario, ScenarioResult};
+use gso_util::digest::{first_divergence, DigestTrace};
 use gso_util::{Bitrate, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// Run `scenario` through the tick stepper and harvest it. `fault_at`: when
+/// set, a junk packet is injected toward an unlinked node at the first tick
+/// boundary at or after that time. The packet is unroutable, so it perturbs
+/// nothing the media plane sees — only the simulator's `undeliverable`
+/// counter — which makes it a minimal seeded divergence for exercising the
+/// double-run comparator.
+fn run_traced(scenario: &Scenario, fault_at: Option<SimTime>) -> (ScenarioResult, DigestTrace) {
+    let end = SimTime::ZERO + scenario.duration;
+    let mut fault_pending = fault_at;
+    let (wired, trace) = scenario.build().run_traced(end, |wired, t| {
+        if fault_pending.is_some_and(|at| t >= at) {
+            // No link exists toward this node id, so the injection bumps
+            // `undeliverable` and nothing else.
+            let junk = Packet::new(bytes::Bytes::from_static(b"detguard-fault"));
+            wired.sim.inject(wired.cn, NodeId(u32::MAX), junk);
+            fault_pending = None;
+        }
+    });
+    (scenario.harvest(wired, end), trace)
+}
 
 /// A short `n`-party GSO conference on clean links.
 fn mesh(n: u32, seed: u64) -> Scenario {
@@ -58,8 +80,8 @@ fn example_scenarios(seed: u64) -> Vec<(&'static str, Scenario)> {
 }
 
 fn assert_double_run_identical(name: &str, scenario: &Scenario) {
-    let (ra, ta) = scenario.run_digest(None);
-    let (rb, tb) = scenario.run_digest(None);
+    let (ra, ta) = run_traced(scenario, None);
+    let (rb, tb) = run_traced(scenario, None);
     assert_eq!(
         ra.metrics_json, rb.metrics_json,
         "{name}: metrics_json must be byte-identical across same-seed runs"
@@ -83,7 +105,7 @@ fn digest_run_matches_plain_run_output() {
     // as one uninterrupted run: the harvested export is byte-identical.
     let s = two_party(7);
     let plain = s.run();
-    let (stepped, _) = s.run_digest(None);
+    let (stepped, _) = run_traced(&s, None);
     assert_eq!(plain.metrics_json, stepped.metrics_json);
 }
 
@@ -91,8 +113,8 @@ fn digest_run_matches_plain_run_output() {
 fn seeded_divergence_is_found_at_the_injection_tick() {
     let s = two_party(11);
     let fault_at = SimTime::from_secs(5);
-    let (_, clean) = s.run_digest(None);
-    let (_, faulted) = s.run_digest(Some(fault_at));
+    let (_, clean) = run_traced(&s, None);
+    let (_, faulted) = run_traced(&s, Some(fault_at));
     assert_eq!(clean.entries.len(), faulted.entries.len());
 
     let d = first_divergence(&clean, &faulted).expect("the seeded fault must diverge");

@@ -33,11 +33,6 @@ impl Bitrate {
         Bitrate(mbps * 1_000_000)
     }
 
-    /// Construct from fractional megabits per second.
-    pub fn from_mbps_f64(mbps: f64) -> Self {
-        Bitrate((mbps.max(0.0) * 1e6).round() as u64)
-    }
-
     /// Bits per second.
     pub const fn as_bps(self) -> u64 {
         self.0
@@ -46,11 +41,6 @@ impl Bitrate {
     /// Kilobits per second (truncating).
     pub const fn as_kbps(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Megabits per second as a float.
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// True if this is the disabled/zero bitrate.
@@ -144,7 +134,6 @@ mod tests {
     fn constructors() {
         assert_eq!(Bitrate::from_kbps(600).as_bps(), 600_000);
         assert_eq!(Bitrate::from_mbps(2).as_kbps(), 2_000);
-        assert_eq!(Bitrate::from_mbps_f64(1.5).as_kbps(), 1_500);
     }
 
     #[test]

@@ -45,11 +45,6 @@ pub enum StreamKind {
 impl StreamKind {
     /// All kinds, in a stable order.
     pub const ALL: [StreamKind; 3] = [StreamKind::Audio, StreamKind::Video, StreamKind::Screen];
-
-    /// Whether the GSO controller orchestrates this kind (audio is exempt).
-    pub fn is_orchestrated(self) -> bool {
-        !matches!(self, StreamKind::Audio)
-    }
 }
 
 impl fmt::Display for StreamKind {
@@ -72,13 +67,6 @@ mod tests {
         assert_eq!(ClientId(3).to_string(), "client3");
         assert_eq!(Ssrc(0xdead).to_string(), "ssrc:0x0000dead");
         assert_eq!(StreamKind::Screen.to_string(), "screen");
-    }
-
-    #[test]
-    fn orchestration_exemption() {
-        assert!(!StreamKind::Audio.is_orchestrated());
-        assert!(StreamKind::Video.is_orchestrated());
-        assert!(StreamKind::Screen.is_orchestrated());
     }
 
     #[test]

@@ -10,10 +10,8 @@
 //! * [`ids`] — newtype identifiers for clients, SSRCs and media streams.
 //! * [`rng`] — seed-derived deterministic random number generation so that
 //!   every experiment is exactly reproducible from a scenario seed.
-//! * [`stats`] — streaming statistics (mean/variance, percentiles, CDFs,
-//!   time-series recorders) used by the metric pipeline.
-//! * [`ewma`] — exponentially-weighted moving averages used by filters in
-//!   the bandwidth estimator and QoE trackers.
+//! * [`stats`] — sample sets (percentiles, CDFs) and time-series recorders
+//!   used by the metric pipeline.
 //! * [`digest`] — the [`StateDigest`](digest::StateDigest) trait with a
 //!   portable, seed-free 64-bit [`StableHasher`](digest::StableHasher), so
 //!   every layer (solver solutions and traces, controller state, simulator
@@ -23,7 +21,6 @@
 
 pub mod bitrate;
 pub mod digest;
-pub mod ewma;
 pub mod ids;
 pub mod rng;
 pub mod stats;

@@ -1,4 +1,4 @@
-//! Streaming statistics and experiment-output helpers.
+//! Statistics and experiment-output helpers.
 //!
 //! The experiment drivers record per-client time series (bitrate traces for
 //! Fig. 7, stall/framerate metrics for Fig. 8/10) and distributions (the
@@ -6,53 +6,6 @@
 //! small and uniform.
 
 use crate::time::SimTime;
-
-/// Streaming mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance, or 0 for fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// A collected sample set supporting percentiles and CDF export.
 #[derive(Debug, Clone, Default)]
@@ -180,11 +133,6 @@ impl TimeSeries {
         }
         (n > 0).then(|| acc / n as f64)
     }
-
-    /// Last value at or before `t`, stepping (zero-order hold).
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        self.points.iter().take_while(|&&(pt, _)| pt <= t).last().map(|&(_, v)| v)
-    }
 }
 
 /// Normalize a slice so that its maximum maps to 1.0 (as the paper does for
@@ -200,28 +148,6 @@ pub fn normalize_to_max(values: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_direct() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.variance() - var).abs() < 1e-12);
-        assert_eq!(w.count(), 5);
-    }
-
-    #[test]
-    fn welford_degenerate() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        w.push(5.0);
-        assert_eq!(w.variance(), 0.0);
-    }
 
     #[test]
     fn percentiles() {
@@ -249,14 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_window_and_hold() {
+    fn timeseries_window_mean() {
         let mut ts = TimeSeries::new();
         ts.push(SimTime::from_secs(0), 1.0);
         ts.push(SimTime::from_secs(1), 2.0);
         ts.push(SimTime::from_secs(2), 4.0);
         assert_eq!(ts.window_mean(SimTime::from_secs(0), SimTime::from_secs(2)), Some(1.5));
-        assert_eq!(ts.value_at(SimTime::from_millis(1500)), Some(2.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(5)), Some(4.0));
         assert_eq!(ts.window_mean(SimTime::from_secs(10), SimTime::from_secs(11)), None);
     }
 

@@ -92,30 +92,3 @@ fn media_survives_control_plane_partition() {
         assert!(m.framerate > 10.0, "framerate {}", m.framerate);
     }
 }
-
-#[test]
-fn client_downgrade_monitor_survives_dead_high_layer() {
-    // §7 client-side exception: "a server instructs a client to send
-    // multiple streams, however, only a low bitrate stream is received."
-    // The downgrade monitor must steer subscriptions to the layer that is
-    // actually alive. (Unit-level companion to the full-stack test above.)
-    use gso_simulcast::control::DowngradeMonitor;
-    use gso_simulcast::rtp::ssrc_for;
-    use gso_simulcast::util::StreamKind;
-
-    let publisher = ClientId(9);
-    let high = ssrc_for(publisher, StreamKind::Video, 720);
-    let low = ssrc_for(publisher, StreamKind::Video, 180);
-    let mut monitor = DowngradeMonitor::new(SimDuration::from_secs(2));
-
-    // Only the low layer produces packets.
-    for s in 0..10u64 {
-        monitor.on_packet(SimTime::from_secs(s), low);
-    }
-    let preference = [high, low];
-    assert_eq!(
-        monitor.best_alive(SimTime::from_secs(10), &preference),
-        Some(low),
-        "the dead high layer must be abandoned for the live low layer"
-    );
-}

@@ -33,7 +33,10 @@
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-// lint: allow(unordered-merge, reason = "scheduler plumbing only; every job owns its state and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)")
+#[expect(
+    clippy::disallowed_types,
+    reason = "scheduler plumbing only; every job owns its state and results are re-keyed by submission index, so output is scheduling-order independent (engine_equivalence proptests + audit digest gate)"
+)]
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -59,7 +62,10 @@ const UNPOISONED: &str = "invariant: pool locks guard no job code, so they are n
 /// saturated host the per-result channel wake was a context-switch
 /// ping-pong that dwarfed the warm jobs themselves.
 struct Sink<T> {
-    // lint: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent"
+    )]
     state: Mutex<SinkState<T>>,
     done: Condvar,
 }
@@ -111,7 +117,10 @@ impl Queues {
 }
 
 struct Shared {
-    // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index"
+    )]
     queues: Mutex<Queues>,
     /// Signalled when a batch is dealt or the pool shuts down.
     work: Condvar,
@@ -168,13 +177,20 @@ impl BatchScheduler {
             cfg.workers
         };
         let shared = Arc::new(Shared {
-            // lint: allow(unordered-merge, reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "work-stealing deques race only over which worker runs a job, never over job state; results are re-ordered by submission index"
+            )]
             queues: Mutex::new(Queues {
                 deques: (0..workers).map(|_| VecDeque::new()).collect(),
                 shutdown: false,
             }),
             work: Condvar::new(),
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool's own workers; they run jobs whose results are re-ordered by submission index"
+        )]
         let handles = (0..workers)
             .map(|wid| {
                 let shared = Arc::clone(&shared);
@@ -212,7 +228,10 @@ impl BatchScheduler {
         let mut slots = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let sink = Arc::new(Sink {
-            // lint: allow(unordered-merge, reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "deposit order races, but slots are keyed by submission index and the submitter reads only after the last deposit — contents are order-independent"
+            )]
             state: Mutex::new(SinkState { slots, remaining: n }),
             done: Condvar::new(),
         });
@@ -286,6 +305,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a helper thread and a channel put a timeout on the submitter, so a lost result fails the test instead of hanging it"
+    )]
     fn panicking_job_fails_the_submitter_and_workers_keep_serving() {
         let mut sched = BatchScheduler::new(&BatchConfig { workers: 2 });
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8)

@@ -58,6 +58,10 @@ fn model_results_in_submission_order_at_1_2_3_8_workers() {
 /// deques empty and waiting fails it natively on a 2-vCPU host; under Miri
 /// the scheduler explores the interleavings of the 24 rounds instead.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a submitter thread and a channel put a timeout on the rounds, so a lost wakeup fails the test instead of hanging it"
+)]
 fn model_tiny_back_to_back_batches_at_2_workers() {
     let rounds = if cfg!(miri) { 24 } else { 20_000 };
     let (done, finished) = std::sync::mpsc::channel();

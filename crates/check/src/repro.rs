@@ -381,7 +381,10 @@ fn ablation_quantization() {
     let mut reference = None;
     for unit in [1, 10, 50, 100].map(Bitrate::from_kbps) {
         let cfg = SolverConfig { unit };
-        // lint: allow(wall-clock, reason = "host-time stopwatch for the quantization ablation; the solve time is the printed output, never simulation state")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "host-time stopwatch for the quantization ablation; the solve time is the printed output, never simulation state"
+        )]
         let start = std::time::Instant::now();
         let sol = solver::solve(&problem, &cfg);
         let secs = start.elapsed().as_secs_f64();

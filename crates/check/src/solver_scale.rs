@@ -22,14 +22,20 @@ use crate::repro::banner;
 use gso_algo::{solver, Problem, SolveEngine, SolverConfig};
 use gso_sim::experiments::fig6;
 use gso_util::Bitrate;
-// lint: allow(wall-clock, reason = "the solver-scale bench measures host solve latency; wall-clock timing is its output, never simulation state")
+#[expect(
+    clippy::disallowed_types,
+    reason = "the solver-scale bench measures host solve latency; wall-clock timing is its output, never simulation state"
+)]
 use std::time::Instant;
 
 /// Median wall-clock milliseconds of `reps` runs of `f`.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
-        // lint: allow(wall-clock, reason = "host-time stopwatch for the solver-scale bench; never feeds back into a solve")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "host-time stopwatch for the solver-scale bench; never feeds back into a solve"
+        )]
         let t = Instant::now();
         f();
         samples.push(t.elapsed().as_secs_f64() * 1e3);

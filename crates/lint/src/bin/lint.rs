@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Scans the workspace at `--root` (default: the current directory) with
-//! the determinism, hot-path and concurrency passes and checks the ratchet
-//! in its `LINT_BASELINE.txt`. `--fixtures <dir>` scans a seeded-bug corpus
-//! instead (one subdirectory per pass), which CI requires to fail.
+//! the hot-path rules and checks the ratchet in its `LINT_BASELINE.txt`.
+//! `--fixtures <dir>` scans a seeded-bug corpus instead, which CI requires
+//! to fail.
 //! `--json` prints the machine-readable report instead of the human
 //! summary. Exits 1 on any violation, 2 on a usage or I/O error.
 
@@ -57,21 +57,12 @@ fn main() -> ExitCode {
     if json {
         print!("{}", report.to_json());
     } else {
-        let scanned: Vec<String> =
-            report.files_scanned.iter().map(|(pass, n)| format!("{pass} {n}")).collect();
-        println!("lint: files scanned: {}", scanned.join(", "));
+        println!("lint: {} file(s) scanned", report.files_scanned);
         for r in &report.roots {
             println!(
                 "  root {} [{}]: {} reachable fn(s), {} panic site(s), {} documented invariant(s), {} alloc site(s)",
                 r.root, r.label, r.reachable_fns, r.panic_sites, r.documented_invariants, r.alloc_sites
             );
-        }
-        for e in &report.lock_edges {
-            let marker = if e.cyclic { " CYCLE" } else { "" };
-            println!("  order {} -> {} ({} site(s)){marker}", e.from, e.to, e.sites);
-        }
-        for (ordering, count) in &report.atomics {
-            println!("  atomics Ordering::{ordering}: {count} use(s)");
         }
         for f in report.findings.iter().filter(|f| f.allowed) {
             let reason = f.reason.as_deref().unwrap_or("<none>");

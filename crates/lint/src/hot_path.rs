@@ -1,4 +1,4 @@
-//! Hot-path pass: four rules over call-graph cones and declarations.
+//! The four hot-path rules over call-graph cones and declarations.
 //!
 //! * `hot-panic` — no `unwrap`/undocumented `expect`/`panic!` family/raw
 //!   indexing/runtime division reachable from a declared hot-path root.
@@ -19,7 +19,6 @@
 //! per-root report counts sites in each cone, allowed or not, so the
 //! zero-alloc work has a tracked baseline.
 
-use crate::crate_tree;
 use crate::pragma::Marker;
 use crate::report::{Finding, PragmaError, Report, RootReport};
 use crate::srcmodel::model::SiteKind;
@@ -29,27 +28,20 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Rule identifiers.
 pub const RULES: &[&str] = &["hot-panic", "hot-alloc", "metric-key", "unit-hygiene"];
 
-/// Scope: every crate's `src/` plus the root facade crate's `src/`.
-#[must_use]
-pub fn scans(path: &str) -> bool {
-    matches!(crate_tree(path), Some((_, "src"))) || path.starts_with("src/")
-}
-
 /// The one file allowed to declare bare-primitive bitrate quantities: the
 /// `Bitrate` newtype's own conversion boundary.
 const UNIT_BOUNDARY_FILE: &str = "bitrate.rs";
 
-/// Run the four rules over the in-scope files. `markers` are the
-/// `hot_path`/`cold_path` markers found in those files, as
-/// `(file, line, marker)`.
+/// Run the four rules over `files`. `markers` are the `hot_path`/
+/// `cold_path` markers found in them, as `(file, line, marker)`.
 pub fn run(
-    files: &[&ParsedFile],
+    files: &[ParsedFile],
     deps: &BTreeMap<String, Vec<String>>,
     markers: &[(&ParsedFile, usize, Marker)],
     report: &mut Report,
 ) {
     let graph = CallGraph::build(files, deps);
-    let file_of = |name: &str| files.iter().copied().find(|p| p.file == name);
+    let file_of = |name: &str| files.iter().find(|p| p.file == name);
 
     // ---- markers ---------------------------------------------------------
     let mut roots: Vec<(usize, String)> = Vec::new();

@@ -11,14 +11,12 @@
 //! // lint: cold_path(reason = "crash recovery, off the steady-state loop")
 //! ```
 //!
-//! `allow` exempts findings of one rule (of any pass — rule ids are
-//! disjoint) on its own line and the line directly below. `hot_path` and
-//! `cold_path` are the hot-path pass's root and exclusion markers. An
-//! unknown rule, a missing reason, an unused pragma, or a pragma whose
-//! pass does not scan the file is itself a violation, so the allowlist
-//! cannot rot.
+//! `allow` exempts findings of one rule on its own line and the line
+//! directly below. `hot_path` and `cold_path` are the hot-path root and
+//! exclusion markers. An unknown rule, a missing reason or an unused
+//! pragma is itself a violation, so the allowlist cannot rot.
 
-use crate::Pass;
+use crate::RULES;
 
 /// One recognized directive.
 #[derive(Debug)]
@@ -29,7 +27,7 @@ pub enum Directive {
     Marker(Marker),
 }
 
-/// A hot-path pass marker.
+/// A hot-path marker.
 #[derive(Debug)]
 pub enum Marker {
     /// A root, with its label when one was given.
@@ -97,7 +95,7 @@ fn parse_allow(rest: &str) -> Allow {
     };
     let rule = rule_part.to_string();
     let mut malformed = None;
-    if Pass::of_rule(&rule).is_none() {
+    if !RULES.contains(&rule.as_str()) {
         malformed = Some(format!("unknown rule `{rule}` in pragma"));
     }
     let reason = reason_part.and_then(parse_reason);
@@ -131,9 +129,9 @@ mod tests {
 
     #[test]
     fn well_formed_allow() {
-        let a = parse_allow("lock-order, reason = \"ordered by contract\") trailing");
-        assert_eq!(a.rule, "lock-order");
-        assert_eq!(a.reason.as_deref(), Some("ordered by contract"));
+        let a = parse_allow("hot-alloc, reason = \"reused buffer\") trailing");
+        assert_eq!(a.rule, "hot-alloc");
+        assert_eq!(a.reason.as_deref(), Some("reused buffer"));
         assert!(a.malformed.is_none());
     }
 

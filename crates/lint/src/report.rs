@@ -1,11 +1,10 @@
-//! Findings, per-pass summaries, and the one JSON report.
+//! Findings, per-root summaries, and the one JSON report.
 //!
 //! The JSON is hand-rolled with stable key order (no serde in the offline
 //! build) so CI can diff reports across runs, matching the telemetry
 //! export conventions.
 
 use crate::srcmodel::ParsedFile;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One rule hit, exempted or not.
@@ -15,11 +14,9 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Crate the file belongs to (the per-crate ratchet key).
-    pub krate: String,
-    /// Rule identifier; the rule names its pass (see [`crate::Pass`]).
+    /// Rule identifier, one of [`crate::RULES`].
     pub rule: String,
-    /// What fired (e.g. `HashMap`, `unwrap`, `collect`, `Relaxed`).
+    /// What fired (e.g. `unwrap`, `collect`, `index`).
     pub trigger: String,
     /// Qualified function the site sits in (empty for line- and
     /// declaration-scope rules).
@@ -44,7 +41,6 @@ impl Finding {
         Finding {
             file: pf.file.clone(),
             line,
-            krate: pf.krate.clone(),
             rule: rule.to_string(),
             trigger,
             function,
@@ -84,34 +80,13 @@ pub struct RootReport {
     pub alloc_sites: usize,
 }
 
-/// One observed lock-acquisition-order edge, cyclic or not — the report
-/// exposes the whole order graph so the DESIGN.md lock hierarchy can be
-/// checked against what the code actually does.
-#[derive(Debug, Clone)]
-pub struct LockEdge {
-    /// Lock held at the acquisition site.
-    pub from: String,
-    /// Lock acquired while `from` was held.
-    pub to: String,
-    /// Number of witness sites for this edge.
-    pub sites: usize,
-    /// Whether the edge participates in an acquisition-order cycle.
-    pub cyclic: bool,
-}
-
 /// Aggregate result of a scan.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Files each pass scanned, by pass name.
-    pub files_scanned: BTreeMap<&'static str, usize>,
+    /// Source files scanned.
+    pub files_scanned: usize,
     /// Per-root hot-path summaries.
     pub roots: Vec<RootReport>,
-    /// Every observed acquisition-order edge.
-    pub lock_edges: Vec<LockEdge>,
-    /// `Ordering::` variant → number of uses seen.
-    pub atomics: BTreeMap<String, usize>,
-    /// Crate → concurrency findings, allowed or not (ratchet input).
-    pub per_crate: BTreeMap<String, usize>,
     /// Every rule hit, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
     /// Malformed/unused pragmas and dangling markers.
@@ -139,10 +114,8 @@ impl Report {
     /// Machine-readable JSON report (stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let count = |k: &str, v: &usize| format!("{}: {v}", json_str(k));
         let mut out = String::from("{\n");
-        let scanned = self.files_scanned.iter().map(|(k, v)| count(k, v));
-        block(&mut out, "files_scanned", "{}", scanned);
+        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"violations\": {},", self.violation_count());
         let roots = self.roots.iter().map(|r| {
             format!(
@@ -155,19 +128,7 @@ impl Report {
                 r.alloc_sites,
             )
         });
-        block(&mut out, "roots", "[]", roots);
-        let edges = self.lock_edges.iter().map(|e| {
-            format!(
-                "{{\"from\": {}, \"to\": {}, \"sites\": {}, \"cyclic\": {}}}",
-                json_str(&e.from),
-                json_str(&e.to),
-                e.sites,
-                e.cyclic,
-            )
-        });
-        block(&mut out, "lock_edges", "[]", edges);
-        block(&mut out, "atomics", "{}", self.atomics.iter().map(|(k, v)| count(k, v)));
-        block(&mut out, "per_crate", "{}", self.per_crate.iter().map(|(k, v)| count(k, v)));
+        block(&mut out, "roots", roots);
         let findings = self.findings.iter().map(|f| {
             format!(
                 "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"trigger\": {}, \"function\": {}, \"allowed\": {}, \"reason\": {}, \"snippet\": {}}}",
@@ -181,7 +142,7 @@ impl Report {
                 json_str(&f.snippet),
             )
         });
-        block(&mut out, "findings", "[]", findings);
+        block(&mut out, "findings", findings);
         let errors = self.pragma_errors.iter().map(|e| {
             format!(
                 "{{\"file\": {}, \"line\": {}, \"message\": {}}}",
@@ -190,23 +151,22 @@ impl Report {
                 json_str(&e.message),
             )
         });
-        block(&mut out, "pragma_errors", "[]", errors);
-        block(&mut out, "ratchet", "[]", self.ratchet.iter().map(|p| json_str(p)));
+        block(&mut out, "pragma_errors", errors);
+        block(&mut out, "ratchet", self.ratchet.iter().map(|p| json_str(p)));
         out.truncate(out.len() - 2); // the last block's trailing ",\n"
         out.push_str("\n}\n");
         out
     }
 }
 
-/// Append `"key": <open> entries… <close>,` with one entry per line.
-fn block(out: &mut String, key: &str, delims: &str, entries: impl Iterator<Item = String>) {
-    let (open, close) = delims.split_at(1);
-    let _ = write!(out, "  \"{key}\": {open}");
+/// Append `"key": [entries…],` with one entry per line.
+fn block(out: &mut String, key: &str, entries: impl Iterator<Item = String>) {
+    let _ = write!(out, "  \"{key}\": [");
     for (i, e) in entries.enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
         out.push_str(&e);
     }
-    let _ = writeln!(out, "\n  {close},");
+    let _ = writeln!(out, "\n  ],");
 }
 
 fn json_str(s: &str) -> String {

@@ -53,7 +53,7 @@ impl<'a> CallGraph<'a> {
     /// whole classes of name-match false edges — e.g. analysis tooling
     /// that shares a method name with runtime code can never actually be
     /// linked into it.
-    pub fn build(files: &[&'a ParsedFile], deps: &BTreeMap<String, Vec<String>>) -> Self {
+    pub fn build(files: &'a [ParsedFile], deps: &BTreeMap<String, Vec<String>>) -> Self {
         // Transitive closure of the dependency relation.
         let mut closure: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for name in deps.keys() {
@@ -96,11 +96,9 @@ impl<'a> CallGraph<'a> {
         g
     }
 
-    /// Candidate callee indices of `call` made from `fns[caller]`, using
-    /// the same resolution the edge builder uses (the caller itself may
-    /// appear for a recursive call; `edges` has self-edges removed).
-    #[must_use]
-    pub fn resolve(&self, caller: usize, call: &CallRef) -> Vec<usize> {
+    /// Candidate callee indices of `call` made from `fns[caller]` (the
+    /// caller itself may appear for a recursive call).
+    fn resolve(&self, caller: usize, call: &CallRef) -> Vec<usize> {
         let f = self.fns[caller];
         let edge_ok = |from: &str, to: &str| -> bool {
             from == to || self.closure.get(from).is_none_or(|c| c.contains(to))
@@ -217,7 +215,7 @@ mod tests {
     use crate::srcmodel::parse::parse_file;
 
     fn graph(files: &[ParsedFile]) -> CallGraph<'_> {
-        CallGraph::build(&files.iter().collect::<Vec<_>>(), &BTreeMap::new())
+        CallGraph::build(files, &BTreeMap::new())
     }
 
     #[test]

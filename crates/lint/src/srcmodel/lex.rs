@@ -2,10 +2,9 @@
 //!
 //! The analyzer is deliberately hand-rolled rather than `syn`-based: the
 //! workspace builds offline with no registry access, so a full proc-macro
-//! parser is unavailable. Everything the hot-path and concurrency passes
-//! need — item structure, call expressions, indexing, a handful of macro
-//! names — is recoverable from a token stream; the determinism pass works
-//! one level lower, on masked lines.
+//! parser is unavailable. Everything the rules need — item structure,
+//! call expressions, indexing, a handful of macro names — is recoverable
+//! from a token stream.
 //!
 //! Masking blanks comments, string literals, char literals and raw strings
 //! to spaces while preserving byte offsets and line structure, so a
@@ -244,7 +243,7 @@ fn is_char_literal(bytes: &[u8], i: usize) -> bool {
 
 /// True for bytes that may appear in an identifier.
 #[must_use]
-pub fn is_ident_byte(b: u8) -> bool {
+fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

@@ -1,15 +1,13 @@
-//! Token-level source model shared by the passes.
+//! Token-level source model shared by the rules.
 //!
-//! The workspace builds offline with no `syn`, so the passes run on a
+//! The workspace builds offline with no `syn`, so the rules run on a
 //! hand-rolled model:
 //!
 //! * [`lex`] — source masking (comments/strings/chars blanked, offsets and
 //!   line structure preserved) and tokenization;
 //! * [`parse`] — the approximate item/body parser: functions with module
 //!   path, impl type, test-ness, call expressions, panic/alloc sites,
-//!   metric and unit-hygiene sites, and an ordered synchronization-event
-//!   stream (lock acquisitions, blocking calls, scope boundaries) for
-//!   concurrency analyses;
+//!   metric and unit-hygiene sites;
 //! * [`graph`] — the approximate intra-workspace call graph with
 //!   dependency-constrained edge resolution and reachability;
 //! * file walking — one sorted recursive walk per source tree, and the
@@ -68,17 +66,12 @@ fn label(root: &Path, path: &Path) -> String {
     path.strip_prefix(root).unwrap_or(path).to_string_lossy().into_owned()
 }
 
-/// Parse every `.rs` file of the workspace source trees some pass may
-/// scan — each crate's `src/` and `benches/`, and the root's `src/`,
-/// `tests/` and `examples/` — keeping those `keep` accepts (called with
-/// the root-relative label).
+/// Parse every `.rs` file of each crate's `src/` and of the root facade
+/// crate's `src/`.
 ///
 /// # Errors
 /// Propagates I/O failures reading the source tree.
-pub fn parse_workspace(
-    root: &Path,
-    keep: impl Fn(&str) -> bool,
-) -> std::io::Result<Vec<ParsedFile>> {
+pub fn parse_workspace(root: &Path) -> std::io::Result<Vec<ParsedFile>> {
     let mut trees: Vec<(PathBuf, String)> = Vec::new();
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
         .filter_map(Result::ok)
@@ -88,24 +81,17 @@ pub fn parse_workspace(
     crate_dirs.sort();
     for dir in crate_dirs {
         let krate = dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        trees.push((dir.join("src"), krate.clone()));
-        trees.push((dir.join("benches"), krate));
+        trees.push((dir.join("src"), krate));
     }
-    // The workspace-root facade crate, its integration tests and examples.
-    for (tree, krate) in [("src", "gso_simulcast"), ("tests", "tests"), ("examples", "examples")] {
-        trees.push((root.join(tree), krate.to_string()));
-    }
+    trees.push((root.join("src"), "gso_simulcast".to_string()));
     let mut out = Vec::new();
     for (tree, krate) in trees {
         let mut files = Vec::new();
         rust_files(&tree, &mut files)?;
         for path in files {
-            let file = label(root, &path);
-            if keep(&file) {
-                let src = std::fs::read_to_string(&path)?;
-                let rel = path.strip_prefix(&tree).unwrap_or(&path);
-                out.push(parse::parse_file(&file, &krate, &module_prefix(rel), &src));
-            }
+            let src = std::fs::read_to_string(&path)?;
+            let rel = path.strip_prefix(&tree).unwrap_or(&path);
+            out.push(parse::parse_file(&label(root, &path), &krate, &module_prefix(rel), &src));
         }
     }
     Ok(out)
@@ -113,7 +99,7 @@ pub fn parse_workspace(
 
 /// Parse every `.rs` file under a fixture corpus root. Each file is its
 /// own crate (named after the file stem) so fixtures stay self-contained;
-/// labels are relative to `dir`, so they begin with the pass subdirectory.
+/// labels are relative to `dir`.
 ///
 /// # Errors
 /// Propagates I/O failures reading the directory.

@@ -1,4 +1,4 @@
-//! Data model shared by the parser, call graph, and passes.
+//! Data model shared by the parser, the call graph and the rules.
 
 /// How a call expression names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +39,8 @@ pub struct Site {
     pub what: &'static str,
 }
 
-/// One parsed function (free function or method) with its body events.
+/// One parsed function (free function or method) with its body's calls
+/// and sites.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     /// Scan-root-relative file path.
@@ -62,9 +63,6 @@ pub struct FnInfo {
     pub calls: Vec<(usize, CallRef)>,
     /// Panic/alloc sites in the body.
     pub sites: Vec<Site>,
-    /// Ordered synchronization events in the body (lock acquisitions,
-    /// blocking operations, scope boundaries, …).
-    pub sync: Vec<SyncEvent>,
 }
 
 impl FnInfo {
@@ -98,95 +96,7 @@ impl FnInfo {
     }
 }
 
-/// How a lock-guard binding was introduced, which governs the
-/// approximation of its lifetime during the linear event walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindKind {
-    /// `let g = m.lock()…;` — the guard lives until its block closes.
-    Let,
-    /// `if let Ok(g) = m.lock() { … }` / `while let …` — the guard lives
-    /// only inside the condition's block.
-    CondLet,
-    /// Acquired as a temporary inside an expression statement — the guard
-    /// dies at the end of the statement.
-    Temp,
-}
-
-/// What a [`SyncEvent`] records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SyncOp {
-    /// A guard acquisition: `.lock()`, or zero-argument `.read()`/`.write()`.
-    Acquire {
-        /// The acquiring method (`lock`, `read`, `write`).
-        method: String,
-        /// Approximate lock identity: the last field-like segment of the
-        /// receiver chain (`self.shared.signal.lock()` → `signal`).
-        lock: String,
-        /// The full receiver chain, dot-joined, for diagnostics.
-        chain: String,
-        /// How the resulting guard was bound.
-        bind: BindKind,
-        /// The bound variable name, when there is one.
-        var: Option<String>,
-    },
-    /// A condvar wait: `wait`, `wait_timeout`, `wait_while`,
-    /// `wait_timeout_while`.
-    Wait {
-        /// The wait method name.
-        method: String,
-        /// First-argument identifier — the guard handed to the condvar,
-        /// which is released for the duration of the wait.
-        guard_arg: Option<String>,
-        /// True when the wait sits inside a `while`/`loop` body (the
-        /// predicate-loop discipline).
-        in_loop: bool,
-    },
-    /// A blocking operation other than locking: channel `recv`,
-    /// `thread::join`/`sleep`/`park`, file or socket I/O.
-    Block {
-        /// Category of the blocking operation.
-        what: &'static str,
-    },
-    /// An explicit `drop(var)` / `mem::drop(var)` — ends the named guard.
-    DropVar {
-        /// The dropped variable.
-        var: String,
-    },
-    /// A `.await` suspension point — any held guard spans a yield.
-    Await,
-    /// A `std::sync::atomic::Ordering::…` argument.
-    AtomicOrdering {
-        /// The ordering variant (`Relaxed`, `Acquire`, …).
-        ordering: String,
-        /// The atomic method it was passed to, when the last method call
-        /// on the same line is known (`load`, `store`, `fetch_add`, …).
-        op: Option<String>,
-    },
-    /// A workspace-resolvable call — index into [`FnInfo::calls`].
-    Call {
-        /// Position of the call in the function's `calls` list.
-        index: usize,
-    },
-    /// End of an expression statement (`;`) at the event's depth.
-    Semi,
-    /// A block closed; the event's depth is the depth *after* closing.
-    ScopeEnd,
-}
-
-/// One entry of a function body's ordered synchronization-event stream,
-/// consumed by the concurrency pass. Events appear in source
-/// (token) order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncEvent {
-    /// 1-based source line.
-    pub line: usize,
-    /// Brace depth at the event (body entered at 1).
-    pub depth: usize,
-    /// What happened.
-    pub op: SyncOp,
-}
-
-/// A telemetry recording call site (metric-key pass input).
+/// A telemetry recording call site (metric-key rule input).
 #[derive(Debug, Clone)]
 pub struct MetricSite {
     /// 1-based source line.
@@ -244,9 +154,6 @@ pub struct ParsedFile {
     pub unit_sites: Vec<UnitSite>,
     /// Line comments (for pragmas and markers).
     pub comments: Vec<(usize, String)>,
-    /// Masked source: comments, strings and chars blanked, same line
-    /// structure as the original (the determinism pass scans its lines).
-    pub code: String,
     /// Raw source lines (for snippets).
     pub src_lines: Vec<String>,
 }

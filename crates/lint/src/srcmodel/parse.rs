@@ -1,20 +1,18 @@
 //! Token-level item parser.
 //!
 //! Walks the masked token stream of one file and recovers the structure
-//! the passes need: functions (with module path, impl type, test-ness and
-//! body events), metric recording call sites, and bare-primitive unit
-//! declarations. The grammar subset is deliberately approximate — it must
-//! never panic or loop on any input, and over-approximation (an extra call
-//! edge, a spurious site that a pragma then documents) is acceptable where
-//! exactness would need full type information.
+//! the rules need: functions (with module path, impl type, test-ness,
+//! calls and panic/alloc sites), metric recording call sites, and
+//! bare-primitive unit declarations. The grammar subset is deliberately
+//! approximate — it must never panic or loop on any input, and
+//! over-approximation (an extra call edge, a spurious site that a pragma
+//! then documents) is acceptable where exactness would need full type
+//! information.
 
 use super::lex::{self, Tok, TokKind};
-use super::model::{
-    BindKind, CallRef, FnInfo, MetricSite, ParsedFile, Site, SiteKind, SyncEvent, SyncOp, UnitCtx,
-    UnitSite,
-};
+use super::model::{CallRef, FnInfo, MetricSite, ParsedFile, Site, SiteKind, UnitCtx, UnitSite};
 
-/// Primitive types the unit-hygiene pass considers "bare".
+/// Primitive types the unit-hygiene rule considers "bare".
 const PRIMS: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
     "f64",
@@ -73,53 +71,6 @@ const ALLOC_PATHS: &[(&str, &str)] = &[
     ("Rc", "new"),
 ];
 
-/// Condvar wait methods (all release their guard for the wait's duration).
-const WAIT_METHODS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
-
-/// Accessor verbs skipped when reducing a receiver chain to a lock
-/// identity: `self.queues.get(qi).expect(…).lock()` locks `queues`.
-const ACCESSOR_VERBS: &[&str] = &[
-    "get",
-    "get_mut",
-    "expect",
-    "unwrap",
-    "as_ref",
-    "as_mut",
-    "as_deref",
-    "borrow",
-    "borrow_mut",
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "first",
-    "last",
-    "entry",
-    "clone",
-    "deref",
-    "deref_mut",
-];
-
-/// Qualified paths that block the calling thread, matched on the last two
-/// segments: `(qualifier, name, category)`.
-const BLOCKING_PATHS: &[(&str, &str, &str)] = &[
-    ("thread", "sleep", "thread-sleep"),
-    ("thread", "park", "thread-park"),
-    ("fs", "read", "file-io"),
-    ("fs", "read_to_string", "file-io"),
-    ("fs", "write", "file-io"),
-    ("fs", "read_dir", "file-io"),
-    ("fs", "copy", "file-io"),
-    ("File", "open", "file-io"),
-    ("File", "create", "file-io"),
-    ("TcpStream", "connect", "socket-io"),
-    ("TcpListener", "bind", "socket-io"),
-    ("UdpSocket", "bind", "socket-io"),
-];
-
-/// `std::sync::atomic::Ordering` variants. The variant names disambiguate
-/// from `cmp::Ordering` (`Less`/`Equal`/`Greater`).
-const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
 /// Keywords that look like `ident (` but are not calls.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "match", "return", "for", "loop", "in", "as", "move", "else", "let", "fn",
@@ -146,18 +97,6 @@ struct Parser<'a> {
     raw: &'a str,
     i: usize,
     out: ParsedFile,
-    /// Brace depth inside the current function body (entered at 1).
-    body_depth: usize,
-    /// Depths at which `while`/`loop` bodies opened, innermost last.
-    loop_stack: Vec<usize>,
-    /// A `while`/`loop` keyword was seen; the next `{` opens its body.
-    pending_loop: bool,
-    /// `(var, cond)` of the current statement's `let` binding, when the
-    /// statement started with one (`cond` = `if let` / `while let`).
-    cur_let: Option<(String, bool)>,
-    /// Name and line of the most recent method call, for tying an
-    /// `Ordering::` argument to its atomic operation.
-    last_method: Option<(String, usize)>,
 }
 
 /// Parse one file. `module_prefix` is the module path implied by the file's
@@ -184,11 +123,6 @@ pub fn parse_file(
         code: &masked.code,
         raw: src,
         i: 0,
-        body_depth: 0,
-        loop_stack: Vec::new(),
-        pending_loop: false,
-        cur_let: None,
-        last_method: None,
         out: ParsedFile {
             file: file_label.to_string(),
             krate: krate.to_string(),
@@ -199,9 +133,7 @@ pub fn parse_file(
     };
     let mut module = module_prefix.to_vec();
     p.parse_items(&mut module, None, test_file);
-    let mut out = p.out;
-    out.code = masked.code;
-    out
+    p.out
 }
 
 impl Parser<'_> {
@@ -287,7 +219,6 @@ impl Parser<'_> {
 
     /// Item-level parse loop. Returns at the `}` closing the enclosing
     /// item body (or at end of file).
-    #[allow(clippy::too_many_lines)]
     fn parse_items(&mut self, module: &mut Vec<String>, type_ctx: Option<&str>, in_test: bool) {
         let mut pending_test = false;
         let mut pending_attr_line: Option<usize> = None;
@@ -610,7 +541,6 @@ impl Parser<'_> {
                         is_test: in_test,
                         calls: Vec::new(),
                         sites: Vec::new(),
-                        sync: Vec::new(),
                     });
                     return;
                 }
@@ -630,53 +560,29 @@ impl Parser<'_> {
             is_test: in_test,
             calls: Vec::new(),
             sites: Vec::new(),
-            sync: Vec::new(),
         };
         self.i += 1; // '{'
-        self.parse_body(&mut info, 1);
+        self.parse_body(&mut info);
         self.out.fns.push(info);
     }
 
-    /// Walk a function body collecting calls, panic/alloc sites, and
-    /// synchronization events. `depth` is the brace depth (entered at 1).
-    #[allow(clippy::too_many_lines)]
-    fn parse_body(&mut self, info: &mut FnInfo, depth: usize) {
-        self.body_depth = depth;
-        self.loop_stack.clear();
-        self.pending_loop = false;
-        self.cur_let = None;
-        self.last_method = None;
+    /// Walk a function body, just past its opening `{`, collecting calls
+    /// and panic/alloc sites.
+    fn parse_body(&mut self, info: &mut FnInfo) {
+        let mut depth = 1usize;
         while let Some(t) = self.peek(0) {
             let line = t.line;
             match t.kind {
                 TokKind::Punct(b'{') => {
-                    self.body_depth += 1;
-                    if self.pending_loop {
-                        self.loop_stack.push(self.body_depth);
-                        self.pending_loop = false;
-                    }
-                    self.cur_let = None;
+                    depth += 1;
                     self.i += 1;
                 }
                 TokKind::Punct(b'}') => {
-                    self.body_depth -= 1;
-                    while self.loop_stack.last().is_some_and(|&d| d > self.body_depth) {
-                        self.loop_stack.pop();
-                    }
+                    depth -= 1;
                     self.i += 1;
-                    if self.body_depth == 0 {
+                    if depth == 0 {
                         return;
                     }
-                    info.sync.push(SyncEvent {
-                        line,
-                        depth: self.body_depth,
-                        op: SyncOp::ScopeEnd,
-                    });
-                }
-                TokKind::Punct(b';') => {
-                    info.sync.push(SyncEvent { line, depth: self.body_depth, op: SyncOp::Semi });
-                    self.cur_let = None;
-                    self.i += 1;
                 }
                 TokKind::Punct(b'#') => {
                     let (_, is_debug) = self.consume_attr();
@@ -782,7 +688,6 @@ impl Parser<'_> {
 
     /// `.name` — method call or field access.
     fn method_or_field(&mut self, info: &mut FnInfo) {
-        let dot = self.i;
         self.i += 1; // '.'
         let Some(t) = self.peek(0) else { return };
         if t.kind != TokKind::Ident {
@@ -792,11 +697,6 @@ impl Parser<'_> {
         let line = t.line;
         let name_off = t.off;
         self.i += 1;
-        if name == "await" && !self.peek(0).is_some_and(|n| n.is_punct(b'(')) {
-            // Postfix `.await` — a yield point, not a field access.
-            info.sync.push(SyncEvent { line, depth: self.body_depth, op: SyncOp::Await });
-            return;
-        }
         // Optional turbofish.
         if self.peek(0).is_some_and(|n| n.is_punct(b':'))
             && self.peek(1).is_some_and(|n| n.is_punct(b':'))
@@ -810,13 +710,6 @@ impl Parser<'_> {
         }
         // It's a method call. Record the edge and classify the site.
         info.calls.push((line, CallRef::Method(name.clone())));
-        info.sync.push(SyncEvent {
-            line,
-            depth: self.body_depth,
-            op: SyncOp::Call { index: info.calls.len() - 1 },
-        });
-        self.last_method = Some((name.clone(), line));
-        self.sync_method_event(info, &name, line, dot);
         match name.as_str() {
             "unwrap" if !info.is_test => {
                 info.sites.push(Site { line, kind: SiteKind::Panic, what: "unwrap" });
@@ -854,117 +747,6 @@ impl Parser<'_> {
             _ => {}
         }
         self.i += 1; // move past '(' — arguments are scanned as normal tokens
-    }
-
-    /// Classify a method call as a synchronization event (guard
-    /// acquisition, condvar wait, blocking receive/join). `i` sits on the
-    /// call's opening `(`; `dot` is the token index of the receiver `.`.
-    fn sync_method_event(&mut self, info: &mut FnInfo, name: &str, line: usize, dot: usize) {
-        let zero_arg = self.peek(1).is_some_and(|n| n.is_punct(b')'));
-        let op = match name {
-            // `read`/`write` only acquire when zero-argument (the
-            // `RwLock` signature); `lock` has no common non-lock overload.
-            "lock" => Some(self.acquire_op(name, dot)),
-            "read" | "write" if zero_arg => Some(self.acquire_op(name, dot)),
-            w if WAIT_METHODS.contains(&w) => {
-                let guard_arg = self
-                    .peek(1)
-                    .filter(|n| n.kind == TokKind::Ident)
-                    .map(|n| n.text(self.code).to_string());
-                Some(SyncOp::Wait {
-                    method: name.to_string(),
-                    guard_arg,
-                    in_loop: !self.loop_stack.is_empty(),
-                })
-            }
-            "recv" | "recv_timeout" | "recv_deadline" => {
-                Some(SyncOp::Block { what: "channel-recv" })
-            }
-            "join" if zero_arg => Some(SyncOp::Block { what: "thread-join" }),
-            _ => None,
-        };
-        if let Some(op) = op {
-            info.sync.push(SyncEvent { line, depth: self.body_depth, op });
-        }
-    }
-
-    /// Build an [`SyncOp::Acquire`] for the lock method whose receiver `.`
-    /// sits at token index `dot`.
-    fn acquire_op(&self, method: &str, dot: usize) -> SyncOp {
-        let segs = self.receiver_chain(dot);
-        let lock = segs
-            .iter()
-            .rev()
-            .find(|s| !ACCESSOR_VERBS.contains(&s.as_str()))
-            .cloned()
-            .unwrap_or_else(|| "<expr>".to_string());
-        let chain = segs.join(".");
-        let (bind, var) = match self.cur_let.clone() {
-            Some((v, true)) => (BindKind::CondLet, Some(v)),
-            Some((v, false)) => (BindKind::Let, Some(v)),
-            None => (BindKind::Temp, None),
-        };
-        SyncOp::Acquire { method: method.to_string(), lock, chain, bind, var }
-    }
-
-    /// Walk backwards from the `.` at token index `dot`, collecting the
-    /// receiver chain's identifier segments in source order. Balanced
-    /// `(…)`/`[…]` groups (call arguments, indexing) are skipped; the walk
-    /// stops at anything that is not part of a field/method/path chain.
-    fn receiver_chain(&self, dot: usize) -> Vec<String> {
-        let mut segs: Vec<String> = Vec::new();
-        let mut k = dot;
-        while k > 0 {
-            let p = &self.toks[k - 1];
-            match p.kind {
-                TokKind::Ident => {
-                    let w = p.text(self.code);
-                    if NON_CALL_KEYWORDS.contains(&w) {
-                        break;
-                    }
-                    segs.push(w.to_string());
-                    k -= 1;
-                    if k == 0 {
-                        break;
-                    }
-                    let q = &self.toks[k - 1];
-                    if q.is_punct(b'.') {
-                        k -= 1;
-                    } else if q.is_punct(b':') && k >= 2 && self.toks[k - 2].is_punct(b':') {
-                        k -= 2;
-                    } else {
-                        break;
-                    }
-                }
-                TokKind::Punct(b')') | TokKind::Punct(b']') => {
-                    let (open, close) = if p.is_punct(b')') { (b'(', b')') } else { (b'[', b']') };
-                    let mut depth = 0usize;
-                    let mut m = k;
-                    let mut matched = false;
-                    while m > 0 {
-                        m -= 1;
-                        let t = &self.toks[m];
-                        if t.is_punct(close) {
-                            depth += 1;
-                        } else if t.is_punct(open) {
-                            depth -= 1;
-                            if depth == 0 {
-                                matched = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !matched {
-                        break;
-                    }
-                    k = m;
-                }
-                TokKind::Punct(b'?') => k -= 1,
-                _ => break,
-            }
-        }
-        segs.reverse();
-        segs
     }
 
     /// Classify the first argument of a metric recording call. `i` sits on
@@ -1026,41 +808,6 @@ impl Parser<'_> {
                     }
                 }
             }
-            // Capture the bound variable so a `.lock()` in this statement's
-            // initializer is tied to a named guard. The last pattern ident
-            // before `=` (skipping `mut`/`ref`, stopping at a type
-            // annotation) is the binding: `let Ok(mut sig) = …` → `sig`.
-            let cond = self
-                .i
-                .checked_sub(1)
-                .and_then(|p| self.toks.get(p))
-                .is_some_and(|p| matches!(p.text(self.code), "if" | "while"));
-            let mut var = None;
-            let mut k = self.i + 1;
-            while let Some(n) = self.toks.get(k) {
-                if n.is_punct(b'=') || n.is_punct(b';') || n.is_punct(b'{') || n.is_punct(b':') {
-                    break;
-                }
-                if n.kind == TokKind::Ident {
-                    let w = n.text(self.code);
-                    if !matches!(w, "mut" | "ref") {
-                        var = Some(w.to_string());
-                    }
-                }
-                if k - self.i > 24 {
-                    break;
-                }
-                k += 1;
-            }
-            self.cur_let = var.map(|v| (v, cond));
-            self.i += 1;
-            return;
-        }
-
-        // `while`/`loop` — the next `{` opens a loop body (condvar
-        // predicate-loop discipline needs to know).
-        if word == "while" || word == "loop" {
-            self.pending_loop = true;
             self.i += 1;
             return;
         }
@@ -1135,20 +882,6 @@ impl Parser<'_> {
         let is_call = self.toks.get(j).is_some_and(|n| n.is_punct(b'('));
         self.i = j;
         if !is_call {
-            // Non-call path: an `Ordering::` variant in argument position
-            // is an atomics-discipline event.
-            if segs.len() >= 2
-                && segs[segs.len() - 2] == "Ordering"
-                && ATOMIC_ORDERINGS.contains(&segs[segs.len() - 1].as_str())
-            {
-                let op =
-                    self.last_method.as_ref().filter(|(_, l)| *l == line).map(|(m, _)| m.clone());
-                info.sync.push(SyncEvent {
-                    line,
-                    depth: self.body_depth,
-                    op: SyncOp::AtomicOrdering { ordering: segs[segs.len() - 1].clone(), op },
-                });
-            }
             return;
         }
         self.i += 1; // past '('
@@ -1173,27 +906,7 @@ impl Parser<'_> {
                 };
                 info.sites.push(Site { line, kind: SiteKind::Alloc, what });
             }
-            let blocking =
-                BLOCKING_PATHS.iter().find(|(x, y, _)| *x == a && *y == b).map(|(_, _, w)| *w);
-            let is_drop = b == "drop" && (a == "mem" || a == "std");
-            if let Some(what) = blocking {
-                info.sync.push(SyncEvent {
-                    line,
-                    depth: self.body_depth,
-                    op: SyncOp::Block { what },
-                });
-            }
-            if is_drop {
-                self.sync_drop_event(info, line);
-            }
             info.calls.push((line, CallRef::Path(segs)));
-            if blocking.is_none() && !is_drop {
-                info.sync.push(SyncEvent {
-                    line,
-                    depth: self.body_depth,
-                    op: SyncOp::Call { index: info.calls.len() - 1 },
-                });
-            }
         } else {
             let name = segs.pop().unwrap_or_default();
             // Tuple-struct constructors look identical to calls; CamelCase
@@ -1201,34 +914,8 @@ impl Parser<'_> {
             // graph clean (a CamelCase free fn would violate the workspace
             // naming lints anyway).
             if name.chars().next().is_some_and(char::is_lowercase) {
-                if name == "drop" {
-                    // `drop(x)` ends a guard; resolving it by name would
-                    // blame every workspace `Drop` impl, so it gets a
-                    // DropVar event instead of a Call event (the raw call
-                    // edge is still recorded for the call graph).
-                    self.sync_drop_event(info, line);
-                    info.calls.push((line, CallRef::Bare(name)));
-                } else {
-                    info.calls.push((line, CallRef::Bare(name)));
-                    info.sync.push(SyncEvent {
-                        line,
-                        depth: self.body_depth,
-                        op: SyncOp::Call { index: info.calls.len() - 1 },
-                    });
-                }
+                info.calls.push((line, CallRef::Bare(name)));
             }
-        }
-    }
-
-    /// Emit a [`SyncOp::DropVar`] for the `drop(var)` whose argument list
-    /// `i` has just entered.
-    fn sync_drop_event(&mut self, info: &mut FnInfo, line: usize) {
-        let var = self
-            .peek(0)
-            .filter(|n| n.kind == TokKind::Ident)
-            .map(|n| n.text(self.code).to_string());
-        if let Some(var) = var {
-            info.sync.push(SyncEvent { line, depth: self.body_depth, op: SyncOp::DropVar { var } });
         }
     }
 }
@@ -1374,132 +1061,5 @@ mod tests {
         let p = parse("const DEFAULT_KBPS: u64 = 500;\n");
         assert_eq!(p.unit_sites.len(), 1);
         assert_eq!(p.unit_sites[0].ctx, UnitCtx::Const);
-    }
-
-    fn sync_ops(src: &str) -> Vec<SyncOp> {
-        let p = parse(src);
-        p.fns[0].sync.iter().map(|e| e.op.clone()).collect()
-    }
-
-    #[test]
-    fn lock_acquire_records_identity_and_binding() {
-        let ops = sync_ops("fn f(&self) { let mut g = self.shared.signal.lock().unwrap(); }\n");
-        let acq = ops.iter().find_map(|o| match o {
-            SyncOp::Acquire { lock, chain, bind, var, .. } => {
-                Some((lock.clone(), chain.clone(), *bind, var.clone()))
-            }
-            _ => None,
-        });
-        let (lock, chain, bind, var) = acq.expect("acquire event");
-        assert_eq!(lock, "signal");
-        assert_eq!(chain, "self.shared.signal");
-        assert_eq!(bind, BindKind::Let);
-        assert_eq!(var.as_deref(), Some("g"));
-    }
-
-    #[test]
-    fn accessor_verbs_are_skipped_for_lock_identity() {
-        let ops = sync_ops(
-            "fn f(&self) { let g = self.queues.get(qi).expect(\"x\").lock().unwrap(); }\n",
-        );
-        let lock = ops.iter().find_map(|o| match o {
-            SyncOp::Acquire { lock, .. } => Some(lock.clone()),
-            _ => None,
-        });
-        assert_eq!(lock.as_deref(), Some("queues"));
-    }
-
-    #[test]
-    fn if_let_guard_is_cond_bound() {
-        let ops =
-            sync_ops("fn f(&self) { if let Ok(mut sig) = self.signal.lock() { sig.x = 1; } }\n");
-        let acq = ops.iter().find_map(|o| match o {
-            SyncOp::Acquire { bind, var, .. } => Some((*bind, var.clone())),
-            _ => None,
-        });
-        assert_eq!(acq, Some((BindKind::CondLet, Some("sig".to_string()))));
-    }
-
-    #[test]
-    fn temp_guard_has_no_binding() {
-        let ops = sync_ops("fn f(&self) { self.state.lock().unwrap().count += 1; }\n");
-        let acq = ops.iter().find_map(|o| match o {
-            SyncOp::Acquire { bind, var, .. } => Some((*bind, var.clone())),
-            _ => None,
-        });
-        assert_eq!(acq, Some((BindKind::Temp, None)));
-    }
-
-    #[test]
-    fn wait_in_while_loop_and_guard_arg() {
-        let ops = sync_ops(
-            "fn f(&self) { let mut st = self.state.lock().unwrap(); while st.n > 0 { st = self.cv.wait(st).unwrap(); } }\n",
-        );
-        let wait = ops.iter().find_map(|o| match o {
-            SyncOp::Wait { guard_arg, in_loop, .. } => Some((guard_arg.clone(), *in_loop)),
-            _ => None,
-        });
-        assert_eq!(wait, Some((Some("st".to_string()), true)));
-    }
-
-    #[test]
-    fn wait_outside_loop_detected() {
-        let ops = sync_ops(
-            "fn f(&self) { let g = self.m.lock().unwrap(); let g = self.cv.wait(g).unwrap(); }\n",
-        );
-        let wait = ops.iter().find_map(|o| match o {
-            SyncOp::Wait { in_loop, .. } => Some(*in_loop),
-            _ => None,
-        });
-        assert_eq!(wait, Some(false));
-    }
-
-    #[test]
-    fn blocking_ops_and_drop_var() {
-        let ops = sync_ops(
-            "fn f(&self, rx: &Receiver<u32>) { let g = self.m.lock().unwrap(); let v = rx.recv().unwrap(); drop(g); std::thread::sleep(d); }\n",
-        );
-        assert!(ops.contains(&SyncOp::Block { what: "channel-recv" }));
-        assert!(ops.contains(&SyncOp::Block { what: "thread-sleep" }));
-        assert!(ops.iter().any(|o| matches!(o, SyncOp::DropVar { var } if var == "g")));
-    }
-
-    #[test]
-    fn await_and_atomic_ordering_events() {
-        let ops = sync_ops(
-            "async fn f(&self) { self.fut.await; self.n.fetch_add(1, Ordering::Relaxed); let v = self.n.load(Ordering::Acquire); }\n",
-        );
-        assert!(ops.contains(&SyncOp::Await));
-        let orderings: Vec<(String, Option<String>)> = ops
-            .iter()
-            .filter_map(|o| match o {
-                SyncOp::AtomicOrdering { ordering, op } => Some((ordering.clone(), op.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            orderings,
-            vec![
-                ("Relaxed".to_string(), Some("fetch_add".to_string())),
-                ("Acquire".to_string(), Some("load".to_string())),
-            ]
-        );
-    }
-
-    #[test]
-    fn scope_and_semi_events_carry_depth() {
-        let p = parse("fn f(&self) { { let g = self.m.lock().unwrap(); } g2(); }\n");
-        let ev = &p.fns[0].sync;
-        let acq_depth = ev
-            .iter()
-            .find(|e| matches!(e.op, SyncOp::Acquire { .. }))
-            .map(|e| e.depth)
-            .expect("acquire");
-        assert_eq!(acq_depth, 2, "inner block is depth 2");
-        assert!(
-            ev.iter().any(|e| matches!(e.op, SyncOp::ScopeEnd) && e.depth == 1),
-            "inner block close emits ScopeEnd back at depth 1"
-        );
-        assert!(ev.iter().any(|e| matches!(e.op, SyncOp::Semi) && e.depth == 2));
     }
 }

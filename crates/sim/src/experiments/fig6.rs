@@ -18,7 +18,10 @@ use gso_algo::{
 };
 
 use gso_util::{Bitrate, ClientId};
-// lint: allow(wall-clock, reason = "Fig. 6 measures host solve latency; wall-clock timing is the experiment's output, not simulation state")
+#[expect(
+    clippy::disallowed_types,
+    reason = "Fig. 6 measures host solve latency; wall-clock timing is the experiment's output, not simulation state"
+)]
 use std::time::Instant;
 
 /// One row of the Fig. 6a/6b output.
@@ -81,7 +84,10 @@ pub fn symmetric_meeting(n: usize, ladder: gso_algo::Ladder) -> Problem {
 }
 
 fn time_of<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // lint: allow(wall-clock, reason = "host-time stopwatch for the Fig. 6 solve-latency benchmark; never feeds back into simulated behaviour")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host-time stopwatch for the Fig. 6 solve-latency benchmark; never feeds back into simulated behaviour"
+    )]
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())

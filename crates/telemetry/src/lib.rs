@@ -208,7 +208,10 @@ impl Registry {
 /// tests and library consumers that do not observe.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    // lint: allow(unordered-merge, reason = "one owner records at a time (a fleet conference ticks on one worker), so the lock never orders concurrent records")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "one owner records at a time (a fleet conference ticks on one worker), so the lock never orders concurrent records"
+    )]
     inner: Option<Arc<std::sync::Mutex<Registry>>>,
 }
 

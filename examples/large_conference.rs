@@ -7,7 +7,10 @@
 use gso_simulcast::algo::{Problem, Resolution, SolveEngine, SolverConfig, SourceId};
 use gso_simulcast::sim::experiments::fig6::asymmetric_meeting;
 use gso_simulcast::util::{Bitrate, ClientId};
-// lint: allow(wall-clock, reason = "demo stopwatch printing host solve latency to the console; never feeds back into simulated behaviour")
+#[expect(
+    clippy::disallowed_types,
+    reason = "demo stopwatch printing host solve latency to the console; never feeds back into simulated behaviour"
+)]
 use std::time::Instant;
 
 fn main() {
@@ -19,7 +22,10 @@ fn main() {
     let problem = asymmetric_meeting(pubs, subs, 18);
 
     let mut engine = SolveEngine::new(SolverConfig::default());
-    // lint: allow(wall-clock, reason = "demo stopwatch printing host solve latency to the console; never feeds back into simulated behaviour")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "demo stopwatch printing host solve latency to the console; never feeds back into simulated behaviour"
+    )]
     let start = Instant::now();
     let solution = engine.solve(&problem);
     let elapsed = start.elapsed();
@@ -38,7 +44,10 @@ fn main() {
         let jittered = Problem::new(clients, problem.subscriptions().to_vec())
             .expect("perturbed problem valid");
         engine.reset_stats();
-        // lint: allow(wall-clock, reason = "demo stopwatch printing host solve latency to the console; never feeds back into simulated behaviour")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "demo stopwatch printing host solve latency to the console; never feeds back into simulated behaviour"
+        )]
         let start = Instant::now();
         let resolved = engine.solve(&jittered);
         let warm = start.elapsed();

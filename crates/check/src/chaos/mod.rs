@@ -13,19 +13,13 @@
 //!   (`recovery.time_ms`),
 //! * an auditor-clean final configuration (constraint families of
 //!   Eq. 1–13; uplink budgets excluded for the §7 fallback), and
-//! * digest-identical double runs ([`gso_util::digest::first_divergence`]).
+//! * digest-identical double runs ([`gso_util::digest::first_divergence`]),
+//!   and
+//! * no controller message dropped at an accessing node for a stale
+//!   epoch (every restart's resync supersedes what was in flight).
 //!
-//! The sharded-controller failover plans — shard crash, standby promotion
-//! under load, heartbeat-loss flapping, symmetric-partition split brain —
-//! run against [`failover_scenario`] (the same conference paired with a
-//! standby shard) and are additionally judged on takeover time
-//! (`cluster.takeover_ms` ≤ the recovery bound), exact promotion counts,
-//! and split-brain fencing (`cluster.fenced` > 0 with a zombie stepdown,
-//! zero otherwise).
-//!
-//! [`run_matrix`], behind `check chaos`, replays the full matrix plus the
-//! failover matrix (`--smoke` for the CI subset) and fails on any failed
-//! verdict.
+//! [`run_matrix`], behind `check chaos`, replays the full matrix
+//! (`--smoke` for the CI subset) and fails on any failed verdict.
 
 pub mod plan;
 pub mod runner;
@@ -63,17 +57,6 @@ pub fn standard_clients() -> Vec<ClientId> {
     (1..=3).map(ClientId).collect()
 }
 
-/// [`standard_scenario`] paired with a standby shard: the reference
-/// conference for the failover plans (shard crash, promotion under load,
-/// heartbeat flapping, split brain). Scripted-restart plans stay on the
-/// standby-free scenario — a restart and a promotion would both bump the
-/// epoch 0 → 1, and two writers at equal epochs cannot be fenced apart.
-pub fn failover_scenario(seed: u64) -> Scenario {
-    let mut s = standard_scenario(seed);
-    s.standby = true;
-    s
-}
-
 /// `check chaos`: replay the fault-plan matrix against the reference
 /// conference.
 ///
@@ -84,11 +67,7 @@ pub fn failover_scenario(seed: u64) -> Scenario {
 /// any plan fails.
 ///
 /// `smoke` runs the reduced CI subset: controller outage + deadline
-/// overrun on the standard conference, plus the failover subset
-/// ([`FaultPlan::failover_smoke`]: shard crash + split brain) on the
-/// standby-paired one — the only end-to-end gate on standby takeover and
-/// zombie fencing. Otherwise it replays the full five-plan matrix plus all
-/// four failover plans.
+/// overrun. Otherwise it replays the full five-plan matrix.
 pub fn run_matrix(smoke: bool, seed: u64) -> ExitCode {
     let scenario = standard_scenario(seed);
     let clients = standard_clients();
@@ -102,39 +81,15 @@ pub fn run_matrix(smoke: bool, seed: u64) -> ExitCode {
         bounds.qoe_tolerance * 100.0,
         bounds.recovery_ms
     );
-    let mut failed = run_plans("baseline", &scenario, &plans, &bounds);
-
-    // Failover plans run against the standby-paired conference and are
-    // judged against its own no-fault baseline (the heartbeats change the
-    // wire mix, so the standard baseline is not the right reference).
-    let failover_plans = if smoke {
-        FaultPlan::failover_smoke(seed)
-    } else {
-        FaultPlan::failover_matrix(seed, &clients)
-    };
-    failed += run_plans("failover baseline", &failover_scenario(seed), &failover_plans, &bounds);
-    if failed > 0 {
-        println!("{failed} plan(s) FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("all plans passed");
-        ExitCode::SUCCESS
-    }
-}
-
-/// Judge each of `plans` on `scenario` against the scenario's own no-fault
-/// baseline, printing the baseline (after `label`) and one row per plan.
-/// Returns the number of failed plans.
-fn run_plans(label: &str, scenario: &Scenario, plans: &[FaultPlan], bounds: &ChaosBounds) -> usize {
-    let baseline = run_plan(scenario, &FaultPlan::baseline());
+    let baseline = run_plan(&scenario, &FaultPlan::baseline());
     let baseline = Baseline::from_outcome(&baseline, bounds.tail_window);
     println!(
-        "{label}: orchestrated qoe {:.0}, tail media {:.0} bps",
+        "baseline: orchestrated qoe {:.0}, tail media {:.0} bps",
         baseline.qoe, baseline.media_bps
     );
     let mut failed = 0;
-    for plan in plans {
-        let verdict = check_plan(scenario, baseline, plan, bounds);
+    for plan in &plans {
+        let verdict = check_plan(&scenario, baseline, plan, &bounds);
         println!("{}", verdict.row());
         if let Some(report) = &verdict.divergence {
             println!("{report}");
@@ -143,5 +98,11 @@ fn run_plans(label: &str, scenario: &Scenario, plans: &[FaultPlan], bounds: &Cha
             failed += 1;
         }
     }
-    failed
+    if failed > 0 {
+        println!("{failed} plan(s) FAILED");
+        ExitCode::FAILURE
+    } else {
+        println!("all plans passed");
+        ExitCode::SUCCESS
+    }
 }

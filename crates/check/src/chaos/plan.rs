@@ -65,20 +65,6 @@ pub enum FaultKind {
         /// What to do to it.
         fault: LinkFault,
     },
-    /// The active shard dies for good (no scripted restart); its standby
-    /// must detect the silence and promote itself. Requires a
-    /// [`gso_sim::Scenario`] built with `standby: true`.
-    ShardCrash,
-    /// Block (`true`) or heal (`false`) the active → standby link carrying
-    /// heartbeats. Sub-lease blocks must *not*
-    /// promote; a block outlasting the lease must promote exactly once.
-    HeartbeatLink(bool),
-    /// Partition (`true`) or heal (`false`) the active shard from every
-    /// accessing node *and* its standby, both directions — the symmetric
-    /// split-brain case: the zombie keeps solving on its island while the
-    /// promoted standby takes the access layer, and epoch fencing must
-    /// reject the zombie's writes once the partition heals.
-    PartitionCn(bool),
 }
 
 /// One fault action at a point in simulated time.
@@ -97,15 +83,6 @@ pub struct FaultPlan {
     pub name: String,
     /// Events sorted ascending by time (ties keep insertion order).
     pub events: Vec<FaultEvent>,
-    /// The plan assumes a failover pair (`Scenario::standby = true`).
-    pub needs_standby: bool,
-    /// Exactly this many standby promotions must occur (checked against
-    /// `cluster.promotions` and the `cluster.takeover_ms` histogram).
-    pub expected_promotions: u64,
-    /// The plan produces a zombie writer whose stale-epoch traffic must be
-    /// fenced (`cluster.fenced` > 0); when `false`, zero fenced writes are
-    /// tolerated.
-    pub expect_fencing: bool,
 }
 
 /// Start of the fault window: early enough that recovery and
@@ -116,13 +93,7 @@ impl FaultPlan {
     /// A plan from explicit events (sorted by time, stable on ties).
     pub fn new(name: impl Into<String>, mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| e.at);
-        FaultPlan {
-            name: name.into(),
-            events,
-            needs_standby: false,
-            expected_promotions: 0,
-            expect_fencing: false,
-        }
+        FaultPlan { name: name.into(), events }
     }
 
     /// The empty plan: no faults. Used for the baseline run.
@@ -229,128 +200,6 @@ impl FaultPlan {
         )
     }
 
-    /// Shard crash: the active conference shard dies for good inside the
-    /// fault window. The standby's lease expires within ~1 s, it promotes
-    /// itself under a bumped epoch, rebuilds the controller from the
-    /// accessing nodes' resync replies, and the conference re-converges. No zombie exists, so zero fenced
-    /// writes are expected.
-    pub fn shard_crash(seed: u64) -> Self {
-        let mut rng = DetRng::derive(seed, "chaos-shard-crash");
-        let at = SimTime::from_millis(FAULT_WINDOW_START_MS + rng.range_u64(0, 2_000));
-        let mut plan =
-            FaultPlan::new("shard-crash", vec![FaultEvent { at, kind: FaultKind::ShardCrash }]);
-        plan.needs_standby = true;
-        plan.expected_promotions = 1;
-        plan
-    }
-
-    /// Standby promotion under load: the shard dies while one client's
-    /// access link is inside a reorder + extra-delay window, so the
-    /// takeover's resyncs, GTMB pushes and acks run against disordered,
-    /// delayed control traffic. The load is deliberately loss-free: a loss
-    /// window would crater the client's uplink estimate right as the
-    /// promoted controller seeds its picture from the resync replies, and
-    /// the resulting low allocation can trap BWE below a ladder-budget cliff —
-    /// a steady-state property of rate allocation, not of failover. The
-    /// link heals before the tail window; QoE must re-converge.
-    pub fn promotion_under_load(seed: u64, client: ClientId) -> Self {
-        let mut rng = DetRng::derive(seed, "chaos-promotion-under-load");
-        let start = SimTime::from_millis(FAULT_WINDOW_START_MS + rng.range_u64(0, 1_000));
-        let crash = start + SimDuration::from_millis(rng.range_u64(500, 1_500));
-        let heal = start + SimDuration::from_millis(rng.range_u64(4_000, 5_000));
-        let jitter = SimDuration::from_millis(rng.range_u64(20, 60));
-        let delay = SimDuration::from_millis(rng.range_u64(30, 80));
-        let mut events = Vec::new();
-        for side in [LinkSide::Up, LinkSide::Down] {
-            for fault in [LinkFault::Reorder(jitter), LinkFault::ExtraDelay(delay)] {
-                events
-                    .push(FaultEvent { at: start, kind: FaultKind::Link { client, side, fault } });
-            }
-            events.push(FaultEvent {
-                at: heal,
-                kind: FaultKind::Link { client, side, fault: LinkFault::Restore },
-            });
-        }
-        events.push(FaultEvent { at: crash, kind: FaultKind::ShardCrash });
-        let mut plan = FaultPlan::new("promotion-under-load", events);
-        plan.needs_standby = true;
-        plan.expected_promotions = 1;
-        plan
-    }
-
-    /// Heartbeat-loss flapping: two sub-lease blocks of the heartbeat link
-    /// that must *not* trigger a promotion, then one block outlasting the
-    /// lease that must trigger exactly one. The active shard is healthy
-    /// throughout, so after the promotion it is a zombie: its stale-epoch
-    /// rules must be fenced and the `Fence` replies must make it step down.
-    pub fn heartbeat_flapping(seed: u64) -> Self {
-        let mut rng = DetRng::derive(seed, "chaos-heartbeat-flapping");
-        // Sub-lease windows: the 700 ms (minimum) lease tolerates ≤ 500 ms
-        // of heartbeat silence even when the block lands right after a
-        // renewal (next heartbeat arrives ≤ 100 ms after the heal).
-        let mut events = Vec::new();
-        let mut at = SimTime::from_millis(FAULT_WINDOW_START_MS + rng.range_u64(0, 500));
-        for _ in 0..2 {
-            let window = SimDuration::from_millis(rng.range_u64(300, 450));
-            events.push(FaultEvent { at, kind: FaultKind::HeartbeatLink(true) });
-            events.push(FaultEvent { at: at + window, kind: FaultKind::HeartbeatLink(false) });
-            at = at + window + SimDuration::from_millis(1_500);
-        }
-        // The killer block: well past the jittered lease bound (840 ms).
-        events.push(FaultEvent { at, kind: FaultKind::HeartbeatLink(true) });
-        events.push(FaultEvent {
-            at: at + SimDuration::from_millis(2_000),
-            kind: FaultKind::HeartbeatLink(false),
-        });
-        let mut plan = FaultPlan::new("heartbeat-flapping", events);
-        plan.needs_standby = true;
-        plan.expected_promotions = 1;
-        plan.expect_fencing = true;
-        plan
-    }
-
-    /// Symmetric partition (split-brain): the active shard is cut off from
-    /// every accessing node *and* its standby, keeps solving on its island,
-    /// and the standby promotes and captures the access layer. When the
-    /// partition heals, the zombie's stale-epoch writes must be fenced —
-    /// never applied — and the `Fence` replies must make it step down, so
-    /// at no point do two writers drive the same conference.
-    pub fn split_brain(seed: u64) -> Self {
-        let mut rng = DetRng::derive(seed, "chaos-split-brain");
-        let cut = SimTime::from_millis(FAULT_WINDOW_START_MS + rng.range_u64(0, 1_000));
-        let heal = cut + SimDuration::from_millis(rng.range_u64(2_500, 3_500));
-        let mut plan = FaultPlan::new(
-            "split-brain",
-            vec![
-                FaultEvent { at: cut, kind: FaultKind::PartitionCn(true) },
-                FaultEvent { at: heal, kind: FaultKind::PartitionCn(false) },
-            ],
-        );
-        plan.needs_standby = true;
-        plan.expected_promotions = 1;
-        plan.expect_fencing = true;
-        plan
-    }
-
-    /// The failover-plan matrix for one seed: every plan here requires a
-    /// scenario built with a standby shard.
-    pub fn failover_matrix(seed: u64, clients: &[ClientId]) -> Vec<FaultPlan> {
-        let load_target = clients.first().copied().unwrap_or(ClientId(1));
-        vec![
-            FaultPlan::shard_crash(seed),
-            FaultPlan::promotion_under_load(seed, load_target),
-            FaultPlan::heartbeat_flapping(seed),
-            FaultPlan::split_brain(seed),
-        ]
-    }
-
-    /// The failover subset for CI smoke runs: the clean takeover path and
-    /// the split-brain fencing path (the two §7 bounds unique to the
-    /// standby failover layer).
-    pub fn failover_smoke(seed: u64) -> Vec<FaultPlan> {
-        vec![FaultPlan::shard_crash(seed), FaultPlan::split_brain(seed)]
-    }
-
     /// The full fault-plan matrix for one seed.
     pub fn matrix(seed: u64, clients: &[ClientId]) -> Vec<FaultPlan> {
         let storm_target = clients.first().copied().unwrap_or(ClientId(1));
@@ -364,9 +213,7 @@ impl FaultPlan {
     }
 
     /// The reduced matrix for CI smoke runs: one control-plane outage and
-    /// one watchdog degradation (the two recovery paths with bounds). The
-    /// smoke run adds [`FaultPlan::failover_smoke`] on the standby-paired
-    /// conference.
+    /// one watchdog degradation (the two recovery paths with bounds).
     pub fn smoke_matrix(seed: u64) -> Vec<FaultPlan> {
         vec![FaultPlan::controller_outage(seed), FaultPlan::deadline_overrun(seed)]
     }
@@ -395,39 +242,6 @@ mod tests {
         let a = FaultPlan::controller_outage(1);
         let b = FaultPlan::controller_outage(2);
         assert_ne!(a.events, b.events);
-    }
-
-    #[test]
-    fn failover_plans_deterministic_and_well_formed() {
-        let clients = [ClientId(1), ClientId(2), ClientId(3)];
-        let a = FaultPlan::failover_matrix(11, &clients);
-        let b = FaultPlan::failover_matrix(11, &clients);
-        assert_eq!(a.len(), 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.events, y.events);
-            assert!(x.needs_standby, "{}: failover plans need a standby", x.name);
-            assert_eq!(x.expected_promotions, 1, "{}", x.name);
-            for w in x.events.windows(2) {
-                assert!(w[0].at <= w[1].at, "{}: unsorted events", x.name);
-            }
-            for e in &x.events {
-                assert!(e.at < SimTime::from_secs(20), "{}: late event", x.name);
-            }
-        }
-        // Every heartbeat/partition block is healed so the tail window is
-        // judged on a reconnected network.
-        for plan in &a {
-            let mut open = 0i32;
-            for e in &plan.events {
-                match e.kind {
-                    FaultKind::HeartbeatLink(true) | FaultKind::PartitionCn(true) => open += 1,
-                    FaultKind::HeartbeatLink(false) | FaultKind::PartitionCn(false) => open -= 1,
-                    _ => {}
-                }
-            }
-            assert_eq!(open, 0, "{}: unclosed block window", plan.name);
-        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! *twice*, then renders the §7 acceptance verdict: steady-state QoE
 //! within tolerance of the no-fault baseline, bounded recovery time for
 //! every controller restart, zero auditor violations in the final
-//! configuration, and digest-identical double runs.
+//! configuration, digest-identical double runs, and no controller message
+//! dropped for a stale epoch.
 
 use super::plan::{FaultEvent, FaultKind, FaultPlan, LinkFault, LinkSide};
 use gso_algo::ConstraintViolation;
@@ -69,18 +70,9 @@ pub struct ChaosOutcome {
     pub fallback_exited: u64,
     /// `epoch.stale_rejected` counter total.
     pub stale_rejected: u64,
-    /// Standby-takeover histogram (`cluster.takeover_ms`), if any standby
-    /// was promoted.
-    pub takeover: Option<HistogramSnapshot>,
-    /// `cluster.promotions` counter total.
-    pub promotions: u64,
-    /// `cluster.fenced` counter total: stale-epoch writes *rejected* at the
-    /// accessing nodes (rejection happens before application, so this
-    /// counting is also the proof that zero stale writes were applied).
-    pub fenced: u64,
-    /// `cluster.stepdowns` counter total: zombies that received a `Fence`
-    /// and stopped writing.
-    pub stepdowns: u64,
+    /// Controller messages the accessing nodes dropped for a stale epoch
+    /// ([`AccessNode::stale_dropped`], summed).
+    pub stale_dropped: u64,
 }
 
 /// Execute one plan against the scenario, stepping the simulator in 100 ms
@@ -97,16 +89,21 @@ pub fn run_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosOutcome {
         }
     });
     let violations = audit_final(&wired);
-    let solution_qoe =
-        live_cn(&wired).and_then(|c| c.controller.last_solution()).map_or(0.0, |s| s.total_qoe);
+    let solution_qoe = wired
+        .sim
+        .node::<ConferenceNode>(wired.cn)
+        .and_then(|c| c.controller.last_solution())
+        .map_or(0.0, |s| s.total_qoe);
     let recovery = wired.telemetry.histogram(keys::CTRL_RECOVERY_TIME_MS, "restart");
     let fallback_entered = wired.telemetry.counter_total(keys::CTRL_FALLBACK_ENTERED);
     let fallback_exited = wired.telemetry.counter_total(keys::CTRL_FALLBACK_EXITED);
     let stale_rejected = wired.telemetry.counter_total(keys::EPOCH_STALE_REJECTED);
-    let takeover = wired.telemetry.histogram(keys::CLUSTER_TAKEOVER_MS, "takeover");
-    let promotions = wired.telemetry.counter_total(keys::CLUSTER_PROMOTIONS);
-    let fenced = wired.telemetry.counter_total(keys::CLUSTER_FENCED);
-    let stepdowns = wired.telemetry.counter_total(keys::CLUSTER_STEPDOWNS);
+    let stale_dropped = wired
+        .ans
+        .iter()
+        .filter_map(|&an| wired.sim.node::<AccessNode>(an))
+        .map(AccessNode::stale_dropped)
+        .sum();
     let result = scenario.harvest(wired, end);
     ChaosOutcome {
         result,
@@ -117,23 +114,8 @@ pub fn run_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosOutcome {
         fallback_entered,
         fallback_exited,
         stale_rejected,
-        takeover,
-        promotions,
-        fenced,
-        stepdowns,
+        stale_dropped,
     }
-}
-
-/// The controller node that owns the conference at the end of a run: the
-/// standby once it has been promoted, the original conference node
-/// otherwise.
-fn live_cn(wired: &WiredConference) -> Option<&ConferenceNode> {
-    if let Some(node) = wired.standby.and_then(|sb| wired.sim.node::<ConferenceNode>(sb)) {
-        if !node.is_standby() {
-            return Some(node);
-        }
-    }
-    wired.sim.node::<ConferenceNode>(wired.cn)
 }
 
 /// Steady-state QoE: mean received media rate over the tail window,
@@ -195,17 +177,9 @@ pub struct PlanVerdict {
     pub recovery_ok: bool,
     /// Mean recovery time in ms over the plan's restarts (0 if none).
     pub recovery_mean_ms: u64,
-    /// Standby promotions matched [`FaultPlan::expected_promotions`]
-    /// and every takeover closed within the recovery bound.
-    pub takeover_ok: bool,
-    /// Mean takeover time in ms over the plan's promotions (0 if none).
-    pub takeover_mean_ms: u64,
-    /// Fencing behaved as the plan demands: stale-epoch writes rejected
-    /// when a zombie exists (`cluster.fenced` > 0 with a stepdown), zero
-    /// fenced writes otherwise.
-    pub fencing_ok: bool,
-    /// `cluster.fenced` total of the faulted run.
-    pub fenced: u64,
+    /// Controller messages dropped for a stale epoch in the faulted run;
+    /// must be 0 (a restart's resync supersedes everything in flight).
+    pub stale_dropped: u64,
     /// Both executions produced identical digest traces.
     pub deterministic: bool,
     /// First divergence report when not deterministic.
@@ -219,16 +193,15 @@ impl PlanVerdict {
             && self.media_ok
             && self.auditor_ok
             && self.recovery_ok
-            && self.takeover_ok
-            && self.fencing_ok
+            && self.stale_dropped == 0
             && self.deterministic
     }
 
-    /// One-line report row.
+    /// One-line report row; a nonzero stale-drop count is appended.
     pub fn row(&self) -> String {
-        format!(
+        let mut row = format!(
             "{:20} {} qoe {:>7.0} vs {:>7.0} ({:+.2}%)  media {:>8.0} bps ({})  violations {}  \
-             recovery {} ({} ms)  takeover {} ({} ms)  fenced {} ({})  {}",
+             recovery {} ({} ms)  {}",
             self.plan,
             if self.passed() { "PASS" } else { "FAIL" },
             self.qoe,
@@ -243,12 +216,12 @@ impl PlanVerdict {
             self.violations,
             if self.recovery_ok { "ok" } else { "LATE" },
             self.recovery_mean_ms,
-            if self.takeover_ok { "ok" } else { "BAD" },
-            self.takeover_mean_ms,
-            self.fenced,
-            if self.fencing_ok { "ok" } else { "BAD" },
             if self.deterministic { "digest-identical" } else { "DIVERGED" },
-        )
+        );
+        if self.stale_dropped > 0 {
+            row.push_str(&format!("  STALE-DROPPED {}", self.stale_dropped));
+        }
+        row
     }
 }
 
@@ -268,15 +241,8 @@ pub fn check_plan(
         baseline.qoe > 0.0 && (qoe - baseline.qoe).abs() <= bounds.qoe_tolerance * baseline.qoe;
     let media_bps = steady_state_qoe(&a.result, bounds.tail_window);
     let media_ok = media_bps >= bounds.media_floor * baseline.media_bps;
-    let (recovery_ok, recovery_mean_ms) = recovery_verdict(&a, plan, bounds.recovery_ms);
-    let (takeover_ok, takeover_mean_ms) = takeover_verdict(&a, plan, bounds.recovery_ms);
-    let fencing_ok = if plan.expect_fencing {
-        // A zombie existed: its stale-epoch writes must have been rejected
-        // (never applied) and the Fence replies must have made it step down.
-        a.fenced > 0 && a.stepdowns > 0
-    } else {
-        a.fenced == 0
-    };
+    let (recovery_ok, recovery_mean_ms) =
+        recovery_verdict(a.recovery.as_ref(), plan.restarts(), bounds.recovery_ms);
     PlanVerdict {
         plan: plan.name.clone(),
         qoe,
@@ -288,33 +254,16 @@ pub fn check_plan(
         violations: a.violations.len(),
         recovery_ok,
         recovery_mean_ms,
-        takeover_ok,
-        takeover_mean_ms,
-        fencing_ok,
-        fenced: a.fenced,
+        stale_dropped: a.stale_dropped,
         deterministic: divergence.is_none(),
         divergence,
     }
 }
 
-/// Every restart must have closed a recovery window, and every sample must
-/// sit in a histogram bucket at or below the bound.
-fn recovery_verdict(outcome: &ChaosOutcome, plan: &FaultPlan, bound_ms: u64) -> (bool, u64) {
-    window_verdict(outcome.recovery.as_ref(), plan.restarts(), bound_ms)
-}
-
-/// Exactly the expected number of standby promotions, each closing its
-/// takeover window within the bound.
-fn takeover_verdict(outcome: &ChaosOutcome, plan: &FaultPlan, bound_ms: u64) -> (bool, u64) {
-    if outcome.promotions != plan.expected_promotions {
-        return (false, 0);
-    }
-    window_verdict(outcome.takeover.as_ref(), plan.expected_promotions, bound_ms)
-}
-
-/// `expected` histogram samples, all in buckets at or below `bound_ms`;
-/// returns `(ok, mean_ms)`.
-fn window_verdict(
+/// Every one of the `expected` restarts must have closed a recovery
+/// window, and every sample must sit in a histogram bucket at or below
+/// `bound_ms`; returns `(ok, mean_ms)`.
+fn recovery_verdict(
     histogram: Option<&HistogramSnapshot>,
     expected: u64,
     bound_ms: u64,
@@ -342,7 +291,7 @@ fn window_verdict(
 /// publishers sending their smallest stream even when a stale uplink
 /// estimate says otherwise.
 fn audit_final(wired: &WiredConference) -> Vec<ConstraintViolation> {
-    let Some(cn) = live_cn(wired) else { return Vec::new() };
+    let Some(cn) = wired.sim.node::<ConferenceNode>(wired.cn) else { return Vec::new() };
     let Ok(problem) = cn.controller.picture.to_problem() else { return Vec::new() };
     let Some(solution) = cn.controller.last_solution() else { return Vec::new() };
     let mut violations = solution.violations(&problem);
@@ -433,35 +382,6 @@ fn apply(
         FaultKind::DeadlineOverrun(rounds) => {
             if let Some(cn) = wired.sim.node_mut::<ConferenceNode>(wired.cn) {
                 cn.controller.inject_deadline_overrun(*rounds);
-            }
-        }
-        FaultKind::ShardCrash => {
-            // Same mechanics as a controller crash, but no restart ever
-            // comes: only the standby's lease expiry can save the call.
-            let now = wired.sim.now();
-            if let Some(cn) = wired.sim.node_mut::<ConferenceNode>(wired.cn) {
-                cn.crash(now);
-            }
-        }
-        FaultKind::HeartbeatLink(blocked) => {
-            if let Some(sb) = wired.standby {
-                if let Some(cfg) = wired.sim.link_config_mut(wired.cn, sb) {
-                    cfg.blocked = *blocked;
-                }
-            }
-        }
-        FaultKind::PartitionCn(blocked) => {
-            // Symmetric partition: the active shard's island contains only
-            // itself; accessing nodes and the standby stay connected.
-            let cn = wired.cn;
-            let mut peers: Vec<NodeId> = wired.ans.clone();
-            peers.extend(wired.standby);
-            for peer in peers {
-                for (from, to) in [(cn, peer), (peer, cn)] {
-                    if let Some(cfg) = wired.sim.link_config_mut(from, to) {
-                        cfg.blocked = *blocked;
-                    }
-                }
             }
         }
         FaultKind::Link { client, side, fault } => {

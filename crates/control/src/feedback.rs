@@ -811,7 +811,7 @@ mod tests {
         assert!(!ex.pending(*client));
     }
 
-    /// Regression (shard failover): an epoch bump with configurations in
+    /// Regression: an epoch bump with configurations in
     /// flight must cancel their retransmission schedules. The stored
     /// messages carry the old epoch, so clients fence every resend and can
     /// never ack — before the fix, the budget exhausted and `take_failed`
@@ -822,8 +822,7 @@ mod tests {
         let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         assert_eq!(msgs.len(), 2, "both configs in flight");
-        // Promotion bumps the epoch on the live executor (unlike a restart,
-        // which builds a fresh controller).
+        // Bump the epoch on the live executor.
         ex.set_epoch(1);
         for tick in 1..=8u64 {
             assert!(

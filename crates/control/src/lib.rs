@@ -11,8 +11,6 @@
 //! * [`scheduler`] — 1–3 s control cadence with event triggers (Fig. 12).
 //! * [`feedback`] — solution → GTMB/forwarding rules, with retransmission.
 //! * [`failure`] — single-stream fallback (§7).
-//! * [`failover`] — standby takeover (§7): lease-based failure detection
-//!   and the epoch-ledger split-brain fence.
 //! * [`sdp`] — SDP offer/answer with the custom `simulcastInfo` attribute
 //!   and per-layer SSRC assignment (§4.2).
 //! * [`controller`] — the composed [`controller::GsoController`].
@@ -20,7 +18,6 @@
 //!   persistent scheduler.
 
 pub mod controller;
-pub mod failover;
 pub mod failure;
 pub mod feedback;
 pub mod fleet;
@@ -32,7 +29,6 @@ pub mod state;
 pub use controller::{
     ControlOutput, ControllerConfig, Direction, GsoController, RoundContext, SolveOutcome, TickPrep,
 };
-pub use failover::{EpochLedger, FailureDetector, LeaseConfig};
 pub use failure::fallback_solution;
 pub use feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
 pub use fleet::{ControllerFleet, FleetTick};

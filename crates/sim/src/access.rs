@@ -9,16 +9,15 @@
 
 use crate::client::PolicyMode;
 use crate::ctrl::{ClientSnapshot, CtrlMessage};
-use crate::SHARD_LABEL;
 use gso_algo::{Ladder, SourceId};
 use gso_bwe::TwccGenerator;
 use gso_bwe::{
     BweConfig, ProbeConfig, ProbeController, SembConfig, SembScheduler, SendHistory, SenderBwe,
 };
-use gso_control::{EpochLedger, SubscribeIntent};
+use gso_control::SubscribeIntent;
 use gso_media::FragmentHeader;
 use gso_net::{Actions, Node, NodeId, Packet};
-use gso_rtp::{decode_ssrc, ssrc_for, RtcpPacket, RtpPacket};
+use gso_rtp::{decode_ssrc, epoch_newer, ssrc_for, RtcpPacket, RtpPacket};
 use gso_sfu::{
     LargestFitSelector, LayerSwitcher, OfferedLayer, PassthroughSelector, StreamSelector,
     TwoLevelSelector,
@@ -75,15 +74,16 @@ struct LayerRate {
 /// The accessing node.
 pub struct AccessNode {
     mode: PolicyMode,
-    /// The conference controller this node follows, and at which epoch.
-    /// Epoch-stamped CN → AN traffic (rules, config pushes, resyncs) is
-    /// accepted only from the followed controller at its epoch — or from
-    /// *any* node at a newer epoch, which re-homes the node to it (standby
-    /// promotion). Stale traffic is fenced and answered with
-    /// [`CtrlMessage::Fence`], so a zombie controller on the wrong side of
-    /// a partition can never rewrite forwarding state (split-brain safety,
-    /// §7).
-    ledger: EpochLedger<NodeId>,
+    /// The conference node signaling and reports are relayed to (GSO
+    /// mode only).
+    conference: Option<NodeId>,
+    /// Newest controller epoch seen on epoch-stamped CN → AN traffic
+    /// (rules, config pushes, resyncs). A controller restart bumps it, so
+    /// traffic stamped with a serially older epoch was sent before the
+    /// restart and must not rewrite forwarding state (§7).
+    ctrl_epoch: u32,
+    /// CN → AN messages dropped for carrying a stale epoch.
+    stale_dropped: u64,
     /// Attached clients and their network endpoints.
     clients: BTreeMap<ClientId, NodeId>,
     endpoint_to_client: BTreeMap<NodeId, ClientId>,
@@ -122,15 +122,13 @@ pub struct AccessNode {
 
 impl AccessNode {
     /// Build an accessing node. `conference` is required in GSO mode; the
-    /// node follows it at epoch 0 until a newer epoch re-homes it.
+    /// node expects controller epoch 0 until a restart bumps it.
     pub fn new(mode: PolicyMode, conference: Option<NodeId>) -> Self {
-        let mut ledger = EpochLedger::new();
-        if let Some(cn) = conference {
-            ledger.record_write(cn, 0);
-        }
         AccessNode {
             mode,
-            ledger,
+            conference,
+            ctrl_epoch: 0,
+            stale_dropped: 0,
             clients: BTreeMap::new(),
             endpoint_to_client: BTreeMap::new(),
             remote_clients: BTreeMap::new(),
@@ -178,9 +176,9 @@ impl AccessNode {
         self.remote_clients.insert(client, peer);
     }
 
-    /// The conference node this node currently follows.
-    fn conference(&self) -> Option<NodeId> {
-        self.ledger.live().map(|(cn, _)| cn)
+    /// How many CN → AN messages this node dropped for a stale epoch.
+    pub fn stale_dropped(&self) -> u64 {
+        self.stale_dropped
     }
 
     fn is_peer(&self, node: NodeId) -> bool {
@@ -200,7 +198,7 @@ impl AccessNode {
     }
 
     /// Snapshot of every locally-attached client's cached state, for
-    /// controller resync after a restart or a standby promotion.
+    /// controller resync after a restart.
     pub(crate) fn snapshot(&self) -> Vec<ClientSnapshot> {
         self.clients
             .keys()
@@ -368,7 +366,7 @@ impl AccessNode {
                 }
                 RtcpPacket::Semb(semb) => {
                     self.last_uplink.insert(from, semb.bitrate);
-                    if let (PolicyMode::Gso, Some(cn)) = (self.mode, self.conference()) {
+                    if let (PolicyMode::Gso, Some(cn)) = (self.mode, self.conference) {
                         out.send(
                             cn,
                             Packet::new(
@@ -379,7 +377,7 @@ impl AccessNode {
                     }
                 }
                 RtcpPacket::GsoTmmbn(ack) => {
-                    if let Some(cn) = self.conference() {
+                    if let Some(cn) = self.conference {
                         out.send(
                             cn,
                             Packet::new(
@@ -405,21 +403,17 @@ impl AccessNode {
         }
     }
 
-    /// Epoch gate for CN → AN control traffic, decided by the
-    /// [`EpochLedger`]. Returns `true` when the message must be dropped:
-    /// the sender's epoch is older than the one we follow (or equal but
-    /// from a node we do not follow), i.e. a fenced zombie. A strictly
-    /// newer epoch re-homes this node to the sender — that is how a
-    /// promoted standby captures the access layer. Fenced senders are told
-    /// the live epoch so they can step down.
-    fn fenced(&mut self, from: NodeId, epoch: u32, out: &mut Actions) -> bool {
-        if self.ledger.record_write(from, epoch) {
-            return false;
+    /// Epoch gate for CN → AN control traffic. Returns `true` when the
+    /// message must be dropped: its epoch is serially older than the newest
+    /// seen, so it left the controller before a restart. A newer epoch is
+    /// adopted. Runs on every `Rules` message, so it must not allocate.
+    fn stale(&mut self, epoch: u32) -> bool {
+        if epoch_newer(self.ctrl_epoch, epoch) {
+            self.stale_dropped += 1;
+            return true;
         }
-        self.telemetry.incr(keys::CLUSTER_FENCED, SHARD_LABEL);
-        let live_epoch = self.ledger.live().map_or(0, |(_, e)| e);
-        out.send(from, Packet::new(CtrlMessage::Fence { epoch: live_epoch }.serialize()));
-        true
+        self.ctrl_epoch = epoch;
+        false
     }
 
     fn handle_ctrl(&mut self, now: SimTime, from: NodeId, msg: CtrlMessage, out: &mut Actions) {
@@ -459,20 +453,20 @@ impl AccessNode {
                     }
                 }
             }
-            // CN → AN — all epoch-stamped and fenced against stale writers.
+            // CN → AN — all epoch-stamped; stale epochs are dropped.
             CtrlMessage::ResyncRequest { epoch } => {
-                if self.fenced(from, epoch, out) {
+                if self.stale(epoch) {
                     return;
                 }
-                // A restarted (or freshly promoted) controller rebuilds its
-                // picture from our cached view of the attached clients (§7).
+                // A restarted controller rebuilds its picture from our
+                // cached view of the attached clients (§7).
                 out.send(
                     from,
                     Packet::new(CtrlMessage::ResyncState { clients: self.snapshot() }.serialize()),
                 );
             }
             CtrlMessage::ConfigPush { epoch, client, rtcp } => {
-                if self.fenced(from, epoch, out) {
+                if self.stale(epoch) {
                     return;
                 }
                 if let Some(&endpoint) = self.clients.get(&client) {
@@ -480,7 +474,7 @@ impl AccessNode {
                 }
             }
             CtrlMessage::Rules { epoch, rules } => {
-                if self.fenced(from, epoch, out) {
+                if self.stale(epoch) {
                     return;
                 }
                 // Full replacement: local switchers serve locally-attached
@@ -524,7 +518,7 @@ impl AccessNode {
     /// rebroadcast so every access node knows the mesh's subscriptions:
     /// it is recorded and goes no further, so it cannot bounce back up.
     fn relay_up(&self, from_local: bool, msg: &CtrlMessage, out: &mut Actions) {
-        if let (true, Some(cn)) = (from_local, self.conference()) {
+        if let (true, Some(cn)) = (from_local, self.conference) {
             out.send(cn, Packet::new(msg.serialize()));
         }
     }
@@ -760,7 +754,7 @@ impl Node for AccessNode {
                             // During a blackout the scheduler still advances
                             // (reports resume on cadence), but nothing is
                             // sent.
-                            if let (false, Some(cn)) = (self.report_blackout, self.conference()) {
+                            if let (false, Some(cn)) = (self.report_blackout, self.conference) {
                                 out.send(
                                     cn,
                                     Packet::new(
@@ -1145,26 +1139,21 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_writer_is_fenced_and_newer_epoch_rehomes() {
+    fn stale_epoch_is_dropped_and_newer_epoch_adopted() {
         let (mut an, cn, _e1, e2) = an_with_two_clients();
-        let standby = NodeId(1);
-        // The promoted standby writes rules at epoch 1: accepted, and the
-        // node re-homes to it.
-        let newer = CtrlMessage::Rules {
-            epoch: 1,
-            rules: match rules_for(2, 1) {
-                CtrlMessage::Rules { rules, .. } => rules,
-                _ => unreachable!(),
-            },
-        };
+        // The restarted controller's resync carries epoch 1: adopted, and
+        // answered with the cached client state.
         let mut out = Actions::default();
-        an.on_packet(SimTime::ZERO, standby, Packet::new(newer.serialize()), &mut out);
-        assert_eq!(an.ledger.live(), Some((standby, 1)));
-        assert!(!an.switchers.is_empty(), "newer-epoch rules applied");
+        let resync = CtrlMessage::ResyncRequest { epoch: 1 };
+        an.on_packet(SimTime::ZERO, cn, Packet::new(resync.serialize()), &mut out);
+        assert_eq!(out.sends().len(), 1);
+        assert!(matches!(
+            CtrlMessage::parse(out.sends()[0].1.data.clone()),
+            Some(CtrlMessage::ResyncState { .. })
+        ));
 
-        // The zombie controller's epoch-0 rules are dropped and answered
-        // with a Fence carrying the live epoch.
-        an.switchers.clear();
+        // Epoch-0 rules sent before the restart arrive late: dropped with
+        // no reply.
         let mut out = Actions::default();
         an.on_packet(
             SimTime::from_millis(1),
@@ -1173,38 +1162,25 @@ mod tests {
             &mut out,
         );
         assert!(an.switchers.is_empty(), "stale-epoch rules must not be applied");
-        assert_eq!(an.ledger.live(), Some((standby, 1)), "zombie must not capture the node");
-        assert_eq!(out.sends().len(), 1);
-        assert_eq!(out.sends()[0].0, cn);
-        assert_eq!(
-            CtrlMessage::parse(out.sends()[0].1.data.clone()),
-            Some(CtrlMessage::Fence { epoch: 1 })
-        );
+        assert!(out.sends().is_empty(), "a stale message gets no reply");
+        assert_eq!(an.stale_dropped(), 1);
 
-        // An equal-epoch write from a node the access node does not follow
-        // is just as stale: dropped, and answered with a Fence.
-        let rival = NodeId(2);
+        // The same rules at the current epoch are applied.
+        let current = CtrlMessage::Rules { epoch: 1, rules: vec![rule(2, 1)] };
         let mut out = Actions::default();
-        an.on_packet(SimTime::from_millis(1), rival, Packet::new(newer.serialize()), &mut out);
-        assert!(an.switchers.is_empty(), "equal-epoch rules from a rival must not be applied");
-        assert_eq!(an.ledger.live(), Some((standby, 1)), "rival must not capture the node");
-        assert_eq!(an.ledger.fenced(), 2);
-        assert_eq!(out.sends().len(), 1);
-        assert_eq!(out.sends()[0].0, rival);
-        assert_eq!(
-            CtrlMessage::parse(out.sends()[0].1.data.clone()),
-            Some(CtrlMessage::Fence { epoch: 1 })
-        );
+        an.on_packet(SimTime::from_millis(2), cn, Packet::new(current.serialize()), &mut out);
+        assert!(!an.switchers.is_empty(), "current-epoch rules applied");
 
-        // Same-epoch traffic from the followed controller still flows.
+        // So is a config push at the current epoch; the drop count holds.
         let push = CtrlMessage::ConfigPush {
             epoch: 1,
             client: ClientId(2),
             rtcp: bytes::Bytes::from_static(b"\x80\xcc\x00\x00"),
         };
         let mut out = Actions::default();
-        an.on_packet(SimTime::from_millis(2), standby, Packet::new(push.serialize()), &mut out);
+        an.on_packet(SimTime::from_millis(3), cn, Packet::new(push.serialize()), &mut out);
         assert_eq!(out.sends().len(), 1);
         assert_eq!(out.sends()[0].0, e2);
+        assert_eq!(an.stale_dropped(), 1);
     }
 }

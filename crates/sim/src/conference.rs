@@ -7,21 +7,15 @@
 //! configurations (via the client's accessing node, in-band) and the
 //! forwarding rules to every accessing node.
 //!
-//! A conference node can also boot as a **standby shard**
-//! ([`ConferenceNode::new_standby`]): it watches the active's heartbeats
-//! through a lease-based [`FailureDetector`], and on lease expiry promotes
-//! itself under a bumped epoch — rebuilding the controller exactly like a
-//! restart, from an epoch-stamped resync that also re-homes every
-//! accessing node. Epoch fencing at the accessing nodes (plus the
-//! [`CtrlMessage::Fence`] reply that makes a zombie step down) guarantees
-//! at most one writer per conference even under a symmetric network
-//! partition.
+//! Controller failure is handled in place (§7): a crashed node
+//! [restarts](ConferenceNode::restart) under a bumped epoch and rebuilds
+//! its picture from the accessing nodes' resync replies, while the media
+//! plane keeps forwarding on the last rules.
 
 use crate::ctrl::CtrlMessage;
-use crate::SHARD_LABEL;
-use gso_control::{ControllerConfig, FailureDetector, GsoController, LeaseConfig};
+use gso_control::{ControllerConfig, GsoController};
 use gso_net::{Actions, Node, NodeId, Packet};
-use gso_rtp::{epoch_newer, RtcpPacket};
+use gso_rtp::RtcpPacket;
 use gso_telemetry::{keys, Telemetry};
 use gso_util::{ClientId, SimDuration, SimTime, Ssrc};
 use std::any::Any;
@@ -55,18 +49,6 @@ pub struct ConferenceNode {
     /// Set at restart; cleared when the rebuilt controller first produces a
     /// non-fallback solution (that interval is the recovery time).
     restarted_at: Option<SimTime>,
-    /// Standby shard to heartbeat (the active side of the failover pair;
-    /// set by the scenario builder).
-    standby: Option<NodeId>,
-    /// Heartbeat sequence within the current epoch.
-    hb_seq: u64,
-    /// `Some` while this node is a passive standby: the lease detector
-    /// watching the active's heartbeats. Dropped at promotion.
-    detector: Option<FailureDetector>,
-    /// Set at promotion; cleared when the promoted controller first
-    /// produces a non-fallback solution (that interval is the takeover
-    /// time, recorded on `cluster.takeover_ms`).
-    promoted_at: Option<SimTime>,
     telemetry: Telemetry,
 }
 
@@ -83,45 +65,13 @@ impl ConferenceNode {
             epoch: 0,
             restarted_at: None,
             telemetry: Telemetry::disabled(),
-            standby: None,
-            hb_seq: 0,
-            detector: None,
-            promoted_at: None,
         }
-    }
-
-    /// Build a **standby** conference node: passive until the active
-    /// shard's lease expires, then promoted in its place. `lease` seeds the
-    /// failure detector's deterministic jitter stream.
-    pub fn new_standby(
-        cfg: ControllerConfig,
-        access_nodes: Vec<NodeId>,
-        lease: LeaseConfig,
-    ) -> Self {
-        let mut node = ConferenceNode::new(cfg, access_nodes);
-        let mut detector = FailureDetector::new(lease, SHARD_LABEL);
-        detector.arm(SimTime::ZERO);
-        node.detector = Some(detector);
-        node
-    }
-
-    /// Point the active shard at its standby (heartbeat target).
-    pub fn set_standby(&mut self, standby: NodeId) {
-        self.standby = Some(standby);
-    }
-
-    /// Is this node still a passive standby?
-    pub fn is_standby(&self) -> bool {
-        self.detector.is_some()
     }
 
     /// Attach a metrics registry to the embedded controller (and its
     /// feedback executor).
     pub fn set_telemetry(&mut self, telemetry: gso_telemetry::Telemetry) {
         self.telemetry = telemetry.clone();
-        if let Some(detector) = &mut self.detector {
-            detector.set_telemetry(telemetry.clone());
-        }
         self.controller.set_telemetry(telemetry);
     }
 
@@ -161,35 +111,32 @@ impl ConferenceNode {
     /// and its picture is reconstructed by asking every accessing node to
     /// resync its cached client state (§7: recovery without interruption —
     /// the media plane keeps forwarding on the last rules throughout).
+    ///
+    /// The new controller is empty; the epoch-stamped `ResyncRequest` it
+    /// sends every accessing node is answered with a `ResyncState` that
+    /// re-registers each client (ladders, intents, last link estimates)
+    /// and its client → accessing-node homing.
     pub fn restart(&mut self, now: SimTime, out: &mut Actions) {
         self.down = false;
         // Wrapping: epochs are compared with RFC 1982 serial arithmetic on
-        // the client side, so the generation counter rolls over cleanly
-        // instead of panicking (debug) or freezing (release) at u32::MAX.
-        self.rebuild(self.epoch.wrapping_add(1), out);
+        // the client and accessing-node side, so the generation counter
+        // rolls over cleanly instead of panicking (debug) or freezing
+        // (release) at u32::MAX.
+        self.epoch = self.epoch.wrapping_add(1);
+        self.controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
+        self.controller.set_telemetry(self.telemetry.clone());
+        self.controller.set_epoch(self.epoch);
+        self.client_an.clear();
+        let msg = CtrlMessage::ResyncRequest { epoch: self.epoch }.serialize();
+        for an in self.broadcast_targets() {
+            out.send(an, Packet::new(msg.clone()));
+        }
         self.restarted_at = Some(now);
         self.telemetry.event(
             now,
             keys::EV_CTRL_RESTART,
             format!("controller restarted, epoch {}", self.epoch),
         );
-    }
-
-    /// The one controller rebuild: an empty controller under `epoch`, then
-    /// an epoch-stamped `ResyncRequest` to every accessing node. Their
-    /// `ResyncState` replies re-register every client (ladders, intents,
-    /// last link estimates) and the client → accessing-node homing.
-    fn rebuild(&mut self, epoch: u32, out: &mut Actions) {
-        self.epoch = epoch;
-        self.controller = GsoController::new(self.cfg.clone(), Ssrc(0xC0DE));
-        self.controller.set_telemetry(self.telemetry.clone());
-        self.controller.set_epoch(epoch);
-        self.client_an.clear();
-        self.hb_seq = 0;
-        let msg = CtrlMessage::ResyncRequest { epoch }.serialize();
-        for an in self.broadcast_targets() {
-            out.send(an, Packet::new(msg.clone()));
-        }
     }
 
     fn broadcast_targets(&self) -> Vec<NodeId> {
@@ -199,22 +146,6 @@ impl ConferenceNode {
             self.access_nodes.clone()
         }
     }
-
-    /// Promote this standby to active: bump the epoch serially past
-    /// everything the dead shard ever heartbeat and rebuild exactly like a
-    /// restart. The epoch-stamped resync re-homes every accessing node
-    /// (they fence the zombie from then on).
-    fn promote(&mut self, now: SimTime, out: &mut Actions) {
-        let Some(detector) = self.detector.take() else { return };
-        self.rebuild(detector.last_epoch().wrapping_add(1), out);
-        self.promoted_at = Some(now);
-        self.telemetry.incr(keys::CLUSTER_PROMOTIONS, SHARD_LABEL);
-        self.telemetry.event(
-            now,
-            keys::EV_CLUSTER_PROMOTED,
-            format!("standby promoted, epoch {}", self.epoch),
-        );
-    }
 }
 
 impl Node for ConferenceNode {
@@ -223,29 +154,6 @@ impl Node for ConferenceNode {
             return;
         }
         let Some(msg) = CtrlMessage::parse(packet.data) else { return };
-        // Passive standby: only heartbeats matter; everything else is the
-        // active shard's business.
-        if let Some(detector) = &mut self.detector {
-            if let CtrlMessage::ShardHeartbeat { epoch, seq } = msg {
-                detector.heartbeat(now, epoch, seq);
-            }
-            return;
-        }
-        if let CtrlMessage::Fence { epoch } = msg {
-            // An accessing node follows a newer controller: this node is
-            // the zombie half of a healed partition. Step down instead of
-            // fighting the fence.
-            if epoch_newer(epoch, self.epoch) {
-                self.down = true;
-                self.telemetry.incr(keys::CLUSTER_STEPDOWNS, SHARD_LABEL);
-                self.telemetry.event(
-                    now,
-                    keys::EV_CLUSTER_STEPDOWN,
-                    format!("fenced at epoch {}, successor at {epoch}", self.epoch),
-                );
-            }
-            return;
-        }
         self.default_an.get_or_insert(from);
         match msg {
             CtrlMessage::ResyncState { clients } => {
@@ -329,16 +237,6 @@ impl Node for ConferenceNode {
             out.timer_in(now, TICK_INTERVAL, TICK);
             return;
         }
-        if let Some(detector) = &mut self.detector {
-            // Passive standby: poll the lease; promote on expiry. Either
-            // way the tick chain continues (a promoted node solves on the
-            // very next cadence slot).
-            if detector.check_expired(now) {
-                self.promote(now, out);
-            }
-            out.timer_in(now, TICK_INTERVAL, TICK);
-            return;
-        }
         let (output, retransmissions) = self.controller.tick(now);
         if let Some(restarted) = self.restarted_at {
             if output.is_some() && !self.controller.fallback_active() {
@@ -349,20 +247,6 @@ impl Node for ConferenceNode {
                     keys::CTRL_RECOVERY_TIME_MS,
                     "restart",
                     now.saturating_since(restarted).as_millis(),
-                    keys::RECOVERY_MS_BOUNDS,
-                );
-            }
-        }
-        if let Some(promoted) = self.promoted_at {
-            if output.is_some() && !self.controller.fallback_active() {
-                // First full solve after a standby promotion closes the
-                // takeover window (the failover analogue of restart
-                // recovery, judged against the same §7 5 s bound).
-                self.promoted_at = None;
-                self.telemetry.observe(
-                    keys::CLUSTER_TAKEOVER_MS,
-                    "takeover",
-                    now.saturating_since(promoted).as_millis(),
                     keys::RECOVERY_MS_BOUNDS,
                 );
             }
@@ -401,15 +285,6 @@ impl Node for ConferenceNode {
                 out.send(an, Packet::new(msg.clone()));
             }
         }
-
-        // Failover pair maintenance: heartbeat the standby every tick. It
-        // rides the same backbone links as the rest of the control plane,
-        // so a partition that cuts it off is exactly what expires the lease.
-        if let Some(sb) = self.standby {
-            self.hb_seq += 1;
-            let hb = CtrlMessage::ShardHeartbeat { epoch: self.epoch, seq: self.hb_seq };
-            out.send(sb, Packet::new(hb.serialize()));
-        }
         out.timer_in(now, TICK_INTERVAL, TICK);
     }
 
@@ -431,40 +306,35 @@ mod tests {
     use gso_control::SubscribeIntent;
     use gso_util::Bitrate;
 
-    /// The promoted standby has nothing but the accessing nodes' resync
+    /// The restarted controller has nothing but the accessing nodes' resync
     /// replies to rebuild from, and both regions' nodes must answer: at its
     /// first solving tick the picture holds every client with exactly the
     /// ladders and intents its accessing node cached plus live link
     /// estimates, and that first round already solves without fallback.
     #[test]
-    fn promoted_standby_has_full_picture_at_first_tick() {
+    fn restarted_controller_has_full_picture_at_first_tick() {
         let mbps4 = Bitrate::from_mbps(4);
         let mut s = clean_mesh(PolicyMode::Gso, 4, mbps4, mbps4, SimDuration::from_secs(20), 61);
         s.clients[2].region = 1;
         s.clients[3].region = 1;
-        s.standby = true;
         let mut wired = s.build();
-        let sb = wired.standby.expect("standby requested");
+        let cn = wired.cn;
         assert_eq!(wired.ans.len(), 2);
 
         let crash_at = SimTime::from_secs(5);
         wired.sim.run_until(crash_at);
-        wired.sim.node_mut::<ConferenceNode>(wired.cn).expect("conference node").crash(crash_at);
-        // Both nodes tick on the same 100 ms grid from boot, so promotion
-        // lands on one of these steps.
-        let mut t = crash_at;
-        let promoted_at = loop {
-            t += TICK_INTERVAL;
-            wired.sim.run_until(t);
-            let node: &ConferenceNode = wired.sim.node(sb).expect("standby node");
-            if !node.is_standby() {
-                break t;
-            }
-            assert!(t < crash_at + SimDuration::from_secs(2), "lease never expired");
-        };
-        wired.sim.run_until(promoted_at + TICK_INTERVAL);
+        wired.sim.node_mut::<ConferenceNode>(cn).expect("conference node").crash(crash_at);
+        // Restart between two ticks of the 100 ms grid: the resync replies
+        // cross the 2 ms backbone before the next tick solves.
+        let restart_at = crash_at + SimDuration::from_millis(1_050);
+        wired.sim.run_until(restart_at);
+        wired.sim.with_node_actions(cn, |node, now, out| {
+            let node = node.as_any_mut().downcast_mut::<ConferenceNode>().expect("conference");
+            node.restart(now, out);
+        });
+        wired.sim.run_until(restart_at + TICK_INTERVAL);
 
-        let node: &ConferenceNode = wired.sim.node(sb).expect("standby node");
+        let node: &ConferenceNode = wired.sim.node(cn).expect("conference node");
         assert_eq!(node.epoch(), 1);
         let picture = &node.controller.picture;
         assert_eq!(picture.len(), 4, "every client re-registered");
@@ -498,10 +368,10 @@ mod tests {
         }
         assert!(node.controller.last_solution().is_some(), "first tick solved");
         assert!(!node.controller.fallback_active(), "first round is non-fallback");
-        let takeover = wired
+        let recovery = wired
             .telemetry
-            .histogram(keys::CLUSTER_TAKEOVER_MS, "takeover")
-            .expect("takeover recorded at the first full solve");
-        assert_eq!((takeover.total, takeover.sum), (1, 100));
+            .histogram(keys::CTRL_RECOVERY_TIME_MS, "restart")
+            .expect("recovery recorded at the first full solve");
+        assert_eq!((recovery.total, recovery.sum), (1, 50));
     }
 }

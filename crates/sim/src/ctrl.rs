@@ -54,7 +54,7 @@ pub enum CtrlMessage {
     },
     /// CN → AN: forward this serialized RTCP compound to a client in-band.
     ConfigPush {
-        /// Controller epoch of the sender (for split-brain fencing).
+        /// Controller epoch of the sender (stale epochs are dropped).
         epoch: u32,
         /// The destination client.
         client: ClientId,
@@ -70,7 +70,7 @@ pub enum CtrlMessage {
     },
     /// CN → AN: the current forwarding rules (full replacement).
     Rules {
-        /// Controller epoch of the sender (for split-brain fencing).
+        /// Controller epoch of the sender (stale epochs are dropped).
         epoch: u32,
         /// The full new rule set.
         rules: Vec<ForwardingRule>,
@@ -96,8 +96,7 @@ pub enum CtrlMessage {
     },
     /// CN → AN: a restarted controller asks for the node's view of its
     /// attached clients (§7: recovery without interruption). Carries the
-    /// sender's epoch so accessing nodes re-home to a promoted standby
-    /// (and fence a stale one).
+    /// sender's epoch, which the accessing nodes adopt.
     ResyncRequest {
         /// Controller epoch of the sender.
         epoch: u32,
@@ -107,21 +106,6 @@ pub enum CtrlMessage {
     ResyncState {
         /// One snapshot per locally-attached client.
         clients: Vec<ClientSnapshot>,
-    },
-    /// Active shard → standby: "I am alive at (epoch, seq)". Renews the
-    /// standby's lease on the shard.
-    ShardHeartbeat {
-        /// Controller epoch of the sender.
-        epoch: u32,
-        /// Monotone heartbeat sequence within the epoch.
-        seq: u64,
-    },
-    /// AN → CN: "your epoch is stale; a controller at `epoch` owns this
-    /// conference now". The receiving zombie shard steps down instead of
-    /// fighting the fence.
-    Fence {
-        /// The live epoch the accessing node is following.
-        epoch: u32,
     },
 }
 
@@ -301,15 +285,6 @@ impl CtrlMessage {
                     put_snapshot(&mut b, c);
                 }
             }
-            CtrlMessage::ShardHeartbeat { epoch, seq } => {
-                b.put_u8(15);
-                b.put_u32(*epoch);
-                b.put_u64(*seq);
-            }
-            CtrlMessage::Fence { epoch } => {
-                b.put_u8(18);
-                b.put_u32(*epoch);
-            }
         }
         b.freeze()
     }
@@ -327,7 +302,8 @@ impl CtrlMessage {
             (b.remaining() >= n).then_some(())
         }
         // Retired tags stay unassigned: 1 (a join carrying ladders; clients
-        // join with `SdpOffer`) and 16–17 (standby replication).
+        // join with `SdpOffer`) and 15–18 (the retired shard failover's
+        // heartbeat, replication and fence messages).
         Some(match tag {
             2 => {
                 need(b, 4)?;
@@ -438,16 +414,6 @@ impl CtrlMessage {
                 }
                 CtrlMessage::ResyncState { clients }
             }
-            15 => {
-                need(b, 12)?;
-                let epoch = b.get_u32();
-                let seq = b.get_u64();
-                CtrlMessage::ShardHeartbeat { epoch, seq }
-            }
-            18 => {
-                need(b, 4)?;
-                CtrlMessage::Fence { epoch: b.get_u32() }
-            }
             _ => return None,
         })
     }
@@ -521,8 +487,6 @@ mod tests {
                     },
                 ],
             },
-            CtrlMessage::ShardHeartbeat { epoch: 9, seq: u64::MAX - 1 },
-            CtrlMessage::Fence { epoch: 5 },
         ];
         for m in msgs {
             let wire = m.serialize();
@@ -537,9 +501,9 @@ mod tests {
         assert!(CtrlMessage::parse(Bytes::from_static(&[0x80, 0x60, 0, 0])).is_none());
         assert!(CtrlMessage::parse(Bytes::new()).is_none());
         assert!(CtrlMessage::parse(Bytes::from_static(&[0xCC, 99, 0, 0, 0, 0])).is_none());
-        // Retired tags (the ladder-carrying join, the old standby
-        // replication messages) stay unused.
-        for tag in [1, 16, 17] {
+        // Retired tags (the ladder-carrying join, the shard failover's
+        // heartbeat, replication and fence messages) stay unused.
+        for tag in [1, 15, 16, 17, 18] {
             let wire = Bytes::copy_from_slice(&[0xCC, tag, 0, 0, 0, 0, 0, 0, 0, 0]);
             assert!(CtrlMessage::parse(wire).is_none(), "tag {tag}");
         }

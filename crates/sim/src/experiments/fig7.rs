@@ -7,9 +7,7 @@
 //! has to fall to the next coarse level, wasting bandwidth (§5).
 
 use crate::client::PolicyMode;
-use crate::scenario::{ClientScenario, Scenario};
-use crate::workloads::ladder_for_mode;
-use gso_algo::Resolution;
+use crate::workloads::clean_mesh;
 use gso_net::{LinkConfig, Schedule};
 use gso_telemetry::keys;
 use gso_util::stats::TimeSeries;
@@ -98,31 +96,17 @@ pub fn run_one(mode: PolicyMode, cap: Bitrate, seed: u64) -> TimeSeries {
 
 /// [`run_one`] plus the controller metrics harvested from telemetry.
 pub fn run_one_traced(mode: PolicyMode, cap: Bitrate, seed: u64) -> TransientTrace {
-    let ladder = ladder_for_mode(mode);
     let base = Bitrate::from_mbps(4);
-    let publisher = ClientId(1);
     let subscriber = ClientId(2);
 
-    let mut sub = ClientScenario::clean(subscriber, base, base, ladder.clone());
-    sub.downlink = LinkConfig::clean(base, SimDuration::from_millis(20)).with_rate_schedule(
-        Schedule::steps(vec![(SimTime::ZERO, base), (CAP_AT, cap), (RECOVER_AT, base)]),
-    );
-
-    let mut s = Scenario {
-        seed,
-        mode,
-        duration: RUN_FOR,
-        clients: vec![ClientScenario::clean(publisher, base, base, ladder), sub],
-        speaker_schedule: Vec::new(),
-        standby: false,
-    };
-    // Only the subscriber watches; the publisher receives nothing (the
-    // paper's one-way setup).
-    s.clients[1].subscriptions = vec![gso_control::SubscribeIntent {
-        source: gso_algo::SourceId::video(publisher),
-        max_resolution: Resolution::R720,
-        tag: 0,
-    }];
+    let mut s = clean_mesh(mode, 2, base, base, RUN_FOR, seed);
+    s.clients[1].downlink =
+        LinkConfig::clean(base, SimDuration::from_millis(20)).with_rate_schedule(Schedule::steps(
+            vec![(SimTime::ZERO, base), (CAP_AT, cap), (RECOVER_AT, base)],
+        ));
+    // Only the subscriber watches the publisher (at 720P, as `clean_mesh`
+    // set it); the publisher receives nothing (the paper's one-way setup).
+    s.clients[0].subscriptions.clear();
     let result = s.run();
     TransientTrace {
         cap,

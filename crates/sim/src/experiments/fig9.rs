@@ -7,8 +7,7 @@
 //! (it is not orchestrated).
 
 use crate::client::PolicyMode;
-use crate::scenario::{ClientScenario, Scenario};
-use crate::workloads::ladder_for_mode;
+use crate::workloads::{clean_mesh, ladder_for_mode};
 use gso_algo::{Ladder, Resolution, SourceId};
 use gso_control::SubscribeIntent;
 use gso_util::{Bitrate, ClientId, SimDuration, StreamKind};
@@ -52,32 +51,20 @@ pub fn fig9(seed: u64, quick: bool) -> Vec<CpuResult> {
 pub fn run_cpu(app: AppScenario, mode: PolicyMode, seed: u64, quick: bool) -> CpuResult {
     let rate = Bitrate::from_mbps(4);
     let duration = if quick { SimDuration::from_secs(20) } else { SimDuration::from_secs(60) };
-    let ladder = ladder_for_mode(mode);
-    let clients: Vec<ClientScenario> = (1..=3u32)
-        .map(|i| {
-            let mut c = ClientScenario::clean(
-                ClientId(i),
-                rate,
-                rate,
-                match app {
-                    AppScenario::Audio => Ladder::empty(),
-                    _ => ladder.clone(),
-                },
-            );
-            if app == AppScenario::Screen && i == 1 {
-                c.screen_ladder = Some(ladder.clone());
+    let mut s = clean_mesh(mode, 3, rate, rate, duration, seed);
+    match app {
+        AppScenario::Video => {}
+        // Audio is not orchestrated: no camera ladder, nobody watches.
+        AppScenario::Audio => {
+            for c in &mut s.clients {
+                c.ladder = Ladder::empty();
+                c.subscriptions.clear();
             }
-            c
-        })
-        .collect();
-    let mut s =
-        Scenario { seed, mode, duration, clients, speaker_schedule: Vec::new(), standby: false };
-    if app != AppScenario::Audio {
-        s.subscribe_all_to_all(Resolution::R720);
-    }
-    if app == AppScenario::Screen {
-        for c in &mut s.clients {
-            if c.id != ClientId(1) {
+        }
+        // Client 1 also shares its screen, and everyone else watches it.
+        AppScenario::Screen => {
+            s.clients[0].screen_ladder = Some(ladder_for_mode(mode));
+            for c in &mut s.clients[1..] {
                 c.subscriptions.push(SubscribeIntent {
                     source: SourceId { client: ClientId(1), kind: StreamKind::Screen },
                     max_resolution: Resolution::R720,

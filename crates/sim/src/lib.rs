@@ -24,10 +24,5 @@ pub mod experiments;
 pub mod scenario;
 pub mod workloads;
 
-/// Telemetry label for the (single) conference shard in the simulation:
-/// the conference nodes' failover counters and the access nodes' fence
-/// record under it.
-pub(crate) const SHARD_LABEL: &str = "s0";
-
 pub use client::{ClientConfig, ClientNode, PolicyMode, SessionMetrics};
 pub use scenario::{ClientScenario, Scenario, ScenarioResult, WiredConference};

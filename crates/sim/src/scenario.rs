@@ -66,11 +66,9 @@ pub struct Scenario {
     /// Scripted active-speaker changes: at each time, the given client (or
     /// nobody) becomes the speaker, boosting its camera subscriptions (§4.4).
     pub speaker_schedule: Vec<(SimTime, Option<ClientId>)>,
-    /// Pair the conference node with a standby shard: the active
-    /// heartbeats it, and on lease expiry the standby promotes itself under
-    /// a bumped epoch, re-homes the accessing nodes and rebuilds the
-    /// controller from their resync replies (§7 failover). GSO mode only;
-    /// inert for baselines.
+    /// Inert: must be `false` ([`Scenario::build`] asserts it). Kept only
+    /// because the `perfbench` workloads still name it; controller failure
+    /// restarts the one conference node in place (§7).
     pub standby: bool,
 }
 
@@ -106,6 +104,7 @@ impl Scenario {
     /// and then [`Scenario::harvest`] the same metrics a plain run would
     /// produce.
     pub fn build(&self) -> WiredConference {
+        assert!(!self.standby, "standby conference nodes no longer exist");
         let mut sim = Simulator::new(self.seed);
         let telemetry = Telemetry::new(format!("{}-seed{}", self.mode.short_name(), self.seed));
 
@@ -144,36 +143,6 @@ impl Scenario {
             }
         }
 
-        // Optional standby shard: heartbeat target for the active, linked
-        // to every accessing node so a promotion can re-home (and resync
-        // from) the access layer without new wiring.
-        let standby = (self.standby && self.mode == PolicyMode::Gso).then(|| {
-            let sb = sim.add_node(Box::new(ConferenceNode::new_standby(
-                ControllerConfig::paper_defaults(),
-                ans.clone(),
-                gso_control::LeaseConfig { seed: self.seed, ..Default::default() },
-            )));
-            sim.add_duplex_link(
-                cn,
-                sb,
-                LinkConfig::clean(Bitrate::from_mbps(1_000), SimDuration::from_millis(2)),
-            );
-            for &an in &ans {
-                sim.add_duplex_link(
-                    an,
-                    sb,
-                    LinkConfig::clean(Bitrate::from_mbps(1_000), SimDuration::from_millis(2)),
-                );
-            }
-            if let Some(conference) = sim.node_mut::<ConferenceNode>(cn) {
-                conference.set_standby(sb);
-            }
-            if let Some(node) = sim.node_mut::<ConferenceNode>(sb) {
-                node.set_telemetry(telemetry.clone());
-            }
-            ConferenceNode::schedule_boot(sb, &mut sim);
-            sb
-        });
         for i in 0..ans.len() {
             for j in (i + 1)..ans.len() {
                 // Inter-region backbone: fat but not instantaneous.
@@ -229,7 +198,7 @@ impl Scenario {
             sim.schedule_timer(cn, at, token);
         }
 
-        WiredConference { sim, telemetry, cn, standby, endpoints, ans }
+        WiredConference { sim, telemetry, cn, standby: None, endpoints, ans }
     }
 
     /// Harvest metrics from a wired conference that has been run to `end`.
@@ -291,7 +260,8 @@ pub struct WiredConference {
     pub telemetry: Telemetry,
     /// The conference node's id.
     pub cn: NodeId,
-    /// The standby shard's id, when [`Scenario::standby`] asked for one.
+    /// Inert: always `None`. Kept only because the `perfbench` workloads
+    /// still name it.
     pub standby: Option<NodeId>,
     /// Client id → its endpoint node id.
     pub endpoints: BTreeMap<ClientId, NodeId>,
@@ -302,8 +272,8 @@ pub struct WiredConference {
 impl WiredConference {
     /// Run to `end` in controller-tick-sized (100 ms) steps, recording a
     /// per-tick [`DigestTrace`] over the network simulator (`net.sim`), the
-    /// conference node's and the standby's controllers (`ctrl`, `standby`;
-    /// 0 when absent) and the telemetry registry (`telemetry`).
+    /// conference node's controller (`ctrl`) and the telemetry registry
+    /// (`telemetry`).
     ///
     /// `at_tick` runs at each tick boundary `t`, before the simulator runs
     /// on to the next one; fault injectors act there. Stepping processes
@@ -324,25 +294,19 @@ impl WiredConference {
             let next = (t + tick).min(end);
             self.sim.run_until(next);
             t = next;
-            let controller = |node: Option<NodeId>| {
-                node.and_then(|n| self.sim.node::<ConferenceNode>(n))
-                    .map_or(0, |c| c.controller.state_digest())
-            };
             let net = self.sim.state_digest();
-            let ctrl = controller(Some(self.cn));
-            let standby = controller(self.standby);
+            let ctrl =
+                self.sim.node::<ConferenceNode>(self.cn).map_or(0, |c| c.controller.state_digest());
             let telemetry = self.telemetry.export_digest();
             trace.record(DigestEntry::new(
                 t.as_micros(),
                 vec![
                     ("net.sim".to_string(), net),
                     ("ctrl".to_string(), ctrl),
-                    ("standby".to_string(), standby),
                     ("telemetry".to_string(), telemetry),
                 ],
                 format!(
-                    "t={}us net={net:#018x} ctrl={ctrl:#018x} standby={standby:#018x} \
-                     telemetry={telemetry:#018x}",
+                    "t={}us net={net:#018x} ctrl={ctrl:#018x} telemetry={telemetry:#018x}",
                     t.as_micros()
                 ),
             ));

@@ -136,8 +136,8 @@ pub fn ladder_for_mode(mode: PolicyMode) -> Ladder {
 /// The clean full-mesh conference: clients `1..=n` in region 0 on clean
 /// 20 ms links at `uplink`/`downlink`, each negotiating
 /// [`ladder_for_mode`]`(mode)`, everyone watching everyone up to 720P, with
-/// no speaker schedule and no standby. Callers layer their own region,
-/// standby and link overrides on top.
+/// no speaker schedule. Callers layer their own region, link and
+/// subscription overrides on top.
 pub fn clean_mesh(
     mode: PolicyMode,
     n: u32,

@@ -58,33 +58,6 @@ pub const GTMB_ACKED: &str = "gtmb.acked";
 pub const GTMB_FAILED: &str = "gtmb.failed";
 
 // ---------------------------------------------------------------------
-// Controller failover (gso_control::failover primitives run by gso-sim). Label: shard ("s<id>")
-// unless noted.
-// ---------------------------------------------------------------------
-
-/// Counter — heartbeats accepted by a failure detector, each renewing the
-/// shard's lease for another lease interval.
-pub const CLUSTER_LEASE_GRANTED: &str = "cluster.lease.granted";
-/// Counter — leases that expired without a renewing heartbeat, declaring
-/// the shard dead and arming promotion.
-pub const CLUSTER_LEASE_EXPIRED: &str = "cluster.lease.expired";
-/// Counter — standby promotions: a standby took over a dead shard's
-/// partition under a bumped epoch.
-pub const CLUSTER_PROMOTIONS: &str = "cluster.promotions";
-/// Counter — stale-epoch control messages (Rules / ConfigPush /
-/// ResyncRequest from a fenced-off zombie shard) rejected by epoch
-/// fencing instead of being applied (label: receiving node's shard, or
-/// client for access-node fencing).
-pub const CLUSTER_FENCED: &str = "cluster.fenced";
-/// Counter — a fenced active shard observed a newer epoch and stepped
-/// down (stopped emitting control traffic for the partition).
-pub const CLUSTER_STEPDOWNS: &str = "cluster.stepdowns";
-/// Histogram — lease expiry → the promoted standby's first full
-/// (non-fallback) solution, in milliseconds
-/// (bounds: [`RECOVERY_MS_BOUNDS`]).
-pub const CLUSTER_TAKEOVER_MS: &str = "cluster.takeover_ms";
-
-// ---------------------------------------------------------------------
 // Bandwidth estimation (gso-bwe). Label: path ("up:<client>"/"down:<client>").
 // ---------------------------------------------------------------------
 
@@ -168,10 +141,6 @@ pub const EV_SWITCH_LANDED: &str = "switch_landed";
 pub const EV_CTRL_CRASH: &str = "ctrl_crash";
 /// Event — the conference node's controller restarted and began resync.
 pub const EV_CTRL_RESTART: &str = "ctrl_restart";
-/// Event — a standby's lease on its shard expired and it promoted itself.
-pub const EV_CLUSTER_PROMOTED: &str = "cluster_promoted";
-/// Event — a fenced shard saw a newer epoch and stepped down.
-pub const EV_CLUSTER_STEPDOWN: &str = "cluster_stepdown";
 
 // ---------------------------------------------------------------------
 // Histogram bound sets (inclusive upper bounds, strictly increasing).

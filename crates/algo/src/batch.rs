@@ -40,11 +40,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Scheduler sizing knobs.
-#[derive(Debug, Clone, Default)]
+/// Scheduler sizing.
+#[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Worker threads. `0` (the default) uses
-    /// [`std::thread::available_parallelism`].
+    /// Worker threads; at least one.
     pub workers: usize,
 }
 
@@ -169,13 +168,14 @@ impl std::fmt::Debug for BatchScheduler {
 
 impl BatchScheduler {
     /// Spawn the worker pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg.workers` is zero.
     #[must_use]
     pub fn new(cfg: &BatchConfig) -> Self {
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            cfg.workers
-        };
+        assert!(cfg.workers > 0, "a batch scheduler needs at least one worker");
+        let workers = cfg.workers;
         let shared = Arc::new(Shared {
             #[expect(
                 clippy::disallowed_types,

@@ -26,7 +26,7 @@ pub mod runner;
 
 pub use plan::{FaultEvent, FaultKind, FaultPlan, LinkFault, LinkSide};
 pub use runner::{
-    check_plan, run_plan, steady_state_qoe, Baseline, ChaosBounds, ChaosOutcome, PlanVerdict,
+    audit_final, check_plan, run_plan, steady_state_qoe, Baseline, ChaosOutcome, PlanVerdict,
 };
 
 use gso_sim::workloads::clean_mesh;
@@ -40,7 +40,7 @@ use std::process::ExitCode;
 /// no-fault objective is stable at its maximum — any post-fault deficit is
 /// then attributable to the fault, not to BWE breathing across a rung
 /// boundary. Faults land in the 8–16 s window (see [`plan`]), leaving the
-/// final [`ChaosBounds::tail_window`] for steady-state comparison.
+/// final [`runner::TAIL_WINDOW`] for steady-state comparison.
 pub fn standard_scenario(seed: u64) -> Scenario {
     clean_mesh(
         PolicyMode::Gso,
@@ -71,25 +71,24 @@ pub fn standard_clients() -> Vec<ClientId> {
 pub fn run_matrix(smoke: bool, seed: u64) -> ExitCode {
     let scenario = standard_scenario(seed);
     let clients = standard_clients();
-    let bounds = ChaosBounds::default();
     let plans =
         if smoke { FaultPlan::smoke_matrix(seed) } else { FaultPlan::matrix(seed, &clients) };
 
     println!(
         "chaos matrix: seed {seed}, {} plan(s), qoe tolerance {:.1}%, recovery bound {} ms",
         plans.len(),
-        bounds.qoe_tolerance * 100.0,
-        bounds.recovery_ms
+        runner::QOE_TOLERANCE * 100.0,
+        runner::RECOVERY_MS
     );
     let baseline = run_plan(&scenario, &FaultPlan::baseline());
-    let baseline = Baseline::from_outcome(&baseline, bounds.tail_window);
+    let baseline = Baseline::from_outcome(&baseline);
     println!(
         "baseline: orchestrated qoe {:.0}, tail media {:.0} bps",
         baseline.qoe, baseline.media_bps
     );
     let mut failed = 0;
     for plan in &plans {
-        let verdict = check_plan(&scenario, baseline, plan, &bounds);
+        let verdict = check_plan(&scenario, baseline, plan);
         println!("{}", verdict.row());
         if let Some(report) = &verdict.divergence {
             println!("{report}");

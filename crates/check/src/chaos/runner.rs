@@ -22,34 +22,20 @@ use gso_util::digest::{first_divergence, DigestTrace};
 use gso_util::{ClientId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Acceptance bounds for [`check_plan`].
-#[derive(Debug, Clone)]
-pub struct ChaosBounds {
-    /// Maximum relative steady-state QoE delta vs the no-fault baseline.
-    /// QoE here is the controller's converged objective value
-    /// ([`gso_algo::Solution::total_qoe`]): after recovery the controller
-    /// must orchestrate back to (within 1% of) the no-fault configuration.
-    pub qoe_tolerance: f64,
-    /// Minimum faulted-run tail throughput as a fraction of the baseline's.
-    /// Wire-level rates breathe with BWE probe phase (several percent), so
-    /// this is a media-keeps-flowing floor, not an equality check.
-    pub media_floor: f64,
-    /// Maximum controller recovery time (restart → first full solve).
-    pub recovery_ms: u64,
-    /// Tail window over which steady-state throughput is measured.
-    pub tail_window: SimDuration,
-}
-
-impl Default for ChaosBounds {
-    fn default() -> Self {
-        ChaosBounds {
-            qoe_tolerance: 0.01,
-            media_floor: 0.85,
-            recovery_ms: 5_000,
-            tail_window: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Maximum relative steady-state QoE delta vs the no-fault baseline
+/// accepted by [`check_plan`]. QoE here is the controller's converged
+/// objective value ([`gso_algo::Solution::total_qoe`]): after recovery the
+/// controller must orchestrate back to (within 1% of) the no-fault
+/// configuration.
+pub const QOE_TOLERANCE: f64 = 0.01;
+/// Minimum faulted-run tail throughput as a fraction of the baseline's.
+/// Wire-level rates breathe with BWE probe phase (several percent), so
+/// this is a media-keeps-flowing floor, not an equality check.
+pub const MEDIA_FLOOR: f64 = 0.85;
+/// Maximum controller recovery time (restart → first full solve).
+pub const RECOVERY_MS: u64 = 5_000;
+/// Tail window over which steady-state throughput is measured.
+pub const TAIL_WINDOW: SimDuration = SimDuration::from_secs(5);
 
 /// Everything one plan execution produces.
 pub struct ChaosOutcome {
@@ -118,12 +104,12 @@ pub fn run_plan(scenario: &Scenario, plan: &FaultPlan) -> ChaosOutcome {
     }
 }
 
-/// Steady-state QoE: mean received media rate over the tail window,
+/// Steady-state QoE: mean received media rate over the [`TAIL_WINDOW`],
 /// averaged over clients. After recovery every run must converge back to
 /// the same orchestrated configuration, so this is directly comparable
 /// between a faulted run and the no-fault baseline.
-pub fn steady_state_qoe(result: &ScenarioResult, tail: SimDuration) -> f64 {
-    let from = result.end.checked_sub(tail).unwrap_or(SimTime::ZERO);
+pub fn steady_state_qoe(result: &ScenarioResult) -> f64 {
+    let from = result.end.checked_sub(TAIL_WINDOW).unwrap_or(SimTime::ZERO);
     let rates: Vec<f64> = result
         .recv_series
         .values()
@@ -148,8 +134,8 @@ pub struct Baseline {
 
 impl Baseline {
     /// Measure the baseline from a no-fault [`run_plan`] outcome.
-    pub fn from_outcome(outcome: &ChaosOutcome, tail: SimDuration) -> Self {
-        Baseline { qoe: outcome.solution_qoe, media_bps: steady_state_qoe(&outcome.result, tail) }
+    pub fn from_outcome(outcome: &ChaosOutcome) -> Self {
+        Baseline { qoe: outcome.solution_qoe, media_bps: steady_state_qoe(&outcome.result) }
     }
 }
 
@@ -162,12 +148,12 @@ pub struct PlanVerdict {
     pub qoe: f64,
     /// Converged orchestration objective of the no-fault baseline.
     pub baseline_qoe: f64,
-    /// QoE within [`ChaosBounds::qoe_tolerance`] of the baseline.
+    /// QoE within [`QOE_TOLERANCE`] of the baseline.
     pub qoe_ok: bool,
     /// Tail-window received rate of the faulted run (bps).
     // lint: allow(unit-hygiene, reason = "measured mean throughput, inherently fractional; the Bitrate newtype is for configured stream rates")
     pub media_bps: f64,
-    /// Tail throughput at or above [`ChaosBounds::media_floor`] × baseline.
+    /// Tail throughput at or above [`MEDIA_FLOOR`] × baseline.
     pub media_ok: bool,
     /// Final configuration is auditor-clean.
     pub auditor_ok: bool,
@@ -227,22 +213,15 @@ impl PlanVerdict {
 
 /// Run `plan` twice against `scenario` and render the acceptance verdict
 /// against the given no-fault baseline.
-pub fn check_plan(
-    scenario: &Scenario,
-    baseline: Baseline,
-    plan: &FaultPlan,
-    bounds: &ChaosBounds,
-) -> PlanVerdict {
+pub fn check_plan(scenario: &Scenario, baseline: Baseline, plan: &FaultPlan) -> PlanVerdict {
     let a = run_plan(scenario, plan);
     let b = run_plan(scenario, plan);
     let divergence = first_divergence(&a.trace, &b.trace).map(|d| d.report());
     let qoe = a.solution_qoe;
-    let qoe_ok =
-        baseline.qoe > 0.0 && (qoe - baseline.qoe).abs() <= bounds.qoe_tolerance * baseline.qoe;
-    let media_bps = steady_state_qoe(&a.result, bounds.tail_window);
-    let media_ok = media_bps >= bounds.media_floor * baseline.media_bps;
-    let (recovery_ok, recovery_mean_ms) =
-        recovery_verdict(a.recovery.as_ref(), plan.restarts(), bounds.recovery_ms);
+    let qoe_ok = baseline.qoe > 0.0 && (qoe - baseline.qoe).abs() <= QOE_TOLERANCE * baseline.qoe;
+    let media_bps = steady_state_qoe(&a.result);
+    let media_ok = media_bps >= MEDIA_FLOOR * baseline.media_bps;
+    let (recovery_ok, recovery_mean_ms) = recovery_verdict(a.recovery.as_ref(), plan.restarts());
     PlanVerdict {
         plan: plan.name.clone(),
         qoe,
@@ -262,12 +241,8 @@ pub fn check_plan(
 
 /// Every one of the `expected` restarts must have closed a recovery
 /// window, and every sample must sit in a histogram bucket at or below
-/// `bound_ms`; returns `(ok, mean_ms)`.
-fn recovery_verdict(
-    histogram: Option<&HistogramSnapshot>,
-    expected: u64,
-    bound_ms: u64,
-) -> (bool, u64) {
+/// [`RECOVERY_MS`]; returns `(ok, mean_ms)`.
+fn recovery_verdict(histogram: Option<&HistogramSnapshot>, expected: u64) -> (bool, u64) {
     if expected == 0 {
         return (histogram.is_none(), 0);
     }
@@ -278,7 +253,7 @@ fn recovery_verdict(
     }
     let mut within = 0;
     for (i, &count) in h.counts.iter().enumerate() {
-        if h.bounds.get(i).is_some_and(|&b| b <= bound_ms) {
+        if h.bounds.get(i).is_some_and(|&b| b <= RECOVERY_MS) {
             within += count;
         }
     }
@@ -290,7 +265,7 @@ fn recovery_verdict(
 /// be the last output if a plan ends inside a degraded window) keeps
 /// publishers sending their smallest stream even when a stale uplink
 /// estimate says otherwise.
-fn audit_final(wired: &WiredConference) -> Vec<ConstraintViolation> {
+pub fn audit_final(wired: &WiredConference) -> Vec<ConstraintViolation> {
     let Some(cn) = wired.sim.node::<ConferenceNode>(wired.cn) else { return Vec::new() };
     let Ok(problem) = cn.controller.picture.to_problem() else { return Vec::new() };
     let Some(solution) = cn.controller.last_solution() else { return Vec::new() };

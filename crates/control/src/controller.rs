@@ -6,9 +6,9 @@
 //! [`GsoController::tick`] periodically, transmit whatever it returns.
 
 use crate::failure::fallback_solution;
-use crate::feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
-use crate::hysteresis::{BandwidthHysteresis, HysteresisConfig};
-use crate::scheduler::{ControlScheduler, SchedulerConfig};
+use crate::feedback::{FeedbackExecutor, ForwardingRule};
+use crate::hysteresis::BandwidthHysteresis;
+use crate::scheduler::ControlScheduler;
 use crate::state::{ClientSnapshot, CodecCapability, GlobalPicture, LiveProblem, SubscribeIntent};
 use gso_algo::{diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig};
 use gso_rtp::{GsoTmmbn, GsoTmmbr};
@@ -26,45 +26,32 @@ pub enum Direction {
     Downlink,
 }
 
-/// Aggregate configuration.
-#[derive(Debug, Clone, Default)]
+/// Relative bandwidth change that is an event trigger.
+const EVENT_THRESHOLD: f64 = 0.15;
+
+/// Solve-deadline watchdog budget, in DP class-rows recomputed per round
+/// (the sim's deterministic work/latency proxy — see `CTRL_SOLVE_ROWS`). A
+/// round whose fresh solve exceeds the budget is served by
+/// `fallback_solution` instead, and the next round re-solves on the warm
+/// engine and re-promotes if it fits.
+const SOLVE_DEADLINE_ROWS: u64 = 500_000;
+
+/// The controller's solver and stickiness policy.
+#[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Solver knobs.
     pub solver: SolverConfig,
-    /// Scheduling cadence (1–3 s in production).
-    pub scheduler: SchedulerConfig,
-    /// Oscillation-avoidance gate.
-    pub hysteresis: HysteresisConfig,
-    /// GTMB reliability.
-    pub feedback: FeedbackConfig,
-    /// Relative bandwidth change that is an event trigger.
-    pub event_threshold: f64,
     /// Keep the previous solution when it still satisfies the current
     /// constraints and the fresh one improves total QoE by less than this
     /// fraction — reconfiguration itself costs quality (layer switches wait
     /// for keyframes), so marginal wins are not worth taking (§7).
     pub stickiness: f64,
-    /// Solve-deadline watchdog budget, in DP class-rows recomputed per
-    /// round (the sim's deterministic work/latency proxy — see
-    /// `CTRL_SOLVE_ROWS`). A round whose fresh solve exceeds the budget is
-    /// served by `fallback_solution` instead, and the next round re-solves
-    /// on the warm engine and re-promotes if it fits. `0` disables the
-    /// watchdog.
-    pub solve_deadline_rows: u64,
 }
 
 impl ControllerConfig {
     /// Paper-calibrated defaults.
     pub fn paper_defaults() -> Self {
-        ControllerConfig {
-            solver: SolverConfig::default(),
-            scheduler: SchedulerConfig::default(),
-            hysteresis: HysteresisConfig::default(),
-            feedback: FeedbackConfig::default(),
-            event_threshold: 0.15,
-            stickiness: 0.10,
-            solve_deadline_rows: 500_000,
-        }
+        ControllerConfig { solver: SolverConfig::default(), stickiness: 0.10 }
     }
 }
 
@@ -136,7 +123,8 @@ pub struct ControlOutput {
 pub struct GsoController {
     /// The conference node's state store (public: signaling writes into it).
     pub picture: GlobalPicture,
-    cfg: ControllerConfig,
+    /// See [`ControllerConfig::stickiness`].
+    stickiness: f64,
     scheduler: ControlScheduler,
     hysteresis: BandwidthHysteresis<(ClientId, Direction)>,
     executor: FeedbackExecutor,
@@ -176,11 +164,11 @@ impl GsoController {
     pub fn new(cfg: ControllerConfig, controller_ssrc: Ssrc) -> Self {
         GsoController {
             picture: GlobalPicture::new(),
-            scheduler: ControlScheduler::new(cfg.scheduler.clone()),
-            hysteresis: BandwidthHysteresis::new(cfg.hysteresis.clone()),
-            executor: FeedbackExecutor::new(cfg.feedback.clone(), controller_ssrc),
-            engine: SolveEngine::new(cfg.solver.clone()),
-            cfg,
+            stickiness: cfg.stickiness,
+            scheduler: ControlScheduler::new(),
+            hysteresis: BandwidthHysteresis::new(),
+            executor: FeedbackExecutor::new(controller_ssrc),
+            engine: SolveEngine::new(cfg.solver),
             fallback_mode: false,
             manual_fallback: false,
             failed_clients: BTreeSet::new(),
@@ -303,7 +291,7 @@ impl GsoController {
             return;
         }
         let change = (new.as_bps() as f64 - p).abs() / p;
-        if change >= self.cfg.event_threshold {
+        if change >= EVENT_THRESHOLD {
             self.scheduler.trigger_event();
         }
     }
@@ -488,8 +476,7 @@ impl GsoController {
             if forced {
                 self.forced_overruns -= 1;
             }
-            let overrun = forced
-                || (self.cfg.solve_deadline_rows > 0 && rows_delta > self.cfg.solve_deadline_rows);
+            let overrun = forced || rows_delta > SOLVE_DEADLINE_ROWS;
             if overrun {
                 self.telemetry.incr(keys::CTRL_DEADLINE_OVERRUNS, "");
                 self.degraded = true;
@@ -514,7 +501,7 @@ impl GsoController {
                             prev.validate(&problem).is_ok()
                         }
                     })
-                    .filter(|prev| fresh.total_qoe < prev.total_qoe * (1.0 + self.cfg.stickiness))
+                    .filter(|prev| fresh.total_qoe < prev.total_qoe * (1.0 + self.stickiness))
                     .map(Arc::clone);
                 let sticky = keep_previous.is_some();
                 // lint: allow(hot-alloc, reason = "a changed round shares its fresh solution with the output and the next round; sticky rounds share the previous one")

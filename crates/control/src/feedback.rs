@@ -15,7 +15,7 @@ use crate::state::LadderLayers;
 use gso_algo::{ConstraintViolation, Solution, SourceId};
 use gso_rtp::{ssrc_for, GsoTmmbn, GsoTmmbr, TmmbrEntry};
 use gso_telemetry::{keys, Telemetry};
-use gso_util::{Bitrate, ClientId, DetRng, SimDuration, SimTime, Ssrc};
+use gso_util::{Bitrate, ClientId, SimDuration, SimTime, Ssrc};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -35,43 +35,17 @@ pub struct ForwardingRule {
     pub bitrate: Bitrate,
 }
 
-/// Executor policy: seeded exponential backoff for GTMB retransmissions.
-///
-/// The n-th retransmission waits `initial_rto · rto_multiplier^(n-1)`
-/// (capped at `max_rto`) plus a deterministic jitter of up to
-/// `jitter_frac` of that interval, drawn from a [`DetRng`] stream keyed by
-/// `(seed, client, request_seq, transmission)`. A fixed retransmission
-/// interval synchronizes retries across clients after a shared outage;
-/// the backoff both spreads them out and stops hammering a dead path.
-#[derive(Debug, Clone)]
-pub struct FeedbackConfig {
-    /// Wait this long before the first retransmission.
-    pub initial_rto: SimDuration,
-    /// Multiply the wait by this factor after every retransmission.
-    pub rto_multiplier: u32,
-    /// Never wait longer than this between retransmissions.
-    pub max_rto: SimDuration,
-    /// Add up to this fraction of the interval as deterministic jitter.
-    pub jitter_frac: f64,
-    /// Seed for the jitter streams (derive from the scenario seed).
-    pub seed: u64,
-    /// Give up after this many transmissions (the client is then handled by
-    /// the failure path).
-    pub max_transmissions: u32,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            initial_rto: SimDuration::from_millis(200),
-            rto_multiplier: 2,
-            max_rto: SimDuration::from_millis(800),
-            jitter_frac: 0.0,
-            seed: 0,
-            max_transmissions: 5,
-        }
-    }
-}
+/// Wait before the first GTMB retransmission. The n-th retransmission
+/// waits `INITIAL_RTO · RTO_MULTIPLIER^(n-1)`, capped at `MAX_RTO`
+/// (200 → 400 → 800 → 800 ms): the backoff stops hammering a dead path.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(200);
+/// Factor the wait grows by after every retransmission.
+const RTO_MULTIPLIER: u32 = 2;
+/// Never wait longer than this between retransmissions.
+const MAX_RTO: SimDuration = SimDuration::from_millis(800);
+/// Give up after this many transmissions (the client is then handled by
+/// the failure path).
+const MAX_TRANSMISSIONS: u32 = 5;
 
 #[derive(Debug, Clone)]
 struct Outstanding {
@@ -83,7 +57,6 @@ struct Outstanding {
 /// Tracks per-client configuration delivery.
 #[derive(Debug)]
 pub struct FeedbackExecutor {
-    cfg: FeedbackConfig,
     next_seq: u32,
     epoch: u32,
     controller_ssrc: Ssrc,
@@ -102,9 +75,8 @@ pub struct FeedbackExecutor {
 impl FeedbackExecutor {
     /// New executor; `controller_ssrc` identifies the accessing node in the
     /// GTMB sender field.
-    pub fn new(cfg: FeedbackConfig, controller_ssrc: Ssrc) -> Self {
+    pub fn new(controller_ssrc: Ssrc) -> Self {
         FeedbackExecutor {
-            cfg,
             next_seq: 1,
             epoch: 0,
             controller_ssrc,
@@ -133,10 +105,9 @@ impl FeedbackExecutor {
     /// (`epoch.stale_rejected`) and can never acknowledge it — left in
     /// place, the retransmission budget exhausts and parks the client on
     /// the §7 failure path even though it is healthy. Dropping the
-    /// `outstanding` entries cancels those `gtmb-rto-*` schedules; the next
-    /// [`Self::execute`] re-issues each affected configuration under the
-    /// new epoch with a fresh sequence number and budget (re-keying the
-    /// jitter stream, which is labelled by epoch).
+    /// `outstanding` entries cancels those retransmission schedules; the
+    /// next [`Self::execute`] re-issues each affected configuration under
+    /// the new epoch with a fresh sequence number and budget.
     pub fn set_epoch(&mut self, epoch: u32) {
         if epoch != self.epoch {
             self.outstanding.clear();
@@ -292,21 +263,11 @@ impl FeedbackExecutor {
         self.outstanding.len() + self.applied.len() + self.failed.len()
     }
 
-    /// The backoff interval before retransmission number `tx + 1` of
-    /// `message` (exponential in `tx`, capped, plus deterministic jitter).
-    fn rto(&self, client: ClientId, message: &GsoTmmbr, tx: u32) -> SimDuration {
-        let mult = u64::from(self.cfg.rto_multiplier).saturating_pow(tx.saturating_sub(1));
-        let base = self
-            .cfg
-            .max_rto
-            .min(SimDuration::from_micros(self.cfg.initial_rto.as_micros().saturating_mul(mult)));
-        if self.cfg.jitter_frac <= 0.0 {
-            return base;
-        }
-        // lint: allow(hot-alloc, reason = "RTO jitter label seeding the deterministic RNG; formats only when jitter is enabled")
-        let label = format!("gtmb-rto-{}-{}-{}-{}", client, message.epoch, message.request_seq, tx);
-        let mut rng = DetRng::derive(self.cfg.seed, &label);
-        base + base.mul_f64(self.cfg.jitter_frac * rng.f64())
+    /// The backoff interval before retransmission number `tx + 1`
+    /// (exponential in `tx`, capped).
+    fn rto(tx: u32) -> SimDuration {
+        let mult = u64::from(RTO_MULTIPLIER).saturating_pow(tx.saturating_sub(1));
+        MAX_RTO.min(SimDuration::from_micros(INITIAL_RTO.as_micros().saturating_mul(mult)))
     }
 
     /// Retransmission poll; returns messages to resend now.
@@ -315,9 +276,7 @@ impl FeedbackExecutor {
         let mut exhausted = Vec::new();
         let mut due: Vec<ClientId> = Vec::new();
         for (&client, out) in &self.outstanding {
-            if now.saturating_since(out.sent_at)
-                >= self.rto(client, &out.message, out.transmissions)
-            {
+            if now.saturating_since(out.sent_at) >= Self::rto(out.transmissions) {
                 // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
                 due.push(client);
             }
@@ -327,7 +286,7 @@ impl FeedbackExecutor {
                 .outstanding
                 .get_mut(&client)
                 .expect("invariant: due clients come from the outstanding map");
-            if out.transmissions >= self.cfg.max_transmissions {
+            if out.transmissions >= MAX_TRANSMISSIONS {
                 // lint: allow(hot-alloc, reason = "retransmission-poll scratch, bounded by outstanding unacked clients")
                 exhausted.push(client);
             } else {
@@ -533,7 +492,7 @@ mod tests {
     #[test]
     fn execute_emits_config_and_rules() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(0xffff));
+        let mut ex = FeedbackExecutor::new(Ssrc(0xffff));
         let (msgs, rules) = ex.execute(SimTime::ZERO, &sol, &layers);
         // Both clients get a config (B's layers are all zero).
         assert_eq!(msgs.len(), 2);
@@ -554,7 +513,7 @@ mod tests {
     #[test]
     fn ack_stops_retransmission() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         let (client, msg) = &msgs[0];
         assert!(ex.pending(*client));
@@ -576,57 +535,30 @@ mod tests {
     #[test]
     fn unacked_message_retransmits_with_backoff_then_fails() {
         let (sol, layers) = solved();
-        let cfg = FeedbackConfig { max_transmissions: 3, ..FeedbackConfig::default() };
-        let mut ex = FeedbackExecutor::new(cfg, Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         assert_eq!(msgs.len(), 2);
-        // Backoff intervals: 200 ms, 400 ms, then 800 ms to exhaustion.
+        // Backoff intervals: 200 ms, 400 ms, then 800 ms (the cap) until
+        // the fifth transmission's RTO runs out.
         assert_eq!(ex.poll(SimTime::from_millis(100)).len(), 0, "too early");
         assert_eq!(ex.poll(SimTime::from_millis(250)).len(), 2, "first retransmit");
         assert_eq!(ex.poll(SimTime::from_millis(500)).len(), 0, "backoff doubled, not yet due");
         assert_eq!(ex.poll(SimTime::from_millis(700)).len(), 2, "second retransmit");
         assert_eq!(ex.poll(SimTime::from_millis(1000)).len(), 0, "800 ms RTO not yet over");
-        assert_eq!(ex.poll(SimTime::from_millis(1500)).len(), 0, "exhausted");
+        assert_eq!(ex.poll(SimTime::from_millis(1500)).len(), 2, "third retransmit");
+        assert_eq!(ex.poll(SimTime::from_millis(2200)).len(), 0, "800 ms RTO not yet over");
+        assert_eq!(ex.poll(SimTime::from_millis(2300)).len(), 2, "capped at 800 ms, not 1.6 s");
+        assert!(ex.take_failed().is_empty(), "five transmissions are allowed");
+        assert_eq!(ex.poll(SimTime::from_millis(3100)).len(), 0, "exhausted");
         let failed = ex.take_failed();
         assert_eq!(failed.len(), 2);
         assert!(ex.take_failed().is_empty(), "failure list drains");
     }
 
-    /// With jitter enabled the retransmission offsets are seed-stable:
-    /// the same seed yields the same schedule, and every interval stays
-    /// within `[rto, rto · (1 + jitter_frac)]`.
-    #[test]
-    fn jittered_backoff_is_deterministic_and_bounded() {
-        let (sol, layers) = solved();
-        let cfg = FeedbackConfig { jitter_frac: 0.5, seed: 42, ..FeedbackConfig::default() };
-        let schedule = |cfg: &FeedbackConfig| {
-            let mut ex = FeedbackExecutor::new(cfg.clone(), Ssrc(1));
-            ex.execute(SimTime::ZERO, &sol, &layers);
-            let mut times = Vec::new();
-            for ms in (0..10_000).step_by(10) {
-                for (c, m) in ex.poll(SimTime::from_millis(ms)) {
-                    times.push((c, m.request_seq, ms));
-                }
-            }
-            times
-        };
-        let a = schedule(&cfg);
-        let b = schedule(&cfg);
-        assert_eq!(a, b, "same seed, same retransmission schedule");
-        assert!(!a.is_empty());
-        // First retransmission for each client lands in [200, 300] ms
-        // (initial RTO 200 ms, jitter up to 50%), on the 10 ms poll grid.
-        for (_, _, ms) in a.iter().take(2) {
-            assert!((200..=310).contains(ms), "first retransmit at {ms} ms");
-        }
-        let c = schedule(&FeedbackConfig { seed: 43, ..cfg });
-        assert_ne!(a, c, "a different seed perturbs the schedule");
-    }
-
     #[test]
     fn stale_ack_ignored() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         let (client, msg) = &msgs[0];
         ex.on_ack(
@@ -650,7 +582,7 @@ mod tests {
     #[test]
     fn unreachable_client_fails_over_at_one_second_tick_cadence() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let mut failed = Vec::new();
         let mut first_seq: Option<u32> = None;
         for tick in 0..10u64 {
@@ -684,7 +616,7 @@ mod tests {
     #[test]
     fn changed_configuration_replaces_inflight_message() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         let seq0 = msgs[0].1.request_seq;
         // Drop source B's ladder: client B's config vector changes.
@@ -699,7 +631,7 @@ mod tests {
     #[test]
     fn leave_clears_delivery_state_and_allows_id_reuse() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         // Client 1 acks, client 2 stays pending.
         let (c1, m1) = msgs.iter().find(|(c, _)| *c == ClientId(1)).unwrap();
@@ -733,7 +665,7 @@ mod tests {
         use gso_telemetry::keys;
         let (sol, layers) = solved();
         let telemetry = Telemetry::new("test");
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         ex.set_telemetry(telemetry.clone());
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         let (c1, m1) = msgs.iter().find(|(c, _)| *c == ClientId(1)).unwrap();
@@ -759,7 +691,7 @@ mod tests {
     #[test]
     fn unchanged_configuration_not_resent() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         for (client, msg) in &msgs {
             ex.on_ack(
@@ -784,7 +716,7 @@ mod tests {
     #[test]
     fn ack_from_stale_epoch_ignored() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         ex.set_epoch(2);
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         let (client, msg) = &msgs[0];
@@ -819,7 +751,7 @@ mod tests {
     #[test]
     fn epoch_bump_cancels_inflight_retransmissions() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         assert_eq!(msgs.len(), 2, "both configs in flight");
         // Bump the epoch on the live executor.
@@ -857,7 +789,7 @@ mod tests {
     #[test]
     fn rejoin_mid_retransmission_restarts_delivery_state() {
         let (sol, layers) = solved();
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let (msgs, _) = ex.execute(SimTime::ZERO, &sol, &layers);
         let seq0 = msgs.iter().find(|(c, _)| *c == ClientId(2)).unwrap().1.request_seq;
         // Burn client 2's full budget (5 of 5 transmissions); the next due

@@ -9,24 +9,13 @@
 
 use gso_util::{Bitrate, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::hash::Hash;
 
-/// Hysteresis policy.
-#[derive(Debug, Clone)]
-pub struct HysteresisConfig {
-    /// Fractional increase over the in-effect value required to upgrade
-    /// after a downgrade.
-    pub upgrade_threshold: f64,
-    /// A marked (downgraded) link un-marks after this long without further
-    /// downgrades, restoring immediate upgrades.
-    pub mark_timeout: SimDuration,
-}
-
-impl Default for HysteresisConfig {
-    fn default() -> Self {
-        HysteresisConfig { upgrade_threshold: 0.15, mark_timeout: SimDuration::from_secs(30) }
-    }
-}
+/// Fractional increase over the in-effect value required to upgrade after
+/// a downgrade.
+const UPGRADE_THRESHOLD: f64 = 0.15;
+/// A marked (downgraded) link un-marks after this long without further
+/// downgrades, restoring immediate upgrades.
+const MARK_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 #[derive(Debug, Clone, Copy)]
 struct LinkState {
@@ -36,15 +25,20 @@ struct LinkState {
 
 /// Per-link bandwidth gate. `K` identifies a link, e.g. `(ClientId, Dir)`.
 #[derive(Debug)]
-pub struct BandwidthHysteresis<K: Ord + Hash + Copy> {
-    cfg: HysteresisConfig,
+pub struct BandwidthHysteresis<K: Ord + Copy> {
     links: BTreeMap<K, LinkState>,
 }
 
-impl<K: Ord + Hash + Copy> BandwidthHysteresis<K> {
+impl<K: Ord + Copy> Default for BandwidthHysteresis<K> {
+    fn default() -> Self {
+        BandwidthHysteresis { links: BTreeMap::new() }
+    }
+}
+
+impl<K: Ord + Copy> BandwidthHysteresis<K> {
     /// New gate.
-    pub fn new(cfg: HysteresisConfig) -> Self {
-        BandwidthHysteresis { cfg, links: BTreeMap::new() }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feed a raw measurement; returns the effective bandwidth to hand the
@@ -58,11 +52,11 @@ impl<K: Ord + Hash + Copy> BandwidthHysteresis<K> {
             state.marked_at = Some(now);
         } else if measured > state.effective {
             let marked = match state.marked_at {
-                Some(at) => now.saturating_since(at) < self.cfg.mark_timeout,
+                Some(at) => now.saturating_since(at) < MARK_TIMEOUT,
                 None => false,
             };
             let threshold = if marked {
-                state.effective.mul_f64(1.0 + self.cfg.upgrade_threshold)
+                state.effective.mul_f64(1.0 + UPGRADE_THRESHOLD)
             } else {
                 state.effective
             };
@@ -108,20 +102,20 @@ mod tests {
 
     #[test]
     fn first_measurement_passes_through() {
-        let mut h = BandwidthHysteresis::new(HysteresisConfig::default());
+        let mut h = BandwidthHysteresis::new();
         assert_eq!(h.filter(1u32, t(0), k(1_000)), k(1_000));
     }
 
     #[test]
     fn downgrades_apply_immediately() {
-        let mut h = BandwidthHysteresis::new(HysteresisConfig::default());
+        let mut h = BandwidthHysteresis::new();
         h.filter(1u32, t(0), k(1_000));
         assert_eq!(h.filter(1, t(1), k(400)), k(400));
     }
 
     #[test]
     fn post_downgrade_upgrades_need_confidence() {
-        let mut h = BandwidthHysteresis::new(HysteresisConfig::default());
+        let mut h = BandwidthHysteresis::new();
         h.filter(1u32, t(0), k(1_000));
         h.filter(1, t(1), k(400)); // downgrade marks the link
                                    // +10% wiggle: suppressed (threshold is +15%).
@@ -132,7 +126,7 @@ mod tests {
 
     #[test]
     fn oscillating_measurements_produce_stable_output() {
-        let mut h = BandwidthHysteresis::new(HysteresisConfig::default());
+        let mut h = BandwidthHysteresis::new();
         h.filter(1u32, t(0), k(600));
         h.filter(1, t(1), k(500)); // downgrade, mark
         let mut changes = 0;
@@ -151,20 +145,18 @@ mod tests {
 
     #[test]
     fn mark_expires_after_timeout() {
-        let cfg =
-            HysteresisConfig { upgrade_threshold: 0.15, mark_timeout: SimDuration::from_secs(5) };
-        let mut h = BandwidthHysteresis::new(cfg);
+        let mut h = BandwidthHysteresis::new();
         h.filter(1u32, t(0), k(1_000));
         h.filter(1, t(1), k(400));
-        // Within the mark window small upgrades are suppressed…
-        assert_eq!(h.filter(1, t(3), k(430)), k(400));
+        // Within the 30 s mark window small upgrades are suppressed…
+        assert_eq!(h.filter(1, t(30), k(430)), k(400));
         // …after it expires they pass again.
-        assert_eq!(h.filter(1, t(10), k(430)), k(430));
+        assert_eq!(h.filter(1, t(31), k(430)), k(430));
     }
 
     #[test]
     fn links_are_independent() {
-        let mut h = BandwidthHysteresis::new(HysteresisConfig::default());
+        let mut h = BandwidthHysteresis::new();
         h.filter(1u32, t(0), k(1_000));
         h.filter(2u32, t(0), k(200));
         h.filter(1, t(1), k(300));

@@ -30,9 +30,9 @@ pub use controller::{
     ControlOutput, ControllerConfig, Direction, GsoController, RoundContext, SolveOutcome, TickPrep,
 };
 pub use failure::fallback_solution;
-pub use feedback::{FeedbackConfig, FeedbackExecutor, ForwardingRule};
+pub use feedback::{FeedbackExecutor, ForwardingRule};
 pub use fleet::{ControllerFleet, FleetTick};
-pub use hysteresis::{BandwidthHysteresis, HysteresisConfig};
-pub use scheduler::{ControlScheduler, SchedulerConfig};
+pub use hysteresis::BandwidthHysteresis;
+pub use scheduler::ControlScheduler;
 pub use sdp::{SdpAnswer, SdpError, SdpOffer};
 pub use state::{ClientSnapshot, CodecCapability, GlobalPicture, SubscribeIntent};

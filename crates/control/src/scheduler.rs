@@ -9,29 +9,15 @@
 
 use gso_util::{SimDuration, SimTime};
 
-/// Scheduling policy.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// Hard minimum between runs.
-    pub min_interval: SimDuration,
-    /// Hard maximum between runs (the time trigger).
-    pub max_interval: SimDuration,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            min_interval: SimDuration::from_secs(1),
-            max_interval: SimDuration::from_secs(3),
-        }
-    }
-}
+/// Hard minimum between runs.
+const MIN_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Hard maximum between runs (the time trigger).
+const MAX_INTERVAL: SimDuration = SimDuration::from_secs(3);
 
 /// Decides when the control algorithm runs; records the call intervals the
 /// Fig. 12 CDF is built from.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ControlScheduler {
-    cfg: SchedulerConfig,
     last_run: Option<SimTime>,
     event_pending: bool,
     intervals: Vec<SimDuration>,
@@ -39,8 +25,8 @@ pub struct ControlScheduler {
 
 impl ControlScheduler {
     /// New scheduler; the first poll runs immediately.
-    pub fn new(cfg: SchedulerConfig) -> Self {
-        ControlScheduler { cfg, last_run: None, event_pending: false, intervals: Vec::new() }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Note an event that warrants re-orchestration (bandwidth shift,
@@ -55,10 +41,10 @@ impl ControlScheduler {
             None => true,
             Some(last) => {
                 let elapsed = now.saturating_since(last);
-                if elapsed < self.cfg.min_interval {
+                if elapsed < MIN_INTERVAL {
                     false
                 } else {
-                    self.event_pending || elapsed >= self.cfg.max_interval
+                    self.event_pending || elapsed >= MAX_INTERVAL
                 }
             }
         };
@@ -80,9 +66,9 @@ impl ControlScheduler {
             None => now,
             Some(last) => {
                 if self.event_pending {
-                    last + self.cfg.min_interval
+                    last + MIN_INTERVAL
                 } else {
-                    last + self.cfg.max_interval
+                    last + MAX_INTERVAL
                 }
             }
         }
@@ -104,14 +90,14 @@ mod tests {
 
     #[test]
     fn first_poll_runs() {
-        let mut s = ControlScheduler::new(SchedulerConfig::default());
+        let mut s = ControlScheduler::new();
         assert!(s.poll(t(0)));
         assert!(!s.poll(t(1)));
     }
 
     #[test]
     fn max_interval_forces_a_run() {
-        let mut s = ControlScheduler::new(SchedulerConfig::default());
+        let mut s = ControlScheduler::new();
         s.poll(t(0));
         assert!(!s.poll(t(2_900)));
         assert!(s.poll(t(3_000)));
@@ -120,7 +106,7 @@ mod tests {
 
     #[test]
     fn event_runs_early_but_respects_min_interval() {
-        let mut s = ControlScheduler::new(SchedulerConfig::default());
+        let mut s = ControlScheduler::new();
         s.poll(t(0));
         s.trigger_event();
         // 0.5 s after the last run: too soon even for an event.
@@ -132,7 +118,7 @@ mod tests {
 
     #[test]
     fn event_flag_clears_after_run() {
-        let mut s = ControlScheduler::new(SchedulerConfig::default());
+        let mut s = ControlScheduler::new();
         s.poll(t(0));
         s.trigger_event();
         assert!(s.poll(t(1_000)));
@@ -143,7 +129,7 @@ mod tests {
 
     #[test]
     fn intervals_respect_bounds() {
-        let mut s = ControlScheduler::new(SchedulerConfig::default());
+        let mut s = ControlScheduler::new();
         // Poll every 100 ms with random-ish events.
         for i in 0..300 {
             if i % 7 == 0 {
@@ -160,7 +146,7 @@ mod tests {
 
     #[test]
     fn next_deadline_reflects_pending_event() {
-        let mut s = ControlScheduler::new(SchedulerConfig::default());
+        let mut s = ControlScheduler::new();
         s.poll(t(0));
         assert_eq!(s.next_deadline(t(100)), t(3_000));
         s.trigger_event();

@@ -9,7 +9,7 @@
 //! unreachable client stayed pending for the conference lifetime.
 
 use gso_algo::{ladders, ClientSpec, Problem, Resolution, SourceId, Subscription};
-use gso_control::feedback::{FeedbackConfig, FeedbackExecutor};
+use gso_control::feedback::FeedbackExecutor;
 use gso_rtp::{GsoTmmbn, GsoTmmbr, TmmbrEntry};
 use gso_util::{Bitrate, ClientId, DetRng, SimTime, Ssrc};
 use proptest::prelude::*;
@@ -77,7 +77,7 @@ proptest! {
         loss in 0.0f64..0.95,
     ) {
         let (solution, layers) = solved(n);
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let mut rng = DetRng::derive(seed, "gtmb-acks");
         let mut acked: BTreeSet<ClientId> = BTreeSet::new();
         let mut failed: BTreeSet<ClientId> = BTreeSet::new();
@@ -123,7 +123,7 @@ proptest! {
         cadence_ms in 100u64..=2_000,
     ) {
         let (solution, layers) = solved(n);
-        let mut ex = FeedbackExecutor::new(FeedbackConfig::default(), Ssrc(1));
+        let mut ex = FeedbackExecutor::new(Ssrc(1));
         let mut failed: BTreeSet<ClientId> = BTreeSet::new();
         for tick in 0..60u64 {
             let now = SimTime::from_micros(tick * cadence_ms * 1_000);

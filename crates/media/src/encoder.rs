@@ -24,32 +24,14 @@ pub struct LayerConfig {
     pub target: Bitrate,
 }
 
-/// Encoder-wide configuration.
-#[derive(Debug, Clone)]
-pub struct EncoderConfig {
-    /// Frames per second produced by every enabled layer.
-    pub fps: f64,
-    /// Interval between keyframes.
-    pub keyframe_interval: SimDuration,
-    /// Size multiplier of a keyframe relative to a delta frame.
-    pub keyframe_gain: f64,
-    /// Standard deviation of per-frame size variation (fraction of mean).
-    pub size_jitter: f64,
-}
-
-impl Default for EncoderConfig {
-    fn default() -> Self {
-        EncoderConfig {
-            fps: 15.0,
-            // Conferencing encoders use long GoPs with smoothed intra
-            // refresh; a 3 s cadence with a modest keyframe gain keeps the
-            // bursts small enough not to destabilize a well-fitted link.
-            keyframe_interval: SimDuration::from_secs(3),
-            keyframe_gain: 2.0,
-            size_jitter: 0.08,
-        }
-    }
-}
+/// Interval between keyframes. Conferencing encoders use long GoPs with
+/// smoothed intra refresh; a 3 s cadence with a modest keyframe gain keeps
+/// the bursts small enough not to destabilize a well-fitted link.
+const KEYFRAME_INTERVAL: SimDuration = SimDuration::from_secs(3);
+/// Size multiplier of a keyframe relative to a delta frame.
+const KEYFRAME_GAIN: f64 = 2.0;
+/// Standard deviation of per-frame size variation (fraction of mean).
+const SIZE_JITTER: f64 = 0.08;
 
 #[derive(Debug)]
 struct Layer {
@@ -71,7 +53,8 @@ struct Layer {
 /// A bank of per-layer encoders for one video source.
 #[derive(Debug)]
 pub struct SimulcastEncoder {
-    cfg: EncoderConfig,
+    /// Frames per second produced by every enabled layer.
+    fps: f64,
     layers: Vec<Layer>,
     rng: DetRng,
     /// Accumulated encode work units (see [`crate::cost`]).
@@ -79,9 +62,9 @@ pub struct SimulcastEncoder {
 }
 
 impl SimulcastEncoder {
-    /// Build an encoder bank. Layers with a zero initial target start
-    /// disabled.
-    pub fn new(cfg: EncoderConfig, layers: Vec<LayerConfig>, rng: DetRng) -> Self {
+    /// Build an encoder bank producing `fps` frames per second on every
+    /// enabled layer. Layers with a zero initial target start disabled.
+    pub fn new(fps: f64, layers: Vec<LayerConfig>, rng: DetRng) -> Self {
         let n = layers.len().max(1) as u64;
         let layers = layers
             .into_iter()
@@ -91,18 +74,18 @@ impl SimulcastEncoder {
                 resolution_lines: l.resolution_lines,
                 target: l.target,
                 next_frame_id: 0,
-                keyframe_phase: cfg.keyframe_interval * i as u64 / n,
+                keyframe_phase: KEYFRAME_INTERVAL * i as u64 / n,
                 last_keyframe: None,
                 byte_debt: 0.0,
                 force_keyframe: false,
             })
             .collect();
-        SimulcastEncoder { cfg, layers, rng, work_units: 0.0 }
+        SimulcastEncoder { fps, layers, rng, work_units: 0.0 }
     }
 
     /// The frame production interval.
     pub fn frame_interval(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.cfg.fps)
+        SimDuration::from_secs_f64(1.0 / self.fps)
     }
 
     /// Set a layer's target bitrate; zero disables it (GTMB semantics).
@@ -158,7 +141,7 @@ impl SimulcastEncoder {
             let keyframe = layer.force_keyframe
                 || match layer.last_keyframe {
                     None => true,
-                    Some(t) => now.saturating_since(t) >= self.cfg.keyframe_interval,
+                    Some(t) => now.saturating_since(t) >= KEYFRAME_INTERVAL,
                 };
             layer.force_keyframe = false;
             if keyframe {
@@ -176,16 +159,16 @@ impl SimulcastEncoder {
             // larger, delta frames proportionally smaller so the GoP still
             // averages to target. With interval K frames and gain g, one key
             // + (K-1) deltas must sum to K·mean_raw.
-            let mean_raw = layer.target.as_bps() as f64 / 8.0 / self.cfg.fps;
-            let frames_per_gop = (self.cfg.keyframe_interval.as_secs_f64() * self.cfg.fps).max(1.0);
-            let delta_scale = frames_per_gop / (frames_per_gop - 1.0 + self.cfg.keyframe_gain);
+            let mean_raw = layer.target.as_bps() as f64 / 8.0 / self.fps;
+            let frames_per_gop = (KEYFRAME_INTERVAL.as_secs_f64() * self.fps).max(1.0);
+            let delta_scale = frames_per_gop / (frames_per_gop - 1.0 + KEYFRAME_GAIN);
             let mean = if keyframe {
-                mean_raw * delta_scale * self.cfg.keyframe_gain
+                mean_raw * delta_scale * KEYFRAME_GAIN
             } else {
                 mean_raw * delta_scale
             };
             // Log-normal-ish jitter plus rate-control debt correction.
-            let noisy = mean * (1.0 + self.cfg.size_jitter * self.rng.gaussian());
+            let noisy = mean * (1.0 + SIZE_JITTER * self.rng.gaussian());
             let corrected = (noisy - 0.1 * layer.byte_debt).max(mean * 0.2);
             layer.byte_debt += corrected - mean;
 
@@ -225,7 +208,7 @@ mod tests {
                 target: Bitrate::from_kbps(kbps),
             })
             .collect();
-        SimulcastEncoder::new(EncoderConfig::default(), layers, DetRng::derive(5, "enc"))
+        SimulcastEncoder::new(15.0, layers, DetRng::derive(5, "enc"))
     }
 
     fn run(enc: &mut SimulcastEncoder, seconds: u64) -> Vec<EncodedFrame> {

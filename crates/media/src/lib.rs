@@ -26,7 +26,7 @@ pub mod quality;
 pub mod receiver;
 
 pub use audio::{AudioSource, AUDIO_BITRATE, AUDIO_PROTECTION};
-pub use encoder::{EncoderConfig, LayerConfig, SimulcastEncoder};
+pub use encoder::{LayerConfig, SimulcastEncoder};
 pub use frame::{packetize, EncodedFrame, FragmentHeader, MTU_PAYLOAD};
 pub use metrics::{VideoPlayback, VoicePlayback};
 pub use quality::vmaf_proxy;

@@ -310,13 +310,13 @@ impl StreamReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::{EncoderConfig, LayerConfig, SimulcastEncoder};
+    use crate::encoder::{LayerConfig, SimulcastEncoder};
     use crate::frame::packetize;
     use gso_util::{Bitrate, DetRng};
 
     fn make_stream(seconds: u64, kbps: u64) -> Vec<RtpPacket> {
         let mut enc = SimulcastEncoder::new(
-            EncoderConfig::default(),
+            15.0,
             vec![LayerConfig {
                 ssrc: Ssrc(1),
                 resolution_lines: 360,

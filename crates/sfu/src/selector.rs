@@ -48,27 +48,21 @@ fn debug_check_selection(layers: &[OfferedLayer], cap: Option<Bitrate>, pick: Op
     }
 }
 
-/// The traditional local policy: forward the largest layer whose bitrate
-/// fits within `margin × budget`. The safety margin is what produces the
-/// video/network mismatch of Fig. 3b — a 1.45 Mbps downlink cannot take a
-/// 1.5 Mbps stream, so the subscriber falls all the way to the next coarse
-/// level.
-#[derive(Debug, Clone)]
-pub struct LargestFitSelector {
-    /// Fraction of the budget a stream may occupy (headroom for audio,
-    /// retransmissions, estimate error).
-    pub margin: f64,
-}
+/// Fraction of the budget a [`LargestFitSelector`] stream may occupy
+/// (headroom for audio, retransmissions, estimate error).
+const LARGEST_FIT_MARGIN: f64 = 0.9;
 
-impl Default for LargestFitSelector {
-    fn default() -> Self {
-        LargestFitSelector { margin: 0.9 }
-    }
-}
+/// The traditional local policy: forward the largest layer whose bitrate
+/// fits within `LARGEST_FIT_MARGIN × budget`. The safety margin is what
+/// produces the video/network mismatch of Fig. 3b — a 1.45 Mbps downlink
+/// cannot take a 1.5 Mbps stream, so the subscriber falls all the way to
+/// the next coarse level.
+#[derive(Debug, Clone, Default)]
+pub struct LargestFitSelector;
 
 impl StreamSelector for LargestFitSelector {
     fn select(&self, layers: &[OfferedLayer], budget: Bitrate) -> Option<Ssrc> {
-        let cap = budget.mul_f64(self.margin);
+        let cap = budget.mul_f64(LARGEST_FIT_MARGIN);
         let pick = layers
             .iter()
             .filter(|l| !l.bitrate.is_zero() && l.bitrate <= cap)
@@ -137,7 +131,7 @@ mod tests {
 
     #[test]
     fn largest_fit_uses_margin() {
-        let s = LargestFitSelector::default();
+        let s = LargestFitSelector;
         // Fig. 3b: a 1.45 Mbps downlink with a 0.9 margin caps at 1.305 Mbps,
         // so the 1.5 Mbps layer is rejected and 600 Kbps wins — the mismatch.
         assert_eq!(s.select(&layers(), Bitrate::from_kbps(1_450)), Some(Ssrc(2)));
@@ -148,7 +142,7 @@ mod tests {
 
     #[test]
     fn largest_fit_skips_disabled_layers() {
-        let s = LargestFitSelector::default();
+        let s = LargestFitSelector;
         let mut ls = layers();
         ls[2].bitrate = Bitrate::ZERO;
         assert_eq!(s.select(&ls, Bitrate::from_mbps(5)), Some(Ssrc(2)));

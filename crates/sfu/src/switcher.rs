@@ -35,16 +35,12 @@ impl LayerSwitcher {
         self.pending
     }
 
-    /// Request that the subscriber receive `target` (or nothing).
+    /// Request at `now` that the subscriber receive `target` (or nothing);
+    /// the request time lets the eventual keyframe landing report its
+    /// latency.
     ///
     /// Switching down to `None` (unsubscribe) is immediate. A first-ever
     /// selection waits for a keyframe like any other switch.
-    pub fn request(&mut self, target: Option<Ssrc>) {
-        self.request_at(target, SimTime::ZERO);
-    }
-
-    /// [`LayerSwitcher::request`] with the request time recorded, so the
-    /// eventual keyframe landing can report its latency.
     pub fn request_at(&mut self, target: Option<Ssrc>, now: SimTime) {
         match target {
             None => {
@@ -67,14 +63,9 @@ impl LayerSwitcher {
         }
     }
 
-    /// Should a packet from `ssrc` be forwarded? `keyframe_start` must be
-    /// true for the first packet of a keyframe.
-    pub fn should_forward(&mut self, ssrc: Ssrc, keyframe_start: bool) -> bool {
-        self.should_forward_at(ssrc, keyframe_start, SimTime::ZERO)
-    }
-
-    /// [`LayerSwitcher::should_forward`] with the current time, so a switch
-    /// landing on this packet records its request→landing latency.
+    /// Should a packet from `ssrc` arriving at `now` be forwarded?
+    /// `keyframe_start` must be true for the first packet of a keyframe. A
+    /// switch landing on this packet records its request→landing latency.
     // lint: hot_path(sfu-packet-switch)
     pub fn should_forward_at(&mut self, ssrc: Ssrc, keyframe_start: bool, now: SimTime) -> bool {
         let previous = self.current;
@@ -109,25 +100,25 @@ mod tests {
     #[test]
     fn first_selection_waits_for_keyframe() {
         let mut sw = LayerSwitcher::new();
-        sw.request(Some(Ssrc(1)));
-        assert!(!sw.should_forward(Ssrc(1), false), "no splice mid-GoP");
-        assert!(sw.should_forward(Ssrc(1), true));
-        assert!(sw.should_forward(Ssrc(1), false), "forwarding continues");
+        sw.request_at(Some(Ssrc(1)), SimTime::ZERO);
+        assert!(!sw.should_forward_at(Ssrc(1), false, SimTime::ZERO), "no splice mid-GoP");
+        assert!(sw.should_forward_at(Ssrc(1), true, SimTime::ZERO));
+        assert!(sw.should_forward_at(Ssrc(1), false, SimTime::ZERO), "forwarding continues");
         assert_eq!(sw.current(), Some(Ssrc(1)));
     }
 
     #[test]
     fn switch_keeps_old_layer_until_new_keyframe() {
         let mut sw = LayerSwitcher::new();
-        sw.request(Some(Ssrc(1)));
-        assert!(sw.should_forward(Ssrc(1), true));
-        sw.request(Some(Ssrc(2)));
+        sw.request_at(Some(Ssrc(1)), SimTime::ZERO);
+        assert!(sw.should_forward_at(Ssrc(1), true, SimTime::ZERO));
+        sw.request_at(Some(Ssrc(2)), SimTime::ZERO);
         // Old layer still flows; new layer's delta frames don't.
-        assert!(sw.should_forward(Ssrc(1), false));
-        assert!(!sw.should_forward(Ssrc(2), false));
+        assert!(sw.should_forward_at(Ssrc(1), false, SimTime::ZERO));
+        assert!(!sw.should_forward_at(Ssrc(2), false, SimTime::ZERO));
         // New keyframe: atomic switch.
-        assert!(sw.should_forward(Ssrc(2), true));
-        assert!(!sw.should_forward(Ssrc(1), false), "old layer cut after switch");
+        assert!(sw.should_forward_at(Ssrc(2), true, SimTime::ZERO));
+        assert!(!sw.should_forward_at(Ssrc(1), false, SimTime::ZERO), "old layer cut after switch");
         assert_eq!(sw.current(), Some(Ssrc(2)));
         assert_eq!(sw.pending(), None);
     }
@@ -135,29 +126,32 @@ mod tests {
     #[test]
     fn unsubscribe_is_immediate() {
         let mut sw = LayerSwitcher::new();
-        sw.request(Some(Ssrc(1)));
-        assert!(sw.should_forward(Ssrc(1), true));
-        sw.request(None);
-        assert!(!sw.should_forward(Ssrc(1), false));
-        assert!(!sw.should_forward(Ssrc(1), true));
+        sw.request_at(Some(Ssrc(1)), SimTime::ZERO);
+        assert!(sw.should_forward_at(Ssrc(1), true, SimTime::ZERO));
+        sw.request_at(None, SimTime::ZERO);
+        assert!(!sw.should_forward_at(Ssrc(1), false, SimTime::ZERO));
+        assert!(!sw.should_forward_at(Ssrc(1), true, SimTime::ZERO));
     }
 
     #[test]
     fn rerequesting_current_cancels_pending_switch() {
         let mut sw = LayerSwitcher::new();
-        sw.request(Some(Ssrc(1)));
-        assert!(sw.should_forward(Ssrc(1), true));
-        sw.request(Some(Ssrc(2)));
-        sw.request(Some(Ssrc(1))); // controller changed its mind
-        assert!(!sw.should_forward(Ssrc(2), true), "cancelled switch must not land");
-        assert!(sw.should_forward(Ssrc(1), false));
+        sw.request_at(Some(Ssrc(1)), SimTime::ZERO);
+        assert!(sw.should_forward_at(Ssrc(1), true, SimTime::ZERO));
+        sw.request_at(Some(Ssrc(2)), SimTime::ZERO);
+        sw.request_at(Some(Ssrc(1)), SimTime::ZERO); // controller changed its mind
+        assert!(
+            !sw.should_forward_at(Ssrc(2), true, SimTime::ZERO),
+            "cancelled switch must not land"
+        );
+        assert!(sw.should_forward_at(Ssrc(1), false, SimTime::ZERO));
     }
 
     #[test]
     fn unrelated_ssrc_never_forwarded() {
         let mut sw = LayerSwitcher::new();
-        sw.request(Some(Ssrc(1)));
-        assert!(!sw.should_forward(Ssrc(9), true));
+        sw.request_at(Some(Ssrc(1)), SimTime::ZERO);
+        assert!(!sw.should_forward_at(Ssrc(9), true, SimTime::ZERO));
     }
 
     #[test]

@@ -534,7 +534,7 @@ impl AccessNode {
         }
         let mut keyframe_needed: BTreeSet<SourceId> = BTreeSet::new();
         let selector: Box<dyn StreamSelector> = match self.mode {
-            PolicyMode::NonGso => Box::new(LargestFitSelector::default()),
+            PolicyMode::NonGso => Box::new(LargestFitSelector),
             PolicyMode::Competitor1 => Box::new(TwoLevelSelector),
             PolicyMode::Competitor2 => Box::new(PassthroughSelector),
             PolicyMode::Gso => unreachable!(),

@@ -14,10 +14,9 @@ use gso_bwe::{
     BweConfig, ProbeConfig, ProbeController, SembConfig, SembScheduler, SendHistory, SenderBwe,
     TwccGenerator,
 };
-use gso_control::{BandwidthHysteresis, HysteresisConfig, SubscribeIntent};
+use gso_control::{BandwidthHysteresis, SubscribeIntent};
 use gso_media::{
-    frame, AudioSource, EncoderConfig, LayerConfig, SimulcastEncoder, StreamReceiver,
-    VideoPlayback, VoicePlayback,
+    frame, AudioSource, LayerConfig, SimulcastEncoder, StreamReceiver, VideoPlayback, VoicePlayback,
 };
 use gso_net::{Actions, Node, NodeId, Packet};
 use gso_rtp::{decode_ssrc, epoch_newer, ssrc_for, GsoTmmbn, Nack, RtcpPacket, RtpPacket, Semb};
@@ -205,7 +204,7 @@ impl ClientNode {
                 target: Bitrate::ZERO,
             })
             .collect();
-        let video_enc = SimulcastEncoder::new(EncoderConfig::default(), layers, enc_rng);
+        let video_enc = SimulcastEncoder::new(15.0, layers, enc_rng);
         let screen_enc = cfg.screen_ladder.as_ref().map(|l| {
             let rng = gso_util::DetRng::derive(seed, &format!("client-{}-screen", cfg.id.0));
             let layers: Vec<LayerConfig> = l
@@ -217,11 +216,7 @@ impl ClientNode {
                     target: Bitrate::ZERO,
                 })
                 .collect();
-            SimulcastEncoder::new(
-                EncoderConfig { fps: 5.0, ..EncoderConfig::default() },
-                layers,
-                rng,
-            )
+            SimulcastEncoder::new(5.0, layers, rng)
         });
         let audio_src =
             cfg.audio.then(|| AudioSource::new(ssrc_for(cfg.id, StreamKind::Audio, 0), 111));
@@ -240,7 +235,7 @@ impl ClientNode {
             bwe,
             probes: ProbeController::new(ProbeConfig::default()),
             semb: SembScheduler::new(SembConfig::default()),
-            template_gate: BandwidthHysteresis::new(HysteresisConfig::default()),
+            template_gate: BandwidthHysteresis::new(),
             receivers: BTreeMap::new(),
             video_play: BTreeMap::new(),
             voice_play: BTreeMap::new(),

@@ -41,8 +41,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Display, Write as _};
 use std::sync::{Arc, MutexGuard};
 
-/// Default capacity of the bounded event ring.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
+/// Capacity of the bounded event ring.
+pub const EVENT_CAPACITY: usize = 4096;
 
 /// One recorded metric value.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,15 +108,14 @@ struct Registry {
     label: String,
     events: VecDeque<Event>,
     events_dropped: u64,
-    event_capacity: usize,
     /// Next event sequence id; monotone over the registry's lifetime (keeps
     /// counting across ring evictions).
     next_event_seq: u64,
 }
 
 impl Registry {
-    fn new(conference: String, event_capacity: usize) -> Self {
-        Registry { conference, event_capacity, ..Registry::default() }
+    fn new(conference: String) -> Self {
+        Registry { conference, ..Registry::default() }
     }
 
     /// The slot of `(name, label)`, created with the value `init` gives
@@ -176,7 +175,7 @@ impl Registry {
     fn push_event(&mut self, at: SimTime, kind: &'static str, detail: String) {
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
-        if self.events.len() == self.event_capacity {
+        if self.events.len() == EVENT_CAPACITY {
             self.events.pop_front();
             self.events_dropped += 1;
         }
@@ -219,15 +218,7 @@ impl Telemetry {
     /// An enabled registry for the named conference.
     #[must_use]
     pub fn new(conference: impl Into<String>) -> Self {
-        Self::with_event_capacity(conference, DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// An enabled registry with a custom event-ring capacity.
-    #[must_use]
-    pub fn with_event_capacity(conference: impl Into<String>, capacity: usize) -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Registry::new(conference.into(), capacity.max(1)).into())),
-        }
+        Telemetry { inner: Some(Arc::new(Registry::new(conference.into()).into())) }
     }
 
     /// The registry, when enabled.
@@ -464,7 +455,7 @@ impl Telemetry {
         let _ = write!(
             out,
             "],\n  \"events\": {{\"capacity\": {}, \"dropped\": {}, \"entries\": [",
-            reg.event_capacity, reg.events_dropped
+            EVENT_CAPACITY, reg.events_dropped
         );
         let mut first = true;
         for ev in reg.ordered_events() {
@@ -649,14 +640,15 @@ mod tests {
 
     #[test]
     fn event_ring_drops_oldest() {
-        let t = Telemetry::with_event_capacity("conf", 2);
-        t.event(SimTime::from_millis(1), "a", "");
-        t.event(SimTime::from_millis(2), "b", "");
-        t.event(SimTime::from_millis(3), "c", "");
+        let t = Telemetry::new("conf");
+        let n = EVENT_CAPACITY as u64;
+        for i in 0..=n {
+            t.event(SimTime::from_millis(i), "e", i);
+        }
         let evs = t.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, "b");
-        assert_eq!(evs[1].kind, "c");
+        assert_eq!(evs.len(), EVENT_CAPACITY);
+        assert_eq!(evs[0].detail, "1");
+        assert_eq!(evs[EVENT_CAPACITY - 1].detail, n.to_string());
         assert!(t.export_json().contains("\"dropped\": 1"));
     }
 
@@ -751,12 +743,13 @@ mod tests {
 
     #[test]
     fn seq_keeps_counting_across_ring_eviction() {
-        let t = Telemetry::with_event_capacity("conf", 2);
-        for i in 0..5 {
+        let t = Telemetry::new("conf");
+        let n = EVENT_CAPACITY as u64 + 3;
+        for i in 0..n {
             t.event(SimTime::from_millis(i), "e", i);
         }
         let evs = t.events();
-        assert_eq!(evs.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(evs.iter().map(|e| e.seq).collect::<Vec<_>>(), (3..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -163,8 +163,8 @@ proptest! {
     fn hysteresis_gate_is_bounded_and_downgrades_fast(
         measurements in prop::collection::vec(50u64..5_000, 1..40),
     ) {
-        use gso_simulcast::control::{BandwidthHysteresis, HysteresisConfig};
-        let mut gate = BandwidthHysteresis::new(HysteresisConfig::default());
+        use gso_simulcast::control::BandwidthHysteresis;
+        let mut gate = BandwidthHysteresis::new();
         let max_seen = *measurements.iter().max().unwrap();
         let mut prev: Option<Bitrate> = None;
         for (i, &kbps) in measurements.iter().enumerate() {

@@ -6,8 +6,8 @@
 use gso_simulcast::algo::{
     ladders, solver, ClientSpec, Problem, Resolution, SourceId, Subscription,
 };
-use gso_simulcast::control::{FeedbackConfig, FeedbackExecutor};
-use gso_simulcast::media::{EncoderConfig, LayerConfig, SimulcastEncoder};
+use gso_simulcast::control::FeedbackExecutor;
+use gso_simulcast::media::{LayerConfig, SimulcastEncoder};
 use gso_simulcast::rtp::{ssrc_for, GsoTmmbn, RtcpPacket};
 use gso_simulcast::util::{Bitrate, ClientId, DetRng, SimTime, StreamKind};
 use std::collections::BTreeMap;
@@ -29,8 +29,7 @@ fn solution_to_wire_to_encoder_roundtrip() {
     let solution = solver::solve(&problem, &Default::default());
 
     // 2. The executor turns it into per-client GTMB messages.
-    let mut executor =
-        FeedbackExecutor::new(FeedbackConfig::default(), gso_simulcast::util::Ssrc(7));
+    let mut executor = FeedbackExecutor::new(gso_simulcast::util::Ssrc(7));
     let mut layers = BTreeMap::new();
     layers.insert(SourceId::video(a), vec![180u16, 360, 720]);
     layers.insert(SourceId::video(b), vec![180u16, 360, 720]);
@@ -45,7 +44,7 @@ fn solution_to_wire_to_encoder_roundtrip() {
 
     // 4. A's encoder bank applies the configuration.
     let mut encoder = SimulcastEncoder::new(
-        EncoderConfig::default(),
+        15.0,
         [180u16, 360, 720]
             .iter()
             .map(|&lines| LayerConfig {

@@ -53,7 +53,6 @@
 //!   Eq. 12 merge-minimum and Eq. 18–20 whole-resolution checks.
 //! * [`digest`] — stable [`gso_util::digest::StateDigest`] fingerprints for
 //!   solutions, traces, and engine statistics.
-//! * [`diff`] — minimal reconfiguration between consecutive solutions.
 //! * [`qoe`] — QoE utility curves with small-stream protection (§4.4).
 //! * [`ladders`] — the paper's Table-1 ladder, fine 15-level and coarse
 //!   3-level production ladders, and parametric generators.
@@ -61,7 +60,6 @@
 pub mod audit;
 pub mod batch;
 pub mod brute;
-pub mod diff;
 pub mod digest;
 pub mod engine;
 pub mod ladders;
@@ -73,7 +71,6 @@ pub mod solver;
 pub mod types;
 
 pub use batch::{BatchConfig, BatchScheduler};
-pub use diff::{diff, LayerChange, SolutionDiff, SwitchChange};
 pub use engine::{EngineStats, SolveEngine};
 pub use problem::{ClientSpec, Problem, ProblemError, PublisherSource, SourceId, Subscription};
 pub use solution::{ConstraintViolation, PublishPolicy, ReceivedStream, Solution};

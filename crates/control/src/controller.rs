@@ -10,7 +10,7 @@ use crate::feedback::{FeedbackExecutor, ForwardingRule};
 use crate::hysteresis::BandwidthHysteresis;
 use crate::scheduler::ControlScheduler;
 use crate::state::{ClientSnapshot, CodecCapability, GlobalPicture, LiveProblem, SubscribeIntent};
-use gso_algo::{diff, Problem, Solution, SolutionDiff, SolveEngine, SolveTrace, SolverConfig};
+use gso_algo::{Problem, Solution, SolveEngine, SolveTrace, SolverConfig};
 use gso_rtp::{GsoTmmbn, GsoTmmbr};
 use gso_telemetry::{keys, Telemetry};
 use gso_util::{Bitrate, ClientId, SimTime, Ssrc};
@@ -112,9 +112,6 @@ pub struct ControlOutput {
     /// The full solution (for metrics/inspection): the same allocation the
     /// controller keeps as its last solution, shared rather than copied.
     pub solution: Arc<Solution>,
-    /// Minimal reconfiguration relative to the previous round's solution
-    /// (empty on the first round): what actually changes on the wire.
-    pub churn: SolutionDiff,
     /// True when this round used the single-stream fallback (§7).
     pub fallback: bool,
 }
@@ -181,7 +178,7 @@ impl GsoController {
     }
 
     /// Attach a metrics registry; shared with the feedback executor so
-    /// solve work, churn and GTMB delivery all land in one export.
+    /// solve work and GTMB delivery land in one export.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.executor.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
@@ -543,16 +540,10 @@ impl GsoController {
                 gso_algo::audit::report(&findings)
             );
         }
-        let churn = if sticky {
-            // Nothing changes on the wire, and `last_solution` already
-            // holds this solution.
-            SolutionDiff::default()
-        } else {
-            let churn =
-                diff(self.last_solution.as_deref().unwrap_or(&Solution::default()), &solution);
+        if !sticky {
+            // A sticky round's solution already is `last_solution`.
             self.last_solution = Some(Arc::clone(&solution));
-            churn
-        };
+        }
         // Round metrics. "Solve latency" is deterministic by design: the
         // sim has no wall clock, so it is measured in the solver's
         // dominant work unit (DP class-rows recomputed this round) plus
@@ -569,10 +560,8 @@ impl GsoController {
             );
             self.telemetry.observe(keys::CTRL_SOLVE_ROWS, "", solve_rows, keys::WORK_BOUNDS);
         }
-        self.telemetry.add(keys::CTRL_CHURN_LAYERS, "", churn.layer_changes.len() as u64);
-        self.telemetry.add(keys::CTRL_CHURN_SWITCHES, "", churn.switch_changes.len() as u64);
         self.telemetry.gauge(keys::CTRL_QOE, "", solution.total_qoe);
-        Some(ControlOutput { configs, rules, solution, churn, fallback })
+        Some(ControlOutput { configs, rules, solution, fallback })
     }
 
     /// Cumulative solve-engine work counters (cache hits, rows recomputed…).
@@ -833,19 +822,36 @@ mod tests {
     #[test]
     fn engine_reused_across_ticks_and_churn_reported() {
         let mut c = two_party();
+        // Client 1 watches client 2 too, so the drop below leaves a rule
+        // that must not change.
+        c.on_subscriptions(
+            ClientId(1),
+            vec![SubscribeIntent {
+                source: SourceId::video(ClientId(2)),
+                max_resolution: Resolution::R720,
+                tag: 0,
+            }],
+        );
+        c.on_uplink_report(SimTime::ZERO, ClientId(2), k(5_000));
+        c.on_downlink_report(SimTime::ZERO, ClientId(1), k(2_000));
         let (out, _) = c.tick(SimTime::from_millis(10));
-        let out = out.expect("first tick runs");
-        // First round: everything is new relative to the empty solution.
-        assert!(!out.churn.is_empty());
-        assert!(out.churn.switch_changes.iter().all(|s| s.from.is_none()));
+        let first = out.expect("first tick runs").rules;
+        assert_eq!(first.len(), 2);
         assert_eq!(c.engine_stats().solves, 1);
 
-        // Downlink drop re-solves on the same engine and shows up as churn.
+        // Downlink drop re-solves on the same engine and switches only
+        // subscriber 2.
         c.on_downlink_report(SimTime::from_millis(1_500), ClientId(2), k(700));
         let (out, _) = c.tick(SimTime::from_millis(1_600));
-        let out = out.expect("event trigger fires");
+        let rules = out.expect("event trigger fires").rules;
         assert_eq!(c.engine_stats().solves, 2);
-        assert_eq!(out.churn.switched_subscribers(), 1);
+        let changed: Vec<ClientId> = rules
+            .iter()
+            .chain(&first)
+            .filter(|r| !(first.contains(r) && rules.contains(r)))
+            .map(|r| r.subscriber)
+            .collect();
+        assert_eq!(changed, [ClientId(2), ClientId(2)], "subscriber 2's old and new rule");
         assert!(
             c.engine_stats().backtracks >= 1,
             "a pure capacity change must hit the incremental backtrack path"
@@ -853,8 +859,8 @@ mod tests {
     }
 
     /// A round whose fresh solve gains less than the stickiness margin keeps
-    /// the previous solution: it commits no churn and leaves every
-    /// digest-covered field and churn counter where it was.
+    /// the previous solution: it sends no configuration, repeats the
+    /// previous rules and leaves every digest-covered field where it was.
     #[test]
     fn sticky_round_commits_previous_solution_without_churn() {
         let telemetry = Telemetry::new("test");
@@ -863,7 +869,8 @@ mod tests {
         // 1.1 Mbps × 0.85 − 50 Kbps leaves room for 360P at 800 Kbps.
         c.on_downlink_report(SimTime::ZERO, ClientId(2), k(1_100));
         let (out, _) = c.tick(SimTime::from_millis(10));
-        assert_eq!(out.expect("first tick runs").rules[0].bitrate, k(800));
+        let first = out.expect("first tick runs").rules;
+        assert_eq!(first[0].bitrate, k(800));
         let previous = c.last_solution().cloned().expect("first round committed");
 
         // 1.3 Mbps now fits 720P at 1 Mbps, worth 750 against 700: less than
@@ -877,24 +884,16 @@ mod tests {
         assert_ne!(fresh, previous, "the fresh solve differs from the kept one");
         let outcome = SolveOutcome { solution: fresh, trace: Some(trace), rows_delta: 0 };
         let digest = c.state_digest();
-        let churn_before = (
-            telemetry.counter(keys::CTRL_CHURN_LAYERS, ""),
-            telemetry.counter(keys::CTRL_CHURN_SWITCHES, ""),
-        );
+        let sent = telemetry.counter_total(keys::GTMB_SENT);
 
         let out = c.tick_commit(now, ctx, Some(outcome)).expect("the round commits");
         assert!(!out.fallback);
         assert_eq!(*out.solution, previous, "stickiness keeps the previous solution");
-        assert!(out.churn.is_empty());
+        assert!(out.configs.is_empty(), "nothing to reconfigure");
+        assert_eq!(out.rules, first);
+        assert_eq!(telemetry.counter_total(keys::GTMB_SENT), sent);
         assert_eq!(c.last_solution(), Some(&previous));
         assert_eq!(c.state_digest(), digest);
-        assert_eq!(
-            (
-                telemetry.counter(keys::CTRL_CHURN_LAYERS, ""),
-                telemetry.counter(keys::CTRL_CHURN_SWITCHES, ""),
-            ),
-            churn_before
-        );
     }
 
     /// A round's output and the controller's last solution are one
@@ -914,7 +913,7 @@ mod tests {
         c.on_downlink_report(SimTime::from_millis(1_500), ClientId(2), k(1_300));
         let (out, _) = c.tick(SimTime::from_millis(1_600));
         let sticky = out.expect("the downlink change triggers a round");
-        assert!(sticky.churn.is_empty() && !sticky.fallback);
+        assert!(!sticky.fallback);
         assert!(Arc::ptr_eq(&sticky.solution, &changed.solution), "a sticky round copies nothing");
         assert!(shared(&c, &sticky));
 
@@ -1059,7 +1058,6 @@ mod tests {
         assert_eq!(telemetry.counter_total(keys::GTMB_SENT), 2);
         let (count, _) = telemetry.histogram_total(keys::CTRL_SOLVE_ITERATIONS);
         assert_eq!(count, 1);
-        assert!(telemetry.counter(keys::CTRL_CHURN_SWITCHES, "") >= 1);
         assert!(telemetry.gauge_value(keys::CTRL_QOE, "").unwrap() > 0.0);
 
         // Never ack: the §7 failure path shows up in the same registry.

@@ -252,35 +252,19 @@ impl Node for ConferenceNode {
             }
         }
 
-        let mut pushes: Vec<(ClientId, Vec<RtcpPacket>)> = Vec::new();
-        if let Some(output) = &output {
-            for (client, gtmb) in &output.configs {
-                pushes.push((*client, vec![RtcpPacket::GsoTmmbr(gtmb.clone())]));
-            }
-        }
-        for (client, gtmb) in retransmissions {
-            pushes.push((client, vec![RtcpPacket::GsoTmmbr(gtmb)]));
-        }
-        for (client, rtcp) in pushes {
-            let an = self.client_an.get(&client).copied().or(self.default_an);
-            if let Some(an) = an {
-                out.send(
-                    an,
-                    Packet::new(
-                        CtrlMessage::ConfigPush {
-                            epoch: self.epoch,
-                            client,
-                            rtcp: RtcpPacket::serialize_compound(&rtcp),
-                        }
-                        .serialize(),
-                    ),
-                );
-            }
+        // The round's configurations go out before the retransmissions.
+        let (configs, rules) = output.map(|o| (o.configs, o.rules)).unzip();
+        for (client, gtmb) in configs.into_iter().flatten().chain(retransmissions) {
+            let Some(an) = self.client_an.get(&client).copied().or(self.default_an) else {
+                continue;
+            };
+            let rtcp = RtcpPacket::GsoTmmbr(gtmb).serialize();
+            let push = CtrlMessage::ConfigPush { epoch: self.epoch, client, rtcp };
+            out.send(an, Packet::new(push.serialize()));
         }
 
-        if let Some(output) = output {
-            let msg =
-                CtrlMessage::Rules { epoch: self.epoch, rules: output.rules.clone() }.serialize();
+        if let Some(rules) = rules {
+            let msg = CtrlMessage::Rules { epoch: self.epoch, rules }.serialize();
             for an in self.broadcast_targets() {
                 out.send(an, Packet::new(msg.clone()));
             }

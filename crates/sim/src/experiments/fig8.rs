@@ -53,18 +53,9 @@ pub fn run_case(mode: PolicyMode, case: SlowLinkCase, seed: u64, quick: bool) ->
         case,
         mode,
         framerate: r.mean_framerate(),
-        quality: mean(r.per_client.values().map(|m| m.quality)),
+        quality: r.mean_quality(),
         video_stall: r.mean_video_stall(),
         voice_stall: r.mean_voice_stall(),
-    }
-}
-
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
     }
 }
 

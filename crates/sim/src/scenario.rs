@@ -352,6 +352,11 @@ impl ScenarioResult {
     pub fn mean_framerate(&self) -> f64 {
         mean(self.per_client.values().map(|m| m.framerate))
     }
+
+    /// Mean VMAF-proxy video quality over all clients.
+    pub fn mean_quality(&self) -> f64 {
+        mean(self.per_client.values().map(|m| m.quality))
+    }
 }
 
 fn mean(values: impl Iterator<Item = f64>) -> f64 {

@@ -23,10 +23,6 @@ pub const CTRL_SOLVE_ITERATIONS: &str = "ctrl.solve.iterations";
 /// no wall clock, so solve "latency" is measured in the solver's dominant
 /// cost unit (see DESIGN.md).
 pub const CTRL_SOLVE_ROWS: &str = "ctrl.solve.rows_recomputed";
-/// Counter — per-round layer-configuration changes (from `SolutionDiff`).
-pub const CTRL_CHURN_LAYERS: &str = "ctrl.churn.layer_changes";
-/// Counter — per-round subscriber switch changes (from `SolutionDiff`).
-pub const CTRL_CHURN_SWITCHES: &str = "ctrl.churn.switch_changes";
 /// Gauge — total QoE of the most recent solution.
 pub const CTRL_QOE: &str = "ctrl.qoe_total";
 
